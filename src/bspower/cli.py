@@ -3,7 +3,8 @@
 Subcommands: solve, simulate, sweep {battery,cac,arrival}, estimate-probs.
 Shared flags: --config, --scenarios, --out, --seed, --nonanticipative,
 --physical-discharge. Exit codes: 0 success, 2 usage error, 3 infeasible
-program, 4 I/O or file-format error.
+program, 4 I/O or file-format error (including non-finite numbers), 5
+solver failure.
 
 The config file is JSON with schema "bspower-config-1"; unknown keys are
 rejected. A scenario file (schema "bspower-scenarios-1") replaces the
@@ -35,8 +36,8 @@ from .evaluate import (RealizedDay, evaluate_policy, manifest_text,
                        sweep_cac)
 from .power_model import BaseStationParams
 from .scenarios import (ScenarioDocument, ScenarioFileError,
-                        estimate_probabilities, load_scenario_file,
-                        scenario_document_dict)
+                        estimate_probabilities, find_non_finite,
+                        load_scenario_file, scenario_document_dict)
 from .stochastic import (InfeasibleProgramError, StorageConfig, policy_csv_text,
                          solve_policy)
 from .traffic import CacConfig, uniform_traffic
@@ -113,6 +114,9 @@ def _load_config_file(path: str | None) -> dict:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(doc, dict) or doc.get("schema") != CONFIG_SCHEMA:
         raise ConfigError(f"{path}: expected schema {CONFIG_SCHEMA!r}")
+    bad = find_non_finite(doc, "config")
+    if bad is not None:
+        raise ConfigError(f"{path}: {bad}: non-finite number")
     return _merge(_DEFAULT_CONFIG, doc, "config")
 
 
@@ -279,6 +283,9 @@ def cmd_estimate_probs(counts_path: str) -> int:
     if not isinstance(counts, list) or not counts:
         raise UsageError("counts file must hold a non-empty JSON array "
                          "(or an object with a 'counts' array)")
+    bad = find_non_finite(counts, "counts")
+    if bad is not None:
+        raise ConfigError(f"{counts_path}: {bad}: non-finite number")
     try:
         probs = estimate_probabilities([float(c) for c in counts])
     except (TypeError, ValueError) as exc:
@@ -341,6 +348,9 @@ def main(argv=None) -> int:
     except InfeasibleProgramError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3
+    except RuntimeError as exc:
+        print(f"solver failure: {exc}", file=sys.stderr)
+        return 5
     except (OSError, ConfigError, ScenarioFileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

@@ -27,8 +27,7 @@ import numpy as np
 from .calibration import Calibration
 from .power_model import consumption_trace
 from .scenarios import CompositeScenario, MarginalScenario, MarginalSpace, compose
-from .stochastic import (InfeasibleProgramError, PolicyTable,
-                         per_scenario_decomposition)
+from .stochastic import InfeasibleProgramError, PolicyTable, solve_policy
 from .traffic import CacConfig, TrafficSpec, simulate_replicated, uniform_traffic
 from .units import Horizon
 
@@ -205,7 +204,7 @@ def sweep_battery(capacities, renewable_scalings, cal: Calibration,
                           terminal=min(cal.storage.terminal, cap))
         for scale in renewable_scalings:
             try:
-                policy = per_scenario_decomposition(cal.horizon, storage, spaces[scale])
+                policy = solve_policy(cal.horizon, storage, spaces[scale])
                 cost = monthly_cost(policy.expected_cost)
             except InfeasibleProgramError:
                 cost = float("nan")
@@ -236,7 +235,7 @@ def sweep_cac(thresholds, spec: TrafficSpec, cal: Calibration,
                                            cal.replications, seed)
         consumption = consumption_trace(cal.params, trace, cal.horizon)
         space = compose(cal.price, cal.renewable, _single_consumption(consumption))
-        policy = per_scenario_decomposition(cal.horizon, cal.storage, space)
+        policy = solve_policy(cal.horizon, cal.storage, space)
         return stats, policy.expected_cost
 
     _, cost_open = solve_for(CacConfig(channels=channels, threshold=channels))
@@ -271,7 +270,7 @@ def sweep_arrival_rate(rates, cal: Calibration, seed: int = 0) -> ExperimentRepo
                                        cal.replications, seed)
         consumption = consumption_trace(cal.params, trace, cal.horizon)
         space = compose(cal.price, cal.renewable, _single_consumption(consumption))
-        policy = per_scenario_decomposition(cal.horizon, cal.storage, space)
+        policy = solve_policy(cal.horizon, cal.storage, space)
         probs = policy.probabilities
         avg_purchase = float(probs @ policy.purchase.mean(axis=1))
         avg_battery = float(probs @ policy.battery.mean(axis=1))

@@ -268,6 +268,22 @@ def solve(lp: LinearProgram) -> LpSolution:
     return LpSolution("optimal", x, float(lp.c @ x), iterations)
 
 
+def _pivot(tableau, basis, r, j):
+    """Make column j basic in row r, in place.
+
+    Only rows with a nonzero entry in column j get the rank-1 update; the
+    others would subtract 0 * pivot row, so skipping them changes nothing.
+    """
+    piv_row = tableau[r] / tableau[r, j]
+    rows = tableau[:, j].nonzero()[0]
+    rows = rows[rows != r]
+    tableau[rows] -= tableau[rows, j, None] * piv_row
+    tableau[r] = piv_row
+    tableau[:, j] = 0.0
+    tableau[r, j] = 1.0
+    basis[r] = j
+
+
 def _run_simplex(tableau, basis, cost, n_price):
     """Iterate pivots in place; returns ("optimal" | "unbounded", iterations)."""
     m = tableau.shape[0]
@@ -300,14 +316,7 @@ def _run_simplex(tableau, basis, cost, n_price):
         ties = np.nonzero(ratios <= rmin + 1e-12 * (1.0 + abs(rmin)))[0]
         r = int(ties[np.argmin(basis[ties])])
 
-        piv_row = tableau[r] / tableau[r, j]
-        factors = tableau[:, j].copy()
-        factors[r] = 0.0
-        tableau -= np.outer(factors, piv_row)
-        tableau[r] = piv_row
-        tableau[:, j] = 0.0
-        tableau[r, j] = 1.0
-        basis[r] = j
+        _pivot(tableau, basis, r, j)
         iterations += 1
 
         obj = float(cost[basis] @ tableau[:, -1])
@@ -332,14 +341,7 @@ def _drop_artificials(tableau, basis, n_core):
         if j < 0:
             drop.append(r)
             continue
-        piv_row = tableau[r] / tableau[r, j]
-        factors = tableau[:, j].copy()
-        factors[r] = 0.0
-        tableau -= np.outer(factors, piv_row)
-        tableau[r] = piv_row
-        tableau[:, j] = 0.0
-        tableau[r, j] = 1.0
-        basis[r] = j
+        _pivot(tableau, basis, r, j)
     keep = np.setdiff1d(np.arange(tableau.shape[0]), drop)
     tableau = np.hstack([tableau[keep][:, :n_core], tableau[keep][:, -1:]])
     return tableau, basis[keep]

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -106,6 +107,8 @@ def estimate_probabilities(counts: Sequence[float]) -> np.ndarray:
     arr = np.asarray(counts, dtype=float)
     if arr.size == 0:
         raise ValueError("counts must be non-empty")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("counts must be finite")
     if np.any(arr < 0):
         raise ValueError("counts must be non-negative")
     total = arr.sum()
@@ -248,6 +251,28 @@ class ScenarioFileError(ValueError):
     """Raised when a scenario document is malformed; message names the key."""
 
 
+def find_non_finite(value, where: str = "") -> str | None:
+    """Path of the first NaN or infinite number in parsed JSON, or None.
+
+    Python's json module accepts NaN and Infinity and reads 1e999 as inf,
+    and range checks such as ``trace < 0`` are false for NaN, so files are
+    scanned for non-finite numbers once, where they are read.
+    """
+    if isinstance(value, float):
+        return None if math.isfinite(value) else where
+    if isinstance(value, dict):
+        items = ((f"{where}.{k}" if where else str(k), v) for k, v in value.items())
+    elif isinstance(value, list):
+        items = ((f"{where}[{i}]", v) for i, v in enumerate(value))
+    else:
+        return None
+    for path, item in items:
+        found = find_non_finite(item, path)
+        if found is not None:
+            return found
+    return None
+
+
 def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str) -> None:
     unknown = set(obj) - allowed
     if unknown:
@@ -300,6 +325,9 @@ def _parse_traffic(obj: dict) -> list[RateProfile]:
 def parse_scenario_document(doc: dict) -> ScenarioDocument:
     if not isinstance(doc, dict):
         raise ScenarioFileError("scenario document must be a JSON object")
+    bad = find_non_finite(doc)
+    if bad is not None:
+        raise ScenarioFileError(f"{bad}: non-finite number")
     _require_keys(
         doc,
         {"schema", "horizon", "price", "renewable", "consumption", "traffic"},

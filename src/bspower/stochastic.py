@@ -8,25 +8,32 @@ purchase cost plus a storage holding penalty; the balance
 
 couples consecutive periods within a scenario (R renewable, C consumed).
 Battery level is capped by capacity and pinned to the configured initial
-and terminal levels. Scenarios couple only through the objective, so the
-program decomposes scenario-wise; per_scenario_decomposition exploits
-that and doubles as an independent check of the monolithic solve.
+and terminal levels.
 
 Modes: nonanticipative adds first-period coupling rows (purchase in
 period 1 equal across scenarios that share identical period-1 price,
 renewable, and consumption values); physical_discharge applies the
 self-discharge factor to the stored level on the input side of the
 balance instead of only pricing it in the objective.
+
+Scenarios share constraints only inside a nonanticipativity group (every
+scenario is its own group without the nonanticipative mode), so the
+program is block-diagonal by group. solve_policy is the one solve path:
+it solves each group's deterministic equivalent as a small LP with the
+probabilities renormalised inside the group, and weights each group's
+cost by its probability mass. build_deterministic_equivalent over the
+whole space is the dense monolithic program; the tests solve it as the
+oracle for solve_policy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import lp as lp_mod
-from .scenarios import CompositeScenario, ScenarioSpace, validate
+from .scenarios import ScenarioSpace, validate
 from .units import Horizon
 
 KINDS = ("purchase", "battery", "excess")
@@ -126,6 +133,23 @@ def _check_space(space: ScenarioSpace, horizon: Horizon) -> None:
         raise ValueError("invalid scenario space:\n  " + "\n  ".join(problems))
 
 
+def _nonanticipativity_groups(space: ScenarioSpace,
+                              nonanticipative: bool) -> list[list[int]]:
+    """Scenario indices that share a first-period purchase, in first-seen order.
+
+    With nonanticipative, scenarios with exactly equal period-1 price,
+    renewable and consumption values form one group; otherwise every
+    scenario is a group of its own.
+    """
+    if not nonanticipative:
+        return [[w] for w in range(len(space))]
+    groups: dict[tuple, list[int]] = {}
+    for w, scen in enumerate(space.scenarios):
+        key = (scen.price[0], scen.renewable[0], scen.consumption[0])
+        groups.setdefault(key, []).append(w)
+    return list(groups.values())
+
+
 def build_deterministic_equivalent(
     horizon: Horizon,
     storage: StorageConfig,
@@ -170,19 +194,14 @@ def build_deterministic_equivalent(
             row[vmap.column("excess", t, w)] = -1.0
             rows.append(row)
             rhs.append(consumption[w, t] - renewable[w, t])
-    if nonanticipative:
-        groups: dict[tuple, list[int]] = {}
-        for w in range(S):
-            key = (prices[w, 0], renewable[w, 0], consumption[w, 0])
-            groups.setdefault(key, []).append(w)
-        for members in groups.values():
-            lead = members[0]
-            for w in members[1:]:
-                row = np.zeros(n)
-                row[vmap.column("purchase", 0, lead)] = 1.0
-                row[vmap.column("purchase", 0, w)] = -1.0
-                rows.append(row)
-                rhs.append(0.0)
+    for members in _nonanticipativity_groups(space, nonanticipative):
+        lead = members[0]
+        for w in members[1:]:
+            row = np.zeros(n)
+            row[vmap.column("purchase", 0, lead)] = 1.0
+            row[vmap.column("purchase", 0, w)] = -1.0
+            rows.append(row)
+            rhs.append(0.0)
 
     program = lp_mod.LinearProgram(
         c=c,
@@ -202,23 +221,45 @@ def solve_policy(
     nonanticipative: bool = False,
     physical_discharge: bool = False,
 ) -> PolicyTable:
-    """Solve the full deterministic equivalent and extract the policy."""
-    program, vmap = build_deterministic_equivalent(
-        horizon, storage, space, nonanticipative, physical_discharge)
-    solution = lp_mod.solve(program)
-    if solution.status != "optimal":
-        raise InfeasibleProgramError(
-            f"stochastic program is {solution.status}; check battery endpoint "
-            f"levels (initial={storage.initial}, terminal={storage.terminal}) "
-            f"against capacity {storage.capacity}")
-    purchase, battery, excess = vmap.unpack(solution.x)
+    """Solve the program one nonanticipativity group at a time.
+
+    Each group's deterministic equivalent is solved on its own with the
+    probabilities renormalised inside the group; the expected cost sums
+    the group optima weighted by group probability mass. Equal to solving
+    build_deterministic_equivalent over the whole space, because no
+    constraint spans two groups.
+    """
+    _check_space(space, horizon)
+    T = horizon.T
+    S = len(space)
+    purchase = np.zeros((S, T))
+    battery = np.zeros((S, T))
+    excess = np.zeros((S, T))
+    expected = 0.0
+    for members in _nonanticipativity_groups(space, nonanticipative):
+        scenarios = [space.scenarios[w] for w in members]
+        mass = sum(scen.probability for scen in scenarios)
+        group = ScenarioSpace(tuple(
+            replace(scen, probability=scen.probability / mass) for scen in scenarios))
+        program, vmap = build_deterministic_equivalent(
+            horizon, storage, group, nonanticipative, physical_discharge)
+        solution = lp_mod.solve(program)
+        if solution.status != "optimal":
+            raise InfeasibleProgramError(
+                f"stochastic program is {solution.status} for the scenario group "
+                f"of {group.scenarios[0].label!r}; check battery endpoint levels "
+                f"(initial={storage.initial}, terminal={storage.terminal}) "
+                f"against capacity {storage.capacity}")
+        x, s, y = vmap.unpack(solution.x)
+        purchase[members], battery[members], excess[members] = x, s, y
+        expected += mass * float(solution.objective_value)
     return PolicyTable(
         scenario_labels=tuple(space.labels),
         probabilities=space.probabilities,
         purchase=purchase,
         battery=battery,
         excess=excess,
-        expected_cost=float(solution.objective_value),
+        expected_cost=expected,
         storage=storage,
         physical_discharge=physical_discharge,
     )
@@ -230,42 +271,9 @@ def per_scenario_decomposition(
     space: ScenarioSpace,
     physical_discharge: bool = False,
 ) -> PolicyTable:
-    """Solve one small LP per scenario and probability-weight the costs.
-
-    Valid because scenarios share no constraints in the default
-    formulation; serves as an oracle for solve_policy and as the fast path
-    for sweeps.
-    """
-    _check_space(space, horizon)
-    T = horizon.T
-    S = len(space)
-    purchase = np.zeros((S, T))
-    battery = np.zeros((S, T))
-    excess = np.zeros((S, T))
-    expected = 0.0
-    for w, scen in enumerate(space.scenarios):
-        single = ScenarioSpace((CompositeScenario(
-            label=scen.label, probability=1.0, price=scen.price,
-            renewable=scen.renewable, consumption=scen.consumption),))
-        program, vmap = build_deterministic_equivalent(
-            horizon, storage, single, physical_discharge=physical_discharge)
-        solution = lp_mod.solve(program)
-        if solution.status != "optimal":
-            raise InfeasibleProgramError(
-                f"scenario {scen.label!r} subproblem is {solution.status}")
-        x, s, y = vmap.unpack(solution.x)
-        purchase[w], battery[w], excess[w] = x[0], s[0], y[0]
-        expected += scen.probability * float(solution.objective_value)
-    return PolicyTable(
-        scenario_labels=tuple(space.labels),
-        probabilities=space.probabilities,
-        purchase=purchase,
-        battery=battery,
-        excess=excess,
-        expected_cost=expected,
-        storage=storage,
-        physical_discharge=physical_discharge,
-    )
+    """solve_policy without nonanticipativity: one small LP per scenario."""
+    return solve_policy(horizon, storage, space, nonanticipative=False,
+                        physical_discharge=physical_discharge)
 
 
 def verify_policy(policy: PolicyTable, horizon: Horizon, space: ScenarioSpace,

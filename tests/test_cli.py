@@ -109,6 +109,27 @@ def test_solve_missing_scenario_file_is_io_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_solve_rejects_nan_in_scenario_trace(tmp_path, capsys):
+    doc = json.loads(json.dumps(TINY_SCENARIOS))
+    doc["price"]["scenarios"][0]["values"][1] = float("nan")
+    path = write_json(tmp_path / "nan.json", doc)
+    out = tmp_path / "o"
+    assert main(["solve", "--scenarios", path, "--out", str(out)]) == 4
+    captured = capsys.readouterr()
+    assert "price.scenarios[0].values[1]" in captured.err
+    assert "nan" not in captured.out
+    assert not (out / "policy.csv").exists()
+
+
+def test_solver_failure_exits_with_code_5(tiny, tmp_path, capsys, monkeypatch):
+    def broken(program):
+        raise RuntimeError("simplex iteration cap exceeded")
+
+    monkeypatch.setattr("bspower.stochastic.lp_mod.solve", broken)
+    assert main(["solve", "--scenarios", tiny, "--out", str(tmp_path / "o")]) == 5
+    assert "solver failure: simplex iteration cap exceeded" in capsys.readouterr().err
+
+
 def test_nonanticipative_flag_accepted(tiny, tmp_path, capsys):
     out = tmp_path / "na"
     assert main(["solve", "--scenarios", tiny, "--out", str(out),
@@ -266,6 +287,13 @@ def test_estimate_probs_zero_counts_is_usage_error(tmp_path, capsys):
     assert "usage error" in capsys.readouterr().err
 
 
+def test_estimate_probs_rejects_non_finite_counts(tmp_path, capsys):
+    path = tmp_path / "counts.json"
+    path.write_text('{"counts": [15, Infinity]}')
+    assert main(["estimate-probs", str(path)]) == 4
+    assert "counts[1]" in capsys.readouterr().err
+
+
 def test_estimate_probs_missing_file(tmp_path, capsys):
     assert main(["estimate-probs", str(tmp_path / "nope.json")]) == 4
     capsys.readouterr()
@@ -302,6 +330,16 @@ def test_config_invalid_json_reports_line(tiny, tmp_path, capsys):
     assert main(["solve", "--scenarios", tiny, "--config", str(path),
                  "--out", str(tmp_path / "o")]) == 4
     assert "line 2" in capsys.readouterr().err
+
+
+def test_config_infinite_capacity_is_rejected(tiny, tmp_path, capsys):
+    cfg = write_json(tmp_path / "cfg.json", {
+        "schema": "bspower-config-1",
+        "battery": {"capacity_wh": float("inf")},
+    })
+    assert main(["solve", "--scenarios", tiny, "--config", cfg,
+                 "--out", str(tmp_path / "o")]) == 4
+    assert "config.battery.capacity_wh" in capsys.readouterr().err
 
 
 def test_config_seed_flag_overrides_file(tiny, tmp_path, capsys):

@@ -67,6 +67,10 @@ def test_probabilities_reject_bad_counts():
         estimate_probabilities([0.0, 0.0])
     with pytest.raises(ValueError):
         estimate_probabilities([3.0, -1.0])
+    with pytest.raises(ValueError, match="finite"):
+        estimate_probabilities([3.0, float("nan")])
+    with pytest.raises(ValueError, match="finite"):
+        estimate_probabilities([3.0, float("inf")])
 
 
 # ---------------------------------------------------------------------------

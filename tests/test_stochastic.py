@@ -1,11 +1,15 @@
 """Deterministic-equivalent construction, solving, and policy verification."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
 from bspower import lp as lp_mod
+from bspower.calibration import default_calibration
 from bspower.scenarios import CompositeScenario, ScenarioSpace
 from bspower.stochastic import (
+    InfeasibleProgramError,
     PolicyTable,
     StorageConfig,
     VariableMap,
@@ -46,6 +50,49 @@ def random_instance(rng):
             consumption=rng.uniform(0, 400, T))
         for w in range(S)))
     return Horizon(T=T), storage, space
+
+
+def coupled_instance(rng):
+    """Nonanticipativity groups of 1, 2 and 4 scenarios, interleaved.
+
+    Members of a group share period-1 data; afterwards prices turn cheap in
+    even members and dear in odd ones, so with an empty battery the
+    wait-and-see plan buys ahead in period 1 only in the dear futures and
+    the coupling binds in every group with more than one member.
+    """
+    T = int(rng.integers(3, 8))
+    storage = StorageConfig(capacity=float(rng.uniform(500, 2000)), initial=0.0,
+                            terminal=0.0, loss_cost_coeff=float(rng.uniform(0, 1e-5)))
+    traces = []
+    for g, size in enumerate((1, 2, 4)):
+        price1, renewable1 = rng.uniform(8, 12), rng.uniform(0, 50)
+        consumption1 = rng.uniform(0, 100)
+        for k in range(size):
+            later = rng.uniform(20, 30, T - 1) if k % 2 else rng.uniform(2, 6, T - 1)
+            traces.append((f"g{g}k{k}",
+                           np.concatenate([[price1], later]),
+                           np.concatenate([[renewable1], rng.uniform(0, 100, T - 1)]),
+                           np.concatenate([[consumption1], rng.uniform(100, 300, T - 1)])))
+    probs = rng.dirichlet(np.ones(len(traces)))
+    space = ScenarioSpace(tuple(
+        CompositeScenario(label, float(p), price, renewable, consumption)
+        for (label, price, renewable, consumption), p
+        in zip((traces[i] for i in rng.permutation(len(traces))), probs)))
+    return Horizon(T=T), storage, space
+
+
+def monolithic_cost(horizon, storage, space, **modes):
+    """The oracle: one LP over all scenarios, solved without decomposition."""
+    program, _ = build_deterministic_equivalent(horizon, storage, space, **modes)
+    solution = lp_mod.solve(program)
+    assert solution.status == "optimal"
+    return solution.objective_value
+
+
+@lru_cache(maxsize=None)
+def default_program():
+    cal = default_calibration()
+    return cal.horizon, cal.storage, cal.scenario_space(seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -273,11 +320,10 @@ def test_decomposition_matches_full_program():
     for k in range(25):
         horizon, storage, space = random_instance(rng)
         physical = bool(rng.integers(0, 2))
-        full = solve_policy(horizon, storage, space, physical_discharge=physical)
-        split = per_scenario_decomposition(horizon, storage, space,
-                                           physical_discharge=physical)
-        denom = max(abs(full.expected_cost), 1e-9)
-        assert abs(full.expected_cost - split.expected_cost) / denom < 1e-8, k
+        full = monolithic_cost(horizon, storage, space, physical_discharge=physical)
+        split = solve_policy(horizon, storage, space, physical_discharge=physical)
+        denom = max(abs(full), 1e-9)
+        assert abs(full - split.expected_cost) / denom < 1e-8, k
         assert verify_policy(split, horizon, space) == []
 
 
@@ -288,12 +334,53 @@ def test_decomposition_of_single_scenario_is_the_plain_solve():
     space = single_scenario(price=rng.uniform(5, 25, 5),
                             renewable=rng.uniform(0, 200, 5),
                             consumption=rng.uniform(0, 300, 5))
-    full = solve_policy(horizon, storage, space)
-    split = per_scenario_decomposition(horizon, storage, space)
-    assert split.expected_cost == pytest.approx(full.expected_cost, rel=1e-10)
-    np.testing.assert_allclose(split.purchase, full.purchase, atol=1e-6)
-    np.testing.assert_allclose(split.battery, full.battery, atol=1e-6)
-    np.testing.assert_allclose(split.excess, full.excess, atol=1e-6)
+    program, vmap = build_deterministic_equivalent(horizon, storage, space)
+    full = lp_mod.solve(program)
+    purchase, battery, excess = vmap.unpack(full.x)
+    split = solve_policy(horizon, storage, space)
+    assert split.expected_cost == pytest.approx(full.objective_value, rel=1e-10)
+    np.testing.assert_allclose(split.purchase, purchase, atol=1e-6)
+    np.testing.assert_allclose(split.battery, battery, atol=1e-6)
+    np.testing.assert_allclose(split.excess, excess, atol=1e-6)
+
+
+def test_grouped_solve_matches_full_program_when_coupling_binds():
+    rng = np.random.default_rng(2718)
+    for k in range(10):
+        horizon, storage, space = coupled_instance(rng)
+        na = solve_policy(horizon, storage, space, nonanticipative=True)
+        full = monolithic_cost(horizon, storage, space, nonanticipative=True)
+        assert abs(na.expected_cost - full) / abs(full) < 1e-8, k
+        for group in ("g0", "g1", "g2"):
+            first = [na.purchase[w, 0] for w, label in enumerate(space.labels)
+                     if label.startswith(group)]
+            assert max(first) - min(first) < 1e-7, (k, group)
+        assert verify_policy(na, horizon, space) == []
+        ws = solve_policy(horizon, storage, space)
+        assert na.expected_cost > ws.expected_cost * (1 + 1e-6), k
+
+
+@pytest.mark.parametrize("modes", [{}, {"nonanticipative": True},
+                                   {"physical_discharge": True}],
+                         ids=["plain", "nonanticipative", "physical-discharge"])
+def test_default_program_matches_highs(modes):
+    pytest.importorskip("scipy")
+    from scipy.optimize import linprog
+
+    horizon, storage, space = default_program()
+    program, _ = build_deterministic_equivalent(horizon, storage, space, **modes)
+    # rare scenarios' weighted costs sit below HiGHS's default 1e-7 dual
+    # tolerance, so costs are scaled to unit max and tolerances tightened
+    scale = 1.0 / np.abs(program.c).max()
+    res = linprog(program.c * scale, A_eq=program.a_eq, b_eq=program.b_eq,
+                  bounds=np.column_stack([program.lower, program.upper]),
+                  method="highs",
+                  options={"dual_feasibility_tolerance": 1e-10,
+                           "primal_feasibility_tolerance": 1e-10})
+    assert res.status == 0, res.message
+    policy = solve_policy(horizon, storage, space, **modes)
+    assert policy.expected_cost == pytest.approx(res.fun / scale, rel=1e-9)
+    assert verify_policy(policy, horizon, space) == []
 
 
 def test_nonanticipativity_couples_first_period_purchase():
@@ -316,6 +403,19 @@ def test_nonanticipativity_couples_first_period_purchase():
     assert na.purchase[0, 0] == pytest.approx(na.purchase[1, 0], abs=1e-7)
     assert na.expected_cost == pytest.approx(2.0, abs=1e-9)
     assert verify_policy(na, horizon, space) == []
+
+
+def test_infeasible_group_names_its_first_scenario(monkeypatch):
+    horizon = Horizon(T=3)
+    storage = StorageConfig(capacity=500.0, initial=0.0, terminal=0.0)
+    space = ScenarioSpace(tuple(
+        CompositeScenario(label, 0.5, np.array([10.0, later, later]), np.zeros(3),
+                          np.array([0.0, 200.0, 0.0]))
+        for label, later in (("spike", 40.0), ("dip", 5.0))))
+    monkeypatch.setattr(lp_mod, "solve", lambda program: lp_mod.LpSolution("infeasible"))
+    with pytest.raises(InfeasibleProgramError,
+                       match=r"group of 'spike'.*initial=0.0, terminal=0.0"):
+        solve_policy(horizon, storage, space, nonanticipative=True)
 
 
 def test_nonanticipativity_only_binds_identical_period_one_data():
