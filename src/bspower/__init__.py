@@ -24,8 +24,7 @@ from .stochastic import (InfeasibleProgramError, PolicyTable, StorageConfig,
                          per_scenario_decomposition, policy_csv_text,
                          solve_policy, verify_policy)
 from .traffic import (CacConfig, QosStats, TrafficSpec, analytic_guard_channel,
-                      expected_occupancy_trace, simulate_replicated,
-                      simulate_traffic, uniform_traffic)
+                      simulate_replicated, uniform_traffic)
 from .units import Horizon, cents_to_dollars, energy_cost
 
 __version__ = "0.1.0"
@@ -40,9 +39,9 @@ __all__ = [
     "brute_force_solve", "build_deterministic_equivalent", "cents_to_dollars",
     "compose", "consumption", "consumption_trace", "default_calibration",
     "dump_scenario_file", "energy_cost", "estimate_probabilities",
-    "evaluate_policy", "expected_occupancy_trace", "load_scenario_file",
-    "lp_text", "monthly_cost", "per_scenario_decomposition", "policy_csv_text",
-    "simulate_replicated", "simulate_traffic", "solve", "solve_policy",
+    "evaluate_policy", "load_scenario_file", "lp_text", "monthly_cost",
+    "per_scenario_decomposition", "policy_csv_text", "simulate_replicated",
+    "solve", "solve_policy",
     "sweep_arrival_rate", "sweep_battery", "sweep_cac", "uniform_traffic",
     "validate", "verify_policy",
 ]

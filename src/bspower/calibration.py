@@ -27,7 +27,7 @@ from .power_model import BaseStationParams, consumption_trace
 from .scenarios import (MarginalScenario, MarginalSpace, RateProfile,
                         ScenarioSpace, compose)
 from .stochastic import StorageConfig
-from .traffic import CacConfig, TrafficSpec, expected_occupancy_trace
+from .traffic import CacConfig, TrafficSpec, simulate_replicated
 from .units import Horizon
 
 DEFAULT_BATTERY_GRID = (500.0, 1000.0, 1500.0, 2000.0, 2500.0, 3000.0, 3500.0, 4000.0)
@@ -139,7 +139,7 @@ def consumption_space_from_profiles(
         spec = TrafficSpec(new_rate=profile.new_rate,
                            handoff_rate=profile.handoff_rate,
                            mean_holding=profile.mean_holding_min)
-        occupancy = expected_occupancy_trace(spec, cac, horizon, replications, seed)
+        occupancy = simulate_replicated(spec, cac, horizon, replications, seed)[0]
         scenarios.append(MarginalScenario(
             label=profile.label,
             probability=profile.probability,

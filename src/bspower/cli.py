@@ -7,11 +7,12 @@ program, 4 I/O or file-format error (including non-finite numbers), 5
 solver failure.
 
 The config file is JSON with schema "bspower-config-1"; unknown keys are
-rejected. A scenario file (schema "bspower-scenarios-1") replaces the
-default price/renewable marginals and either the consumption marginals or
-the traffic profiles. Outputs are byte-deterministic for a fixed config
-and seed: fixed-format CSVs plus a manifest recording the config digest,
-seed, and package version.
+rejected, and each value must have the JSON type of its default (a number
+given as a string such as "inf" exits 4). A scenario file (schema
+"bspower-scenarios-1") replaces the default price/renewable marginals and
+either the consumption marginals or the traffic profiles. Outputs are
+byte-deterministic for a fixed config and seed: fixed-format CSVs plus
+a manifest recording the config digest, seed, and package version.
 """
 
 from __future__ import annotations
@@ -90,6 +91,36 @@ _DEFAULT_CONFIG = {
 }
 
 
+def _json_kind(value) -> str:
+    """JSON type of a parsed value, telling integers from other numbers."""
+    for kind, cls in (("boolean", bool), ("integer", int), ("number", float),
+                      ("string", str), ("array", list), ("null", type(None))):
+        if isinstance(value, cls):
+            return kind
+    return "object"
+
+
+# The JSON kinds a config leaf accepts, by the kind of its default. A null
+# default (loss_cost_coeff) means "derive it", so a number may replace it.
+_LEAF_KINDS = {
+    "integer": ({"integer"}, "an integer"),
+    "number": ({"integer", "number"}, "a number"),
+    "null": ({"integer", "number", "null"}, "a number or null"),
+    "string": ({"string"}, "a string"),
+    "array": ({"array"}, "an array"),
+}
+
+
+def _check_leaf(default, value, where):
+    """A leaf must have the JSON kind of its default; strings never pass as numbers."""
+    accepted, wording = _LEAF_KINDS[_json_kind(default)]
+    if _json_kind(value) not in accepted:
+        raise ConfigError(f"{where}: expected {wording}, got {_json_kind(value)}")
+    if isinstance(value, list):
+        for i, item in enumerate(value):
+            _check_leaf(default[0], item, f"{where}[{i}]")
+
+
 def _merge(defaults, override, where):
     if not isinstance(override, dict):
         raise ConfigError(f"{where}: expected an object, got {type(override).__name__}")
@@ -101,6 +132,7 @@ def _merge(defaults, override, where):
         if isinstance(defaults[key], dict):
             merged[key] = _merge(defaults[key], value, f"{where}.{key}")
         else:
+            _check_leaf(defaults[key], value, f"{where}.{key}")
             merged[key] = value
     return merged
 

@@ -18,10 +18,25 @@ common random numbers, not just in expectation.
 
 The dominating rate is max(1, ceil(max total rate)), so runs whose peak
 total rates round up to the same integer stay event-aligned.
+
+Each run is vectorized on its own, one block of draws at a time: 4096
+holding gaps, then 4096 each of event-type, thinning and class uniforms,
+until the clock passes the horizon, so memory does not grow with the
+horizon. Event times are the cumulative sum of a block's gaps with the
+previous event time prepended: ``np.cumsum`` adds left to right, so every
+time equals a scalar ``t += dt`` clock bit for bit, where
+``t0 + np.cumsum(dts)`` would round differently. Period index, thinning,
+handoff/new class and departure level are array expressions that give
+each event one integer code. The occupancy recursion is the only Python
+loop: one table lookup per event, carried across blocks. Time spent at
+each occupancy is cut at period edges and added to the per-period totals
+with ``np.add.at`` in time order, so traces and QoS counts are identical
+to a one-event-at-a-time loop.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,67 +120,55 @@ def _check_lengths(spec: TrafficSpec, horizon: Horizon) -> None:
         )
 
 
-def _simulate(spec: TrafficSpec, cac: CacConfig, horizon: Horizon,
-              rng: np.random.Generator) -> tuple[np.ndarray, QosStats]:
-    T = horizon.T
-    period_min = horizon.period_minutes
-    total_min = T * period_min
-    new = spec.new_rate
-    total = spec.total_rate
-    dominating = max(1.0, float(np.ceil(total.max())))
-    mu = 1.0 / spec.mean_holding
-    event_rate = dominating + cac.channels * mu
-    p_arrival = dominating / event_rate
+@functools.lru_cache(maxsize=64)
+def _transitions(channels: int, threshold: int) -> tuple[tuple[int, ...], ...]:
+    """Next occupancy by event code and current occupancy.
 
-    occ = 0
-    occ_minutes = np.zeros(T)
-    offered_new = blocked_new = offered_h = dropped_h = 0
+    Codes 0..channels-1 are departure clocks (the connection at that level
+    leaves if occupancy is above it), then a handoff arrival, a new
+    arrival and a thinned candidate that changes nothing.
+    """
+    levels = range(channels + 1)
+    departures = [tuple(k - 1 if k > d else k for k in levels)
+                  for d in range(channels)]
+    handoff = tuple(k + 1 if k < channels else k for k in levels)
+    new = tuple(k + 1 if k < threshold else k for k in levels)
+    return (*departures, handoff, new, tuple(levels))
 
-    t = 0.0
-    done = False
-    while not done:
-        dts = rng.exponential(1.0 / event_rate, _BLOCK)
-        u_type = rng.random(_BLOCK)
-        u_thin = rng.random(_BLOCK)
-        u_class = rng.random(_BLOCK)
-        for i in range(_BLOCK):
-            t_next = t + dts[i]
-            seg_end = min(t_next, total_min)
-            if occ and seg_end > t:
-                a = t
-                p = min(int(a / period_min), T - 1)
-                while a < seg_end - 1e-12:
-                    edge = min((p + 1) * period_min, seg_end)
-                    occ_minutes[p] += occ * (edge - a)
-                    a = edge
-                    p = min(p + 1, T - 1)
-            if t_next >= total_min:
-                done = True
-                break
-            t = t_next
-            if u_type[i] < p_arrival:
-                idx = min(int(t / period_min), T - 1)
-                tot = total[idx]
-                if tot <= 0.0 or u_thin[i] * dominating > tot:
-                    continue  # thinned out: no arrival at this candidate
-                if u_class[i] * tot < spec.handoff_rate[idx]:
-                    offered_h += 1
-                    if occ < cac.channels:
-                        occ += 1
-                    else:
-                        dropped_h += 1
-                else:
-                    offered_new += 1
-                    if occ < cac.threshold:
-                        occ += 1
-                    else:
-                        blocked_new += 1
-            else:
-                level = int((u_type[i] - p_arrival) * event_rate / mu)
-                if occ > min(level, cac.channels - 1):
-                    occ -= 1
 
-    stats = QosStats(
+def _add_occupancy_minutes(minutes: np.ndarray, starts: np.ndarray, ends: np.ndarray,
+                           occ: np.ndarray, period_min: float) -> None:
+    """Add connection-minutes per period from piecewise-constant occupancy.
+
+    Segment i holds ``occ[i]`` connections over [starts[i], ends[i]]. Each
+    segment is cut at period edges; a remainder within 1e-12 of the
+    segment end is dropped. ``np.add.at`` adds in input order onto the
+    running totals, so the pieces are fed segment by segment and, within a
+    segment, edge by edge: each period then sums its pieces in time order.
+    """
+    T = minutes.size
+    seg = np.flatnonzero((occ > 0) & (ends > starts))
+    a, end, occ = starts[seg], ends[seg], occ[seg]
+    stop = end - 1e-12
+    p = np.minimum((a / period_min).astype(np.int64), T - 1)
+    owners, bins, weights = [], [], []
+    keep = a < stop
+    while keep.any():  # one round per period edge crossed
+        seg, a, end, stop, occ, p = (x[keep] for x in (seg, a, end, stop, occ, p))
+        edge = np.minimum((p + 1) * period_min, end)
+        owners.append(seg)
+        bins.append(p)
+        weights.append(occ * (edge - a))
+        a = edge
+        p = np.minimum(p + 1, T - 1)
+        keep = a < stop
+    if owners:
+        order = np.argsort(np.concatenate(owners), kind="stable")
+        np.add.at(minutes, np.concatenate(bins)[order], np.concatenate(weights)[order])
+
+
+def _qos(offered_new: int, blocked_new: int, offered_h: int, dropped_h: int) -> QosStats:
+    return QosStats(
         new_blocking_prob=blocked_new / offered_new if offered_new else 0.0,
         handoff_dropping_prob=dropped_h / offered_h if offered_h else 0.0,
         offered_new=offered_new,
@@ -173,14 +176,70 @@ def _simulate(spec: TrafficSpec, cac: CacConfig, horizon: Horizon,
         blocked_new=blocked_new,
         dropped_handoff=dropped_h,
     )
-    return occ_minutes / period_min, stats
 
 
-def simulate_traffic(spec: TrafficSpec, cac: CacConfig, horizon: Horizon,
-                     seed: int) -> tuple[np.ndarray, QosStats]:
-    """One seeded run; returns per-period time-averaged occupancy and QoS."""
-    _check_lengths(spec, horizon)
-    return _simulate(spec, cac, horizon, _stream(seed, 0))
+def _simulate(spec: TrafficSpec, cac: CacConfig, horizon: Horizon,
+              rng: np.random.Generator) -> tuple[np.ndarray, QosStats]:
+    T = horizon.T
+    period_min = horizon.period_minutes
+    total_min = T * period_min
+    total = spec.total_rate
+    channels = cac.channels
+    dominating = max(1.0, float(np.ceil(total.max())))
+    mu = 1.0 / spec.mean_holding
+    event_rate = dominating + channels * mu
+    p_arrival = dominating / event_rate
+    handoff_code, new_code, noop_code = channels, channels + 1, channels + 2
+    step = _transitions(channels, cac.threshold)
+
+    # One block of draws at a time until the clock passes the end; the
+    # clock and the occupancy carry over from block to block.
+    minutes = np.zeros(T)
+    n = 0
+    offered_new = blocked_new = offered_h = dropped_h = 0
+    t_end = 0.0
+    while t_end < total_min:
+        dts = rng.exponential(1.0 / event_rate, _BLOCK)
+        u_type = rng.random(_BLOCK)
+        u_thin = rng.random(_BLOCK)
+        u_class = rng.random(_BLOCK)
+        # add.accumulate sums left to right, so each time equals the
+        # running ``t += dt`` of a scalar clock bit for bit; clock[0] is
+        # the previous block's last event time
+        clock = np.cumsum(np.concatenate(([t_end], dts)))
+        t_end = clock[-1]
+        k = int(np.searchsorted(clock[1:], total_min))  # events before the end
+        t, u_type, u_thin, u_class = clock[1:k + 1], u_type[:k], u_thin[:k], u_class[:k]
+
+        idx = np.minimum((t / period_min).astype(np.int64), T - 1)
+        tot = total[idx]
+        thinned = (tot <= 0.0) | (u_thin * dominating > tot)
+        handoff_class = u_class * tot < spec.handoff_rate[idx]
+        level = ((u_type - p_arrival) * event_rate / mu).astype(np.int64)
+        code = np.where(
+            u_type < p_arrival,
+            np.where(thinned, noop_code, np.where(handoff_class, handoff_code, new_code)),
+            np.minimum(level, channels - 1))
+
+        # The occupancy recursion is the only sequential step.
+        occ = np.empty(k + 1, dtype=np.int64)  # occ[i]: occupancy before event i
+        occ[0] = n
+        occ[1:] = [n := step[c][n] for c in code.tolist()]
+        held = occ[1:] == occ[:-1]  # an arrival that leaves occupancy unchanged was refused
+        handoff = code == handoff_code
+        new = code == new_code
+        offered_new += int(new.sum())
+        blocked_new += int((new & held).sum())
+        offered_h += int(handoff.sum())
+        dropped_h += int((handoff & held).sum())
+
+        # The segment after a block's last event goes on into the next block.
+        segs = min(k + 1, _BLOCK)
+        _add_occupancy_minutes(minutes, clock[:segs],
+                               np.minimum(clock[1:segs + 1], total_min),
+                               occ[:segs], period_min)
+
+    return minutes / period_min, _qos(offered_new, blocked_new, offered_h, dropped_h)
 
 
 def simulate_replicated(spec: TrafficSpec, cac: CacConfig, horizon: Horizon,
@@ -188,8 +247,8 @@ def simulate_replicated(spec: TrafficSpec, cac: CacConfig, horizon: Horizon,
     """Average occupancy trace and pooled QoS counts over replications.
 
     Replication i uses an independent substream derived from (seed, i), so
-    replication 0 reproduces simulate_traffic(seed) and substreams stay
-    aligned across runs that vary only the admission threshold or rates.
+    one replication is the plain seeded run and substreams stay aligned
+    across runs that vary only the admission threshold or rates.
     """
     _check_lengths(spec, horizon)
     if replications < 1:
@@ -203,21 +262,7 @@ def simulate_replicated(spec: TrafficSpec, cac: CacConfig, horizon: Horizon,
         blocked_new += stats.blocked_new
         offered_h += stats.offered_handoff
         dropped_h += stats.dropped_handoff
-    pooled = QosStats(
-        new_blocking_prob=blocked_new / offered_new if offered_new else 0.0,
-        handoff_dropping_prob=dropped_h / offered_h if offered_h else 0.0,
-        offered_new=offered_new,
-        offered_handoff=offered_h,
-        blocked_new=blocked_new,
-        dropped_handoff=dropped_h,
-    )
-    return acc / replications, pooled
-
-
-def expected_occupancy_trace(spec: TrafficSpec, cac: CacConfig, horizon: Horizon,
-                             replications: int, seed: int) -> np.ndarray:
-    """Mean per-period occupancy over seeded replications."""
-    return simulate_replicated(spec, cac, horizon, replications, seed)[0]
+    return acc / replications, _qos(offered_new, blocked_new, offered_h, dropped_h)
 
 
 def analytic_guard_channel(new_rate: float, handoff_rate: float, mean_holding: float,

@@ -342,6 +342,23 @@ def test_config_infinite_capacity_is_rejected(tiny, tmp_path, capsys):
     assert "config.battery.capacity_wh" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("override, key", [
+    ({"battery": {"capacity_wh": "inf"}}, "config.battery.capacity_wh"),
+    ({"traffic": {"replications": "2"}}, "config.traffic.replications"),
+    ({"traffic": {"replications": 2.5}}, "config.traffic.replications"),
+    ({"battery": {"initial_wh": True}}, "config.battery.initial_wh"),
+    ({"battery": {"loss_cost_coeff": "0"}}, "config.battery.loss_cost_coeff"),
+    ({"sweeps": {"cac": {"thresholds": [10, "20"]}}}, "config.sweeps.cac.thresholds[1]"),
+], ids=("string-inf", "string-int", "float-for-int", "bool", "string-null-default",
+        "string-in-grid"))
+def test_config_value_of_the_wrong_json_type_is_rejected(tiny, tmp_path, capsys,
+                                                         override, key):
+    cfg = write_json(tmp_path / "cfg.json", {"schema": "bspower-config-1", **override})
+    assert main(["solve", "--scenarios", tiny, "--config", cfg,
+                 "--out", str(tmp_path / "o")]) == 4
+    assert key in capsys.readouterr().err
+
+
 def test_config_seed_flag_overrides_file(tiny, tmp_path, capsys):
     cfg = write_json(tmp_path / "cfg.json",
                      {"schema": "bspower-config-1", "seed": 5})

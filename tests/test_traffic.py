@@ -5,16 +5,19 @@ import math
 import numpy as np
 import pytest
 
+from bspower.calibration import default_traffic_profiles
 from bspower.traffic import (
     CacConfig,
     TrafficSpec,
+    _add_occupancy_minutes,
+    _simulate,
+    _stream,
     analytic_guard_channel,
-    expected_occupancy_trace,
     simulate_replicated,
-    simulate_traffic,
     uniform_traffic,
 )
 from bspower.units import Horizon
+from scalar_traffic import scalar_simulate
 
 DAY = Horizon(T=24)
 
@@ -64,7 +67,8 @@ def test_uniform_traffic_split():
 
 def test_zero_arrivals_produce_empty_system():
     spec = uniform_traffic(0.0, 0.3, periods=24)
-    trace, stats = simulate_traffic(spec, CacConfig(25, 20), DAY, seed=3)
+    trace, stats = simulate_replicated(spec, CacConfig(25, 20), DAY,
+                                       replications=1, seed=3)
     np.testing.assert_array_equal(trace, np.zeros(24))
     assert stats.offered_new == 0 and stats.offered_handoff == 0
     assert stats.new_blocking_prob == 0.0 and stats.handoff_dropping_prob == 0.0
@@ -73,7 +77,7 @@ def test_zero_arrivals_produce_empty_system():
 def test_rate_trace_length_must_match_horizon():
     spec = uniform_traffic(0.5, 0.3, periods=12)
     with pytest.raises(ValueError):
-        simulate_traffic(spec, CacConfig(25, 20), DAY, seed=0)
+        simulate_replicated(spec, CacConfig(25, 20), DAY, replications=1, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -83,18 +87,18 @@ def test_rate_trace_length_must_match_horizon():
 def test_same_seed_reproduces_run_exactly():
     spec = uniform_traffic(0.56, 0.3, periods=24)
     cac = CacConfig(25, 20)
-    t1, s1 = simulate_traffic(spec, cac, DAY, seed=42)
-    t2, s2 = simulate_traffic(spec, cac, DAY, seed=42)
+    t1, s1 = simulate_replicated(spec, cac, DAY, replications=1, seed=42)
+    t2, s2 = simulate_replicated(spec, cac, DAY, replications=1, seed=42)
     np.testing.assert_array_equal(t1, t2)
     assert s1 == s2
-    t3, _ = simulate_traffic(spec, cac, DAY, seed=43)
+    t3, _ = simulate_replicated(spec, cac, DAY, replications=1, seed=43)
     assert not np.array_equal(t1, t3)
 
 
 def test_single_replication_equals_plain_run():
     spec = uniform_traffic(0.8, 0.3, periods=24)
     cac = CacConfig(25, 20)
-    t1, s1 = simulate_traffic(spec, cac, DAY, seed=7)
+    t1, s1 = _simulate(spec, cac, DAY, _stream(7, 0))
     t2, s2 = simulate_replicated(spec, cac, DAY, replications=1, seed=7)
     np.testing.assert_array_equal(t1, t2)
     assert s1 == s2
@@ -104,13 +108,12 @@ def test_replications_pool_offered_counts():
     spec = uniform_traffic(1.2, 0.3, periods=24)
     cac = CacConfig(25, 20)
     _, pooled = simulate_replicated(spec, cac, DAY, replications=4, seed=11)
-    singles = [simulate_traffic(spec, cac, DAY, seed=11)]
+    singles = [simulate_replicated(spec, cac, DAY, replications=1, seed=11)]
     # replication i consumes substream i of the same master seed, so the
     # first replication must coincide with the plain run
     assert singles[0][1].offered_new <= pooled.offered_new
     total = 0
     for i in range(4):
-        from bspower.traffic import _simulate, _stream
         _, s = _simulate(spec, cac, DAY, _stream(11, i))
         total += s.offered_new
     assert pooled.offered_new == total
@@ -119,7 +122,7 @@ def test_replications_pool_offered_counts():
 def test_occupancy_stays_within_channel_count():
     spec = uniform_traffic(3.0, 0.3, periods=24)
     cac = CacConfig(10, 8)
-    trace, _ = simulate_traffic(spec, cac, DAY, seed=5)
+    trace, _ = simulate_replicated(spec, cac, DAY, replications=1, seed=5)
     assert np.all(trace >= 0.0)
     assert np.all(trace <= 10.0)
 
@@ -171,10 +174,10 @@ def test_threshold_monotonicity_is_exact_under_shared_seed():
 def test_heavier_arrivals_mean_pointwise_heavier_occupancy():
     cac = CacConfig(25, 20)
     for seed in (0, 4, 9):
-        light = expected_occupancy_trace(uniform_traffic(0.3, 0.3, 24), cac,
-                                         DAY, 2, seed)
-        heavy = expected_occupancy_trace(uniform_traffic(0.9, 0.3, 24), cac,
-                                         DAY, 2, seed)
+        light = simulate_replicated(uniform_traffic(0.3, 0.3, 24), cac,
+                                    DAY, 2, seed)[0]
+        heavy = simulate_replicated(uniform_traffic(0.9, 0.3, 24), cac,
+                                    DAY, 2, seed)[0]
         assert np.all(heavy >= light - 1e-12), seed
 
 
@@ -239,8 +242,6 @@ def test_simulation_agrees_with_analytic_steady_state():
     # long stationary runs so the empty-system start is negligible; blocking
     # events cluster when the system is full, so the standard error comes
     # from independent replications rather than a binomial count formula
-    from bspower.traffic import _simulate, _stream
-
     horizon = Horizon(T=240)
     spec = uniform_traffic(2.0, 0.3, periods=240)
     cac = CacConfig(25, 20)
@@ -258,3 +259,66 @@ def test_simulation_agrees_with_analytic_steady_state():
         values = np.array(per_rep[name])
         se = values.std(ddof=1) / np.sqrt(reps)
         assert abs(values.mean() - ref) < 3 * se, (name, values.mean(), ref, se)
+
+
+# ---------------------------------------------------------------------------
+# vectorized simulator against the scalar event-loop oracle
+# ---------------------------------------------------------------------------
+
+def _assert_matches_oracle(spec, cac, horizon, seed):
+    trace, stats = _simulate(spec, cac, horizon, _stream(seed, 0))
+    ref_trace, ref_stats = scalar_simulate(spec, cac, horizon, _stream(seed, 0))
+    assert np.array_equal(trace, ref_trace), (cac, horizon, seed)
+    assert stats == ref_stats, (cac, horizon, seed)
+
+
+# 0.6-minute and 1-minute periods make one inter-event gap cross several
+# period edges, most often with a single channel (event rate 1.1/min)
+@pytest.mark.parametrize("horizon", (
+    DAY, Horizon(T=240, period_hours=0.01), Horizon(T=30, period_hours=1 / 60),
+), ids=("60min", "0.6min", "1min"))
+@pytest.mark.parametrize("cac", (
+    CacConfig(1, 1), CacConfig(5, 4), CacConfig(10, 8), CacConfig(25, 20),
+), ids=lambda cac: f"{cac.channels}ch{cac.threshold}")
+def test_vectorized_run_matches_scalar_oracle(cac, horizon):
+    for rate in (0.0, 0.4, 2.0, 7.5):
+        spec = uniform_traffic(rate, 0.3, horizon.T)
+        for seed in (0, 1):
+            _assert_matches_oracle(spec, cac, horizon, seed)
+
+
+def test_vectorized_profiles_match_scalar_oracle():
+    for profile in default_traffic_profiles(0.3, 10.0, DAY.T):
+        spec = TrafficSpec(new_rate=profile.new_rate,
+                           handoff_rate=profile.handoff_rate,
+                           mean_holding=profile.mean_holding_min)
+        for seed in (0, 3):
+            _assert_matches_oracle(spec, CacConfig(25, 20), DAY, seed)
+            _assert_matches_oracle(spec, CacConfig(5, 4), DAY, seed)
+
+
+def test_vectorized_long_run_matches_scalar_oracle():
+    # several draw blocks, so the clock is carried from block to block
+    _assert_matches_oracle(uniform_traffic(2.0, 0.3, 240), CacConfig(25, 20),
+                           Horizon(T=240), seed=1)
+
+
+def test_gap_across_a_draw_block_matches_scalar_oracle():
+    # one busy channel (4 erlangs offered) and 1.1 events/min against
+    # 0.6-minute periods: at seed 9 the gap from the first block's last
+    # event to the second block's first one spans five period edges
+    horizon = Horizon(T=12000, period_hours=0.01)
+    _assert_matches_oracle(uniform_traffic(0.4, 0.3, horizon.T), CacConfig(1, 1),
+                           horizon, seed=9)
+
+
+def test_occupancy_minutes_split_at_every_edge_and_drop_slivers():
+    starts = np.array([0.0, 0.5, 3.0 + 5e-13, 3.5])
+    ends = np.array([0.5, 3.0 + 5e-13, 3.5, 3.5 + 5e-13])
+    occ = np.array([2, 3, 0, 4])
+    minutes = np.array([0.25, 0.0, 0.0, 0.0, 0.0])
+    _add_occupancy_minutes(minutes, starts, ends, occ, period_min=1.0)
+    # the second segment crosses three edges; its 5e-13 tail past 3.0 and
+    # the whole last segment are within 1e-12 and count for nothing
+    np.testing.assert_array_equal(
+        minutes, [0.25 + 2 * 0.5 + 3 * 0.5, 3.0, 3.0, 0.0, 0.0])
