@@ -13,7 +13,7 @@ from .evaluate import (EvaluationResult, ExperimentReport, RealizedDay,
                        ReplayError, baseline_policy, evaluate_policy,
                        monthly_cost, sweep_arrival_rate, sweep_battery,
                        sweep_cac)
-from .lp import LinearProgram, LpSolution, brute_force_solve, lp_text, solve
+from .lp import LinearProgram, LpSolution, lp_text, solve
 from .power_model import BaseStationParams, consumption, consumption_trace
 from .scenarios import (CompositeScenario, MarginalScenario, MarginalSpace,
                         RateProfile, ScenarioDocument, ScenarioFileError,
@@ -36,7 +36,7 @@ __all__ = [
     "PolicyTable", "QosStats", "RateProfile", "RealizedDay", "ReplayError",
     "ScenarioDocument", "ScenarioFileError", "ScenarioSpace", "StorageConfig",
     "TrafficSpec", "VariableMap", "analytic_guard_channel", "baseline_policy",
-    "brute_force_solve", "build_deterministic_equivalent", "cents_to_dollars",
+    "build_deterministic_equivalent", "cents_to_dollars",
     "compose", "consumption", "consumption_trace", "default_calibration",
     "dump_scenario_file", "energy_cost", "estimate_probabilities",
     "evaluate_policy", "load_scenario_file", "lp_text", "monthly_cost",

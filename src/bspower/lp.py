@@ -1,4 +1,4 @@
-"""Dense linear programming with a two-phase simplex solver.
+"""Dense linear programming with a lockstep batched two-phase simplex.
 
 Problem form:
 
@@ -12,20 +12,29 @@ problem is shifted to nonnegative variables, fixed variables (lower ==
 upper) are substituted out, finite upper bounds become inequality rows,
 rows are equilibrated by their max-abs coefficient, and a phase-1/phase-2
 tableau simplex runs with Dantzig pricing and lowest-index tie-breaking.
-Bland's rule takes over after prolonged stalling so termination is
-guaranteed. Pivoting is fully deterministic.
+Bland's rule takes over once a program has made too many pivots in a row
+that do not improve its objective, so termination is guaranteed. Pivoting
+is fully deterministic.
 
-brute_force_solve enumerates basic solutions (all active-set choices)
-directly and serves as a test oracle; exponential time, small instances
-only. Unboundedness is detected there by enumerating vertices of the
-normalized recession cone.
+solve_batch solves a batch of programs that share a_eq, a_ub, b_ub and the
+bounds and differ only in c and b_eq, such as the same-size scenario groups
+of a stochastic program. Preprocessing runs once on the shared matrices;
+the tableaux are stacked as (programs, rows, cols) and pivot in lockstep.
+Each program keeps its own pricing rule, ratio test, stall counter,
+iteration cap and verdict, so it takes exactly the pivots it would take
+alone and its result is the same bit for bit. Programs that finish are
+masked out and stay in the stack. A pivot's rank-1 update touches only the
+(program, row) pairs with a nonzero pivot-column entry. Artificial
+variables are not stored: they are never priced or ratio-tested, so a row
+whose artificial is basic only carries the basis index n_core + row. One
+stack holds at most _BATCH_BYTES of tableau (or a single program that is
+larger); a larger batch runs as several stacks of equal size. solve(lp) is
+the batch of one.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-from math import comb
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +42,12 @@ FEAS_TOL = 1e-7   # absolute feasibility tolerance on equilibrated rows
 PIVOT_TOL = 1e-9  # reduced-cost / pivot-element threshold
 
 _STALL_EPS = 1e-12
-_MAX_BRUTE_COMBOS = 5_000_000
+# Tableau bytes per lockstep stack. A bigger stack shares each round among
+# more programs but raises peak memory: on the 80-scenario storage sweep
+# (45 x 93 tableaux, shared 2-vCPU host) one 80-program stack raised peak
+# RSS by ~3.4 MB (+8%), and 1 MiB stacks of 26-27 programs by ~0.7 MB.
+_BATCH_BYTES = 1 << 20
+_NO_BASIS = np.iinfo(np.intp).max  # above every basis index in a tie-break
 
 
 @dataclass
@@ -78,6 +92,7 @@ class LpSolution:
     x: np.ndarray | None = None
     objective_value: float | None = None
     iterations: int = 0
+    bland: bool = False  # Bland's rule switched on in phase 1 or phase 2
 
 
 def _normalize_rows(a, b, n, kind):
@@ -110,422 +125,299 @@ def _normalize_bound(v, n, default):
 
 @dataclass
 class _Prepared:
-    status: str | None        # early verdict, or None to continue
     free: np.ndarray          # original indices of free variables
     fixed: np.ndarray
     fixed_values: np.ndarray
     lo: np.ndarray            # lower bounds of free variables (the shift)
-    c: np.ndarray             # costs of free variables
     a_eq: np.ndarray
-    b_eq: np.ndarray
+    b_eq: np.ndarray          # (programs, rows)
     a_ub: np.ndarray          # includes rows for finite upper bounds
-    b_ub: np.ndarray
-    n_upper_rows: int = 0
+    b_ub: np.ndarray          # shared by all programs
 
-    def assemble(self, x_shift: np.ndarray, lp: LinearProgram) -> np.ndarray:
-        x = np.empty(lp.n_vars)
-        x[self.fixed] = self.fixed_values
-        x[self.free] = self.lo + x_shift
+    def assemble(self, x_shift: np.ndarray, n_vars: int) -> np.ndarray:
+        """Full solutions (programs, n_vars) from shifted free-variable values."""
+        x = np.empty((x_shift.shape[0], n_vars))
+        x[:, self.fixed] = self.fixed_values
+        x[:, self.free] = self.lo + x_shift
         return x
 
 
-def _prepare(lp: LinearProgram) -> _Prepared:
+def _prepare(lp: LinearProgram, b_eq: np.ndarray) -> _Prepared:
+    """Substitute fixed variables, shift to x >= 0 and add upper-bound rows.
+
+    The shifts of the stacked b_eq are vectors shared by every program,
+    subtracted elementwise.
+    """
     fixed_mask = lp.lower == lp.upper
     fixed = np.nonzero(fixed_mask)[0]
     free = np.nonzero(~fixed_mask)[0]
     fixed_values = lp.lower[fixed]
+    lo = lp.lower[free]
 
-    b_eq = lp.b_eq - lp.a_eq[:, fixed] @ fixed_values
+    b_eq = b_eq - lp.a_eq[:, fixed] @ fixed_values
     b_ub = lp.b_ub - lp.a_ub[:, fixed] @ fixed_values
     a_eq = lp.a_eq[:, free]
     a_ub = lp.a_ub[:, free]
-
-    if free.size == 0:
-        ok = _rows_feasible(a_eq, b_eq, equality=True) and \
-             _rows_feasible(a_ub, b_ub, equality=False)
-        status = "optimal" if ok else "infeasible"
-        return _Prepared(status, free, fixed, fixed_values,
-                         np.zeros(0), np.zeros(0), a_eq, b_eq, a_ub, b_ub)
-
-    lo = lp.lower[free]
-    b_eq = b_eq - a_eq @ lo
-    b_ub = b_ub - a_ub @ lo
-    up = lp.upper[free] - lo
-
-    finite = np.nonzero(np.isfinite(up))[0]
-    if finite.size:
+    if free.size:
+        b_eq = b_eq - a_eq @ lo
+        b_ub = b_ub - a_ub @ lo
+        up = lp.upper[free] - lo
+        finite = np.nonzero(np.isfinite(up))[0]
         rows = np.zeros((finite.size, free.size))
         rows[np.arange(finite.size), finite] = 1.0
         a_ub = np.vstack([a_ub, rows])
         b_ub = np.concatenate([b_ub, up[finite]])
-
-    return _Prepared(None, free, fixed, fixed_values, lo, lp.c[free],
-                     a_eq, b_eq, a_ub, b_ub, n_upper_rows=finite.size)
+    return _Prepared(free, fixed, fixed_values, lo, a_eq, b_eq, a_ub, b_ub)
 
 
 def _rows_feasible(a, b, equality):
-    if b.size == 0:
-        return True
+    """Per program of the stacked b: do the rows hold with every variable fixed?"""
     scale = np.maximum(np.abs(a).max(axis=1, initial=0.0), 1.0)
     r = b / scale
-    return bool(np.all(np.abs(r) <= FEAS_TOL)) if equality else bool(np.all(r >= -FEAS_TOL))
+    return np.all(np.abs(r) <= FEAS_TOL, axis=1) if equality else np.all(r >= -FEAS_TOL, axis=1)
 
 
 def _equilibrate(a, b, equality):
-    """Scale rows to unit max-abs; drop zero rows, detecting inconsistency.
+    """Scale rows to unit max-abs; drop zero rows.
 
-    Returns (a, b, ok); ok False means a zero row was unsatisfiable.
+    a is shared and b is stacked (programs, rows). Returns (a, b, ok); ok
+    is False for the programs whose zero row is unsatisfiable.
     """
-    if b.size == 0:
-        return a, b, True
     scale = np.abs(a).max(axis=1, initial=0.0)
     zero = scale <= 0.0
-    if zero.any():
-        bz = b[zero]
-        bad = np.any(np.abs(bz) > FEAS_TOL) if equality else np.any(bz < -FEAS_TOL)
-        if bad:
-            return a, b, False
-        a, b, scale = a[~zero], b[~zero], scale[~zero]
-    if b.size == 0:
-        return a, b, True
-    return a / scale[:, None], b / scale, True
+    bz = b[:, zero]
+    bad = np.abs(bz) > FEAS_TOL if equality else bz < -FEAS_TOL
+    keep = ~zero
+    return a[keep] / scale[keep, None], b[:, keep] / scale[keep], ~bad.any(axis=1)
 
 
 # ---------------------------------------------------------------------------
-# Two-phase simplex
+# Lockstep two-phase simplex
 # ---------------------------------------------------------------------------
 
 def solve(lp: LinearProgram) -> LpSolution:
     """Two-phase simplex; returns status optimal, infeasible, or unbounded."""
-    prep = _prepare(lp)
-    if prep.status == "infeasible":
-        return LpSolution("infeasible")
-    if prep.status == "optimal":
-        x = prep.assemble(np.zeros(0), lp)
-        return LpSolution("optimal", x, float(lp.c @ x))
+    return solve_batch(lp, lp.c[None], lp.b_eq[None])[0]
+
+
+def solve_batch(lp: LinearProgram, c, b_eq) -> list[LpSolution]:
+    """Solve one program per row of c and b_eq, all in lockstep.
+
+    Row k of c (programs, n_vars) and b_eq (programs, eq rows) replaces
+    lp.c and lp.b_eq for program k; every program shares lp's a_eq, a_ub,
+    b_ub and bounds. Each returned solution equals, bit for bit, the one
+    the program would get if solved alone.
+    """
+    c = np.ascontiguousarray(c, dtype=float)
+    b_eq = np.asarray(b_eq, dtype=float)
+    K = c.shape[0] if c.ndim == 2 else -1
+    if c.shape != (K, lp.n_vars) or b_eq.shape != (K, lp.b_eq.size):
+        raise ValueError(f"c {c.shape} and b_eq {b_eq.shape} must stack "
+                         f"{lp.n_vars} costs and {lp.b_eq.size} rhs entries per program")
+    prep = _prepare(lp, b_eq)
+    n = prep.free.size
+    solutions = [LpSolution("infeasible") for _ in range(K)]
+    if n == 0:
+        ok = (_rows_feasible(prep.a_eq, prep.b_eq, equality=True)
+              & _rows_feasible(prep.a_ub, prep.b_ub[None], equality=False))
+        x = prep.assemble(np.zeros((K, 0)), lp.n_vars)
+        for k in np.nonzero(ok)[0]:
+            solutions[k] = LpSolution("optimal", x[k], float(c[k] @ x[k]))
+        return solutions
 
     a_eq, b_eq, ok_eq = _equilibrate(prep.a_eq, prep.b_eq, equality=True)
-    a_ub, b_ub, ok_ub = _equilibrate(prep.a_ub, prep.b_ub, equality=False)
-    if not (ok_eq and ok_ub):
-        return LpSolution("infeasible")
-
-    n = prep.c.size
-    m_eq, m_ub = b_eq.size, b_ub.size
-    m = m_eq + m_ub
-    n_core = n + m_ub
-
+    a_ub, b_ub, ok_ub = _equilibrate(prep.a_ub, prep.b_ub[None], equality=False)
+    m_eq, m_ub = a_eq.shape[0], a_ub.shape[0]
+    m, n_core = m_eq + m_ub, n + m_ub
     body = np.zeros((m, n_core))
     body[:m_eq, :n] = a_eq
     body[m_eq:, :n] = a_ub
     body[m_eq + np.arange(m_ub), n + np.arange(m_ub)] = 1.0
-    rhs = np.concatenate([b_eq, b_ub])
-    flip = rhs < 0
-    body[flip] *= -1.0
-    rhs[flip] = -rhs[flip]
+    rhs = np.empty((K, m))
+    rhs[:, :m_eq] = b_eq
+    rhs[:, m_eq:] = b_ub
 
-    # slacks of unflipped inequality rows form part of the initial basis;
-    # every other row gets an artificial variable
-    slack_basic = np.zeros(m, dtype=bool)
-    slack_basic[m_eq:] = ~flip[m_eq:]
-    art_rows = np.nonzero(~slack_basic)[0]
-    n_art = art_rows.size
-
-    tableau = np.zeros((m, n_core + n_art + 1))
-    tableau[:, :n_core] = body
-    tableau[art_rows, n_core + np.arange(n_art)] = 1.0
-    tableau[:, -1] = rhs
-
-    basis = np.empty(m, dtype=int)
-    srows = np.nonzero(slack_basic)[0]
-    basis[srows] = n + (srows - m_eq)
-    basis[art_rows] = n_core + np.arange(n_art)
-
-    iterations = 0
-    if n_art:
-        cost1 = np.zeros(n_core + n_art)
-        cost1[n_core:] = 1.0
-        status1, it1 = _run_simplex(tableau, basis, cost1, n_core)
-        iterations += it1
-        if status1 != "optimal":
-            raise RuntimeError("phase 1 terminated abnormally: " + status1)
-        if float(cost1[basis] @ tableau[:, -1]) > FEAS_TOL:
-            return LpSolution("infeasible", iterations=iterations)
-        tableau, basis = _drop_artificials(tableau, basis, n_core)
-        m = tableau.shape[0]
-
-    cost2 = np.zeros(n_core)
-    cost2[:n] = prep.c
-    status2, it2 = _run_simplex(tableau, basis, cost2, n_core)
-    iterations += it2
-    if status2 == "unbounded":
-        return LpSolution("unbounded", iterations=iterations)
-
-    x_shift = np.zeros(n)
-    for r in range(m):
-        if basis[r] < n:
-            x_shift[basis[r]] = tableau[r, -1]
-    x = prep.assemble(np.maximum(x_shift, 0.0), lp)
-    return LpSolution("optimal", x, float(lp.c @ x), iterations)
+    programs = np.nonzero(ok_eq & ok_ub)[0]
+    per_stack = max(1, _BATCH_BYTES // (8 * max(m, 1) * (n_core + 1)))
+    stacks = -(-programs.size // per_stack)
+    for stack in np.array_split(programs, stacks) if stacks else ():
+        status, x_shift, iterations, bland = _solve_stack(
+            body, rhs[stack], m_eq, c[stack][:, prep.free])
+        x = prep.assemble(np.maximum(x_shift, 0.0), lp.n_vars)
+        for i, k in enumerate(stack):
+            solutions[k] = LpSolution(str(status[i]), iterations=int(iterations[i]),
+                                      bland=bool(bland[i]))
+            if status[i] == "optimal":
+                solutions[k].x = x[i]
+                solutions[k].objective_value = float(c[k] @ x[i])
+    return solutions
 
 
-def _pivot(tableau, basis, r, j):
-    """Make column j basic in row r, in place.
+def _solve_stack(body, rhs, m_eq, c):
+    """Run both phases on one stack of programs that share the row body.
 
-    Only rows with a nonzero entry in column j get the rank-1 update; the
-    others would subtract 0 * pivot row, so skipping them changes nothing.
+    rhs (programs, rows) and c (programs, free vars) are per program.
+    Returns per-program status, basic values of the free variables,
+    iterations and whether Bland's rule switched on.
     """
-    piv_row = tableau[r] / tableau[r, j]
-    rows = tableau[:, j].nonzero()[0]
-    rows = rows[rows != r]
-    tableau[rows] -= tableau[rows, j, None] * piv_row
-    tableau[r] = piv_row
-    tableau[:, j] = 0.0
-    tableau[r, j] = 1.0
-    basis[r] = j
+    K, m = rhs.shape
+    n = c.shape[1]
+    n_core = body.shape[1]
+    tableau = np.empty((K, m, n_core + 1))
+    tableau[:, :, :n_core] = body
+    tableau[:, :, -1] = rhs
+    flip = rhs < 0
+    tableau[flip] *= -1.0
+
+    # slacks of unflipped inequality rows start basic; every other row
+    # starts with its artificial, which has basis index n_core + row
+    row = np.arange(m)
+    slack = np.zeros((K, m), dtype=bool)
+    slack[:, m_eq:] = ~flip[:, m_eq:]
+    basis = np.where(slack, row + (n - m_eq), row + n_core)
+
+    # phase 1 minimises the sum of artificials; programs without any skip it
+    cost = np.zeros(n_core + m)
+    cost[n_core:] = 1.0
+    cost = np.broadcast_to(cost, (K, n_core + m))
+    unbounded, iterations, bland = _run_simplex(tableau, basis, cost, n_core,
+                                                ~slack.all(axis=1))
+    if unbounded.any():
+        raise RuntimeError("phase 1 terminated abnormally: unbounded")
+    infeasible = _objective(cost, basis, tableau) > FEAS_TOL
+    redundant = _drop_artificials(tableau, basis, n_core, ~infeasible)
+
+    # phase 2; a program with a redundant row finishes on its own stack
+    # without that row, as a one-program solve would
+    cost = np.zeros((K, n_core + m))
+    cost[:, :n] = c
+    peel = redundant.any(axis=1) & ~infeasible
+    unbounded, it2, bland2 = _run_simplex(tableau, basis, cost, n_core, ~infeasible & ~peel)
+    x = _basic_values(tableau, basis, n)
+    for k in np.nonzero(peel)[0]:
+        keep = ~redundant[k]
+        sub, sub_basis = tableau[k][keep][None], basis[k][keep][None]
+        ray, its, switched = _run_simplex(sub, sub_basis, cost[k:k + 1], n_core, np.ones(1, bool))
+        unbounded[k], it2[k], bland2[k] = ray[0], its[0], switched[0]
+        x[k] = _basic_values(sub, sub_basis, n)[0]
+    status = np.where(infeasible, "infeasible", np.where(unbounded, "unbounded", "optimal"))
+    return status, x, iterations + it2, bland | bland2
 
 
-def _run_simplex(tableau, basis, cost, n_price):
-    """Iterate pivots in place; returns ("optimal" | "unbounded", iterations)."""
-    m = tableau.shape[0]
-    if m == 0:
-        return ("optimal" if np.all(cost[:n_price] >= -PIVOT_TOL) else "unbounded"), 0
+def _objective(cost, basis, tableau):
+    """cost[basis] @ rhs per program, one dot product each as a lone solve does."""
+    basic_cost = cost[np.arange(basis.shape[0])[:, None], basis]
+    return (basic_cost[:, None, :] @ tableau[:, :, -1:])[:, 0, 0]
+
+
+def _pivot(tableau, basis, k, r, j, col):
+    """Make column j[i] basic in row r[i] of program k[i], in place.
+
+    col[i] is a copy of that column, tableau[k[i], :, j[i]]. Only the
+    (program, row) pairs with a nonzero pivot-column entry get the rank-1
+    update; the others would subtract 0 * pivot row, so skipping them
+    changes nothing. The tableau must be C-contiguous so that the flat row
+    view writes through.
+    """
+    K, m, width = tableau.shape
+    flat = tableau.reshape(K * m, width)
+    pivot_rows = k * m + r
+    at = np.arange(k.size)
+    piv_row = flat[pivot_rows] / col[at, r][:, None]
+    col[at, r] = 0.0
+    p, i = np.nonzero(col)
+    # a lone program's pivot row broadcasts; a copy per updated row only costs time
+    flat[k[p] * m + i] -= col[p, i][:, None] * (piv_row[p] if k.size > 1 else piv_row)
+    flat[pivot_rows] = piv_row
+    tableau[k, :, j] = 0.0
+    flat[pivot_rows, j] = 1.0
+    basis[k, r] = j
+
+
+def _run_simplex(tableau, basis, cost, n_price, running):
+    """Pivot the running programs of a stack in lockstep until each stops.
+
+    Returns per-program (unbounded, iterations, bland). A program prices
+    with Dantzig's rule until more than 2 (m + n_price) pivots in a row
+    fail to improve its objective, then with Bland's rule. All running
+    programs pivot once per round, so one round counter serves as every
+    running program's iteration count.
+    """
+    K, m, _ = tableau.shape
+    running = running.copy()
+    unbounded = np.zeros(K, dtype=bool)
+    iterations = np.zeros(K, dtype=int)
+    bland = np.zeros(K, dtype=bool)
+    stall = np.zeros(K, dtype=int)
     max_stall = 2 * (m + n_price)
     cap = 10_000 + 200 * (m + n_price)
-    bland = False
-    stall = 0
-    best = np.inf
-    iterations = 0
-    while True:
-        z = cost[:n_price] - cost[basis] @ tableau[:, :n_price]
-        if bland:
-            neg = np.nonzero(z < -PIVOT_TOL)[0]
-            if neg.size == 0:
-                return "optimal", iterations
-            j = int(neg[0])
-        else:
-            j = int(np.argmin(z))
-            if z[j] >= -PIVOT_TOL:
-                return "optimal", iterations
-        col = tableau[:, j]
+    program = np.arange(K)[:, None]
+    best = _objective(cost, basis, tableau)
+    rounds = 0
+    act = np.nonzero(running)[0]
+    while act.size:
+        # reduced costs over the whole stack; only the running rows are read
+        basic_cost = cost[program, basis]
+        z = (cost[:, :n_price] - (basic_cost[:, None, :] @ tableau[:, :, :n_price])[:, 0])[act]
+        j = z.argmin(axis=1)
+        if bland[act].any():
+            j = np.where(bland[act], (z < -PIVOT_TOL).argmax(axis=1), j)
+        col = tableau[act, :, j]
         pos = col > PIVOT_TOL
-        if not pos.any():
-            return "unbounded", iterations
-        ratios = np.full(m, np.inf)
-        ratios[pos] = tableau[pos, -1] / col[pos]
-        rmin = ratios.min()
-        ties = np.nonzero(ratios <= rmin + 1e-12 * (1.0 + abs(rmin)))[0]
-        r = int(ties[np.argmin(basis[ties])])
+        optimal = z[np.arange(act.size), j] >= -PIVOT_TOL
+        ray = ~optimal & ~pos.any(axis=1)
+        stop = optimal | ray
+        if stop.any():
+            unbounded[act[ray]] = True
+            running[act[stop]] = False
+            iterations[act[stop]] = rounds
+            act, j, col, pos = act[~stop], j[~stop], col[~stop], pos[~stop]
+            if not act.size:
+                break
+        ratios = np.divide(tableau[act, :, -1], col, out=np.full(col.shape, np.inf), where=pos)
+        rmin = ratios.min(axis=1, keepdims=True)
+        ties = ratios <= rmin + 1e-12 * (1.0 + np.abs(rmin))
+        r = np.where(ties, basis[act], _NO_BASIS).argmin(axis=1)
 
-        _pivot(tableau, basis, r, j)
-        iterations += 1
-
-        obj = float(cost[basis] @ tableau[:, -1])
-        if obj < best - _STALL_EPS * max(1.0, abs(best)):
-            best, stall = obj, 0
-        else:
-            stall += 1
-            if stall > max_stall:
-                bland = True
-        if iterations > cap:
+        _pivot(tableau, basis, act, r, j, col)
+        rounds += 1
+        if rounds > cap:
             raise RuntimeError("simplex iteration cap exceeded")
 
-
-def _drop_artificials(tableau, basis, n_core):
-    """Pivot basic artificials out after phase 1; drop redundant rows."""
-    drop = []
-    for r in range(tableau.shape[0]):
-        if basis[r] < n_core:
-            continue
-        row = np.abs(tableau[r, :n_core])
-        j = int(np.argmax(row > PIVOT_TOL)) if np.any(row > PIVOT_TOL) else -1
-        if j < 0:
-            drop.append(r)
-            continue
-        _pivot(tableau, basis, r, j)
-    keep = np.setdiff1d(np.arange(tableau.shape[0]), drop)
-    tableau = np.hstack([tableau[keep][:, :n_core], tableau[keep][:, -1:]])
-    return tableau, basis[keep]
+        # programs that did not pivot keep their objective, so they never
+        # count as improved, and only running programs add a stall
+        obj = _objective(cost, basis, tableau)
+        improved = obj < best - _STALL_EPS * np.maximum(1.0, np.abs(best))
+        best = np.where(improved, obj, best)
+        stall = np.where(improved, 0, stall + running)
+        bland |= stall > max_stall
+    return unbounded, iterations, bland
 
 
-# ---------------------------------------------------------------------------
-# Brute-force oracle
-# ---------------------------------------------------------------------------
+def _drop_artificials(tableau, basis, n_core, feasible):
+    """Pivot basic artificials out after phase 1, row by row in order.
 
-def brute_force_solve(lp: LinearProgram, max_vars: int = 12) -> LpSolution:
-    """Enumerate all basic solutions; test oracle for solve.
-
-    Exponential in problem size; rejects instances with more than max_vars
-    variables. Unboundedness is decided by enumerating vertices of the
-    normalized recession cone.
+    Returns the (program, row) mask of redundant rows, whose artificial
+    stays basic because every core entry of the row is below PIVOT_TOL.
     """
-    if lp.n_vars > max_vars:
-        raise ValueError(f"{lp.n_vars} variables exceeds brute-force limit {max_vars}")
-    prep = _prepare(lp)
-    if prep.status == "infeasible":
-        return LpSolution("infeasible")
-    if prep.status == "optimal":
-        x = prep.assemble(np.zeros(0), lp)
-        return LpSolution("optimal", x, float(lp.c @ x))
-
-    a_eq, b_eq, ok_eq = _equilibrate(prep.a_eq, prep.b_eq, equality=True)
-    a_ub, b_ub, ok_ub = _equilibrate(prep.a_ub, prep.b_ub, equality=False)
-    if not (ok_eq and ok_ub):
-        return LpSolution("infeasible")
-
-    n = prep.c.size
-    red_a, red_b, consistent = _row_reduce(a_eq, b_eq)
-    if not consistent:
-        return LpSolution("infeasible")
-
-    pool = np.vstack([a_ub, -np.eye(n)])
-    pool_rhs = np.concatenate([b_ub, np.zeros(n)])
-
-    def feasible_mask(points):
-        ok = np.ones(points.shape[0], dtype=bool)
-        if b_eq.size:
-            ok &= np.all(np.abs(points @ a_eq.T - b_eq) <= FEAS_TOL, axis=1)
-        if b_ub.size:
-            ok &= np.all(points @ a_ub.T - b_ub <= FEAS_TOL, axis=1)
-        ok &= np.all(points >= -FEAS_TOL, axis=1)
-        return ok
-
-    found, best_obj, best_x = _best_vertex(red_a, red_b, pool, pool_rhs,
-                                           prep.c, feasible_mask)
-    if not found:
-        return LpSolution("infeasible")
-
-    if np.any(prep.c < 0) and prep.n_upper_rows < n:
-        if _has_descent_ray(red_a, pool, a_eq, a_ub, prep.c):
-            return LpSolution("unbounded")
-
-    x = prep.assemble(np.maximum(best_x, 0.0), lp)
-    return LpSolution("optimal", x, float(lp.c @ x))
+    redundant = np.zeros(basis.shape, dtype=bool)
+    artificial = (basis >= n_core) & feasible[:, None]
+    for r in np.nonzero(artificial.any(axis=0))[0]:
+        k = np.nonzero(artificial[:, r])[0]
+        big = np.abs(tableau[k, r, :n_core]) > PIVOT_TOL
+        has = big.any(axis=1)
+        redundant[k[~has], r] = True
+        k, j = k[has], big[has].argmax(axis=1)
+        _pivot(tableau, basis, k, np.full(k.size, r), j, tableau[k, :, j])
+    return redundant
 
 
-def _best_vertex(red_a, red_b, pool, pool_rhs, c, feasible_mask):
-    """Minimum objective over basic solutions; eq rows always active."""
-    n = pool.shape[1]
-    r = red_a.shape[0]
-    k = n - r
-    if k < 0:
-        return False, None, None
-    total = comb(pool.shape[0], k)
-    if total > _MAX_BRUTE_COMBOS:
-        raise ValueError(f"{total} active-set combinations exceed brute-force budget")
-
-    best_obj = np.inf
-    best_x = None
-    found = False
-    for combos in _chunks(itertools.combinations(range(pool.shape[0]), k), 32768):
-        idx = np.array(combos, dtype=int).reshape(len(combos), k)
-        mats = np.empty((len(combos), n, n))
-        mats[:, :r, :] = red_a
-        mats[:, r:, :] = pool[idx]
-        rhs = np.empty((len(combos), n))
-        rhs[:, :r] = red_b
-        rhs[:, r:] = pool_rhs[idx]
-
-        scale = np.abs(mats).max(axis=2)
-        good = np.nonzero(np.all(scale > 0.0, axis=1))[0]
-        if good.size == 0:
-            continue
-        mats = mats[good] / scale[good][:, :, None]
-        rhs = rhs[good] / scale[good]
-        keep = np.abs(np.linalg.det(mats)) > 1e-9
-        if not keep.any():
-            continue
-        try:
-            points = np.linalg.solve(mats[keep], rhs[keep][:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError:
-            points = _solve_each(mats[keep], rhs[keep])
-        points = points[np.all(np.isfinite(points), axis=1)]
-        if points.size == 0:
-            continue
-        ok = feasible_mask(points)
-        if not ok.any():
-            continue
-        objs = points[ok] @ c
-        j = int(np.argmin(objs))
-        if objs[j] < best_obj - 1e-15:
-            best_obj = float(objs[j])
-            best_x = points[ok][j]
-        found = True
-    return found, best_obj, best_x
-
-
-def _has_descent_ray(red_a, pool, a_eq, a_ub, c):
-    """Vertex-enumerate the normalized recession cone and test c improvement.
-
-    Cone: a_eq d = 0, a_ub d <= 0, d >= 0, sum(d) = 1. Any unbounded ray of
-    the shifted problem normalizes into this set.
-    """
-    n = pool.shape[1]
-    eq_rows = np.vstack([red_a, np.ones((1, n))])
-    eq_rhs = np.concatenate([np.zeros(red_a.shape[0]), [1.0]])
-    red2_a, red2_b, consistent = _row_reduce(eq_rows, eq_rhs)
-    if not consistent:
-        return False
-
-    def ray_mask(points):
-        ok = np.ones(points.shape[0], dtype=bool)
-        if a_eq.shape[0]:
-            ok &= np.all(np.abs(points @ a_eq.T) <= FEAS_TOL, axis=1)
-        if a_ub.shape[0]:
-            ok &= np.all(points @ a_ub.T <= 1e-9, axis=1)
-        ok &= np.all(points >= -1e-9, axis=1)
-        ok &= np.abs(points.sum(axis=1) - 1.0) <= FEAS_TOL
-        return ok
-
-    found, best_obj, _ = _best_vertex(red2_a, red2_b, pool, np.zeros(pool.shape[0]),
-                                      c, ray_mask)
-    return found and best_obj < -1e-9
-
-
-def _solve_each(mats, rhs):
-    out = np.full_like(rhs, np.nan)
-    for i in range(mats.shape[0]):
-        try:
-            out[i] = np.linalg.solve(mats[i], rhs[i])
-        except np.linalg.LinAlgError:
-            pass
-    return out
-
-
-def _chunks(iterable, size):
-    it = iter(iterable)
-    while True:
-        block = list(itertools.islice(it, size))
-        if not block:
-            return
-        yield block
-
-
-def _row_reduce(a, b, tol=1e-9):
-    """Gaussian elimination with partial pivoting.
-
-    Returns (reduced rows, reduced rhs, consistent); zero rows with nonzero
-    rhs mark an inconsistent system.
-    """
-    a = a.astype(float).copy()
-    b = b.astype(float).copy()
-    m, n = a.shape
-    rank = 0
-    for col in range(n):
-        if rank >= m:
-            break
-        piv = rank + int(np.argmax(np.abs(a[rank:, col])))
-        if abs(a[piv, col]) <= tol:
-            continue
-        if piv != rank:
-            a[[rank, piv]] = a[[piv, rank]]
-            b[[rank, piv]] = b[[piv, rank]]
-        factors = a[rank + 1:, col] / a[rank, col]
-        a[rank + 1:] -= np.outer(factors, a[rank])
-        b[rank + 1:] -= factors * b[rank]
-        a[rank + 1:, col] = 0.0
-        rank += 1
-    consistent = bool(np.all(np.abs(b[rank:]) <= FEAS_TOL))
-    return a[:rank], b[:rank], consistent
+def _basic_values(tableau, basis, n):
+    """Values of the n free variables in each program's basis (others 0)."""
+    x = np.zeros((basis.shape[0], n))
+    k, r = np.nonzero(basis < n)
+    x[k, basis[k, r]] = tableau[k, r, -1]
+    return x
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,12 @@ scenario is its own group without the nonanticipative mode), so the
 program is block-diagonal by group. solve_policy is the one solve path:
 it solves each group's deterministic equivalent as a small LP with the
 probabilities renormalised inside the group, and weights each group's
-cost by its probability mass. build_deterministic_equivalent over the
+cost by its probability mass. Groups of one size have the same constraint
+matrix and bounds and differ only in costs and right-hand side, so
+solve_policy builds the program once per size (build_deterministic_equivalent
+on the first group), stacks every group's costs and right-hand side with
+numpy, and hands them to lp.solve_batch, which pivots them in lockstep
+within its per-stack memory budget. build_deterministic_equivalent over the
 whole space is the dense monolithic program; the tests solve it as the
 oracle for solve_policy.
 """
@@ -223,35 +228,58 @@ def solve_policy(
 ) -> PolicyTable:
     """Solve the program one nonanticipativity group at a time.
 
-    Each group's deterministic equivalent is solved on its own with the
-    probabilities renormalised inside the group; the expected cost sums
-    the group optima weighted by group probability mass. Equal to solving
+    Each group's deterministic equivalent is solved with the probabilities
+    renormalised inside the group; the expected cost sums the group optima
+    weighted by group probability mass. Equal to solving
     build_deterministic_equivalent over the whole space, because no
-    constraint spans two groups.
+    constraint spans two groups. Groups of one size share their constraint
+    matrix and bounds, so one lp.solve_batch call solves them all, with
+    each group's own costs and right-hand side stacked as rows.
     """
     _check_space(space, horizon)
     T = horizon.T
     S = len(space)
+    groups = _nonanticipativity_groups(space, nonanticipative)
+    masses = [sum(space.scenarios[w].probability for w in members) for members in groups]
+    prices = space.trace_matrix("price")
+    net_load = space.trace_matrix("consumption") - space.trace_matrix("renewable")
+    by_size: dict[int, list[int]] = {}
+    for g, members in enumerate(groups):
+        by_size.setdefault(len(members), []).append(g)
+
+    solved = [None] * len(groups)
+    for size, ids in by_size.items():
+        members = np.array([groups[g] for g in ids])
+        probs = np.array([[space.scenarios[w].probability / masses[g] for w in groups[g]]
+                          for g in ids])
+        template = ScenarioSpace(tuple(
+            replace(space.scenarios[w], probability=float(p))
+            for w, p in zip(members[0], probs[0])))
+        program, vmap = build_deterministic_equivalent(
+            horizon, storage, template, nonanticipative, physical_discharge)
+        # each entry by the expression build_deterministic_equivalent evaluates
+        # for the group, so it is the same bit for bit
+        c = np.zeros((len(ids), size, 3, T))
+        c[:, :, 0] = probs[:, :, None] * prices[members] / 1000.0
+        c[:, :, 1] = probs[:, :, None] * storage.loss_cost_coeff
+        b_eq = np.zeros((len(ids), program.b_eq.size))
+        b_eq[:, :size * (T - 1)] = net_load[members, :T - 1].reshape(len(ids), -1)
+        solutions = lp_mod.solve_batch(program, c.reshape(len(ids), -1), b_eq)
+        for g, solution in zip(ids, solutions):
+            solved[g] = solution, vmap
+
     purchase = np.zeros((S, T))
     battery = np.zeros((S, T))
     excess = np.zeros((S, T))
     expected = 0.0
-    for members in _nonanticipativity_groups(space, nonanticipative):
-        scenarios = [space.scenarios[w] for w in members]
-        mass = sum(scen.probability for scen in scenarios)
-        group = ScenarioSpace(tuple(
-            replace(scen, probability=scen.probability / mass) for scen in scenarios))
-        program, vmap = build_deterministic_equivalent(
-            horizon, storage, group, nonanticipative, physical_discharge)
-        solution = lp_mod.solve(program)
+    for members, mass, (solution, vmap) in zip(groups, masses, solved):
         if solution.status != "optimal":
             raise InfeasibleProgramError(
                 f"stochastic program is {solution.status} for the scenario group "
-                f"of {group.scenarios[0].label!r}; check battery endpoint levels "
-                f"(initial={storage.initial}, terminal={storage.terminal}) "
+                f"of {space.scenarios[members[0]].label!r}; check battery endpoint "
+                f"levels (initial={storage.initial}, terminal={storage.terminal}) "
                 f"against capacity {storage.capacity}")
-        x, s, y = vmap.unpack(solution.x)
-        purchase[members], battery[members], excess[members] = x, s, y
+        purchase[members], battery[members], excess[members] = vmap.unpack(solution.x)
         expected += mass * float(solution.objective_value)
     return PolicyTable(
         scenario_labels=tuple(space.labels),

@@ -17,7 +17,10 @@ the threshold and occupancy exactly monotone in the arrival rate under
 common random numbers, not just in expectation.
 
 The dominating rate is max(1, ceil(max total rate)), so runs whose peak
-total rates round up to the same integer stay event-aligned.
+total rates round up to the same integer stay event-aligned. A run whose
+expected number of candidate events, (dominating rate + channels / mean
+holding) x horizon minutes, exceeds _MAX_EVENTS is refused with
+ValueError before it draws anything; rates must be finite.
 
 Each run is vectorized on its own, one block of draws at a time: 4096
 holding gaps, then 4096 each of event-type, thinning and class uniforms,
@@ -44,6 +47,9 @@ import numpy as np
 from .units import Horizon
 
 _BLOCK = 4096
+# Expected candidate events per run above which a run is refused before any
+# draw: about five minutes of simulation at a few microseconds per event.
+_MAX_EVENTS = 10**8
 
 
 @dataclass(frozen=True)
@@ -61,6 +67,10 @@ class TrafficSpec:
         object.__setattr__(self, "handoff_rate", hand)
         if new.shape != hand.shape:
             raise ValueError("new_rate and handoff_rate must have equal length")
+        with np.errstate(over="ignore"):
+            total = new + hand
+        if not np.all(np.isfinite(total)):
+            raise ValueError("arrival rates must be finite, and so must their sum")
         if np.any(new < 0) or np.any(hand < 0):
             raise ValueError("arrival rates must be non-negative")
         if not self.mean_holding > 0:
@@ -188,6 +198,11 @@ def _simulate(spec: TrafficSpec, cac: CacConfig, horizon: Horizon,
     dominating = max(1.0, float(np.ceil(total.max())))
     mu = 1.0 / spec.mean_holding
     event_rate = dominating + channels * mu
+    expected_events = event_rate * total_min
+    if not expected_events <= _MAX_EVENTS:
+        raise ValueError(
+            f"a traffic run would need about {expected_events:.3g} events, more than "
+            f"{_MAX_EVENTS:.0e}; check the arrival rates and the mean holding time")
     p_arrival = dominating / event_rate
     handoff_code, new_code, noop_code = channels, channels + 1, channels + 2
     step = _transitions(channels, cac.threshold)

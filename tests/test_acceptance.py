@@ -40,7 +40,7 @@ from bspower.evaluate import (
     sweep_battery,
     sweep_cac,
 )
-from bspower.lp import LinearProgram, brute_force_solve, solve
+from bspower.lp import LinearProgram, solve
 from bspower.scenarios import CompositeScenario, ScenarioSpace
 from bspower.stochastic import (
     PolicyTable,
@@ -57,6 +57,7 @@ from bspower.traffic import (
     _stream,
 )
 from bspower.units import Horizon
+from brute_force_lp import brute_force_solve
 
 
 def _report(criterion, ok, detail):

@@ -121,11 +121,34 @@ def test_solve_rejects_nan_in_scenario_trace(tmp_path, capsys):
     assert not (out / "policy.csv").exists()
 
 
+def test_traffic_profile_with_an_overflowing_rate_is_a_usage_error(tmp_path, capsys):
+    doc = json.loads(json.dumps(TINY_SCENARIOS))
+    del doc["consumption"]
+    doc["traffic"] = {"scenarios": [
+        {"label": "flood", "probability": 1.0,
+         "new_rate": [1e308, 1.0, 1.0, 1.0], "handoff_rate": [1e308, 0.5, 0.5, 0.5]},
+    ]}
+    path = write_json(tmp_path / "flood.json", doc)
+    assert main(["solve", "--scenarios", path, "--out", str(tmp_path / "o")]) == 2
+    assert "arrival rates must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "policy.csv").exists()
+
+
+def test_traffic_run_with_too_many_events_is_a_usage_error(tmp_path, capsys):
+    # mean_holding_min 1e-300 asks for ~1e304 departure events; the run is
+    # refused before it draws instead of running without end
+    cfg = write_json(tmp_path / "cfg.json", {"schema": "bspower-config-1",
+                                             "traffic": {"mean_holding_min": 1e-300}})
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "events" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "policy.csv").exists()
+
+
 def test_solver_failure_exits_with_code_5(tiny, tmp_path, capsys, monkeypatch):
-    def broken(program):
+    def broken(program, c, b_eq):
         raise RuntimeError("simplex iteration cap exceeded")
 
-    monkeypatch.setattr("bspower.stochastic.lp_mod.solve", broken)
+    monkeypatch.setattr("bspower.stochastic.lp_mod.solve_batch", broken)
     assert main(["solve", "--scenarios", tiny, "--out", str(tmp_path / "o")]) == 5
     assert "solver failure: simplex iteration cap exceeded" in capsys.readouterr().err
 

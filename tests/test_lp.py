@@ -1,15 +1,20 @@
-"""Two-phase simplex solver checked against brute-force vertex enumeration."""
+"""Two-phase simplex solver checked against brute-force vertex enumeration
+and, program by program, against the one-tableau scalar oracle."""
 
 import numpy as np
 import pytest
 
+import bspower.lp as lp_mod
+import scalar_lp
 from bspower.lp import (
     FEAS_TOL,
     LinearProgram,
-    brute_force_solve,
+    _run_simplex,
     lp_text,
     solve,
+    solve_batch,
 )
+from brute_force_lp import brute_force_solve
 
 
 def _assert_feasible(lp, x, tol=1e-6):
@@ -236,3 +241,159 @@ def test_lp_text_mentions_labels_and_rows():
 
 def test_feasibility_tolerance_is_tight():
     assert FEAS_TOL <= 1e-6
+
+
+# ---------------------------------------------------------------------------
+# lockstep batches against the scalar oracle
+# ---------------------------------------------------------------------------
+
+def alone(lp, c, b_eq):
+    """Program k of a batch as a program of its own."""
+    return LinearProgram(c=c, a_eq=lp.a_eq, b_eq=b_eq, a_ub=lp.a_ub, b_ub=lp.b_ub,
+                         lower=lp.lower, upper=lp.upper)
+
+
+def assert_same_solution(got, want):
+    assert (got.status, got.iterations, got.bland) == (want.status, want.iterations, want.bland)
+    assert got.objective_value == want.objective_value
+    if want.x is None:
+        assert got.x is None
+    else:
+        assert np.array_equal(got.x, want.x)
+
+
+def assert_batch_matches_oracle(lp, c, b_eq):
+    solutions = solve_batch(lp, c, b_eq)
+    assert len(solutions) == len(c)
+    for k, got in enumerate(solutions):
+        assert_same_solution(got, scalar_lp.scalar_solve(alone(lp, c[k], b_eq[k])))
+    return [s.status for s in solutions]
+
+
+def test_batch_mixing_verdicts_matches_the_oracle_per_program():
+    # the equality rows are one row twice: consistent right-hand sides leave
+    # a redundant row after phase 1, inconsistent ones are infeasible, and a
+    # negative cost on x2 (free upwards) is unbounded
+    lp = LinearProgram(c=[1.0, 2.0, 0.0], a_eq=[[1.0, 1.0, 0.0], [2.0, 2.0, 0.0]],
+                       b_eq=[1.0, 2.0], a_ub=[[1.0, 0.0, -1.0]], b_ub=[3.0],
+                       upper=[4.0, np.inf, np.inf])
+    c = np.array([[1.0, 2.0, 0.0], [1.0, 2.0, 0.0], [1.0, 2.0, -1.0],
+                  [-1.0, 1.0, 0.0], [0.0, 0.0, 0.0], [2.0, 1.0, 0.5]])
+    b_eq = np.array([[1.0, 2.0], [1.0, 3.0], [1.0, 2.0], [2.0, 4.0], [0.0, 0.0], [-1.0, -2.0]])
+    statuses = assert_batch_matches_oracle(lp, c, b_eq)
+    assert statuses == ["optimal", "infeasible", "unbounded", "optimal", "optimal", "infeasible"]
+
+
+def test_batch_of_all_fixed_programs_matches_the_oracle():
+    lp = LinearProgram(c=[1.0, 1.0], a_eq=[[1.0, 1.0]], b_eq=[3.0],
+                       a_ub=[[1.0, -1.0]], b_ub=[0.0], lower=[1.0, 2.0], upper=[1.0, 2.0])
+    c = np.array([[1.0, 1.0], [2.0, -1.0], [1.0, 1.0]])
+    b_eq = np.array([[3.0], [3.0], [4.0]])
+    assert assert_batch_matches_oracle(lp, c, b_eq) == ["optimal", "optimal", "infeasible"]
+
+
+def test_batch_results_do_not_depend_on_the_stack_budget(monkeypatch):
+    rng = np.random.default_rng(31)
+    lp = random_lp(rng)
+    while lp.b_eq.size == 0:
+        lp = random_lp(rng)
+    c = lp.c + rng.uniform(-2, 2, size=(9, lp.n_vars))
+    b_eq = lp.b_eq + rng.uniform(-1, 1, size=(9, lp.b_eq.size))
+    whole = solve_batch(lp, c, b_eq)
+    monkeypatch.setattr(lp_mod, "_BATCH_BYTES", 1)  # one program per stack
+    for got, want in zip(solve_batch(lp, c, b_eq), whole):
+        assert_same_solution(got, want)
+
+
+def test_random_batches_match_the_oracle_per_program():
+    rng = np.random.default_rng(8128)
+    seen = set()
+    for _ in range(120):
+        lp = random_lp(rng)
+        K = int(rng.integers(1, 7))
+        c = lp.c + rng.uniform(-3, 3, size=(K, lp.n_vars)) * (rng.random((K, 1)) < 0.7)
+        b_eq = lp.b_eq + rng.uniform(-2, 2, size=(K, lp.b_eq.size)) * (rng.random((K, 1)) < 0.7)
+        seen.update(assert_batch_matches_oracle(lp, c, b_eq))
+    assert seen == {"optimal", "infeasible", "unbounded"}
+
+
+def test_solve_batch_checks_the_stacked_shapes():
+    lp = LinearProgram(c=[1.0, 1.0], a_eq=[[1.0, 1.0]], b_eq=[1.0])
+    with pytest.raises(ValueError, match="stack"):
+        solve_batch(lp, np.ones((2, 3)), np.ones((2, 1)))
+    with pytest.raises(ValueError, match="stack"):
+        solve_batch(lp, np.ones((2, 2)), np.ones((3, 1)))
+    with pytest.raises(ValueError, match="stack"):
+        solve_batch(lp, np.ones(2), np.ones(1))
+
+
+# ---------------------------------------------------------------------------
+# the simplex core: stall counting and Bland's rule
+# ---------------------------------------------------------------------------
+
+def klee_minty(n):
+    """Slack-basis tableau of the Klee-Minty cube (Chvatal's form).
+
+    Dantzig's rule visits all 2**n vertices, and every pivot improves the
+    objective.
+    """
+    a = np.zeros((n, n))
+    for i in range(n):
+        a[i, :i] = 2.0 * 10.0 ** (i - np.arange(i))
+        a[i, i] = 1.0
+    b = 100.0 ** np.arange(n)
+    cost = np.concatenate([-10.0 ** (n - 1 - np.arange(n)), np.zeros(n)])
+    return np.hstack([a, np.eye(n), b[:, None]]), n + np.arange(n), cost
+
+
+def chvatal_cycle(c=(-10.0, 57.0, 9.0, 24.0)):
+    """Slack-basis tableau of Chvatal's degenerate example.
+
+    Dantzig's rule with the lowest-index tie-break cycles on it for ever.
+    """
+    a = np.array([[0.5, -5.5, -2.5, 9.0], [0.5, -1.5, -0.5, 1.0], [1.0, 0.0, 0.0, 0.0]])
+    b = np.array([0.0, 0.0, 1.0])
+    return np.hstack([a, np.eye(3), b[:, None]]), np.arange(4, 7), np.concatenate([c, np.zeros(3)])
+
+
+def test_stall_counter_counts_only_pivots_that_do_not_improve():
+    # 255 improving pivots, far above 2 (m + n_price) = 48: Dantzig's rule
+    # must stay in charge all the way
+    tableau, basis, cost = klee_minty(8)
+    unbounded, iterations, bland = _run_simplex(
+        tableau[None].copy(), basis[None].copy(), cost[None], 16, np.ones(1, bool))
+    assert (unbounded[0], iterations[0], bland[0]) == (False, 2**8 - 1, False)
+    assert scalar_lp._run_simplex(tableau.copy(), basis.copy(), cost, 16) == ("optimal", 255, False)
+
+    # a degenerate cycle improves nothing, so Bland's rule takes over
+    # after 2 (3 + 7) + 1 pivots and ends it
+    tableau, basis, cost = chvatal_cycle()
+    stack, stack_basis = tableau[None].copy(), basis[None].copy()
+    unbounded, iterations, bland = _run_simplex(stack, stack_basis, cost[None], 7,
+                                                np.ones(1, bool))
+    assert not unbounded[0] and bland[0] and iterations[0] > 21
+    assert cost[stack_basis[0]] @ stack[0, :, -1] == -1.0
+
+
+def test_stacked_simplex_core_matches_the_oracle_per_program():
+    # one stack holds the cycling program (Bland's rule switches on), a copy
+    # that is already finished, an unbounded one and random same-shape ones
+    rng = np.random.default_rng(44)
+    programs = [chvatal_cycle(), chvatal_cycle((1.0, 1.0, 1.0, 1.0)),
+                chvatal_cycle((-1.0, -1.0, 0.0, 0.0))]
+    for _ in range(5):
+        tableau, basis, _ = chvatal_cycle()
+        tableau[:, :4] = rng.integers(-4, 5, size=(3, 4)) / 2.0
+        tableau[:, -1] = rng.integers(0, 3, size=3)
+        programs.append((tableau, basis, rng.uniform(-5, 5, size=7)))
+    stack = np.stack([p[0] for p in programs])
+    stack_basis = np.stack([p[1] for p in programs])
+    costs = np.stack([p[2] for p in programs])
+    unbounded, iterations, bland = _run_simplex(stack, stack_basis, costs, 7,
+                                                np.ones(len(programs), bool))
+    assert bland[0] and unbounded[2] and iterations[1] == 0
+    for k, (tableau, basis, cost) in enumerate(programs):
+        tableau, basis = tableau.copy(), basis.copy()
+        status, its, switched = scalar_lp._run_simplex(tableau, basis, cost, 7)
+        assert (status == "unbounded", its, switched) == (unbounded[k], iterations[k], bland[k])
+        assert np.array_equal(stack[k], tableau) and np.array_equal(stack_basis[k], basis)

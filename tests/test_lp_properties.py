@@ -1,0 +1,48 @@
+"""Lockstep batches equal one-program solves, on random shared matrices."""
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+from hypothesis.extra import numpy as hnp  # noqa: E402
+
+import scalar_lp  # noqa: E402
+from bspower.lp import LinearProgram, solve_batch  # noqa: E402
+
+SETTINGS = settings(max_examples=60, deadline=None, database=None)
+small_ints = st.integers(-3, 3).map(float)
+values = st.floats(-4.0, 4.0, allow_nan=False, width=32)
+
+
+@st.composite
+def batches(draw):
+    """A program with shared rows and bounds, plus stacked costs and rhs."""
+    n = draw(st.integers(1, 5))
+    m_eq = draw(st.integers(0, 3))
+    m_ub = draw(st.integers(0, 3))
+    K = draw(st.integers(1, 5))
+    a_eq = draw(hnp.arrays(float, (m_eq, n), elements=small_ints))
+    a_ub = draw(hnp.arrays(float, (m_ub, n), elements=small_ints))
+    b_ub = draw(hnp.arrays(float, m_ub, elements=values))
+    lower = draw(hnp.arrays(float, n, elements=st.sampled_from([0.0, 0.5, 1.0])))
+    width = draw(hnp.arrays(float, n, elements=st.sampled_from([0.0, 1.0, 2.5, np.inf])))
+    c = draw(hnp.arrays(float, (K, n), elements=values))
+    b_eq = draw(hnp.arrays(float, (K, m_eq), elements=values))
+    lp = LinearProgram(c=c[0], a_eq=a_eq, b_eq=b_eq[0], a_ub=a_ub, b_ub=b_ub,
+                       lower=lower, upper=lower + width)
+    return lp, c, b_eq
+
+
+@SETTINGS
+@given(batch=batches())
+def test_each_program_of_a_batch_equals_its_lone_solve(batch):
+    lp, c, b_eq = batch
+    for k, got in enumerate(solve_batch(lp, c, b_eq)):
+        want = scalar_lp.scalar_solve(LinearProgram(
+            c=c[k], a_eq=lp.a_eq, b_eq=b_eq[k], a_ub=lp.a_ub, b_ub=lp.b_ub,
+            lower=lp.lower, upper=lp.upper))
+        assert (got.status, got.iterations, got.bland) == (want.status, want.iterations, want.bland)
+        assert got.objective_value == want.objective_value
+        assert (got.x is None and want.x is None) or np.array_equal(got.x, want.x)

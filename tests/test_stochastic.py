@@ -1,10 +1,12 @@
 """Deterministic-equivalent construction, solving, and policy verification."""
 
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
 import pytest
 
+import scalar_lp
 from bspower import lp as lp_mod
 from bspower.calibration import default_calibration
 from bspower.scenarios import CompositeScenario, ScenarioSpace
@@ -13,6 +15,7 @@ from bspower.stochastic import (
     PolicyTable,
     StorageConfig,
     VariableMap,
+    _nonanticipativity_groups,
     build_deterministic_equivalent,
     per_scenario_decomposition,
     policy_csv_text,
@@ -20,6 +23,7 @@ from bspower.stochastic import (
     verify_policy,
 )
 from bspower.units import Horizon
+from brute_force_lp import brute_force_solve
 
 
 def single_scenario(price, renewable, consumption, label="only"):
@@ -79,6 +83,46 @@ def coupled_instance(rng):
         for (label, price, renewable, consumption), p
         in zip((traces[i] for i in rng.permutation(len(traces))), probs)))
     return Horizon(T=T), storage, space
+
+
+def grouped_instance(rng, S, T, max_group=4):
+    """S scenarios in nonanticipativity groups of random sizes 1-max_group.
+
+    Members of a group share period-1 data, and several groups have the
+    same size, so the grouped solve batches them.
+    """
+    storage = StorageConfig(capacity=float(rng.uniform(300, 3000)), initial=100.0,
+                            terminal=100.0, self_discharge=float(rng.uniform(0, 0.005)),
+                            loss_cost_coeff=float(rng.uniform(0, 2e-5)))
+    traces = []
+    while len(traces) < S:
+        first = rng.uniform(5, 25), rng.uniform(0, 100), rng.uniform(0, 300)
+        for _ in range(min(int(rng.integers(1, max_group + 1)), S - len(traces))):
+            traces.append([np.concatenate([[v], rng.uniform(lo, hi, T - 1)])
+                           for v, (lo, hi) in zip(first, ((5, 25), (0, 300), (0, 400)))])
+    probs = rng.dirichlet(np.ones(S))
+    space = ScenarioSpace(tuple(
+        CompositeScenario(f"w{w}", float(probs[w]), *traces[i])
+        for w, i in enumerate(rng.permutation(S))))
+    return Horizon(T=T), storage, space
+
+
+def per_group_oracle(horizon, storage, space, nonanticipative, physical_discharge):
+    """Each group's program built on its own and solved by the scalar oracle."""
+    schedules = np.zeros((3, len(space), horizon.T))
+    expected = 0.0
+    for members in _nonanticipativity_groups(space, nonanticipative):
+        mass = sum(space.scenarios[w].probability for w in members)
+        group = ScenarioSpace(tuple(
+            replace(space.scenarios[w], probability=space.scenarios[w].probability / mass)
+            for w in members))
+        program, vmap = build_deterministic_equivalent(
+            horizon, storage, group, nonanticipative, physical_discharge)
+        solution = scalar_lp.scalar_solve(program)
+        assert solution.status == "optimal"
+        schedules[:, members] = vmap.unpack(solution.x)
+        expected += mass * solution.objective_value
+    return schedules, expected
 
 
 def monolithic_cost(horizon, storage, space, **modes):
@@ -310,7 +354,7 @@ def test_small_programs_match_vertex_enumeration():
             for w in range(S)))
         program, _ = build_deterministic_equivalent(Horizon(T=T), storage, space)
         fast = lp_mod.solve(program)
-        slow = lp_mod.brute_force_solve(program)
+        slow = brute_force_solve(program)
         assert fast.status == slow.status == "optimal"
         assert fast.objective_value == pytest.approx(slow.objective_value, abs=1e-8)
 
@@ -358,6 +402,51 @@ def test_grouped_solve_matches_full_program_when_coupling_binds():
         assert verify_policy(na, horizon, space) == []
         ws = solve_policy(horizon, storage, space)
         assert na.expected_cost > ws.expected_cost * (1 + 1e-6), k
+
+
+def test_batched_groups_equal_per_group_solves_bit_for_bit():
+    rng = np.random.default_rng(99)
+    for k in range(16):
+        if k % 4 == 0:
+            horizon, storage, space = random_instance(rng)
+        elif k % 4 == 1:
+            horizon, storage, space = coupled_instance(rng)
+        else:
+            # groups of up to 12 make the group masses sums of many terms
+            horizon, storage, space = grouped_instance(rng, int(rng.integers(5, 30)),
+                                                       int(rng.integers(2, 10)),
+                                                       max_group=int(rng.integers(2, 13)))
+        nonanticipative, physical = bool(k % 2), bool(rng.integers(0, 2))
+        policy = solve_policy(horizon, storage, space, nonanticipative, physical)
+        schedules, expected = per_group_oracle(horizon, storage, space,
+                                               nonanticipative, physical)
+        assert np.array_equal(policy.purchase, schedules[0]), k
+        assert np.array_equal(policy.battery, schedules[1]), k
+        assert np.array_equal(policy.excess, schedules[2]), k
+        assert policy.expected_cost == expected, k
+
+
+@pytest.mark.parametrize("S", [20, 45, 80])
+def test_random_programs_up_to_80_scenarios_match_highs(S):
+    pytest.importorskip("scipy")
+    from scipy.optimize import linprog
+    from scipy.sparse import csr_array
+
+    rng = np.random.default_rng(S)
+    horizon, storage, space = grouped_instance(rng, S, T=8)
+    for modes in ({}, {"nonanticipative": True, "physical_discharge": True}):
+        program, _ = build_deterministic_equivalent(horizon, storage, space, **modes)
+        # as for the default program: unit-max costs and tight tolerances
+        scale = 1.0 / np.abs(program.c).max()
+        res = linprog(program.c * scale, A_eq=csr_array(program.a_eq), b_eq=program.b_eq,
+                      bounds=np.column_stack([program.lower, program.upper]),
+                      method="highs",
+                      options={"dual_feasibility_tolerance": 1e-10,
+                               "primal_feasibility_tolerance": 1e-10})
+        assert res.status == 0, res.message
+        policy = solve_policy(horizon, storage, space, **modes)
+        assert policy.expected_cost == pytest.approx(res.fun / scale, rel=1e-9), modes
+        assert verify_policy(policy, horizon, space) == []
 
 
 @pytest.mark.parametrize("modes", [{}, {"nonanticipative": True},
@@ -412,7 +501,8 @@ def test_infeasible_group_names_its_first_scenario(monkeypatch):
         CompositeScenario(label, 0.5, np.array([10.0, later, later]), np.zeros(3),
                           np.array([0.0, 200.0, 0.0]))
         for label, later in (("spike", 40.0), ("dip", 5.0))))
-    monkeypatch.setattr(lp_mod, "solve", lambda program: lp_mod.LpSolution("infeasible"))
+    monkeypatch.setattr(lp_mod, "solve_batch",
+                        lambda program, c, b_eq: [lp_mod.LpSolution("infeasible") for _ in c])
     with pytest.raises(InfeasibleProgramError,
                        match=r"group of 'spike'.*initial=0.0, terminal=0.0"):
         solve_policy(horizon, storage, space, nonanticipative=True)

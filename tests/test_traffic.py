@@ -45,6 +45,30 @@ def test_spec_validation():
     np.testing.assert_allclose(spec.total_rate, [0.3, 0.4])
 
 
+@pytest.mark.parametrize("new, handoff", [
+    ([np.nan, 0.2], [0.1, 0.1]),
+    ([0.2, 0.3], [0.1, np.inf]),
+    ([1e308, 0.3], [1e308, 0.1]),  # each finite, the total overflows
+], ids=("nan", "inf", "overflowing-sum"))
+def test_spec_rejects_rates_that_are_not_finite(new, handoff):
+    with pytest.raises(ValueError, match="finite"):
+        TrafficSpec(new_rate=new, handoff_rate=handoff)
+
+
+@pytest.mark.parametrize("spec", [
+    TrafficSpec(new_rate=np.full(24, 1.0), handoff_rate=np.zeros(24), mean_holding=1e-300),
+    uniform_traffic(1e12, 0.3, 24),
+], ids=("tiny-holding", "huge-rate"))
+def test_run_with_too_many_events_is_refused_before_drawing(spec):
+    rng = _stream(0)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match="events"):
+        _simulate(spec, CacConfig(channels=25, threshold=20), DAY, rng)
+    assert rng.bit_generator.state == before
+    with pytest.raises(ValueError, match="events"):
+        simulate_replicated(spec, CacConfig(channels=25, threshold=20), DAY, 2, seed=0)
+
+
 def test_cac_validation():
     with pytest.raises(ValueError):
         CacConfig(channels=0, threshold=0)
