@@ -13,7 +13,7 @@ from .evaluate import (EvaluationResult, ExperimentReport, RealizedDay,
                        ReplayError, baseline_policy, evaluate_policy,
                        monthly_cost, sweep_arrival_rate, sweep_battery,
                        sweep_cac)
-from .lp import LinearProgram, LpSolution, lp_text, solve
+from .lp import LinearProgram, LpSolution, solve
 from .power_model import BaseStationParams, consumption, consumption_trace
 from .scenarios import (CompositeScenario, MarginalScenario, MarginalSpace,
                         RateProfile, ScenarioDocument, ScenarioFileError,
@@ -39,7 +39,7 @@ __all__ = [
     "build_deterministic_equivalent", "cents_to_dollars",
     "compose", "consumption", "consumption_trace", "default_calibration",
     "dump_scenario_file", "energy_cost", "estimate_probabilities",
-    "evaluate_policy", "load_scenario_file", "lp_text", "monthly_cost",
+    "evaluate_policy", "load_scenario_file", "monthly_cost",
     "per_scenario_decomposition", "policy_csv_text", "simulate_replicated",
     "solve", "solve_policy",
     "sweep_arrival_rate", "sweep_battery", "sweep_cac", "uniform_traffic",

@@ -418,39 +418,3 @@ def _basic_values(tableau, basis, n):
     k, r = np.nonzero(basis < n)
     x[k, basis[k, r]] = tableau[k, r, -1]
     return x
-
-
-# ---------------------------------------------------------------------------
-# Text export
-# ---------------------------------------------------------------------------
-
-def lp_text(lp: LinearProgram, name: str = "problem") -> str:
-    """Render the program in LP text format for external cross-checking."""
-    lines = [f"\\ {name}", "Minimize", " obj: " + _terms(lp.c, lp.labels)]
-    lines.append("Subject To")
-    for i in range(lp.b_eq.size):
-        lines.append(f" eq{i}: " + _terms(lp.a_eq[i], lp.labels) + f" = {lp.b_eq[i]:.12g}")
-    for i in range(lp.b_ub.size):
-        lines.append(f" ub{i}: " + _terms(lp.a_ub[i], lp.labels) + f" <= {lp.b_ub[i]:.12g}")
-    lines.append("Bounds")
-    for j, label in enumerate(lp.labels):
-        lo, up = lp.lower[j], lp.upper[j]
-        if np.isfinite(up):
-            lines.append(f" {lo:.12g} <= {label} <= {up:.12g}")
-        else:
-            lines.append(f" {label} >= {lo:.12g}")
-    lines.append("End")
-    return "\n".join(lines) + "\n"
-
-
-def _terms(coeffs, labels):
-    parts = []
-    for v, label in zip(coeffs, labels):
-        if v == 0:
-            continue
-        sign = "-" if v < 0 else ("+" if parts else "")
-        parts.append(f"{sign} {abs(v):.12g} {label}" if parts or sign == "-"
-                     else f"{abs(v):.12g} {label}")
-    if not parts:
-        return f"0 {labels[0]}"
-    return " ".join(parts)

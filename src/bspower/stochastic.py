@@ -18,17 +18,21 @@ balance instead of only pricing it in the objective.
 
 Scenarios share constraints only inside a nonanticipativity group (every
 scenario is its own group without the nonanticipative mode), so the
-program is block-diagonal by group. solve_policy is the one solve path:
-it solves each group's deterministic equivalent as a small LP with the
-probabilities renormalised inside the group, and weights each group's
-cost by its probability mass. Groups of one size have the same constraint
-matrix and bounds and differ only in costs and right-hand side, so
-solve_policy builds the program once per size (build_deterministic_equivalent
-on the first group), stacks every group's costs and right-hand side with
-numpy, and hands them to lp.solve_batch, which pivots them in lockstep
-within its per-stack memory budget. build_deterministic_equivalent over the
-whole space is the dense monolithic program; the tests solve it as the
-oracle for solve_policy.
+program is block-diagonal by group. solve_policy is the one solve path.
+It solves every scenario alone first (the wait-and-see solve). Under the
+nonanticipative mode a group is certified when all its members' programs
+are optimal and their first-period purchases are exactly equal, with no
+tolerance: the wait-and-see cost bounds the coupled cost from below, so
+such a plan is optimal for the coupled group as well (Madansky 1960;
+Birge & Louveaux, ch. 4). Only the other groups are solved as coupled
+programs. Programs of one size have the same constraint matrix and bounds
+and differ only in costs and right-hand side, so solve_policy builds the
+program once per size (build_deterministic_equivalent on the first
+group), stacks every program's costs and right-hand side with numpy, and
+hands them to lp.solve_batch, which pivots them in lockstep within its
+per-stack memory budget. build_deterministic_equivalent over the whole
+space is the dense monolithic program; the tests solve it as the oracle
+for solve_policy.
 """
 
 from __future__ import annotations
@@ -95,13 +99,6 @@ class VariableMap:
             raise IndexError(f"scenario {scenario} outside space")
         return scenario * 3 * self.T + k * self.T + t
 
-    def describe(self, column: int) -> tuple[str, int, int]:
-        scenario, rest = divmod(column, 3 * self.T)
-        k, t = divmod(rest, self.T)
-        if not 0 <= scenario < len(self.scenario_labels):
-            raise IndexError(f"column {column} outside program")
-        return KINDS[k], t, scenario
-
     def unpack(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Split a solution vector into (S, T) arrays for x, s, y."""
         cube = np.asarray(x).reshape(len(self.scenario_labels), 3, self.T)
@@ -120,6 +117,7 @@ class PolicyTable:
     expected_cost: float  # cents
     storage: StorageConfig
     physical_discharge: bool = False
+    nonanticipative: bool = False
 
     def scenario_index(self, label: str) -> int:
         try:
@@ -219,27 +217,14 @@ def build_deterministic_equivalent(
     return program, vmap
 
 
-def solve_policy(
-    horizon: Horizon,
-    storage: StorageConfig,
-    space: ScenarioSpace,
-    nonanticipative: bool = False,
-    physical_discharge: bool = False,
-) -> PolicyTable:
-    """Solve the program one nonanticipativity group at a time.
+def _solve_groups(horizon, storage, space, groups, nonanticipative, physical_discharge):
+    """Solve each group's program; returns (mass, solution, vmap) per group.
 
-    Each group's deterministic equivalent is solved with the probabilities
-    renormalised inside the group; the expected cost sums the group optima
-    weighted by group probability mass. Equal to solving
-    build_deterministic_equivalent over the whole space, because no
-    constraint spans two groups. Groups of one size share their constraint
-    matrix and bounds, so one lp.solve_batch call solves them all, with
-    each group's own costs and right-hand side stacked as rows.
+    Groups of one size share their constraint matrix and bounds, so one
+    lp.solve_batch call per size solves them all, with each group's own
+    costs and right-hand side stacked as rows.
     """
-    _check_space(space, horizon)
     T = horizon.T
-    S = len(space)
-    groups = _nonanticipativity_groups(space, nonanticipative)
     masses = [sum(space.scenarios[w].probability for w in members) for members in groups]
     prices = space.trace_matrix("price")
     net_load = space.trace_matrix("consumption") - space.trace_matrix("renewable")
@@ -266,17 +251,64 @@ def solve_policy(
         b_eq[:, :size * (T - 1)] = net_load[members, :T - 1].reshape(len(ids), -1)
         solutions = lp_mod.solve_batch(program, c.reshape(len(ids), -1), b_eq)
         for g, solution in zip(ids, solutions):
-            solved[g] = solution, vmap
+            solved[g] = masses[g], solution, vmap
+    return solved
+
+
+def _certified(solutions: list[lp_mod.LpSolution]) -> bool:
+    """Whether every program is optimal and all first-period purchases are equal."""
+    return (all(solution.status == "optimal" for solution in solutions)
+            and len({float(solution.x[0]) for solution in solutions}) == 1)
+
+
+def solve_policy(
+    horizon: Horizon,
+    storage: StorageConfig,
+    space: ScenarioSpace,
+    nonanticipative: bool = False,
+    physical_discharge: bool = False,
+) -> PolicyTable:
+    """Solve the program one block of scenarios at a time.
+
+    Every scenario is first solved alone (the wait-and-see solve, one
+    lp.solve_batch call); without nonanticipative that is the whole
+    program. With it, a nonanticipativity group whose members are all
+    optimal with exactly equal first-period purchases is certified and
+    keeps their schedules and costs: the wait-and-see cost bounds the
+    coupled cost from below, so they are optimal for the group too. Each
+    other group is one block, solved as its own deterministic equivalent
+    with the probabilities renormalised inside the group. The expected
+    cost sums the block optima weighted by block probability mass, in order
+    of each block's first scenario. It equals the optimum of
+    build_deterministic_equivalent over the whole space, because no
+    constraint spans two groups.
+    """
+    _check_space(space, horizon)
+    T = horizon.T
+    S = len(space)
+    singles = _solve_groups(horizon, storage, space, [[w] for w in range(S)], False,
+                            physical_discharge)
+    # each block, keyed by its first scenario: (members, (mass, solution, vmap))
+    blocks = {w: ([w], result) for w, result in enumerate(singles)}
+    if nonanticipative:
+        binding = [members for members in _nonanticipativity_groups(space, True)
+                   if not _certified([singles[w][1] for w in members])]
+        coupled = _solve_groups(horizon, storage, space, binding, True, physical_discharge)
+        for members, result in zip(binding, coupled):
+            for w in members:
+                del blocks[w]
+            blocks[members[0]] = members, result
 
     purchase = np.zeros((S, T))
     battery = np.zeros((S, T))
     excess = np.zeros((S, T))
     expected = 0.0
-    for members, mass, (solution, vmap) in zip(groups, masses, solved):
+    for lead in sorted(blocks):
+        members, (mass, solution, vmap) = blocks[lead]
         if solution.status != "optimal":
             raise InfeasibleProgramError(
                 f"stochastic program is {solution.status} for the scenario group "
-                f"of {space.scenarios[members[0]].label!r}; check battery endpoint "
+                f"of {space.scenarios[lead].label!r}; check battery endpoint "
                 f"levels (initial={storage.initial}, terminal={storage.terminal}) "
                 f"against capacity {storage.capacity}")
         purchase[members], battery[members], excess[members] = vmap.unpack(solution.x)
@@ -290,6 +322,7 @@ def solve_policy(
         expected_cost=expected,
         storage=storage,
         physical_discharge=physical_discharge,
+        nonanticipative=nonanticipative,
     )
 
 
@@ -306,7 +339,8 @@ def per_scenario_decomposition(
 
 def verify_policy(policy: PolicyTable, horizon: Horizon, space: ScenarioSpace,
                   tol: float = BALANCE_TOL) -> list[str]:
-    """Independent re-check of balance, bounds, and endpoint conditions.
+    """Independent re-check of balance, bounds, and endpoint conditions, and,
+    for a nonanticipative policy, of equal first-period purchases in each group.
 
     Returns a list of violations (empty when the policy is certified).
     Deliberately recomputes everything from the traces rather than
@@ -345,6 +379,13 @@ def verify_policy(policy: PolicyTable, horizon: Horizon, space: ScenarioSpace,
         if worst > tol:
             t_bad = int(np.abs(residual).argmax())
             problems.append(f"{label}: balance residual {worst:.3e} at period {t_bad + 1}")
+    if policy.nonanticipative:
+        for members in _nonanticipativity_groups(space, True):
+            spread = np.ptp(policy.purchase[members, 0])
+            if spread > tol:
+                problems.append(
+                    f"{policy.scenario_labels[members[0]]}: first-period purchases of "
+                    f"its group spread {spread:.3e}")
     return problems
 
 

@@ -10,7 +10,6 @@ from bspower.lp import (
     FEAS_TOL,
     LinearProgram,
     _run_simplex,
-    lp_text,
     solve,
     solve_batch,
 )
@@ -229,14 +228,6 @@ def test_brute_force_rejects_large_programs():
     lp = LinearProgram(c=np.ones(13))
     with pytest.raises(ValueError, match="brute-force"):
         brute_force_solve(lp)
-
-
-def test_lp_text_mentions_labels_and_rows():
-    lp = LinearProgram(c=[1.0, -2.0], a_eq=[[1.0, 1.0]], b_eq=[3.0],
-                       a_ub=[[1.0, 0.0]], b_ub=[2.0], labels=("buy", "dump"))
-    text = lp_text(lp, name="toy")
-    assert "toy" in text
-    assert "buy" in text and "dump" in text
 
 
 def test_feasibility_tolerance_is_tight():

@@ -108,17 +108,35 @@ def grouped_instance(rng, S, T, max_group=4):
 
 
 def per_group_oracle(horizon, storage, space, nonanticipative, physical_discharge):
-    """Each group's program built on its own and solved by the scalar oracle."""
-    schedules = np.zeros((3, len(space), horizon.T))
-    expected = 0.0
-    for members in _nonanticipativity_groups(space, nonanticipative):
+    """Each block's program built on its own and solved by the scalar oracle.
+
+    Blocks are single scenarios, except that a nonanticipativity group whose
+    members' own optima are not all optimal with one exact first-period
+    purchase is solved as one coupled program. Costs add up in order of
+    each block's first scenario.
+    """
+    def solve(members):
         mass = sum(space.scenarios[w].probability for w in members)
         group = ScenarioSpace(tuple(
             replace(space.scenarios[w], probability=space.scenarios[w].probability / mass)
             for w in members))
         program, vmap = build_deterministic_equivalent(
             horizon, storage, group, nonanticipative, physical_discharge)
-        solution = scalar_lp.scalar_solve(program)
+        return mass, scalar_lp.scalar_solve(program), vmap
+
+    singles = {w: solve([w]) for w in range(len(space))}
+    blocks = []
+    for members in _nonanticipativity_groups(space, nonanticipative):
+        own = [singles[w][1] for w in members]
+        if (all(s.status == "optimal" for s in own)
+                and all(s.x[0] == own[0].x[0] for s in own)):
+            blocks.extend([w] for w in members)
+        else:
+            blocks.append(members)
+    schedules = np.zeros((3, len(space), horizon.T))
+    expected = 0.0
+    for members in sorted(blocks):
+        mass, solution, vmap = singles[members[0]] if len(members) == 1 else solve(members)
         assert solution.status == "optimal"
         schedules[:, members] = vmap.unpack(solution.x)
         expected += mass * solution.objective_value
@@ -131,6 +149,44 @@ def monolithic_cost(horizon, storage, space, **modes):
     solution = lp_mod.solve(program)
     assert solution.status == "optimal"
     return solution.objective_value
+
+
+def mixed_instance():
+    """Two groups of two plus a lone scenario; only the "split" group binds.
+
+    In the "flat" group period 1 is the dearest period, so each member buys
+    exactly its period-1 shortfall whatever comes later. In the "split"
+    group one future turns dear and the other cheap, so only the dear one
+    would buy ahead.
+    """
+    consumption = np.array([0.0, 200.0, 0.0])
+    scenarios = (
+        ("flat-a", 0.2, [30.0, 10.0, 12.0], [50.0, 80.0, 0.0], [120.0, 250.0, 0.0]),
+        ("split-spike", 0.3, [10.0, 40.0, 40.0], [0.0, 0.0, 0.0], consumption),
+        ("flat-b", 0.1, [30.0, 20.0, 5.0], [50.0, 0.0, 0.0], [120.0, 90.0, 0.0]),
+        ("split-dip", 0.25, [10.0, 5.0, 5.0], [0.0, 0.0, 0.0], consumption),
+        ("lone", 0.15, [15.0, 25.0, 25.0], [0.0, 0.0, 0.0], consumption),
+    )
+    space = ScenarioSpace(tuple(
+        CompositeScenario(label, p, np.array(price), np.array(renewable),
+                          np.array(consumed, dtype=float))
+        for label, p, price, renewable, consumed in scenarios))
+    storage = StorageConfig(capacity=500.0, initial=0.0, terminal=0.0)
+    return Horizon(T=3), storage, space
+
+
+@pytest.fixture
+def batch_calls(monkeypatch):
+    """(variables per program, programs) of every lp.solve_batch call."""
+    calls = []
+    real = lp_mod.solve_batch
+
+    def spy(program, c, b_eq):
+        calls.append((program.n_vars, len(c)))
+        return real(program, c, b_eq)
+
+    monkeypatch.setattr(lp_mod, "solve_batch", spy)
+    return calls
 
 
 @lru_cache(maxsize=None)
@@ -162,9 +218,7 @@ def test_variable_map_roundtrip():
     for w in range(3):
         for kind in ("purchase", "battery", "excess"):
             for t in range(4):
-                col = vmap.column(kind, t, w)
-                assert vmap.describe(col) == (kind, t, w)
-                seen.add(col)
+                seen.add(vmap.column(kind, t, w))
     assert seen == set(range(3 * 3 * 4))
     with pytest.raises(IndexError):
         vmap.column("purchase", 4, 0)
@@ -494,6 +548,92 @@ def test_nonanticipativity_couples_first_period_purchase():
     assert verify_policy(na, horizon, space) == []
 
 
+def test_default_nonanticipative_plan_is_certified_from_one_batch(batch_calls):
+    horizon, storage, space = default_program()
+    na = solve_policy(horizon, storage, space, nonanticipative=True)
+    assert batch_calls == [(3 * horizon.T, 20)]
+    ws = solve_policy(horizon, storage, space)
+    assert np.array_equal(na.purchase, ws.purchase)
+    assert np.array_equal(na.battery, ws.battery)
+    assert np.array_equal(na.excess, ws.excess)
+    assert na.expected_cost == ws.expected_cost
+    assert na.nonanticipative and not ws.nonanticipative
+    assert verify_policy(na, horizon, space) == []
+
+
+def test_coupled_solve_runs_only_for_groups_that_bind(batch_calls):
+    rng = np.random.default_rng(2718)
+    for k in range(10):
+        horizon, storage, space = coupled_instance(rng)
+        batch_calls.clear()
+        solve_policy(horizon, storage, space, nonanticipative=True)
+        n = 3 * horizon.T
+        assert batch_calls[0] == (n, 7), k
+        assert sorted(batch_calls[1:]) == [(2 * n, 1), (4 * n, 1)], k
+
+
+def test_certified_and_binding_groups_in_one_space(batch_calls):
+    horizon, storage, space = mixed_instance()
+    na = solve_policy(horizon, storage, space, nonanticipative=True)
+    n = 3 * horizon.T
+    assert batch_calls == [(n, 5), (2 * n, 1)]
+    schedules, expected = per_group_oracle(horizon, storage, space, True, False)
+    assert np.array_equal(na.purchase, schedules[0])
+    assert np.array_equal(na.battery, schedules[1])
+    assert np.array_equal(na.excess, schedules[2])
+    assert na.expected_cost == expected
+    ws = solve_policy(horizon, storage, space)
+    for label in ("flat-a", "flat-b", "lone"):
+        w = space.labels.index(label)
+        assert np.array_equal(na.purchase[w], ws.purchase[w]), label
+    spike, dip = space.labels.index("split-spike"), space.labels.index("split-dip")
+    assert ws.purchase[spike, 0] != ws.purchase[dip, 0]
+    assert abs(na.purchase[spike, 0] - na.purchase[dip, 0]) < 1e-7
+    full = monolithic_cost(horizon, storage, space, nonanticipative=True)
+    assert na.expected_cost == pytest.approx(full, rel=1e-9)
+    assert na.expected_cost > ws.expected_cost
+    assert verify_policy(na, horizon, space) == []
+
+
+def test_first_purchases_a_hair_apart_are_not_certified(batch_calls):
+    # the dear future buys its 1e-7 Wh ahead, the cheap one does not; the
+    # certificate compares exactly, so the group still goes to the coupled solve
+    horizon = Horizon(T=3)
+    storage = StorageConfig(capacity=500.0, initial=0.0, terminal=0.0)
+    consumption = np.array([0.0, 1e-7, 0.0])
+    space = ScenarioSpace(tuple(
+        CompositeScenario(label, 0.5, np.array([10.0, later, later]), np.zeros(3),
+                          consumption)
+        for label, later in (("spike", 40.0), ("dip", 5.0))))
+    ws = solve_policy(horizon, storage, space)
+    assert 0 < ws.purchase[0, 0] - ws.purchase[1, 0] < 1e-6
+    batch_calls.clear()
+    na = solve_policy(horizon, storage, space, nonanticipative=True)
+    assert batch_calls == [(9, 2), (18, 1)]
+    assert na.purchase[0, 0] == na.purchase[1, 0]
+
+
+def test_non_optimal_singleton_sends_its_group_to_the_coupled_solve(monkeypatch,
+                                                                   batch_calls):
+    horizon, storage, space = mixed_instance()
+    spied = lp_mod.solve_batch
+    flat_b = space.labels.index("flat-b")
+
+    def flat_b_alone_not_optimal(program, c, b_eq):
+        solutions = spied(program, c, b_eq)
+        if program.n_vars == 3 * horizon.T:
+            solutions[flat_b] = replace(solutions[flat_b], status="unbounded")
+        return solutions
+
+    monkeypatch.setattr(lp_mod, "solve_batch", flat_b_alone_not_optimal)
+    na = solve_policy(horizon, storage, space, nonanticipative=True)
+    n = 3 * horizon.T
+    assert batch_calls == [(n, 5), (2 * n, 2)]
+    full = monolithic_cost(horizon, storage, space, nonanticipative=True)
+    assert na.expected_cost == pytest.approx(full, rel=1e-9)
+    assert verify_policy(na, horizon, space) == []
+
+
 def test_infeasible_group_names_its_first_scenario(monkeypatch):
     horizon = Horizon(T=3)
     storage = StorageConfig(capacity=500.0, initial=0.0, terminal=0.0)
@@ -622,6 +762,20 @@ def test_verified_policy_catches_tampering():
     short = verify_policy(tampered(purchase=policy.purchase[:, :-1]),
                           horizon, space)
     assert short and "shapes" in short[0]
+
+    # a nonanticipative policy must also keep one first purchase per group
+    horizon, storage, space = coupled_instance(rng)
+    na = solve_policy(horizon, storage, space, nonanticipative=True)
+    assert verify_policy(na, horizon, space) == []
+    w = next(members[-1] for members in _nonanticipativity_groups(space, True)
+             if len(members) > 1)
+    nudged = na.purchase.copy()
+    nudged[w, 0] += 1e-3
+    problems = verify_policy(replace(na, purchase=nudged), horizon, space)
+    assert any("first-period purchases" in p for p in problems)
+    problems = verify_policy(replace(na, purchase=nudged, nonanticipative=False),
+                             horizon, space)
+    assert problems and not any("first-period purchases" in p for p in problems)
 
 
 def test_policy_csv_layout():

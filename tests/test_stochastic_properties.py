@@ -1,0 +1,124 @@
+"""Invariants of solved policies on random scenario spaces, in both modes."""
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from bspower.evaluate import RealizedDay, baseline_policy, evaluate_policy  # noqa: E402
+from bspower.scenarios import CompositeScenario, ScenarioSpace  # noqa: E402
+from bspower.stochastic import (  # noqa: E402
+    StorageConfig,
+    _nonanticipativity_groups,
+    solve_policy,
+    verify_policy,
+)
+from bspower.units import Horizon  # noqa: E402
+
+SETTINGS = settings(max_examples=40, deadline=None, database=None)
+# whole-number traces make ties, and so exactly equal first purchases, common
+prices = st.integers(1, 40).map(float)
+supplies = st.integers(0, 300).map(float)
+demands = st.integers(0, 400).map(float)
+
+
+@st.composite
+def instances(draw, endpoints_equal=False):
+    """Horizon, storage and a space of nonanticipativity groups of 1-3 scenarios.
+
+    Members of a group share period-1 data; a member's later traces are
+    sometimes a copy of an earlier member's, so some groups agree on the
+    first purchase and some do not.
+    """
+    T = draw(st.integers(2, 6))
+    capacity = float(draw(st.integers(0, 2000)))
+    initial = draw(st.floats(0.0, capacity))
+    storage = StorageConfig(
+        capacity=capacity, initial=initial,
+        terminal=initial if endpoints_equal else draw(st.floats(0.0, capacity)),
+        self_discharge=draw(st.floats(0.0, 0.01)),
+        loss_cost_coeff=draw(st.floats(0.0, 2e-5)))
+    traces = []
+    for size in draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)):
+        first = draw(st.tuples(prices, supplies, demands))
+        futures = []
+        for _ in range(size):
+            if futures and draw(st.booleans()):
+                later = futures[draw(st.integers(0, len(futures) - 1))]
+            else:
+                later = tuple(draw(st.lists(kind, min_size=T - 1, max_size=T - 1))
+                              for kind in (prices, supplies, demands))
+            futures.append(later)
+            traces.append([np.array([v, *rest]) for v, rest in zip(first, later)])
+    weights = np.array(draw(st.lists(st.integers(1, 9), min_size=len(traces),
+                                     max_size=len(traces))), dtype=float)
+    space = ScenarioSpace(tuple(
+        CompositeScenario(f"w{w}", float(p), *trace)
+        for w, (p, trace) in enumerate(zip(weights / weights.sum(), traces))))
+    return Horizon(T=T), storage, space
+
+
+@SETTINGS
+@given(instance=instances(), nonanticipative=st.booleans(), physical=st.booleans())
+def test_solved_policies_are_certified(instance, nonanticipative, physical):
+    horizon, storage, space = instance
+    policy = solve_policy(horizon, storage, space, nonanticipative, physical)
+    assert verify_policy(policy, horizon, space) == []
+
+
+@SETTINGS
+@given(instance=instances(), nonanticipative=st.booleans(), physical=st.booleans())
+def test_replaying_each_scenario_reproduces_its_cost(instance, nonanticipative, physical):
+    horizon, storage, space = instance
+    policy = solve_policy(horizon, storage, space, nonanticipative, physical)
+    expected = 0.0
+    for w, scenario in enumerate(space.scenarios):
+        replay = evaluate_policy(policy, RealizedDay.from_scenario(scenario))
+        np.testing.assert_allclose(replay.battery, policy.battery[w], rtol=0, atol=1e-6)
+        planned = (policy.purchase[w] @ scenario.price / 1000.0
+                   + storage.loss_cost_coeff * policy.battery[w].sum())
+        assert replay.cost_cents == pytest.approx(planned, rel=1e-9, abs=1e-9)
+        expected += scenario.probability * replay.cost_cents
+    assert expected == pytest.approx(policy.expected_cost, rel=1e-9, abs=1e-9)
+
+
+@SETTINGS
+@given(instance=instances(endpoints_equal=True), nonanticipative=st.booleans())
+def test_adaptive_cost_never_exceeds_constant_hold(instance, nonanticipative):
+    # holding the endpoint level and buying each period's shortfall is a
+    # feasible plan (without physical discharge), nonanticipative too,
+    # because members of a group share their period-1 shortfall
+    horizon, storage, space = instance
+    policy = solve_policy(horizon, storage, space, nonanticipative)
+    baseline = sum(
+        scenario.probability * baseline_policy(
+            horizon, storage, RealizedDay.from_scenario(scenario),
+            hold_level=storage.initial)
+        for scenario in space.scenarios)
+    assert policy.expected_cost <= baseline + 1e-9 * max(1.0, baseline)
+
+
+@SETTINGS
+@given(instance=instances(), physical=st.booleans())
+def test_nonanticipative_cost_is_at_least_wait_and_see(instance, physical):
+    horizon, storage, space = instance
+    ws = solve_policy(horizon, storage, space, physical_discharge=physical)
+    na = solve_policy(horizon, storage, space, True, physical)
+    # equal costs differ only by rounding when a coupled program is solved
+    assert na.expected_cost >= ws.expected_cost - 1e-9 * max(1.0, ws.expected_cost)
+
+
+@SETTINGS
+@given(instance=instances(), physical=st.booleans())
+def test_agreeing_wait_and_see_plan_is_the_nonanticipative_plan(instance, physical):
+    horizon, storage, space = instance
+    ws = solve_policy(horizon, storage, space, physical_discharge=physical)
+    if all(len(set(ws.purchase[members, 0])) == 1
+           for members in _nonanticipativity_groups(space, True)):
+        na = solve_policy(horizon, storage, space, True, physical)
+        assert np.array_equal(na.purchase, ws.purchase)
+        assert np.array_equal(na.battery, ws.battery)
+        assert np.array_equal(na.excess, ws.excess)
+        assert na.expected_cost == ws.expected_cost
