@@ -36,7 +36,7 @@ from .evaluate import (RealizedDay, evaluate_policy, manifest_text,
                        monthly_cost, sweep_arrival_rate, sweep_battery,
                        sweep_cac)
 from .power_model import BaseStationParams
-from .scenarios import (ScenarioDocument, ScenarioFileError,
+from .scenarios import (ScenarioDocument, ScenarioFileError, check_marginal_space,
                         estimate_probabilities, find_non_finite,
                         load_scenario_file, scenario_document_dict)
 from .stochastic import (InfeasibleProgramError, StorageConfig, policy_csv_text,
@@ -191,6 +191,11 @@ def _build_run_config(args) -> RunConfig:
     bat = cfg["battery"]
     loss_coeff = bat["loss_cost_coeff"]
     if loss_coeff is None:
+        # checked first, so a bad price trace is named as such rather than
+        # as the coefficient derived from it
+        problems = check_marginal_space(price)
+        if problems:
+            raise UsageError("invalid price scenarios:\n  " + "\n  ".join(problems))
         loss_coeff = derived_loss_cost(price, float(bat["self_discharge"]))
     storage = StorageConfig(
         capacity=float(bat["capacity_wh"]),

@@ -111,10 +111,12 @@ def estimate_probabilities(counts: Sequence[float]) -> np.ndarray:
         raise ValueError("counts must be finite")
     if np.any(arr < 0):
         raise ValueError("counts must be non-negative")
-    total = arr.sum()
-    if total <= 0:
+    peak = arr.max()
+    if peak <= 0:
         raise ValueError("at least one count must be positive")
-    return arr / total
+    # scaled to a largest count of 1 first, so the sum cannot overflow
+    scaled = arr / peak
+    return scaled / scaled.sum()
 
 
 def check_marginal_space(space: MarginalSpace, horizon: Horizon | None = None) -> list[str]:
@@ -191,14 +193,20 @@ def validate(space: ScenarioSpace, horizon: Horizon) -> list[str]:
     if not space.scenarios:
         problems.append("scenario space is empty")
         return problems
-    for s in space.scenarios:
-        for name in ("price", "renewable", "consumption"):
-            trace = getattr(s, name)
+    names = ("price", "renewable", "consumption")
+    traces = [[getattr(s, name) for name in names] for s in space.scenarios]
+    # one check over the stacked traces when every trace has length T
+    negative = None
+    if all(trace.shape == (horizon.T,) for row in traces for trace in row):
+        negative = (np.array(traces) < 0).any(axis=2)
+    for w, s in enumerate(space.scenarios):
+        for i, name in enumerate(names):
+            trace = traces[w][i]
             if len(trace) != horizon.T:
                 problems.append(
                     f"{s.label}: {name} trace length {len(trace)} != T={horizon.T}"
                 )
-            if np.any(trace < 0):
+            if negative[w, i] if negative is not None else np.any(trace < 0):
                 problems.append(f"{s.label}: negative {name} values")
         if not 0.0 < s.probability <= 1.0:
             problems.append(f"{s.label}: probability {s.probability} outside (0, 1]")

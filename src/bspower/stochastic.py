@@ -175,16 +175,13 @@ def build_deterministic_equivalent(
     c = np.zeros(n)
     lower = np.zeros(n)
     upper = np.full(n, np.inf)
-    labels = []
-    for w, scen_label in enumerate(space.labels):
+    for w in range(S):
         base = w * 3 * T
         c[base:base + T] = probs[w] * prices[w] / 1000.0
         c[base + T:base + 2 * T] = probs[w] * storage.loss_cost_coeff
         upper[base + T:base + 2 * T] = storage.capacity
         lower[base + T] = upper[base + T] = storage.initial
         lower[base + 2 * T - 1] = upper[base + 2 * T - 1] = storage.terminal
-        for tag in ("x", "s", "y"):
-            labels.extend(f"{tag}{t + 1}@{scen_label}" for t in range(T))
 
     rows = []
     rhs = []
@@ -212,7 +209,6 @@ def build_deterministic_equivalent(
         b_eq=np.array(rhs),
         lower=lower,
         upper=upper,
-        labels=tuple(labels),
     )
     return program, vmap
 

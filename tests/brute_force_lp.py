@@ -1,21 +1,38 @@
 """Brute-force LP oracle: enumerate every basic solution.
 
 Exponential in problem size, so small instances only. brute_force_solve
-shares the scalar oracle's preprocessing (fixed variables, shift, upper
-rows, equilibration) and then minimises over all active-set choices.
-Unboundedness is decided by enumerating the vertices of the normalized
-recession cone.
+takes the scalar oracle's fix and shift but writes every finite upper
+bound as an explicit inequality row, where the solvers handle bounds in
+the ratio test; it shares the row equilibration and then minimises over
+all active-set choices. Unboundedness is decided by enumerating the
+vertices of the normalized recession cone.
 """
 
 import itertools
+from dataclasses import replace
 from math import comb
 
 import numpy as np
 
 from bspower.lp import FEAS_TOL, LinearProgram, LpSolution
-from scalar_lp import equilibrate, prepare
+from scalar_lp import Prepared, equilibrate
+from scalar_lp import prepare as scalar_prepare
 
 _MAX_BRUTE_COMBOS = 5_000_000
+
+
+def prepare(lp: LinearProgram) -> tuple[Prepared, int]:
+    """The scalar oracle's fix and shift, then one row x <= u per finite
+    upper bound. Returns the prepared program and the number of such rows.
+    """
+    prep = scalar_prepare(lp)
+    if prep.status is not None:
+        return prep, 0
+    finite = np.nonzero(np.isfinite(prep.up))[0]
+    rows = np.zeros((finite.size, prep.up.size))
+    rows[np.arange(finite.size), finite] = 1.0
+    return replace(prep, a_ub=np.vstack([prep.a_ub, rows]),
+                   b_ub=np.concatenate([prep.b_ub, prep.up[finite]])), finite.size
 
 
 def brute_force_solve(lp: LinearProgram, max_vars: int = 12) -> LpSolution:
@@ -27,7 +44,7 @@ def brute_force_solve(lp: LinearProgram, max_vars: int = 12) -> LpSolution:
     """
     if lp.n_vars > max_vars:
         raise ValueError(f"{lp.n_vars} variables exceeds brute-force limit {max_vars}")
-    prep = prepare(lp)
+    prep, n_upper_rows = prepare(lp)
     if prep.status == "infeasible":
         return LpSolution("infeasible")
     if prep.status == "optimal":
@@ -61,7 +78,7 @@ def brute_force_solve(lp: LinearProgram, max_vars: int = 12) -> LpSolution:
     if not found:
         return LpSolution("infeasible")
 
-    if np.any(prep.c < 0) and prep.n_upper_rows < n:
+    if np.any(prep.c < 0) and n_upper_rows < n:
         if _has_descent_ray(red_a, pool, a_eq, a_ub, prep.c):
             return LpSolution("unbounded")
 

@@ -1,16 +1,22 @@
-"""One-program two-phase simplex, kept as a test oracle.
+"""One-program two-phase bounded-variable simplex, kept as a test oracle.
 
 This is the one-tableau form of ``bspower.lp.solve_batch``: the same
-preprocessing (fixed variables substituted, shift to nonnegative variables,
-upper-bound rows, row equilibration), a tableau with explicit artificial
-columns, Dantzig pricing with a switch to Bland's rule after prolonged
-stalling, the lowest-basis-index tie-break in the ratio test, and the rank-1
-update restricted to rows with a nonzero pivot-column entry. The batched
-solver must reproduce its solution, objective, iteration count, status and
-Bland flag bit for bit, program by program.
+preprocessing (fixed variables substituted, shift to 0 <= x <= u, row
+equilibration); a tableau with the reduced-cost row as its last row and no
+artificial columns; the same crash basis of columns that appear in one row
+only; Dantzig pricing with a switch to Bland's rule after prolonged
+stalling; and the same three-way ratio test: a basic variable falling to
+0, a basic variable rising to its upper bound (its row is complemented,
+then pivoted on) or a bound flip of the entering variable (its column is
+complemented, no pivot). Ties go to the bound flip, then to the lowest
+basis index. The rank-1 update is restricted to rows with a nonzero
+pivot-column entry. The batched solver must reproduce its solution,
+objective, iteration count, status and Bland flag bit for bit, program by
+program.
 
-The stall counter counts only pivots that do not improve the objective;
-``best`` starts at the objective of the starting basis.
+The stall counter counts only steps that do not improve the objective,
+read from the rhs entry of the reduced-cost row; ``best`` starts at the
+objective of the starting basis.
 """
 
 from dataclasses import dataclass
@@ -27,12 +33,12 @@ class Prepared:
     fixed: np.ndarray
     fixed_values: np.ndarray
     lo: np.ndarray            # lower bounds of free variables (the shift)
+    up: np.ndarray            # shifted upper bounds of free variables, may be inf
     c: np.ndarray             # costs of free variables
     a_eq: np.ndarray
     b_eq: np.ndarray
-    a_ub: np.ndarray          # includes rows for finite upper bounds
+    a_ub: np.ndarray
     b_ub: np.ndarray
-    n_upper_rows: int = 0
 
     def assemble(self, x_shift: np.ndarray, lp: LinearProgram) -> np.ndarray:
         x = np.empty(lp.n_vars)
@@ -56,23 +62,14 @@ def prepare(lp: LinearProgram) -> Prepared:
         ok = _rows_feasible(a_eq, b_eq, equality=True) and \
              _rows_feasible(a_ub, b_ub, equality=False)
         status = "optimal" if ok else "infeasible"
-        return Prepared(status, free, fixed, fixed_values,
-                        np.zeros(0), np.zeros(0), a_eq, b_eq, a_ub, b_ub)
+        return Prepared(status, free, fixed, fixed_values, np.zeros(0), np.zeros(0),
+                        np.zeros(0), a_eq, b_eq, a_ub, b_ub)
 
     lo = lp.lower[free]
     b_eq = b_eq - a_eq @ lo
     b_ub = b_ub - a_ub @ lo
-    up = lp.upper[free] - lo
-
-    finite = np.nonzero(np.isfinite(up))[0]
-    if finite.size:
-        rows = np.zeros((finite.size, free.size))
-        rows[np.arange(finite.size), finite] = 1.0
-        a_ub = np.vstack([a_ub, rows])
-        b_ub = np.concatenate([b_ub, up[finite]])
-
-    return Prepared(None, free, fixed, fixed_values, lo, lp.c[free],
-                    a_eq, b_eq, a_ub, b_ub, n_upper_rows=finite.size)
+    return Prepared(None, free, fixed, fixed_values, lo, lp.upper[free] - lo, lp.c[free],
+                    a_eq, b_eq, a_ub, b_ub)
 
 
 def _rows_feasible(a, b, equality):
@@ -122,60 +119,76 @@ def scalar_solve(lp: LinearProgram) -> LpSolution:
     m = m_eq + m_ub
     n_core = n + m_ub
 
-    body = np.zeros((m, n_core))
-    body[:m_eq, :n] = a_eq
-    body[m_eq:, :n] = a_ub
-    body[m_eq + np.arange(m_ub), n + np.arange(m_ub)] = 1.0
-    rhs = np.concatenate([b_eq, b_ub])
-    flip = rhs < 0
-    body[flip] *= -1.0
-    rhs[flip] = -rhs[flip]
+    # rows, then the reduced-cost row
+    tableau = np.zeros((m + 1, n_core + 1))
+    tableau[:m_eq, :n] = a_eq
+    tableau[m_eq:m, :n] = a_ub
+    tableau[m_eq + np.arange(m_ub), n + np.arange(m_ub)] = 1.0
+    tableau[:m, -1] = np.concatenate([b_eq, b_ub])
+    flip = np.append(tableau[:m, -1] < 0, False)
+    tableau[flip] *= -1.0
 
-    # slacks of unflipped inequality rows form part of the initial basis;
-    # every other row gets an artificial variable
-    slack_basic = np.zeros(m, dtype=bool)
-    slack_basic[m_eq:] = ~flip[m_eq:]
-    art_rows = np.nonzero(~slack_basic)[0]
-    n_art = art_rows.size
-
-    tableau = np.zeros((m, n_core + n_art + 1))
-    tableau[:, :n_core] = body
-    tableau[art_rows, n_core + np.arange(n_art)] = 1.0
-    tableau[:, -1] = rhs
-
-    basis = np.empty(m, dtype=int)
-    srows = np.nonzero(slack_basic)[0]
-    basis[srows] = n + (srows - m_eq)
-    basis[art_rows] = n_core + np.arange(n_art)
+    # crash basis: a row starts with the lowest-index column that is nonzero
+    # in no other row, positive in this one and without an upper bound, its
+    # row divided by that entry. Every other row starts with an artificial
+    # variable, which is never priced and so needs no column: it only has
+    # basis index n_core + row
+    up = np.concatenate([prep.up, np.full(m_ub + m, np.inf)])
+    lone = (np.count_nonzero(tableau[:m, :n_core], axis=0) == 1) & (up[:n_core] == np.inf)
+    basis = np.arange(m) + n_core
+    for r in range(m):
+        candidates = np.nonzero(lone & (tableau[r, :n_core] > 0.0))[0]
+        if candidates.size:
+            basis[r] = candidates[0]
+            tableau[r] /= tableau[r, candidates[0]]
+    complemented = np.zeros(n, dtype=bool)
 
     iterations = 0
     bland = False
-    if n_art:
-        cost1 = np.zeros(n_core + n_art)
+    if np.any(basis >= n_core):
+        cost1 = np.zeros(n_core + m)
         cost1[n_core:] = 1.0
-        status1, it1, bland = _run_simplex(tableau, basis, cost1, n_core)
+        _price(tableau, basis, cost1, complemented, up)
+        status1, it1, bland = _run_simplex(tableau, basis, complemented, up, n_core)
         iterations += it1
         if status1 != "optimal":
             raise RuntimeError("phase 1 terminated abnormally: " + status1)
-        if float(cost1[basis] @ tableau[:, -1]) > FEAS_TOL:
+        if -tableau[-1, -1] > FEAS_TOL:
             return LpSolution("infeasible", iterations=iterations, bland=bland)
         tableau, basis = _drop_artificials(tableau, basis, n_core)
-        m = tableau.shape[0]
 
-    cost2 = np.zeros(n_core)
+    cost2 = np.zeros(n_core + m)
     cost2[:n] = prep.c
-    status2, it2, bland2 = _run_simplex(tableau, basis, cost2, n_core)
+    _price(tableau, basis, cost2, complemented, up)
+    status2, it2, bland2 = _run_simplex(tableau, basis, complemented, up, n_core)
     iterations += it2
     bland = bland or bland2
     if status2 == "unbounded":
         return LpSolution("unbounded", iterations=iterations, bland=bland)
 
     x_shift = np.zeros(n)
-    for r in range(m):
+    for r in range(basis.size):
         if basis[r] < n:
             x_shift[basis[r]] = tableau[r, -1]
+    x_shift = np.where(complemented, prep.up - x_shift, x_shift)
     x = prep.assemble(np.maximum(x_shift, 0.0), lp)
     return LpSolution("optimal", x, float(lp.c @ x), iterations, bland)
+
+
+def _price(tableau, basis, cost, complemented, up):
+    """Write the reduced costs of cost in the current basis into the last row.
+
+    cost has an entry for every basis index. A complemented variable
+    x = u - x' costs -c and adds c u to the objective; the last row's rhs
+    entry is minus the objective.
+    """
+    n = complemented.size
+    cost = cost.copy()
+    shift = (cost[:n] * np.where(complemented, up[:n], 0.0)).sum()
+    cost[:n] = np.where(complemented, -cost[:n], cost[:n])
+    tableau[-1, :-1] = cost[:tableau.shape[1] - 1]
+    tableau[-1, -1] = -shift
+    tableau[-1] -= cost[basis] @ tableau[:-1]
 
 
 def _pivot(tableau, basis, r, j):
@@ -183,30 +196,32 @@ def _pivot(tableau, basis, r, j):
 
     Only rows with a nonzero entry in column j get the rank-1 update; the
     others would subtract 0 * pivot row, so skipping them changes nothing.
+    The update leaves exact zeros in column j, and the pivot row's entry is
+    tableau[r, j] / tableau[r, j] = 1.
     """
     piv_row = tableau[r] / tableau[r, j]
     rows = tableau[:, j].nonzero()[0]
     rows = rows[rows != r]
     tableau[rows] -= tableau[rows, j, None] * piv_row
     tableau[r] = piv_row
-    tableau[:, j] = 0.0
-    tableau[r, j] = 1.0
     basis[r] = j
 
 
-def _run_simplex(tableau, basis, cost, n_price):
-    """Iterate pivots in place; returns (status, iterations, bland)."""
-    m = tableau.shape[0]
-    if m == 0:
-        return ("optimal" if np.all(cost[:n_price] >= -PIVOT_TOL) else "unbounded"), 0, False
+def _run_simplex(tableau, basis, complemented, up, n_price):
+    """Iterate pivots and bound flips in place; returns (status, iterations, bland).
+
+    The last tableau row holds the reduced costs; complemented is updated
+    in place, and up holds the upper bound of every basis index.
+    """
+    m = tableau.shape[0] - 1
     max_stall = 2 * (m + n_price)
     cap = 10_000 + 200 * (m + n_price)
     bland = False
     stall = 0
-    best = float(cost[basis] @ tableau[:, -1])
+    best = -tableau[m, -1]
     iterations = 0
     while True:
-        z = cost[:n_price] - cost[basis] @ tableau[:, :n_price]
+        z = tableau[m, :n_price]
         if bland:
             neg = np.nonzero(z < -PIVOT_TOL)[0]
             if neg.size == 0:
@@ -216,20 +231,36 @@ def _run_simplex(tableau, basis, cost, n_price):
             j = int(np.argmin(z))
             if z[j] >= -PIVOT_TOL:
                 return "optimal", iterations, bland
-        col = tableau[:, j]
-        pos = col > PIVOT_TOL
-        if not pos.any():
-            return "unbounded", iterations, bland
+        # a basic variable falls to 0 (entry > 0) or rises to its upper
+        # bound (entry < 0); (beta - bound) / entry covers both
+        col = tableau[:m, j]
         ratios = np.full(m, np.inf)
-        ratios[pos] = tableau[pos, -1] / col[pos]
-        rmin = ratios.min()
-        ties = np.nonzero(ratios <= rmin + 1e-12 * (1.0 + abs(rmin)))[0]
-        r = int(ties[np.argmin(basis[ties])])
-
-        _pivot(tableau, basis, r, j)
+        for i in np.nonzero(np.abs(col) > PIVOT_TOL)[0]:
+            bound = 0.0 if col[i] > 0.0 else up[basis[i]]
+            ratios[i] = (tableau[i, -1] - bound) / col[i]
+        rmin = ratios.min(initial=np.inf)
+        if min(rmin, up[j]) == np.inf:
+            return "unbounded", iterations, bland
+        reach = rmin + 1e-12 * (1.0 + abs(rmin))
+        if up[j] <= reach:
+            # bound flip: x_j = u_j - x_j'
+            tableau[:, -1] -= up[j] * tableau[:, j]
+            tableau[:, j] = -tableau[:, j]
+            complemented[j] = not complemented[j]
+        else:
+            ties = np.nonzero(ratios <= reach)[0]
+            r = int(ties[np.argmin(basis[ties])])
+            if tableau[r, j] < 0.0:
+                # the leaving variable ends at its upper bound: complement it
+                b = basis[r]
+                tableau[r] *= -1.0
+                tableau[r, b] = 1.0
+                tableau[r, -1] += up[b]
+                complemented[b] = not complemented[b]
+            _pivot(tableau, basis, r, j)
         iterations += 1
 
-        obj = float(cost[basis] @ tableau[:, -1])
+        obj = -tableau[m, -1]
         if obj < best - _STALL_EPS * max(1.0, abs(best)):
             best, stall = obj, 0
         else:
@@ -242,8 +273,9 @@ def _run_simplex(tableau, basis, cost, n_price):
 
 def _drop_artificials(tableau, basis, n_core):
     """Pivot basic artificials out after phase 1; drop redundant rows."""
+    m = basis.size
     drop = []
-    for r in range(tableau.shape[0]):
+    for r in range(m):
         if basis[r] < n_core:
             continue
         row = np.abs(tableau[r, :n_core])
@@ -252,6 +284,5 @@ def _drop_artificials(tableau, basis, n_core):
             drop.append(r)
             continue
         _pivot(tableau, basis, r, j)
-    keep = np.setdiff1d(np.arange(tableau.shape[0]), drop)
-    tableau = np.hstack([tableau[keep][:, :n_core], tableau[keep][:, -1:]])
-    return tableau, basis[keep]
+    keep = np.setdiff1d(np.arange(m + 1), drop)
+    return tableau[keep], basis[keep[:-1]]

@@ -109,6 +109,20 @@ def test_solve_missing_scenario_file_is_io_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_negative_price_traces_name_the_price_scenario(tmp_path, capsys):
+    # a negative mean price would otherwise surface as the loss coefficient
+    # derived from it, which the user never set
+    doc = json.loads(json.dumps(TINY_SCENARIOS))
+    doc["price"]["scenarios"][0]["values"] = [-5.0, -5.0, -5.0, -5.0]
+    path = write_json(tmp_path / "negative.json", doc)
+    out = tmp_path / "o"
+    assert main(["solve", "--scenarios", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "price/flat: negative trace values" in err
+    assert "loss_cost_coeff" not in err
+    assert not (out / "policy.csv").exists()
+
+
 def test_solve_rejects_nan_in_scenario_trace(tmp_path, capsys):
     doc = json.loads(json.dumps(TINY_SCENARIOS))
     doc["price"]["scenarios"][0]["values"][1] = float("nan")
@@ -308,6 +322,13 @@ def test_estimate_probs_zero_counts_is_usage_error(tmp_path, capsys):
     path = write_json(tmp_path / "counts.json", [0, 0])
     assert main(["estimate-probs", path]) == 2
     assert "usage error" in capsys.readouterr().err
+
+
+def test_estimate_probs_huge_counts_do_not_overflow(tmp_path, capsys):
+    # the plain sum of these counts overflows to inf
+    path = write_json(tmp_path / "counts.json", {"counts": [1e308, 1e308]})
+    assert main(["estimate-probs", path]) == 0
+    assert capsys.readouterr().out.strip() == "0.5 0.5"
 
 
 def test_estimate_probs_rejects_non_finite_counts(tmp_path, capsys):

@@ -218,10 +218,6 @@ def test_program_validation():
         LinearProgram(c=[1.0], lower=[-np.inf])
     with pytest.raises(ValueError):
         LinearProgram(c=[1.0], lower=[2.0], upper=[1.0])
-    with pytest.raises(ValueError):
-        LinearProgram(c=[1.0, 1.0], labels=("a", "a"))
-    with pytest.raises(ValueError):
-        LinearProgram(c=[1.0, 1.0], labels=("only_one",))
 
 
 def test_brute_force_rejects_large_programs():
@@ -308,6 +304,93 @@ def test_random_batches_match_the_oracle_per_program():
     assert seen == {"optimal", "infeasible", "unbounded"}
 
 
+def test_bounds_only_programs_solve_alone_and_in_a_batch():
+    # no rows at all: every step is a bound flip or the unbounded verdict
+    lp = LinearProgram(c=[-1.0, 2.0, -3.0], lower=[1.0, 0.0, 0.0],
+                       upper=[10.0, np.inf, 4.0])
+    sol = solve(lp)
+    assert sol.status == "optimal"
+    np.testing.assert_array_equal(sol.x, [10.0, 0.0, 4.0])
+    assert sol.objective_value == -22.0 and sol.iterations == 2
+    ray = LinearProgram(c=[-1.0, -1.0], upper=[5.0, np.inf])
+    assert solve(ray).status == "unbounded"
+    assert brute_force_solve(ray).status == "unbounded"
+
+    c = np.array([[-1.0, 2.0, -3.0], [1.0, 1.0, 1.0], [0.0, -1.0, 0.0], [0.0, 0.0, 0.0]])
+    statuses = assert_batch_matches_oracle(lp, c, np.zeros((4, 0)))
+    assert statuses == ["optimal", "optimal", "unbounded", "optimal"]
+    fixed_and_free = LinearProgram(c=[1.0, -1.0], lower=[2.0, 0.0], upper=[2.0, 3.0])
+    assert assert_batch_matches_oracle(fixed_and_free, np.array([[1.0, -1.0], [1.0, 1.0]]),
+                                       np.zeros((2, 0))) == ["optimal", "optimal"]
+
+
+def test_batch_takes_bound_flips_and_leaves_at_upper_bounds(monkeypatch):
+    # x1 - x2 = 0, x2 + x3 <= 10, x1 <= 2, x3 <= 3. Program 0 raises x3,
+    # which hits its own bound before the row: a bound flip, no pivot.
+    # Program 1 raises x2, which drags the basic x1 up to its bound: x1
+    # leaves at its upper bound
+    lp = LinearProgram(c=[0.0, 0.0, 0.0], a_eq=[[1.0, -1.0, 0.0]], b_eq=[0.0],
+                       a_ub=[[0.0, 1.0, 1.0]], b_ub=[10.0], upper=[2.0, np.inf, 3.0])
+    pivots = np.zeros(2, dtype=int)
+    pivot = lp_mod._pivot
+
+    def counting_pivot(tableau, basis, k, r, j, col):
+        np.add.at(pivots, k, 1)
+        pivot(tableau, basis, k, r, j, col)
+
+    monkeypatch.setattr(lp_mod, "_pivot", counting_pivot)
+    c = np.array([[0.0, 0.0, -1.0], [0.0, -1.0, 0.0]])
+    flipped, left_at_bound = solve_batch(lp, c, np.zeros((2, 1)))
+    np.testing.assert_array_equal(flipped.x, [0.0, 0.0, 3.0])
+    np.testing.assert_array_equal(left_at_bound.x, [2.0, 2.0, 0.0])
+    # one phase-1 pivot each; then a flip for program 0 and a pivot for 1
+    assert (flipped.iterations, left_at_bound.iterations) == (2, 2)
+    assert pivots.tolist() == [1, 2]
+    assert assert_batch_matches_oracle(lp, c, np.zeros((2, 1))) == ["optimal", "optimal"]
+
+
+def test_bound_flip_wins_a_tie_with_a_row():
+    # x1 reaches its bound 2 exactly when the first row's slack reaches 0:
+    # the flip ends it in one step, a pivot would leave x1 basic at its
+    # bound and take a second, degenerate step
+    lp = LinearProgram(c=[0.0, -3.0], a_ub=[[-1.0, 1.0], [2.0, 1.0]], b_ub=[2.0, 3.0],
+                       upper=[1.0, 2.0])
+    sol = solve(lp)
+    assert (sol.status, sol.iterations) == ("optimal", 1)
+    np.testing.assert_array_equal(sol.x, [0.0, 2.0])
+    assert_same_solution(sol, scalar_lp.scalar_solve(lp))
+
+
+def test_upper_bounds_stay_out_of_the_rows():
+    lp = LinearProgram(c=[1.0, 1.0, 1.0], a_eq=[[1.0, 1.0, 1.0]], b_eq=[2.0],
+                       a_ub=[[1.0, -1.0, 0.0]], b_ub=[1.0], lower=[0.0, 1.0, 0.0],
+                       upper=[4.0, 3.0, np.inf])
+    prep = lp_mod._prepare(lp, lp.b_eq[None])
+    assert prep.a_eq.shape == (1, 3) and prep.a_ub.shape == (1, 3)
+    np.testing.assert_array_equal(prep.up, [4.0, 2.0, np.inf])
+
+
+def test_crash_basis_starts_from_columns_of_one_row():
+    # x0 appears only in row 0 and y only in row 1, which is negated to a
+    # nonnegative rhs; they start basic, no artificial is needed, and that
+    # start is already optimal
+    a_eq = [[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, -1.0, -1.0]]
+    lp = LinearProgram(c=[1.0, 1.0, 3.0, 1.0], a_eq=a_eq, b_eq=[3.0, -1.0])
+    sol = solve(lp)
+    assert (sol.status, sol.iterations) == ("optimal", 0)
+    np.testing.assert_array_equal(sol.x, [3.0, 0.0, 0.0, 1.0])
+    # with an upper bound on y, row 1 has no such column: phase 1 pivots
+    bounded = LinearProgram(c=lp.c, a_eq=a_eq, b_eq=lp.b_eq, upper=[np.inf] * 3 + [5.0])
+    sol = solve(bounded)
+    assert sol.status == "optimal" and sol.iterations > 0
+    np.testing.assert_array_equal(sol.x, [3.0, 0.0, 0.0, 1.0])
+    c = np.array([[1.0, 1.0, 3.0, 1.0], [1.0, 1.0, 1.0, 1.0], [0.0, -1.0, 0.0, 0.0]])
+    b_eq = np.array([[3.0, -1.0], [3.0, 2.0], [1.0, 1.0]])
+    # x1 = 1 + x2 + y grows without end unless y is bounded
+    assert assert_batch_matches_oracle(lp, c, b_eq) == ["optimal", "optimal", "unbounded"]
+    assert assert_batch_matches_oracle(bounded, c, b_eq) == ["optimal", "optimal", "optimal"]
+
+
 def test_solve_batch_checks_the_stacked_shapes():
     lp = LinearProgram(c=[1.0, 1.0], a_eq=[[1.0, 1.0]], b_eq=[1.0])
     with pytest.raises(ValueError, match="stack"):
@@ -347,23 +430,43 @@ def chvatal_cycle(c=(-10.0, 57.0, 9.0, 24.0)):
     return np.hstack([a, np.eye(3), b[:, None]]), np.arange(4, 7), np.concatenate([c, np.zeros(3)])
 
 
+def with_cost_row(tableau, basis, cost):
+    """The tableau with the reduced-cost row of cost in its basis appended,
+    as the core carries it; every variable is uncomplemented and unbounded."""
+    out = np.vstack([tableau, np.zeros(tableau.shape[1])])
+    scalar_lp._price(out, basis, cost, np.zeros(0, bool), np.full(cost.size, np.inf))
+    return out
+
+
+def run_core(tableau, basis, cost, n_price):
+    """The batched core on a stack of one; returns (unbounded, iterations, bland)."""
+    unbounded, iterations, bland = _run_simplex(
+        tableau[None], basis[None], np.zeros((1, 0), bool), np.full(cost.size, np.inf),
+        n_price, np.ones(1, bool))
+    return unbounded[0], iterations[0], bland[0]
+
+
+def run_oracle_core(tableau, basis, cost, n_price):
+    return scalar_lp._run_simplex(tableau, basis, np.zeros(0, bool),
+                                  np.full(cost.size, np.inf), n_price)
+
+
 def test_stall_counter_counts_only_pivots_that_do_not_improve():
     # 255 improving pivots, far above 2 (m + n_price) = 48: Dantzig's rule
     # must stay in charge all the way
     tableau, basis, cost = klee_minty(8)
-    unbounded, iterations, bland = _run_simplex(
-        tableau[None].copy(), basis[None].copy(), cost[None], 16, np.ones(1, bool))
-    assert (unbounded[0], iterations[0], bland[0]) == (False, 2**8 - 1, False)
-    assert scalar_lp._run_simplex(tableau.copy(), basis.copy(), cost, 16) == ("optimal", 255, False)
+    tableau = with_cost_row(tableau, basis, cost)
+    assert run_core(tableau.copy(), basis.copy(), cost, 16) == (False, 2**8 - 1, False)
+    assert run_oracle_core(tableau.copy(), basis.copy(), cost, 16) == ("optimal", 255, False)
 
     # a degenerate cycle improves nothing, so Bland's rule takes over
     # after 2 (3 + 7) + 1 pivots and ends it
     tableau, basis, cost = chvatal_cycle()
-    stack, stack_basis = tableau[None].copy(), basis[None].copy()
-    unbounded, iterations, bland = _run_simplex(stack, stack_basis, cost[None], 7,
-                                                np.ones(1, bool))
+    stack, stack_basis = with_cost_row(tableau, basis, cost)[None], basis[None].copy()
+    unbounded, iterations, bland = _run_simplex(stack, stack_basis, np.zeros((1, 0), bool),
+                                                np.full(7, np.inf), 7, np.ones(1, bool))
     assert not unbounded[0] and bland[0] and iterations[0] > 21
-    assert cost[stack_basis[0]] @ stack[0, :, -1] == -1.0
+    assert cost[stack_basis[0]] @ stack[0, :3, -1] == -1.0
 
 
 def test_stacked_simplex_core_matches_the_oracle_per_program():
@@ -377,14 +480,15 @@ def test_stacked_simplex_core_matches_the_oracle_per_program():
         tableau[:, :4] = rng.integers(-4, 5, size=(3, 4)) / 2.0
         tableau[:, -1] = rng.integers(0, 3, size=3)
         programs.append((tableau, basis, rng.uniform(-5, 5, size=7)))
+    programs = [(with_cost_row(*p), p[1], p[2]) for p in programs]
     stack = np.stack([p[0] for p in programs])
     stack_basis = np.stack([p[1] for p in programs])
-    costs = np.stack([p[2] for p in programs])
-    unbounded, iterations, bland = _run_simplex(stack, stack_basis, costs, 7,
-                                                np.ones(len(programs), bool))
+    unbounded, iterations, bland = _run_simplex(
+        stack, stack_basis, np.zeros((len(programs), 0), bool), np.full(7, np.inf), 7,
+        np.ones(len(programs), bool))
     assert bland[0] and unbounded[2] and iterations[1] == 0
     for k, (tableau, basis, cost) in enumerate(programs):
         tableau, basis = tableau.copy(), basis.copy()
-        status, its, switched = scalar_lp._run_simplex(tableau, basis, cost, 7)
+        status, its, switched = run_oracle_core(tableau, basis, cost, 7)
         assert (status == "unbounded", its, switched) == (unbounded[k], iterations[k], bland[k])
         assert np.array_equal(stack[k], tableau) and np.array_equal(stack_basis[k], basis)

@@ -60,6 +60,12 @@ def test_probabilities_scale_invariant_and_normalized():
         np.testing.assert_allclose(estimate_probabilities(counts * 7.3), p, rtol=1e-12)
 
 
+def test_probabilities_from_counts_whose_sum_overflows():
+    np.testing.assert_allclose(estimate_probabilities([1e308, 1e308, 5e307]),
+                               [0.4, 0.4, 0.2])
+    np.testing.assert_allclose(estimate_probabilities([1e308, 0.0]), [1.0, 0.0])
+
+
 def test_probabilities_reject_bad_counts():
     with pytest.raises(ValueError):
         estimate_probabilities([])
@@ -193,6 +199,41 @@ def test_validate_flags_tampered_spaces():
     assert any("duplicate" in p for p in problems)
 
     assert validate(ScenarioSpace(()), horizon) == ["scenario space is empty"]
+
+
+def test_validate_lists_mixed_violations_in_order():
+    # every message and its order, with all traces of length T (checked
+    # stacked) and with some of another length (checked trace by trace)
+    horizon = Horizon(T=4)
+    v = np.array([1.0, 2.0, 0.0, 3.0])
+    same = ScenarioSpace((
+        CompositeScenario("a", 0.5, np.array([1.0, -2.0, 0.0, 3.0]), v, v),
+        CompositeScenario("b", 0.0, v, -v, np.array([0.0, 0.0, -1e-300, 0.0])),
+        CompositeScenario("c", 0.25, v, v, np.array([np.nan, 1.0, 1.0, 1.0])),
+        CompositeScenario("a", 1.5, v, v, -v),
+    ))
+    assert validate(same, horizon) == [
+        "a: negative price values",
+        "b: negative renewable values",
+        "b: negative consumption values",
+        "b: probability 0.0 outside (0, 1]",
+        "a: negative consumption values",
+        "a: probability 1.5 outside (0, 1]",
+        "probability mass 2.25 != 1",
+        "duplicate composite scenario labels",
+    ]
+    mixed = ScenarioSpace((
+        CompositeScenario("a", 0.5, np.array([1.0, -2.0, 0.0]), v, v),
+        CompositeScenario("b", 0.25, v, np.ones(5), -v),
+        CompositeScenario("c", 0.25, np.array([np.nan, 1.0, 1.0, 1.0]), v, np.zeros(0)),
+    ))
+    assert validate(mixed, horizon) == [
+        "a: price trace length 3 != T=4",
+        "a: negative price values",
+        "b: renewable trace length 5 != T=4",
+        "b: negative consumption values",
+        "c: consumption trace length 0 != T=4",
+    ]
 
 
 def test_trace_matrix_stacks_scenarios_in_order():
