@@ -14,18 +14,18 @@ from .evaluate import (EvaluationResult, ExperimentReport, RealizedDay,
                        monthly_cost, sweep_arrival_rate, sweep_battery,
                        sweep_cac)
 from .lp import LinearProgram, LpSolution, solve
-from .power_model import BaseStationParams, consumption, consumption_trace
+from .power_model import BaseStationParams, consumption_trace
 from .scenarios import (CompositeScenario, MarginalScenario, MarginalSpace,
                         RateProfile, ScenarioDocument, ScenarioFileError,
-                        ScenarioSpace, compose, dump_scenario_file,
-                        estimate_probabilities, load_scenario_file, validate)
+                        ScenarioSpace, compose, estimate_probabilities,
+                        load_scenario_file, validate)
 from .stochastic import (InfeasibleProgramError, PolicyTable, StorageConfig,
                          VariableMap, build_deterministic_equivalent,
                          per_scenario_decomposition, policy_csv_text,
                          solve_policy, verify_policy)
-from .traffic import (CacConfig, QosStats, TrafficSpec, analytic_guard_channel,
-                      simulate_replicated, uniform_traffic)
-from .units import Horizon, cents_to_dollars, energy_cost
+from .traffic import (CacConfig, QosStats, TrafficSpec, simulate_replicated,
+                      uniform_traffic)
+from .units import Horizon
 
 __version__ = "0.1.0"
 
@@ -35,10 +35,9 @@ __all__ = [
     "LinearProgram", "LpSolution", "MarginalScenario", "MarginalSpace",
     "PolicyTable", "QosStats", "RateProfile", "RealizedDay", "ReplayError",
     "ScenarioDocument", "ScenarioFileError", "ScenarioSpace", "StorageConfig",
-    "TrafficSpec", "VariableMap", "analytic_guard_channel", "baseline_policy",
-    "build_deterministic_equivalent", "cents_to_dollars",
-    "compose", "consumption", "consumption_trace", "default_calibration",
-    "dump_scenario_file", "energy_cost", "estimate_probabilities",
+    "TrafficSpec", "VariableMap", "baseline_policy",
+    "build_deterministic_equivalent", "compose", "consumption_trace",
+    "default_calibration", "estimate_probabilities",
     "evaluate_policy", "load_scenario_file", "monthly_cost",
     "per_scenario_decomposition", "policy_csv_text", "simulate_replicated",
     "solve", "solve_policy",

@@ -1,16 +1,20 @@
 """Default experimental setup: a solar-assisted micro base station in a
 time-of-use market.
 
-Defaults: 194.25 W static plus 24 W per active connection across 25
-channels; a 2000 Wh battery starting and ending the day at 500 Wh with
-0.1%/hour self-discharge; peak-price days (20 cents/kWh from 12:00 to
-20:00, 12 otherwise, probability 0.6) against flat 12-cent days (0.4);
-clear-sky days averaging 195 Wh per daylight hour against cloudy days
-averaging 100 Wh (0.6/0.4), shaped as a half sine between 6:00 and 18:00;
-and five traffic-day profiles (three uniform loads plus morning and
-evening peaks of 0.8 connections/minute). Consumption scenarios are
-produced by simulating each traffic profile through admission control and
-the consumption model.
+``DEFAULT_CONFIG`` is the one source of the default numbers: the station's
+power coefficients and channels, the battery, admission control, the
+traffic settings and the sweep grids. ``calibration_from_config`` turns a
+config document (and optionally a scenario document) into a
+``Calibration``; ``default_calibration`` applies it to ``DEFAULT_CONFIG``.
+
+Shapes that the config does not cover are fixed here: peak-price days
+(20 cents/kWh from 12:00 to 20:00, 12 otherwise, probability 0.6) against
+flat 12-cent days (0.4); clear-sky days averaging 195 Wh per daylight hour
+against cloudy days averaging 100 Wh (0.6/0.4), shaped as a half sine
+between 6:00 and 18:00; and five traffic-day profiles (three uniform loads
+plus morning and evening peaks of 0.8 connections/minute). Consumption
+scenarios are produced by simulating each traffic profile through
+admission control and the consumption model.
 
 The storage holding penalty defaults to self-discharge rate times mean
 energy price, i.e. it prices the energy expected to leak per period.
@@ -19,13 +23,14 @@ All of this is data; callers can substitute any piece.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .power_model import BaseStationParams, consumption_trace
 from .scenarios import (MarginalScenario, MarginalSpace, RateProfile,
-                        ScenarioSpace, compose)
+                        ScenarioDocument, ScenarioSpace, check_marginal_space,
+                        compose)
 from .stochastic import StorageConfig
 from .traffic import CacConfig, TrafficSpec, simulate_replicated
 from .units import Horizon
@@ -34,6 +39,45 @@ DEFAULT_BATTERY_GRID = (500.0, 1000.0, 1500.0, 2000.0, 2500.0, 3000.0, 3500.0, 4
 DEFAULT_RENEWABLE_SCALINGS = (1.0, 1.5)
 DEFAULT_CAC_THRESHOLDS = tuple(range(5, 26))
 DEFAULT_ARRIVAL_RATES = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8)
+
+CONFIG_SCHEMA = "bspower-config-1"
+
+# Every key, value and JSON type here is part of the config format: a file
+# overrides leaves of this document, and the manifest digest hashes it.
+DEFAULT_CONFIG = {
+    "schema": CONFIG_SCHEMA,
+    "seed": 0,
+    "battery": {
+        "capacity_wh": 2000.0,
+        "initial_wh": 500.0,
+        "terminal_wh": 500.0,
+        "self_discharge": 0.001,
+        "loss_cost_coeff": None,  # None derives it from mean price
+    },
+    "base_station": {
+        "static_w": 194.25,
+        "dynamic_w": 24.0,
+        "max_connections": 25,
+    },
+    "cac": {"channels": 25, "threshold": 20},
+    "traffic": {
+        "handoff_fraction": 0.3,
+        "mean_holding_min": 10.0,
+        "replications": 5,
+    },
+    "simulate": {"days": 1000},
+    "sweeps": {
+        "battery": {
+            "capacities_wh": list(DEFAULT_BATTERY_GRID),
+            "renewable_scalings": list(DEFAULT_RENEWABLE_SCALINGS),
+        },
+        "cac": {
+            "thresholds": list(DEFAULT_CAC_THRESHOLDS),
+            "load_per_min": 0.56,
+        },
+        "arrival": {"rates_per_min": list(DEFAULT_ARRIVAL_RATES)},
+    },
+}
 
 
 def half_sine_profile(mean_wh: float, window: tuple[float, float] = (6.0, 18.0),
@@ -90,9 +134,8 @@ def _split(total: np.ndarray, handoff_fraction: float) -> tuple[np.ndarray, np.n
     return total - handoff, handoff
 
 
-def default_traffic_profiles(handoff_fraction: float = 0.3,
-                             mean_holding: float = 10.0,
-                             periods: int = 24) -> tuple[RateProfile, ...]:
+def default_traffic_profiles(handoff_fraction: float, mean_holding: float,
+                             periods: int) -> tuple[RateProfile, ...]:
     """Five traffic-day profiles: uniform heavy/medium/light plus two peaks.
 
     Peak days run 0.8 connections/minute during 8:00-11:00 or 17:00-21:00
@@ -150,7 +193,7 @@ def consumption_space_from_profiles(
 
 @dataclass(frozen=True)
 class Calibration:
-    """Everything needed to build and study the default experiment."""
+    """Everything needed to build and study one experiment."""
 
     horizon: Horizon
     params: BaseStationParams
@@ -159,10 +202,10 @@ class Calibration:
     price: MarginalSpace
     renewable: MarginalSpace
     traffic_profiles: tuple[RateProfile, ...]
-    handoff_fraction: float = 0.3
-    mean_holding: float = 10.0
-    replications: int = 5
-    consumption: MarginalSpace | None = None  # bypasses traffic simulation
+    handoff_fraction: float
+    mean_holding: float
+    replications: int
+    consumption: MarginalSpace | None  # given, it bypasses traffic simulation
 
     def consumption_space(self, seed: int) -> MarginalSpace:
         if self.consumption is not None:
@@ -174,27 +217,71 @@ class Calibration:
     def scenario_space(self, seed: int) -> ScenarioSpace:
         return compose(self.price, self.renewable, self.consumption_space(seed))
 
-    def with_storage(self, **changes) -> "Calibration":
-        return replace(self, storage=replace(self.storage, **changes))
+
+def calibration_from_config(cfg: dict, scenarios: ScenarioDocument | None = None,
+                            periods: int = 24) -> Calibration:
+    """The calibration a config document describes.
+
+    ``cfg`` has the keys of ``DEFAULT_CONFIG``. A scenario document sets the
+    horizon and replaces the default price and renewable marginals, and
+    either the consumption marginals or the traffic profiles; without one
+    the horizon has ``periods`` periods. Raises ValueError on values the
+    model cannot use.
+    """
+    horizon = scenarios.horizon if scenarios else Horizon(T=periods)
+    price = scenarios.price if scenarios else default_price_space(horizon.T)
+    renewable = scenarios.renewable if scenarios else default_renewable_space(horizon.T)
+
+    tr = cfg["traffic"]
+    if scenarios and scenarios.traffic:
+        profiles = tuple(scenarios.traffic)
+        consumption = None
+    elif scenarios and scenarios.consumption is not None:
+        profiles = ()
+        consumption = scenarios.consumption
+    else:
+        profiles = default_traffic_profiles(
+            handoff_fraction=float(tr["handoff_fraction"]),
+            mean_holding=float(tr["mean_holding_min"]),
+            periods=horizon.T)
+        consumption = None
+
+    bat = cfg["battery"]
+    loss_coeff = bat["loss_cost_coeff"]
+    if loss_coeff is None:
+        # checked first, so a bad price trace is named as such rather than
+        # as the coefficient derived from it
+        problems = check_marginal_space(price)
+        if problems:
+            raise ValueError("invalid price scenarios:\n  " + "\n  ".join(problems))
+        loss_coeff = derived_loss_cost(price, float(bat["self_discharge"]))
+    storage = StorageConfig(
+        capacity=float(bat["capacity_wh"]),
+        initial=float(bat["initial_wh"]),
+        terminal=float(bat["terminal_wh"]),
+        self_discharge=float(bat["self_discharge"]),
+        loss_cost_coeff=float(loss_coeff),
+    )
+    bs = cfg["base_station"]
+    return Calibration(
+        horizon=horizon,
+        params=BaseStationParams(
+            e_static_w=float(bs["static_w"]),
+            e_dynamic_w=float(bs["dynamic_w"]),
+            max_connections=int(bs["max_connections"])),
+        storage=storage,
+        cac=CacConfig(channels=int(cfg["cac"]["channels"]),
+                      threshold=int(cfg["cac"]["threshold"])),
+        price=price,
+        renewable=renewable,
+        traffic_profiles=profiles,
+        handoff_fraction=float(tr["handoff_fraction"]),
+        mean_holding=float(tr["mean_holding_min"]),
+        replications=int(tr["replications"]),
+        consumption=consumption,
+    )
 
 
 def default_calibration(periods: int = 24) -> Calibration:
-    horizon = Horizon(T=periods)
-    price = default_price_space(periods)
-    storage = StorageConfig(
-        capacity=2000.0,
-        initial=500.0,
-        terminal=500.0,
-        self_discharge=0.001,
-        loss_cost_coeff=derived_loss_cost(price, 0.001),
-    )
-    return Calibration(
-        horizon=horizon,
-        params=BaseStationParams(e_static_w=194.25, e_dynamic_w=24.0,
-                                 max_connections=25),
-        storage=storage,
-        cac=CacConfig(channels=25, threshold=20),
-        price=price,
-        renewable=default_renewable_space(periods),
-        traffic_profiles=default_traffic_profiles(periods=periods),
-    )
+    """The calibration of ``DEFAULT_CONFIG``: the CLI's run without files."""
+    return calibration_from_config(DEFAULT_CONFIG, periods=periods)

@@ -27,24 +27,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .calibration import (DEFAULT_ARRIVAL_RATES, DEFAULT_BATTERY_GRID,
-                          DEFAULT_CAC_THRESHOLDS, DEFAULT_RENEWABLE_SCALINGS,
-                          Calibration, default_calibration,
-                          default_price_space, default_renewable_space,
-                          default_traffic_profiles, derived_loss_cost)
+from .calibration import (CONFIG_SCHEMA, DEFAULT_CONFIG, Calibration,
+                          calibration_from_config)
 from .evaluate import (RealizedDay, evaluate_policy, manifest_text,
                        monthly_cost, sweep_arrival_rate, sweep_battery,
                        sweep_cac)
-from .power_model import BaseStationParams
-from .scenarios import (ScenarioDocument, ScenarioFileError, check_marginal_space,
+from .scenarios import (ScenarioDocument, ScenarioFileError,
                         estimate_probabilities, find_non_finite,
                         load_scenario_file, scenario_document_dict)
-from .stochastic import (InfeasibleProgramError, StorageConfig, policy_csv_text,
-                         solve_policy)
-from .traffic import CacConfig, uniform_traffic
-from .units import Horizon
-
-CONFIG_SCHEMA = "bspower-config-1"
+from .stochastic import InfeasibleProgramError, policy_csv_text, solve_policy
+from .traffic import uniform_traffic
 
 
 class UsageError(ValueError):
@@ -53,42 +45,6 @@ class UsageError(ValueError):
 
 class ConfigError(ValueError):
     """Malformed config file content; exits with code 4."""
-
-
-_DEFAULT_CONFIG = {
-    "schema": CONFIG_SCHEMA,
-    "seed": 0,
-    "battery": {
-        "capacity_wh": 2000.0,
-        "initial_wh": 500.0,
-        "terminal_wh": 500.0,
-        "self_discharge": 0.001,
-        "loss_cost_coeff": None,  # None derives it from mean price
-    },
-    "base_station": {
-        "static_w": 194.25,
-        "dynamic_w": 24.0,
-        "max_connections": 25,
-    },
-    "cac": {"channels": 25, "threshold": 20},
-    "traffic": {
-        "handoff_fraction": 0.3,
-        "mean_holding_min": 10.0,
-        "replications": 5,
-    },
-    "simulate": {"days": 1000},
-    "sweeps": {
-        "battery": {
-            "capacities_wh": list(DEFAULT_BATTERY_GRID),
-            "renewable_scalings": list(DEFAULT_RENEWABLE_SCALINGS),
-        },
-        "cac": {
-            "thresholds": list(DEFAULT_CAC_THRESHOLDS),
-            "load_per_min": 0.56,
-        },
-        "arrival": {"rates_per_min": list(DEFAULT_ARRIVAL_RATES)},
-    },
-}
 
 
 def _json_kind(value) -> str:
@@ -139,7 +95,7 @@ def _merge(defaults, override, where):
 
 def _load_config_file(path: str | None) -> dict:
     if path is None:
-        return copy.deepcopy(_DEFAULT_CONFIG)
+        return copy.deepcopy(DEFAULT_CONFIG)
     try:
         doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
@@ -149,7 +105,7 @@ def _load_config_file(path: str | None) -> dict:
     bad = find_non_finite(doc, "config")
     if bad is not None:
         raise ConfigError(f"{path}: {bad}: non-finite number")
-    return _merge(_DEFAULT_CONFIG, doc, "config")
+    return _merge(DEFAULT_CONFIG, doc, "config")
 
 
 @dataclass
@@ -164,64 +120,24 @@ class RunConfig:
     config_hash: str
 
 
+def _check_ranges(cfg: dict) -> None:
+    """Refuse out-of-range config values by key, before any work is done."""
+    if cfg["seed"] < 0:
+        raise UsageError(f"config.seed must be non-negative, got {cfg['seed']}")
+    handoff = cfg["traffic"]["handoff_fraction"]
+    if not 0.0 <= handoff <= 1.0:
+        raise UsageError(f"config.traffic.handoff_fraction must be in [0, 1], got {handoff}")
+    if cfg["simulate"]["days"] < 1:
+        raise UsageError(f"config.simulate.days must be >= 1, got {cfg['simulate']['days']}")
+
+
 def _build_run_config(args) -> RunConfig:
     cfg = _load_config_file(getattr(args, "config", None))
+    _check_ranges(cfg)
     scen_doc: ScenarioDocument | None = None
     if getattr(args, "scenarios", None):
         scen_doc = load_scenario_file(args.scenarios)
-
-    horizon = scen_doc.horizon if scen_doc else Horizon(T=24)
-    price = scen_doc.price if scen_doc else default_price_space(horizon.T)
-    renewable = scen_doc.renewable if scen_doc else default_renewable_space(horizon.T)
-
-    tr = cfg["traffic"]
-    if scen_doc and scen_doc.traffic:
-        profiles = tuple(scen_doc.traffic)
-        consumption = None
-    elif scen_doc and scen_doc.consumption is not None:
-        profiles = ()
-        consumption = scen_doc.consumption
-    else:
-        profiles = default_traffic_profiles(
-            handoff_fraction=float(tr["handoff_fraction"]),
-            mean_holding=float(tr["mean_holding_min"]),
-            periods=horizon.T)
-        consumption = None
-
-    bat = cfg["battery"]
-    loss_coeff = bat["loss_cost_coeff"]
-    if loss_coeff is None:
-        # checked first, so a bad price trace is named as such rather than
-        # as the coefficient derived from it
-        problems = check_marginal_space(price)
-        if problems:
-            raise UsageError("invalid price scenarios:\n  " + "\n  ".join(problems))
-        loss_coeff = derived_loss_cost(price, float(bat["self_discharge"]))
-    storage = StorageConfig(
-        capacity=float(bat["capacity_wh"]),
-        initial=float(bat["initial_wh"]),
-        terminal=float(bat["terminal_wh"]),
-        self_discharge=float(bat["self_discharge"]),
-        loss_cost_coeff=float(loss_coeff),
-    )
-    bs = cfg["base_station"]
-    calibration = Calibration(
-        horizon=horizon,
-        params=BaseStationParams(
-            e_static_w=float(bs["static_w"]),
-            e_dynamic_w=float(bs["dynamic_w"]),
-            max_connections=int(bs["max_connections"])),
-        storage=storage,
-        cac=CacConfig(channels=int(cfg["cac"]["channels"]),
-                      threshold=int(cfg["cac"]["threshold"])),
-        price=price,
-        renewable=renewable,
-        traffic_profiles=profiles,
-        handoff_fraction=float(tr["handoff_fraction"]),
-        mean_holding=float(tr["mean_holding_min"]),
-        replications=int(tr["replications"]),
-        consumption=consumption,
-    )
+    calibration = calibration_from_config(cfg, scen_doc)
 
     seed = args.seed if args.seed is not None else int(cfg["seed"])
     digest_doc = {
@@ -272,8 +188,6 @@ def cmd_simulate(rc: RunConfig) -> int:
     policy = solve_policy(cal.horizon, cal.storage, space,
                           nonanticipative=rc.nonanticipative,
                           physical_discharge=rc.physical_discharge)
-    if rc.sim_days < 1:
-        raise UsageError("simulate.days must be >= 1")
     rng = np.random.default_rng(np.random.SeedSequence(rc.seed, spawn_key=(101,)))
     draws = rng.choice(len(space), size=rc.sim_days, p=space.probabilities)
     per_scenario = [

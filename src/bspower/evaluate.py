@@ -221,7 +221,8 @@ def sweep_cac(thresholds, spec: TrafficSpec, cal: Calibration,
 
     All thresholds share the seed, so blocking is non-increasing and
     dropping non-decreasing along the grid by construction. Saving is
-    relative to no admission reservation (threshold = channels).
+    relative to no admission reservation (threshold = channels). Each
+    distinct threshold, that baseline included, is simulated and solved once.
     """
     if not len(thresholds):
         raise ValueError("threshold grid must be non-empty")
@@ -238,10 +239,12 @@ def sweep_cac(thresholds, spec: TrafficSpec, cal: Calibration,
         policy = solve_policy(cal.horizon, cal.storage, space)
         return stats, policy.expected_cost
 
-    _, cost_open = solve_for(CacConfig(channels=channels, threshold=channels))
+    results = {tau: solve_for(CacConfig(channels=channels, threshold=tau))
+               for tau in dict.fromkeys([*thresholds, channels])}
+    _, cost_open = results[channels]
     rows = []
     for tau in thresholds:
-        stats, cost = solve_for(CacConfig(channels=channels, threshold=tau))
+        stats, cost = results[tau]
         saving = 100.0 * (cost_open - cost) / cost_open if cost_open > 0 else 0.0
         rows.append((tau, stats.new_blocking_prob, stats.handoff_dropping_prob,
                      saving))

@@ -36,19 +36,6 @@ class BaseStationParams:
             raise ValueError(f"max_connections must be >= 1, got {self.max_connections}")
 
 
-def consumption(params: BaseStationParams, n_active: float) -> float:
-    """Instantaneous power draw in W with ``n_active`` connections.
-
-    ``n_active`` may be fractional (a time-averaged count); it must lie in
-    [0, max_connections] since occupancy beyond capacity is impossible.
-    """
-    if not 0 <= n_active <= params.max_connections:
-        raise ValueError(
-            f"n_active={n_active} outside [0, {params.max_connections}]"
-        )
-    return params.e_static_w + params.e_dynamic_w * n_active
-
-
 def consumption_trace(
     params: BaseStationParams,
     occupancy: Sequence[float],
@@ -57,7 +44,7 @@ def consumption_trace(
     """Per-period energy consumption (Wh) for a per-period mean occupancy trace.
 
     Exact for the affine model: energy in period t is
-    consumption(mean occupancy in t) * period length.
+    (e_static_w + e_dynamic_w * mean occupancy in t) * period length.
     """
     occ = np.asarray(occupancy, dtype=float)
     if occ.shape != (horizon.T,):

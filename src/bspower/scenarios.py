@@ -413,6 +413,3 @@ def scenario_document_dict(document: ScenarioDocument) -> dict:
         }
     return out
 
-
-def dump_scenario_file(document: ScenarioDocument, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(scenario_document_dict(document), indent=2) + "\n")

@@ -35,18 +35,3 @@ class Horizon:
     def period_minutes(self) -> float:
         return self.period_hours * 60.0
 
-
-def energy_cost(energy_wh: float, price_cents_per_kwh: float) -> float:
-    """Cost in cents of buying ``energy_wh`` at ``price_cents_per_kwh``.
-
-    Linear in both arguments; the 1/1000 factor bridges Wh to kWh.
-    """
-    if energy_wh < 0:
-        raise ValueError(f"energy must be non-negative, got {energy_wh}")
-    if price_cents_per_kwh < 0:
-        raise ValueError(f"price must be non-negative, got {price_cents_per_kwh}")
-    return energy_wh * price_cents_per_kwh / 1000.0
-
-
-def cents_to_dollars(cents: float) -> float:
-    return cents / 100.0

@@ -51,12 +51,12 @@ from bspower.stochastic import (
 )
 from bspower.traffic import (
     CacConfig,
-    analytic_guard_channel,
     uniform_traffic,
     _simulate,
     _stream,
 )
 from bspower.units import Horizon
+from analytic_traffic import analytic_guard_channel
 from brute_force_lp import brute_force_solve
 
 

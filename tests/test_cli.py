@@ -1,11 +1,16 @@
 """Command-line interface: subcommands, config ingestion, and exit codes."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from bspower.calibration import DEFAULT_CONFIG
 from bspower.cli import main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 TINY_SCENARIOS = {
     "schema": "bspower-scenarios-1",
@@ -76,6 +81,16 @@ def test_solve_default_config_covers_the_full_scenario_space(tmp_path, capsys):
     # 2 price x 2 renewable x 5 traffic scenarios over 24 hourly periods
     assert lines[0] == "scenario_label,t,x_wh,s_wh,y_wh"
     assert len(lines) == 1 + 20 * 24
+
+
+def test_default_config_digest_is_pinned(tmp_path, capsys):
+    # the manifest digest hashes the default config document: a changed key,
+    # value or JSON type there moves it
+    out = tmp_path / "run"
+    assert main(["solve", "--seed", "0", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert ("config_sha256: 1fde68275a7ce6f7bcece44a0af2cc68239c3fb35cf368db72afed6f61dceeae"
+            in (out / "manifest.txt").read_text().splitlines())
 
 
 def test_solve_writes_byte_identical_outputs(tiny, tmp_path, capsys):
@@ -421,6 +436,48 @@ def test_config_bad_battery_values_are_usage_errors(tiny, tmp_path, capsys):
     assert main(["solve", "--scenarios", tiny, "--config", cfg,
                  "--out", str(tmp_path / "o")]) == 2
     assert "usage error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("override, key", [
+    ({"seed": -1}, "config.seed"),
+    ({"traffic": {"handoff_fraction": 2}}, "config.traffic.handoff_fraction"),
+    ({"simulate": {"days": 0}}, "config.simulate.days"),
+], ids=("seed", "handoff-fraction", "days"))
+@pytest.mark.parametrize("command", [
+    ["solve"], ["simulate"], ["sweep", "battery"], ["sweep", "cac"], ["sweep", "arrival"],
+], ids=" ".join)
+def test_config_out_of_range_value_is_refused_by_key_before_any_work(
+        tmp_path, capsys, monkeypatch, override, key, command):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the calibration was built")
+
+    monkeypatch.setattr("bspower.cli.calibration_from_config", no_work)
+    cfg = write_json(tmp_path / "cfg.json", {"schema": "bspower-config-1", **override})
+    assert main([*command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert f"usage error: {key} must be" in capsys.readouterr().err
+
+
+def _assert_same_leaves(doc, default, where):
+    if isinstance(default, dict):
+        assert isinstance(doc, dict) and doc.keys() == default.keys(), where
+        for name in default:
+            _assert_same_leaves(doc[name], default[name], f"{where}.{name}")
+    elif isinstance(default, list) and "..." in doc:
+        # an elided list shows its first and last entries
+        assert len(doc) == 3 and doc[1] == "...", where
+        _assert_same_leaves([doc[0], doc[-1]], [default[0], default[-1]], where)
+    elif isinstance(default, list):
+        assert isinstance(doc, list) and len(doc) == len(default), where
+        for i, (item, expected) in enumerate(zip(doc, default)):
+            _assert_same_leaves(item, expected, f"{where}[{i}]")
+    else:
+        assert type(doc) is type(default) and doc == default, (where, doc, default)
+
+
+def test_readme_config_example_matches_the_defaults():
+    section = README.read_text().split("## Configuration file", 1)[1]
+    example = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+    _assert_same_leaves(json.loads(example), DEFAULT_CONFIG, "config")
 
 
 def test_negative_seed_rejected_by_parser(tiny, capsys):

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from bspower.calibration import (
+    DEFAULT_CAC_THRESHOLDS,
+    DEFAULT_CONFIG,
     Calibration,
     default_calibration,
     default_price_space,
@@ -39,7 +41,7 @@ from bspower.stochastic import (
     per_scenario_decomposition,
     solve_policy,
 )
-from bspower.traffic import uniform_traffic
+from bspower.traffic import simulate_replicated, uniform_traffic
 from bspower.units import Horizon
 
 from test_stochastic import random_instance, single_scenario
@@ -168,7 +170,8 @@ def test_baseline_rejects_wrong_day_length():
 def test_adaptive_schedule_never_loses_to_constant_hold():
     # holding the battery at the endpoints' level is itself a feasible
     # schedule, so the optimized expected cost can only be lower
-    cal = cheap_calibration().with_storage(initial=1000.0, terminal=1000.0)
+    cal = cheap_calibration()
+    cal = replace(cal, storage=replace(cal.storage, initial=1000.0, terminal=1000.0))
     space = cal.scenario_space(seed=0)
     policy = per_scenario_decomposition(cal.horizon, cal.storage, space)
     base = sum(
@@ -216,7 +219,9 @@ def test_default_spaces_are_valid_and_normalized():
     renewable = default_renewable_space()
     assert price.probabilities.sum() == pytest.approx(1.0)
     assert renewable.probabilities.sum() == pytest.approx(1.0)
-    profiles = default_traffic_profiles()
+    traffic = DEFAULT_CONFIG["traffic"]
+    profiles = default_traffic_profiles(traffic["handoff_fraction"],
+                                        traffic["mean_holding_min"], 24)
     assert sum(p.probability for p in profiles) == pytest.approx(1.0)
     assert len(profiles) == 5
 
@@ -308,6 +313,27 @@ def test_cac_sweep_columns_and_reference():
     # threshold == channels is the no-reservation reference itself
     assert s_hi == pytest.approx(0.0, abs=1e-9)
     assert s_lo >= s_hi - 1e-9
+
+
+@pytest.mark.parametrize("grid, runs", [
+    (DEFAULT_CAC_THRESHOLDS, 21),  # threshold 25 is the open baseline too
+    ((5, 10, 20), 4),
+], ids=("default-grid", "grid-without-baseline"))
+def test_cac_sweep_runs_each_threshold_once(monkeypatch, grid, runs):
+    cal = cheap_calibration(replications=1)
+    spec = uniform_traffic(0.5, cal.handoff_fraction, cal.horizon.T,
+                           cal.mean_holding)
+    thresholds = []
+
+    def spy(spec, cac, *args):
+        thresholds.append(cac.threshold)
+        return simulate_replicated(spec, cac, *args)
+
+    monkeypatch.setattr("bspower.evaluate.simulate_replicated", spy)
+    report = sweep_cac(grid, spec, cal, seed=0)
+    assert len(thresholds) == runs
+    assert sorted(thresholds) == sorted({*grid, cal.cac.channels})
+    assert len(report.rows) == len(grid)
 
 
 def test_cac_sweep_validates_threshold_grid():

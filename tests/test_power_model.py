@@ -3,47 +3,53 @@
 import numpy as np
 import pytest
 
-from bspower.power_model import BaseStationParams, consumption, consumption_trace
+from bspower.power_model import BaseStationParams, consumption_trace
 from bspower.units import Horizon
 
 PARAMS = BaseStationParams(e_static_w=194.25, e_dynamic_w=24.0, max_connections=25)
 
 
+def _watts(*occupancy):
+    """Hourly consumption_trace, so each entry is the period's mean draw in W."""
+    return consumption_trace(PARAMS, occupancy, Horizon(T=len(occupancy)))
+
+
 def test_idle_station_draws_static_power_only():
-    assert consumption(PARAMS, 0) == pytest.approx(194.25)
+    np.testing.assert_allclose(_watts(0.0, 0.0), 194.25, rtol=1e-12)
 
 
 def test_fully_loaded_station():
     # 194.25 + 24 * 25
-    assert consumption(PARAMS, 25) == pytest.approx(794.25)
+    np.testing.assert_allclose(_watts(25.0, 25.0), 794.25, rtol=1e-12)
 
 
 def test_fractional_occupancy_is_allowed():
-    assert consumption(PARAMS, 12.5) == pytest.approx(194.25 + 24.0 * 12.5)
+    np.testing.assert_allclose(_watts(12.5, 0.25), [194.25 + 24.0 * 12.5,
+                                                    194.25 + 24.0 * 0.25], rtol=1e-12)
 
 
 def test_occupancy_outside_capacity_rejected():
     with pytest.raises(ValueError):
-        consumption(PARAMS, -0.1)
+        _watts(0.0, -0.1)
     with pytest.raises(ValueError):
-        consumption(PARAMS, 25.0001)
+        _watts(25.0001, 0.0)
 
 
 def test_affine_model_commutes_with_averaging():
-    # consumption(mean occupancy) == mean consumption, exactly, because the
-    # model is affine. This is what justifies feeding time-averaged
+    # the draw at the mean occupancy equals the mean draw, exactly, because
+    # the model is affine. This is what justifies feeding time-averaged
     # occupancy into the per-period energy accounting.
     rng = np.random.default_rng(4)
     occ = rng.uniform(0, 25, size=500)
-    direct = np.mean([consumption(PARAMS, v) for v in occ])
-    assert consumption(PARAMS, float(occ.mean())) == pytest.approx(direct, rel=1e-12)
+    direct = _watts(*occ).mean()
+    assert _watts(occ.mean(), 0.0)[0] == pytest.approx(direct, rel=1e-12)
 
 
 def test_consumption_trace_matches_scalar_model():
     horizon = Horizon(T=6)
     occ = [0.0, 1.0, 5.5, 25.0, 10.0, 0.25]
     trace = consumption_trace(PARAMS, occ, horizon)
-    expected = [consumption(PARAMS, v) * 1.0 for v in occ]
+    expected = [(194.25 + 24.0 * v) * 1.0 for v in occ]
     np.testing.assert_allclose(trace, expected, rtol=1e-12)
 
 

@@ -15,7 +15,6 @@ from bspower.scenarios import (
     ScenarioSpace,
     check_marginal_space,
     compose,
-    dump_scenario_file,
     estimate_probabilities,
     load_scenario_file,
     parse_scenario_document,
@@ -271,7 +270,7 @@ def _document_with_traffic():
 def test_document_roundtrip_consumption(tmp_path):
     doc = _document_with_consumption()
     path = tmp_path / "scen.json"
-    dump_scenario_file(doc, path)
+    path.write_text(json.dumps(scenario_document_dict(doc)))
     back = load_scenario_file(path)
     assert back.horizon == doc.horizon
     assert back.consumption is not None and back.traffic == []
@@ -286,7 +285,7 @@ def test_document_roundtrip_consumption(tmp_path):
 def test_document_roundtrip_traffic(tmp_path):
     doc = _document_with_traffic()
     path = tmp_path / "scen.json"
-    dump_scenario_file(doc, path)
+    path.write_text(json.dumps(scenario_document_dict(doc)))
     back = load_scenario_file(path)
     assert back.consumption is None
     assert len(back.traffic) == 1

@@ -12,11 +12,11 @@ from bspower.traffic import (
     _add_occupancy_minutes,
     _simulate,
     _stream,
-    analytic_guard_channel,
     simulate_replicated,
     uniform_traffic,
 )
 from bspower.units import Horizon
+from analytic_traffic import analytic_guard_channel
 from scalar_traffic import scalar_simulate
 
 DAY = Horizon(T=24)

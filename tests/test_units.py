@@ -1,29 +1,9 @@
-"""Unit conventions: Wh, cents/kWh, and the horizon clock."""
+"""The horizon clock."""
 
 import pytest
 
 import bspower
-from bspower.units import Horizon, cents_to_dollars, energy_cost
-
-
-def test_energy_cost_bridges_wh_to_kwh():
-    assert energy_cost(1000.0, 12.0) == pytest.approx(12.0)
-    assert energy_cost(300.0, 20.0) == pytest.approx(6.0)
-    assert energy_cost(0.0, 50.0) == 0.0
-    assert energy_cost(250.0, 0.0) == 0.0
-
-
-def test_energy_cost_is_bilinear():
-    base = energy_cost(137.0, 9.25)
-    assert energy_cost(2 * 137.0, 9.25) == pytest.approx(2 * base)
-    assert energy_cost(137.0, 3 * 9.25) == pytest.approx(3 * base)
-
-
-def test_energy_cost_rejects_negative_inputs():
-    with pytest.raises(ValueError):
-        energy_cost(-1.0, 10.0)
-    with pytest.raises(ValueError):
-        energy_cost(10.0, -0.5)
+from bspower.units import Horizon
 
 
 def test_horizon_defaults_to_hourly_periods():
@@ -50,12 +30,6 @@ def test_horizon_subhourly_periods():
     assert h.period_minutes == pytest.approx(15.0)
 
 
-def test_cents_to_dollars():
-    assert cents_to_dollars(1279.0) == pytest.approx(12.79)
-    assert cents_to_dollars(0.0) == 0.0
-
-
 def test_package_reexports_core_names():
     assert bspower.Horizon is Horizon
-    assert bspower.energy_cost is energy_cost
     assert isinstance(bspower.__version__, str)
