@@ -23,7 +23,7 @@ All of this is data; callers can substitute any piece.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -175,20 +175,20 @@ def consumption_space_from_profiles(
     """Simulate each traffic profile into a consumption scenario.
 
     All profiles reuse the same seed, so their arrival streams are coupled
-    and heavier profiles produce pointwise heavier occupancy.
+    and heavier profiles produce pointwise heavier occupancy. They are
+    simulated in one batch, which draws each shared stream once.
     """
-    scenarios = []
-    for profile in profiles:
-        spec = TrafficSpec(new_rate=profile.new_rate,
-                           handoff_rate=profile.handoff_rate,
-                           mean_holding=profile.mean_holding_min)
-        occupancy = simulate_replicated(spec, cac, horizon, replications, seed)[0]
-        scenarios.append(MarginalScenario(
-            label=profile.label,
-            probability=profile.probability,
-            values=consumption_trace(params, occupancy, horizon),
-        ))
-    return MarginalSpace(kind="consumption", scenarios=tuple(scenarios))
+    specs = [TrafficSpec(new_rate=profile.new_rate,
+                         handoff_rate=profile.handoff_rate,
+                         mean_holding=profile.mean_holding_min)
+             for profile in profiles]
+    traces = simulate_replicated([(spec, cac) for spec in specs], horizon,
+                                 replications, seed).traces
+    scenarios = tuple(
+        MarginalScenario(label=profile.label, probability=profile.probability,
+                         values=consumption_trace(params, occupancy, horizon))
+        for profile, occupancy in zip(profiles, traces))
+    return MarginalSpace(kind="consumption", scenarios=scenarios)
 
 
 @dataclass(frozen=True)
@@ -225,8 +225,9 @@ def calibration_from_config(cfg: dict, scenarios: ScenarioDocument | None = None
     ``cfg`` has the keys of ``DEFAULT_CONFIG``. A scenario document sets the
     horizon and replaces the default price and renewable marginals, and
     either the consumption marginals or the traffic profiles; without one
-    the horizon has ``periods`` periods. Raises ValueError on values the
-    model cannot use.
+    the horizon has ``periods`` periods. A traffic profile without its own
+    mean holding time takes ``traffic.mean_holding_min``. Raises ValueError
+    on values the model cannot use.
     """
     horizon = scenarios.horizon if scenarios else Horizon(T=periods)
     price = scenarios.price if scenarios else default_price_space(horizon.T)
@@ -234,7 +235,10 @@ def calibration_from_config(cfg: dict, scenarios: ScenarioDocument | None = None
 
     tr = cfg["traffic"]
     if scenarios and scenarios.traffic:
-        profiles = tuple(scenarios.traffic)
+        profiles = tuple(
+            replace(p, mean_holding_min=float(tr["mean_holding_min"]))
+            if p.mean_holding_min is None else p
+            for p in scenarios.traffic)
         consumption = None
     elif scenarios and scenarios.consumption is not None:
         profiles = ()

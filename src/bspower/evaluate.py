@@ -231,16 +231,15 @@ def sweep_cac(thresholds, spec: TrafficSpec, cal: Calibration,
     if thresholds[0] < 1 or thresholds[-1] > channels:
         raise ValueError(f"thresholds must lie in [1, {channels}]")
 
-    def solve_for(cac: CacConfig):
-        trace, stats = simulate_replicated(spec, cac, cal.horizon,
-                                           cal.replications, seed)
+    distinct = list(dict.fromkeys([*thresholds, channels]))
+    runs = simulate_replicated(
+        [(spec, CacConfig(channels=channels, threshold=tau)) for tau in distinct],
+        cal.horizon, cal.replications, seed)
+    results = {}
+    for tau, trace, stats in zip(distinct, runs.traces, runs.qos):
         consumption = consumption_trace(cal.params, trace, cal.horizon)
         space = compose(cal.price, cal.renewable, _single_consumption(consumption))
-        policy = solve_policy(cal.horizon, cal.storage, space)
-        return stats, policy.expected_cost
-
-    results = {tau: solve_for(CacConfig(channels=channels, threshold=tau))
-               for tau in dict.fromkeys([*thresholds, channels])}
+        results[tau] = stats, solve_policy(cal.horizon, cal.storage, space).expected_cost
     _, cost_open = results[channels]
     rows = []
     for tau in thresholds:
@@ -265,12 +264,12 @@ def sweep_arrival_rate(rates, cal: Calibration, seed: int = 0) -> ExperimentRepo
     rates = sorted(float(r) for r in rates)
     if rates[0] < 0:
         raise ValueError("arrival rates must be non-negative")
+    specs = [uniform_traffic(rate, cal.handoff_fraction, cal.horizon.T, cal.mean_holding)
+             for rate in rates]
+    traces = simulate_replicated([(spec, cal.cac) for spec in specs], cal.horizon,
+                                 cal.replications, seed).traces
     rows = []
-    for rate in rates:
-        spec = uniform_traffic(rate, cal.handoff_fraction, cal.horizon.T,
-                               cal.mean_holding)
-        trace, _ = simulate_replicated(spec, cal.cac, cal.horizon,
-                                       cal.replications, seed)
+    for rate, trace in zip(rates, traces):
         consumption = consumption_trace(cal.params, trace, cal.horizon)
         space = compose(cal.price, cal.renewable, _single_consumption(consumption))
         policy = solve_policy(cal.horizon, cal.storage, space)

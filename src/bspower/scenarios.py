@@ -229,14 +229,16 @@ class RateProfile:
 
     Rates are connections per minute, one entry per period; conversion to a
     consumption trace goes through the traffic simulator and power model
-    (see calibration.consumption_space_from_profiles).
+    (see calibration.consumption_space_from_profiles). A mean holding time
+    of None takes the config's ``traffic.mean_holding_min``
+    (calibration.calibration_from_config fills it in).
     """
 
     label: str
     probability: float
     new_rate: np.ndarray
     handoff_rate: np.ndarray
-    mean_holding_min: float = 10.0
+    mean_holding_min: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "new_rate", np.asarray(self.new_rate, dtype=float))
@@ -324,7 +326,8 @@ def _parse_traffic(obj: dict) -> list[RateProfile]:
                 probability=float(entry["probability"]),
                 new_rate=entry["new_rate"],
                 handoff_rate=entry["handoff_rate"],
-                mean_holding_min=float(entry.get("mean_holding_min", 10.0)),
+                mean_holding_min=(float(entry["mean_holding_min"])
+                                  if "mean_holding_min" in entry else None),
             )
         )
     return profiles
@@ -406,7 +409,9 @@ def scenario_document_dict(document: ScenarioDocument) -> dict:
                     "probability": p.probability,
                     "new_rate": list(map(float, p.new_rate)),
                     "handoff_rate": list(map(float, p.handoff_rate)),
-                    "mean_holding_min": p.mean_holding_min,
+                    # absent, the config's holding time applies
+                    **({} if p.mean_holding_min is None
+                       else {"mean_holding_min": p.mean_holding_min}),
                 }
                 for p in document.traffic
             ]

@@ -100,8 +100,13 @@ class VariableMap:
         return scenario * 3 * self.T + k * self.T + t
 
     def unpack(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Split a solution vector into (S, T) arrays for x, s, y."""
-        cube = np.asarray(x).reshape(len(self.scenario_labels), 3, self.T)
+        """Split a solution vector into (S, T) arrays for x, s, y.
+
+        ``x`` may also be a stack of solution vectors, one per row; their
+        scenarios then follow each other in the returned arrays.
+        """
+        S, T = len(self.scenario_labels), self.T
+        cube = np.asarray(x).reshape(-1, S, 3, T).reshape(-1, 3, T)
         return cube[:, 0, :].copy(), cube[:, 1, :].copy(), cube[:, 2, :].copy()
 
 
@@ -295,10 +300,8 @@ def solve_policy(
                 del blocks[w]
             blocks[members[0]] = members, result
 
-    purchase = np.zeros((S, T))
-    battery = np.zeros((S, T))
-    excess = np.zeros((S, T))
     expected = 0.0
+    by_size: dict[int, list[tuple[list[int], np.ndarray, VariableMap]]] = {}
     for lead in sorted(blocks):
         members, (mass, solution, vmap) = blocks[lead]
         if solution.status != "optimal":
@@ -307,8 +310,18 @@ def solve_policy(
                 f"of {space.scenarios[lead].label!r}; check battery endpoint "
                 f"levels (initial={storage.initial}, terminal={storage.terminal}) "
                 f"against capacity {storage.capacity}")
-        purchase[members], battery[members], excess[members] = vmap.unpack(solution.x)
+        by_size.setdefault(len(members), []).append((members, solution.x, vmap))
         expected += mass * float(solution.objective_value)
+
+    # blocks of one size share their column layout: one unpack per size
+    purchase = np.zeros((S, T))
+    battery = np.zeros((S, T))
+    excess = np.zeros((S, T))
+    for sized in by_size.values():
+        rows = [w for members, _, _ in sized for w in members]
+        vmap = sized[0][2]
+        purchase[rows], battery[rows], excess[rows] = vmap.unpack(
+            np.stack([x for _, x, _ in sized]))
     return PolicyTable(
         scenario_labels=tuple(space.labels),
         probabilities=space.probabilities,

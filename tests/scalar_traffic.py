@@ -1,15 +1,20 @@
 """Scalar event loop of the guard-channel simulator, kept as a test oracle.
 
-This is the one-event-at-a-time form of ``bspower.traffic._simulate``: it
-draws the same blocks in the same order, advances the clock with
-``t += dt`` and adds each occupancy piece to its period as it goes. The
-vectorized simulator must reproduce its traces bit for bit and its QoS
-counts exactly.
+``scalar_simulate`` is the one-event-at-a-time form of one replication of
+one run of ``bspower.traffic.simulate_replicated``: it draws the same
+blocks in the same order, advances the clock with ``t += dt`` and adds
+each occupancy piece to its period as it goes. The batched simulator must
+reproduce its traces bit for bit and its QoS counts exactly, for every run
+of a batch. ``scalar_replicated`` pools replications the way the batch
+does, and ``lone_replication`` runs one replication of the batch by itself.
 """
+
+from unittest import mock
 
 import numpy as np
 
-from bspower.traffic import _BLOCK, CacConfig, QosStats, TrafficSpec
+from bspower import traffic
+from bspower.traffic import _BLOCK, CacConfig, QosStats, TrafficSpec, _stream
 from bspower.units import Horizon
 
 
@@ -82,3 +87,41 @@ def scalar_simulate(spec: TrafficSpec, cac: CacConfig, horizon: Horizon,
         dropped_handoff=dropped_h,
     )
     return occ_minutes / period_min, stats
+
+
+def scalar_replicated(spec: TrafficSpec, cac: CacConfig, horizon: Horizon,
+                      replications: int, seed: int) -> tuple[np.ndarray, QosStats]:
+    """Mean trace and summed QoS counts of replications 0..replications-1."""
+    acc = np.zeros(horizon.T)
+    offered_new = blocked_new = offered_h = dropped_h = 0
+    for i in range(replications):
+        trace, stats = scalar_simulate(spec, cac, horizon, _stream(seed, i))
+        acc += trace
+        offered_new += stats.offered_new
+        blocked_new += stats.blocked_new
+        offered_h += stats.offered_handoff
+        dropped_h += stats.dropped_handoff
+    stats = QosStats(
+        new_blocking_prob=blocked_new / offered_new if offered_new else 0.0,
+        handoff_dropping_prob=dropped_h / offered_h if offered_h else 0.0,
+        offered_new=offered_new,
+        offered_handoff=offered_h,
+        blocked_new=blocked_new,
+        dropped_handoff=dropped_h,
+    )
+    return acc / replications, stats
+
+
+def lone_replication(spec: TrafficSpec, cac: CacConfig, horizon: Horizon,
+                     seed: int, index: int) -> tuple[np.ndarray, QosStats]:
+    """Replication ``index`` of one run of ``simulate_replicated``, alone.
+
+    The batch draws replication i from ``_stream(seed, i)``. This runs a
+    one-replication batch whose stream 0 is swapped for stream ``index``.
+    """
+    def shifted(stream_seed, i=0):
+        return _stream(stream_seed, i + index)
+
+    with mock.patch.object(traffic, "_stream", shifted):
+        result = traffic.simulate_replicated([(spec, cac)], horizon, 1, seed)
+    return result.traces[0], result.qos[0]

@@ -52,12 +52,11 @@ from bspower.stochastic import (
 from bspower.traffic import (
     CacConfig,
     uniform_traffic,
-    _simulate,
-    _stream,
 )
 from bspower.units import Horizon
 from analytic_traffic import analytic_guard_channel
 from brute_force_lp import brute_force_solve
+from scalar_traffic import lone_replication
 
 
 def _report(criterion, ok, detail):
@@ -346,7 +345,7 @@ def test_criterion_8_admission_control_study():
     reps = 10
     sims_b, sims_d = [], []
     for i in range(reps):
-        _, stats = _simulate(spec, cac, horizon, _stream(1, i))
+        _, stats = lone_replication(spec, cac, horizon, seed=1, index=i)
         sims_b.append(stats.new_blocking_prob)
         sims_d.append(stats.handoff_dropping_prob)
     z_b = (np.mean(sims_b) - ref_b) / (np.std(sims_b, ddof=1) / np.sqrt(reps))

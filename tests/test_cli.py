@@ -163,11 +163,43 @@ def test_traffic_profile_with_an_overflowing_rate_is_a_usage_error(tmp_path, cap
     assert not (tmp_path / "o" / "policy.csv").exists()
 
 
+def test_traffic_profile_without_holding_time_takes_the_config_value(tmp_path, capsys):
+    doc = json.loads(json.dumps(TINY_SCENARIOS))
+    del doc["consumption"]
+    doc["traffic"] = {"scenarios": [
+        {"label": "busy", "probability": 1.0,
+         "new_rate": [0.7, 1.4, 1.4, 0.7], "handoff_rate": [0.3, 0.6, 0.6, 0.3]},
+    ]}
+    scenarios = write_json(tmp_path / "traffic.json", doc)
+    costs = []
+    for holding in (1.0, 30.0):
+        cfg = write_json(tmp_path / f"cfg{holding}.json",
+                         {"schema": "bspower-config-1",
+                          "traffic": {"mean_holding_min": holding}})
+        assert main(["solve", "--config", cfg, "--scenarios", scenarios,
+                     "--out", str(tmp_path / f"o{holding}")]) == 0
+        costs.append(next(line for line in capsys.readouterr().out.splitlines()
+                          if line.startswith("expected daily cost")))
+    # 1 vs 30 erlangs per connection/minute: the longer calls cost more
+    assert costs[0] != costs[1]
+
+
 def test_traffic_run_with_too_many_events_is_a_usage_error(tmp_path, capsys):
     # mean_holding_min 1e-300 asks for ~1e304 departure events; the run is
     # refused before it draws instead of running without end
     cfg = write_json(tmp_path / "cfg.json", {"schema": "bspower-config-1",
                                              "traffic": {"mean_holding_min": 1e-300}})
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "events" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "policy.csv").exists()
+
+
+def test_replication_count_past_the_event_budget_is_a_usage_error(tmp_path, capsys):
+    # each default run needs ~5040 events per replication, so 1e8
+    # replications of the five profiles are refused before any draw instead
+    # of running without end
+    cfg = write_json(tmp_path / "cfg.json", {"schema": "bspower-config-1",
+                                             "traffic": {"replications": 100_000_000}})
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "events" in capsys.readouterr().err
     assert not (tmp_path / "o" / "policy.csv").exists()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from bspower.calibration import (
+    DEFAULT_ARRIVAL_RATES,
     DEFAULT_CAC_THRESHOLDS,
     DEFAULT_CONFIG,
     Calibration,
@@ -325,15 +326,34 @@ def test_cac_sweep_runs_each_threshold_once(monkeypatch, grid, runs):
                            cal.mean_holding)
     thresholds = []
 
-    def spy(spec, cac, *args):
-        thresholds.append(cac.threshold)
-        return simulate_replicated(spec, cac, *args)
+    def spy(batch, *args):
+        thresholds.extend(cac.threshold for _, cac in batch)
+        return simulate_replicated(batch, *args)
 
     monkeypatch.setattr("bspower.evaluate.simulate_replicated", spy)
     report = sweep_cac(grid, spec, cal, seed=0)
     assert len(thresholds) == runs
     assert sorted(thresholds) == sorted({*grid, cal.cac.channels})
     assert len(report.rows) == len(grid)
+
+
+def test_sweeps_and_consumption_space_simulate_in_one_call(monkeypatch):
+    cal = cheap_calibration(replications=1)
+    calls = []
+
+    def spy(batch, *args):
+        batch = list(batch)
+        calls.append(len(batch))
+        return simulate_replicated(batch, *args)
+
+    monkeypatch.setattr("bspower.evaluate.simulate_replicated", spy)
+    monkeypatch.setattr("bspower.calibration.simulate_replicated", spy)
+    spec = uniform_traffic(0.5, cal.handoff_fraction, cal.horizon.T, cal.mean_holding)
+    sweep_cac(DEFAULT_CAC_THRESHOLDS, spec, cal, seed=0)
+    sweep_arrival_rate(DEFAULT_ARRIVAL_RATES, cal, seed=0)
+    replace(cal, consumption=None).consumption_space(seed=0)
+    assert calls == [len(DEFAULT_CAC_THRESHOLDS), len(DEFAULT_ARRIVAL_RATES),
+                     len(cal.traffic_profiles)]
 
 
 def test_cac_sweep_validates_threshold_grid():

@@ -1,6 +1,7 @@
 """Scenario spaces: probability estimation, composition, and JSON documents."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -294,6 +295,16 @@ def test_document_roundtrip_traffic(tmp_path):
     assert profile.mean_holding_min == 8.0
     np.testing.assert_allclose(profile.new_rate, 0.2)
     np.testing.assert_allclose(profile.handoff_rate, 0.1)
+
+
+def test_traffic_profile_without_holding_time_stays_unset(tmp_path):
+    doc = _document_with_traffic()
+    doc.traffic[0] = replace(doc.traffic[0], mean_holding_min=None)
+    text = scenario_document_dict(doc)
+    assert "mean_holding_min" not in text["traffic"]["scenarios"][0]
+    path = tmp_path / "scen.json"
+    path.write_text(json.dumps(text))
+    assert load_scenario_file(path).traffic[0].mean_holding_min is None
 
 
 def test_document_requires_exactly_one_demand_section():

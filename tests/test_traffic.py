@@ -5,21 +5,27 @@ import math
 import numpy as np
 import pytest
 
-from bspower.calibration import default_traffic_profiles
+from bspower import traffic
+from bspower.calibration import default_calibration, default_traffic_profiles
 from bspower.traffic import (
     CacConfig,
     TrafficSpec,
     _add_occupancy_minutes,
-    _simulate,
     _stream,
     simulate_replicated,
     uniform_traffic,
 )
 from bspower.units import Horizon
 from analytic_traffic import analytic_guard_channel
-from scalar_traffic import scalar_simulate
+from scalar_traffic import lone_replication, scalar_replicated, scalar_simulate
 
 DAY = Horizon(T=24)
+
+
+def one_run(spec, cac, horizon, replications, seed):
+    """(trace, QosStats) of a batch of one run."""
+    result = simulate_replicated([(spec, cac)], horizon, replications, seed)
+    return result.traces[0], result.qos[0]
 
 
 def erlang_b(offered_erlangs, channels):
@@ -59,14 +65,32 @@ def test_spec_rejects_rates_that_are_not_finite(new, handoff):
     TrafficSpec(new_rate=np.full(24, 1.0), handoff_rate=np.zeros(24), mean_holding=1e-300),
     uniform_traffic(1e12, 0.3, 24),
 ], ids=("tiny-holding", "huge-rate"))
-def test_run_with_too_many_events_is_refused_before_drawing(spec):
+def test_run_with_too_many_events_is_refused_before_drawing(spec, monkeypatch):
     rng = _stream(0)
     before = rng.bit_generator.state
+    # every stream the batch would open is this generator
+    monkeypatch.setattr(traffic, "_stream", lambda seed, index=0: rng)
     with pytest.raises(ValueError, match="events"):
-        _simulate(spec, CacConfig(channels=25, threshold=20), DAY, rng)
+        simulate_replicated([(spec, CacConfig(channels=25, threshold=20))], DAY, 1, seed=0)
     assert rng.bit_generator.state == before
+    monkeypatch.undo()
     with pytest.raises(ValueError, match="events"):
-        simulate_replicated(spec, CacConfig(channels=25, threshold=20), DAY, 2, seed=0)
+        simulate_replicated([(spec, CacConfig(channels=25, threshold=20))], DAY, 2, seed=0)
+
+
+def test_event_budget_counts_every_run_and_replication(monkeypatch):
+    # one run of 10^4 replications needs about 5.04e7 events (3.5 per minute
+    # over 1440 minutes each), under the budget; two such runs are over it
+    spec = uniform_traffic(0.56, 0.3, DAY.T)
+    cac = CacConfig(channels=25, threshold=20)
+    opened = []
+    monkeypatch.setattr(traffic, "_stream",
+                        lambda seed, index=0: opened.append(index))
+    with pytest.raises(ValueError, match="1.01e[+]08 events"):
+        simulate_replicated([(spec, cac), (spec, cac)], DAY, 10**4, seed=0)
+    with pytest.raises(ValueError, match="events"):
+        simulate_replicated([(spec, cac)], DAY, 10**8, seed=0)
+    assert opened == []
 
 
 def test_cac_validation():
@@ -91,8 +115,7 @@ def test_uniform_traffic_split():
 
 def test_zero_arrivals_produce_empty_system():
     spec = uniform_traffic(0.0, 0.3, periods=24)
-    trace, stats = simulate_replicated(spec, CacConfig(25, 20), DAY,
-                                       replications=1, seed=3)
+    trace, stats = one_run(spec, CacConfig(25, 20), DAY, replications=1, seed=3)
     np.testing.assert_array_equal(trace, np.zeros(24))
     assert stats.offered_new == 0 and stats.offered_handoff == 0
     assert stats.new_blocking_prob == 0.0 and stats.handoff_dropping_prob == 0.0
@@ -101,7 +124,7 @@ def test_zero_arrivals_produce_empty_system():
 def test_rate_trace_length_must_match_horizon():
     spec = uniform_traffic(0.5, 0.3, periods=12)
     with pytest.raises(ValueError):
-        simulate_replicated(spec, CacConfig(25, 20), DAY, replications=1, seed=0)
+        simulate_replicated([(spec, CacConfig(25, 20))], DAY, replications=1, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -111,19 +134,19 @@ def test_rate_trace_length_must_match_horizon():
 def test_same_seed_reproduces_run_exactly():
     spec = uniform_traffic(0.56, 0.3, periods=24)
     cac = CacConfig(25, 20)
-    t1, s1 = simulate_replicated(spec, cac, DAY, replications=1, seed=42)
-    t2, s2 = simulate_replicated(spec, cac, DAY, replications=1, seed=42)
+    t1, s1 = one_run(spec, cac, DAY, replications=1, seed=42)
+    t2, s2 = one_run(spec, cac, DAY, replications=1, seed=42)
     np.testing.assert_array_equal(t1, t2)
     assert s1 == s2
-    t3, _ = simulate_replicated(spec, cac, DAY, replications=1, seed=43)
+    t3, _ = one_run(spec, cac, DAY, replications=1, seed=43)
     assert not np.array_equal(t1, t3)
 
 
 def test_single_replication_equals_plain_run():
     spec = uniform_traffic(0.8, 0.3, periods=24)
     cac = CacConfig(25, 20)
-    t1, s1 = _simulate(spec, cac, DAY, _stream(7, 0))
-    t2, s2 = simulate_replicated(spec, cac, DAY, replications=1, seed=7)
+    t1, s1 = lone_replication(spec, cac, DAY, seed=7, index=0)
+    t2, s2 = one_run(spec, cac, DAY, replications=1, seed=7)
     np.testing.assert_array_equal(t1, t2)
     assert s1 == s2
 
@@ -131,14 +154,14 @@ def test_single_replication_equals_plain_run():
 def test_replications_pool_offered_counts():
     spec = uniform_traffic(1.2, 0.3, periods=24)
     cac = CacConfig(25, 20)
-    _, pooled = simulate_replicated(spec, cac, DAY, replications=4, seed=11)
-    singles = [simulate_replicated(spec, cac, DAY, replications=1, seed=11)]
+    _, pooled = one_run(spec, cac, DAY, replications=4, seed=11)
+    singles = [one_run(spec, cac, DAY, replications=1, seed=11)]
     # replication i consumes substream i of the same master seed, so the
     # first replication must coincide with the plain run
     assert singles[0][1].offered_new <= pooled.offered_new
     total = 0
     for i in range(4):
-        _, s = _simulate(spec, cac, DAY, _stream(11, i))
+        _, s = lone_replication(spec, cac, DAY, seed=11, index=i)
         total += s.offered_new
     assert pooled.offered_new == total
 
@@ -146,7 +169,7 @@ def test_replications_pool_offered_counts():
 def test_occupancy_stays_within_channel_count():
     spec = uniform_traffic(3.0, 0.3, periods=24)
     cac = CacConfig(10, 8)
-    trace, _ = simulate_replicated(spec, cac, DAY, replications=1, seed=5)
+    trace, _ = one_run(spec, cac, DAY, replications=1, seed=5)
     assert np.all(trace >= 0.0)
     assert np.all(trace <= 10.0)
 
@@ -154,7 +177,7 @@ def test_occupancy_stays_within_channel_count():
 def test_replication_count_must_be_positive():
     spec = uniform_traffic(0.5, 0.3, periods=24)
     with pytest.raises(ValueError):
-        simulate_replicated(spec, CacConfig(25, 20), DAY, replications=0, seed=0)
+        simulate_replicated([(spec, CacConfig(25, 20))], DAY, replications=0, seed=0)
 
 
 def test_pooling_replications_shrinks_estimator_spread():
@@ -164,8 +187,8 @@ def test_pooling_replications_shrinks_estimator_spread():
     cac = CacConfig(channels=5, threshold=4)
     single, pooled = [], []
     for seed in range(30):
-        _, one = simulate_replicated(spec, cac, DAY, replications=1, seed=seed)
-        _, nine = simulate_replicated(spec, cac, DAY, replications=9, seed=seed)
+        _, one = one_run(spec, cac, DAY, replications=1, seed=seed)
+        _, nine = one_run(spec, cac, DAY, replications=9, seed=seed)
         single.append(one.new_blocking_prob)
         pooled.append(nine.new_blocking_prob)
     v_one = np.var(single, ddof=1)
@@ -184,7 +207,7 @@ def test_threshold_monotonicity_is_exact_under_shared_seed():
     spec = uniform_traffic(2.0, 0.3, periods=24)
     for seed in (0, 1, 2, 3):
         results = [
-            simulate_replicated(spec, CacConfig(25, tau), DAY, 2, seed)[1]
+            one_run(spec, CacConfig(25, tau), DAY, 2, seed)[1]
             for tau in (5, 10, 15, 20, 25)
         ]
         blocked = [r.blocked_new for r in results]
@@ -198,10 +221,8 @@ def test_threshold_monotonicity_is_exact_under_shared_seed():
 def test_heavier_arrivals_mean_pointwise_heavier_occupancy():
     cac = CacConfig(25, 20)
     for seed in (0, 4, 9):
-        light = simulate_replicated(uniform_traffic(0.3, 0.3, 24), cac,
-                                    DAY, 2, seed)[0]
-        heavy = simulate_replicated(uniform_traffic(0.9, 0.3, 24), cac,
-                                    DAY, 2, seed)[0]
+        light = one_run(uniform_traffic(0.3, 0.3, 24), cac, DAY, 2, seed)[0]
+        heavy = one_run(uniform_traffic(0.9, 0.3, 24), cac, DAY, 2, seed)[0]
         assert np.all(heavy >= light - 1e-12), seed
 
 
@@ -274,7 +295,7 @@ def test_simulation_agrees_with_analytic_steady_state():
     reps = 10
     per_rep = {"blocking": [], "dropping": [], "occupancy": []}
     for i in range(reps):
-        trace, stats = _simulate(spec, cac, horizon, _stream(1, i))
+        trace, stats = lone_replication(spec, cac, horizon, seed=1, index=i)
         per_rep["blocking"].append(stats.new_blocking_prob)
         per_rep["dropping"].append(stats.handoff_dropping_prob)
         per_rep["occupancy"].append(trace.mean())
@@ -290,7 +311,7 @@ def test_simulation_agrees_with_analytic_steady_state():
 # ---------------------------------------------------------------------------
 
 def _assert_matches_oracle(spec, cac, horizon, seed):
-    trace, stats = _simulate(spec, cac, horizon, _stream(seed, 0))
+    trace, stats = one_run(spec, cac, horizon, 1, seed)
     ref_trace, ref_stats = scalar_simulate(spec, cac, horizon, _stream(seed, 0))
     assert np.array_equal(trace, ref_trace), (cac, horizon, seed)
     assert stats == ref_stats, (cac, horizon, seed)
@@ -334,6 +355,78 @@ def test_gap_across_a_draw_block_matches_scalar_oracle():
     horizon = Horizon(T=12000, period_hours=0.01)
     _assert_matches_oracle(uniform_traffic(0.4, 0.3, horizon.T), CacConfig(1, 1),
                            horizon, seed=9)
+
+
+def _assert_batch_matches_oracle(runs, horizon, replications, seed):
+    result = simulate_replicated(runs, horizon, replications, seed)
+    assert result.traces.shape == (len(runs), horizon.T)
+    for j, (spec, cac) in enumerate(runs):
+        ref_trace, ref_stats = scalar_replicated(spec, cac, horizon, replications, seed)
+        assert np.array_equal(result.traces[j], ref_trace), (j, cac, horizon, seed)
+        assert result.qos[j] == ref_stats, (j, cac, horizon, seed)
+    pooled = result.pooled
+    assert pooled.offered_new == sum(q.offered_new for q in result.qos)
+    assert pooled.dropped_handoff == sum(q.dropped_handoff for q in result.qos)
+
+
+def _mixed_runs(periods):
+    # event rates from 1.1/min (rate 0, one channel) to 58/min (rate 7.5,
+    # 25 channels, 0.5-minute holding), so the runs need from one to many
+    # draw blocks; some runs share a spec object, some share only a rate
+    idle, light, heavy = (uniform_traffic(rate, 0.3, periods) for rate in (0.0, 0.4, 7.5))
+    return [
+        (light, CacConfig(1, 1)),
+        (idle, CacConfig(25, 20)),
+        (heavy, CacConfig(25, 20)),
+        (light, CacConfig(25, 20)),
+        (uniform_traffic(0.4, 0.3, periods), CacConfig(25, 5)),
+        (uniform_traffic(7.5, 0.3, periods, mean_holding=0.5), CacConfig(25, 20)),
+        (heavy, CacConfig(5, 4)),
+        (idle, CacConfig(1, 1)),
+        (light, CacConfig(25, 25)),
+        # codes and occupancies past one byte
+        (heavy, CacConfig(300, 280)),
+    ]
+
+
+# a 0.012-minute horizon mostly ends before the first event of a run
+@pytest.mark.parametrize("horizon", (
+    DAY, Horizon(T=240, period_hours=0.01), Horizon(T=2, period_hours=1e-4),
+), ids=("60min", "0.6min", "0.006min"))
+def test_mixed_batch_matches_scalar_oracle_run_by_run(horizon):
+    _assert_batch_matches_oracle(_mixed_runs(horizon.T), horizon, 2, seed=4)
+
+
+def test_batch_result_does_not_depend_on_its_company():
+    runs = _mixed_runs(DAY.T)
+    together = simulate_replicated(runs, DAY, 2, seed=8)
+    for j, run in enumerate(runs):
+        alone = simulate_replicated([run], DAY, 2, seed=8)
+        assert np.array_equal(alone.traces[0], together.traces[j])
+        assert alone.qos[0] == together.qos[j]
+
+
+def test_empty_batch_returns_no_runs():
+    result = simulate_replicated([], DAY, 3, seed=0)
+    assert result.traces.shape == (0, DAY.T)
+    assert result.qos == ()
+    assert result.pooled.offered_new == 0 and result.pooled.offered_handoff == 0
+
+
+def test_default_consumption_space_opens_each_stream_once(monkeypatch):
+    # the five default profiles share one event rate (1 + 25/10 per minute),
+    # so replication i's draws are made once for all of them
+    cal = default_calibration()
+    opened = []
+
+    def spy(seed, index=0):
+        opened.append((seed, index))
+        return _stream(seed, index)
+
+    monkeypatch.setattr(traffic, "_stream", spy)
+    cal.consumption_space(seed=0)
+    assert len(cal.traffic_profiles) == 5
+    assert opened == [(0, i) for i in range(cal.replications)]
 
 
 def test_occupancy_minutes_split_at_every_edge_and_drop_slivers():
