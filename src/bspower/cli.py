@@ -1,10 +1,10 @@
 """Command-line interface: configuration ingestion, runs, CSV emission.
 
 Subcommands: solve, simulate, sweep {battery,cac,arrival}, estimate-probs.
-Shared flags: --config, --scenarios, --out, --seed, --nonanticipative,
---physical-discharge. Exit codes: 0 success, 2 usage error, 3 infeasible
-program, 4 I/O or file-format error (including non-finite numbers), 5
-solver failure.
+Shared flags: --config, --scenarios, --out, --seed; solve and simulate
+also take --nonanticipative and --physical-discharge. Exit codes: 0
+success, 2 usage error, 3 infeasible program, 4 I/O or file-format error
+(including non-finite numbers), 5 solver failure.
 
 The config file is JSON with schema "bspower-config-1"; unknown keys are
 rejected, and each value must have the JSON type of its default (a number
@@ -120,6 +120,10 @@ class RunConfig:
     config_hash: str
 
 
+# simulate keeps every sampled day in memory and writes one CSV row per day
+_MAX_SIM_DAYS = 100_000
+
+
 def _check_ranges(cfg: dict) -> None:
     """Refuse out-of-range config values by key, before any work is done."""
     if cfg["seed"] < 0:
@@ -127,8 +131,9 @@ def _check_ranges(cfg: dict) -> None:
     handoff = cfg["traffic"]["handoff_fraction"]
     if not 0.0 <= handoff <= 1.0:
         raise UsageError(f"config.traffic.handoff_fraction must be in [0, 1], got {handoff}")
-    if cfg["simulate"]["days"] < 1:
-        raise UsageError(f"config.simulate.days must be >= 1, got {cfg['simulate']['days']}")
+    days = cfg["simulate"]["days"]
+    if not 1 <= days <= _MAX_SIM_DAYS:
+        raise UsageError(f"config.simulate.days must be in [1, {_MAX_SIM_DAYS}], got {days}")
 
 
 def _build_run_config(args) -> RunConfig:
@@ -253,19 +258,20 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--out", default="out", help="output directory (default: out)")
     shared.add_argument("--seed", type=_seed, default=None,
                         help="RNG seed; overrides the config file")
-    shared.add_argument("--nonanticipative", action="store_true",
-                        help="force the first-period purchase to be scenario-independent")
-    shared.add_argument("--physical-discharge", action="store_true",
-                        help="apply self-discharge inside the balance dynamics")
+    modes = argparse.ArgumentParser(add_help=False)
+    modes.add_argument("--nonanticipative", action="store_true",
+                       help="force the first-period purchase to be scenario-independent")
+    modes.add_argument("--physical-discharge", action="store_true",
+                       help="apply self-discharge inside the balance dynamics")
 
     parser = argparse.ArgumentParser(
         prog="bspower",
         description="Adaptive power purchase/storage planning for a "
                     "renewable-assisted base station")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("solve", parents=[shared],
+    sub.add_parser("solve", parents=[shared, modes],
                    help="solve the stochastic program and write the policy CSV")
-    sub.add_parser("simulate", parents=[shared],
+    sub.add_parser("simulate", parents=[shared, modes],
                    help="replay the policy over sampled days")
     sweep = sub.add_parser("sweep", parents=[shared], help="run a parameter sweep")
     sweep.add_argument("kind", choices=("battery", "cac", "arrival"))

@@ -25,27 +25,27 @@ are optimal and their first-period purchases are exactly equal, with no
 tolerance: the wait-and-see cost bounds the coupled cost from below, so
 such a plan is optimal for the coupled group as well (Madansky 1960;
 Birge & Louveaux, ch. 4). Only the other groups are solved as coupled
-programs. Programs of one size have the same constraint matrix and bounds
-and differ only in costs and right-hand side, so solve_policy builds the
-program once per size (build_deterministic_equivalent on the first
-group), stacks every program's costs and right-hand side with numpy, and
-hands them to lp.solve_batch, which pivots them in lockstep within its
-per-stack memory budget. build_deterministic_equivalent over the whole
-space is the dense monolithic program; the tests solve it as the oracle
-for solve_policy.
+programs.
+
+One assembly writes every program, the monolithic one and the grouped
+batches alike. It takes a stack of same-size scenario blocks and returns
+their shared constraint matrix and bounds with each block's costs and
+right-hand side. build_deterministic_equivalent calls it once over the
+whole space: the dense monolithic program, which the tests solve as the
+oracle for solve_policy. solve_policy calls it once per group size and
+hands the stack to lp.solve_batch, which pivots the programs in lockstep
+within its per-stack memory budget.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import lp as lp_mod
 from .scenarios import ScenarioSpace, validate
 from .units import Horizon
-
-KINDS = ("purchase", "battery", "excess")
 
 BALANCE_TOL = 1e-6
 
@@ -91,22 +91,9 @@ class VariableMap:
     T: int
     scenario_labels: tuple[str, ...]
 
-    def column(self, kind: str, t: int, scenario: int) -> int:
-        k = KINDS.index(kind)
-        if not 0 <= t < self.T:
-            raise IndexError(f"period {t} outside 0..{self.T - 1}")
-        if not 0 <= scenario < len(self.scenario_labels):
-            raise IndexError(f"scenario {scenario} outside space")
-        return scenario * 3 * self.T + k * self.T + t
-
     def unpack(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Split a solution vector into (S, T) arrays for x, s, y.
-
-        ``x`` may also be a stack of solution vectors, one per row; their
-        scenarios then follow each other in the returned arrays.
-        """
-        S, T = len(self.scenario_labels), self.T
-        cube = np.asarray(x).reshape(-1, S, 3, T).reshape(-1, 3, T)
+        """Split a solution vector into (S, T) arrays for x, s, y."""
+        cube = np.asarray(x).reshape(len(self.scenario_labels), 3, self.T)
         return cube[:, 0, :].copy(), cube[:, 1, :].copy(), cube[:, 2, :].copy()
 
 
@@ -158,6 +145,53 @@ def _nonanticipativity_groups(space: ScenarioSpace,
     return list(groups.values())
 
 
+def _assemble(storage: StorageConfig, probs: np.ndarray, prices: np.ndarray,
+              net_load: np.ndarray, keep: float, coupled
+              ) -> tuple[lp_mod.LinearProgram, np.ndarray, np.ndarray]:
+    """The program of a stack of same-size scenario blocks.
+
+    probs is (blocks, size) and prices and net_load (consumption minus
+    renewable) are (blocks, size, T). coupled lists the index lists, within
+    a block, of scenarios whose first-period purchases are made equal: each
+    member after the first gets a row equating its purchase with the
+    first's. Rows are every scenario's balance rows, scenario-major, then
+    the coupling rows; columns follow VariableMap. Returns the program of
+    the first block and the costs (blocks, n) and right-hand sides
+    (blocks, rows) of every block; the blocks share the constraint matrix
+    and bounds.
+    """
+    blocks, size, T = prices.shape
+    n = 3 * T * size
+    leads = [members[0] for members in coupled for _ in members[1:]]
+    others = [w for members in coupled for w in members[1:]]
+    n_balance = size * (T - 1)
+    a_eq = np.zeros((n_balance + len(others), n))
+    balance = a_eq[:n_balance].reshape(size, T - 1, size, 3, T)
+    w, t = np.arange(size)[:, None], np.arange(T - 1)
+    balance[w, t, w, 0, t] = 1.0
+    balance[w, t, w, 1, t] = keep
+    balance[w, t, w, 1, t + 1] = -1.0
+    balance[w, t, w, 2, t] = -1.0
+    coupling = n_balance + np.arange(len(others))
+    a_eq[coupling, 3 * T * np.array(leads, dtype=int)] = 1.0
+    a_eq[coupling, 3 * T * np.array(others, dtype=int)] = -1.0
+
+    c = np.zeros((blocks, size, 3, T))
+    c[:, :, 0] = probs[:, :, None] * prices / 1000.0
+    c[:, :, 1] = probs[:, :, None] * storage.loss_cost_coeff
+    c = c.reshape(blocks, n)
+    b_eq = np.zeros((blocks, a_eq.shape[0]))
+    b_eq[:, :n_balance] = net_load[:, :, :T - 1].reshape(blocks, n_balance)
+    lower = np.zeros((size, 3, T))
+    upper = np.full((size, 3, T), np.inf)
+    upper[:, 1] = storage.capacity
+    lower[:, 1, 0] = upper[:, 1, 0] = storage.initial
+    lower[:, 1, T - 1] = upper[:, 1, T - 1] = storage.terminal
+    program = lp_mod.LinearProgram(c=c[0], a_eq=a_eq, b_eq=b_eq[0],
+                                   lower=lower.ravel(), upper=upper.ravel())
+    return program, c, b_eq
+
+
 def build_deterministic_equivalent(
     horizon: Horizon,
     storage: StorageConfig,
@@ -167,65 +201,22 @@ def build_deterministic_equivalent(
 ) -> tuple[lp_mod.LinearProgram, VariableMap]:
     """Assemble the full LP over all scenarios and the column map."""
     _check_space(space, horizon)
-    T = horizon.T
-    S = len(space)
-    vmap = VariableMap(T=T, scenario_labels=tuple(space.labels))
-    probs = space.probabilities
-    prices = space.trace_matrix("price")
-    renewable = space.trace_matrix("renewable")
-    consumption = space.trace_matrix("consumption")
-    keep = _retention(storage, physical_discharge)
-
-    n = 3 * T * S
-    c = np.zeros(n)
-    lower = np.zeros(n)
-    upper = np.full(n, np.inf)
-    for w in range(S):
-        base = w * 3 * T
-        c[base:base + T] = probs[w] * prices[w] / 1000.0
-        c[base + T:base + 2 * T] = probs[w] * storage.loss_cost_coeff
-        upper[base + T:base + 2 * T] = storage.capacity
-        lower[base + T] = upper[base + T] = storage.initial
-        lower[base + 2 * T - 1] = upper[base + 2 * T - 1] = storage.terminal
-
-    rows = []
-    rhs = []
-    for w in range(S):
-        for t in range(T - 1):
-            row = np.zeros(n)
-            row[vmap.column("purchase", t, w)] = 1.0
-            row[vmap.column("battery", t, w)] = keep
-            row[vmap.column("battery", t + 1, w)] = -1.0
-            row[vmap.column("excess", t, w)] = -1.0
-            rows.append(row)
-            rhs.append(consumption[w, t] - renewable[w, t])
-    for members in _nonanticipativity_groups(space, nonanticipative):
-        lead = members[0]
-        for w in members[1:]:
-            row = np.zeros(n)
-            row[vmap.column("purchase", 0, lead)] = 1.0
-            row[vmap.column("purchase", 0, w)] = -1.0
-            rows.append(row)
-            rhs.append(0.0)
-
-    program = lp_mod.LinearProgram(
-        c=c,
-        a_eq=np.array(rows),
-        b_eq=np.array(rhs),
-        lower=lower,
-        upper=upper,
-    )
-    return program, vmap
+    net_load = space.trace_matrix("consumption") - space.trace_matrix("renewable")
+    program, _, _ = _assemble(
+        storage, space.probabilities[None], space.trace_matrix("price")[None],
+        net_load[None], _retention(storage, physical_discharge),
+        _nonanticipativity_groups(space, nonanticipative))
+    return program, VariableMap(T=horizon.T, scenario_labels=tuple(space.labels))
 
 
-def _solve_groups(horizon, storage, space, groups, nonanticipative, physical_discharge):
-    """Solve each group's program; returns (mass, solution, vmap) per group.
+def _solve_groups(storage, space, groups, physical_discharge):
+    """Solve each group's program, all members coupled in period 1;
+    returns (mass, solution) per group.
 
     Groups of one size share their constraint matrix and bounds, so one
     lp.solve_batch call per size solves them all, with each group's own
     costs and right-hand side stacked as rows.
     """
-    T = horizon.T
     masses = [sum(space.scenarios[w].probability for w in members) for members in groups]
     prices = space.trace_matrix("price")
     net_load = space.trace_matrix("consumption") - space.trace_matrix("renewable")
@@ -238,21 +229,11 @@ def _solve_groups(horizon, storage, space, groups, nonanticipative, physical_dis
         members = np.array([groups[g] for g in ids])
         probs = np.array([[space.scenarios[w].probability / masses[g] for w in groups[g]]
                           for g in ids])
-        template = ScenarioSpace(tuple(
-            replace(space.scenarios[w], probability=float(p))
-            for w, p in zip(members[0], probs[0])))
-        program, vmap = build_deterministic_equivalent(
-            horizon, storage, template, nonanticipative, physical_discharge)
-        # each entry by the expression build_deterministic_equivalent evaluates
-        # for the group, so it is the same bit for bit
-        c = np.zeros((len(ids), size, 3, T))
-        c[:, :, 0] = probs[:, :, None] * prices[members] / 1000.0
-        c[:, :, 1] = probs[:, :, None] * storage.loss_cost_coeff
-        b_eq = np.zeros((len(ids), program.b_eq.size))
-        b_eq[:, :size * (T - 1)] = net_load[members, :T - 1].reshape(len(ids), -1)
-        solutions = lp_mod.solve_batch(program, c.reshape(len(ids), -1), b_eq)
-        for g, solution in zip(ids, solutions):
-            solved[g] = masses[g], solution, vmap
+        program, c, b_eq = _assemble(storage, probs, prices[members], net_load[members],
+                                     _retention(storage, physical_discharge),
+                                     [range(size)])
+        for g, solution in zip(ids, lp_mod.solve_batch(program, c, b_eq)):
+            solved[g] = masses[g], solution
     return solved
 
 
@@ -287,41 +268,39 @@ def solve_policy(
     _check_space(space, horizon)
     T = horizon.T
     S = len(space)
-    singles = _solve_groups(horizon, storage, space, [[w] for w in range(S)], False,
-                            physical_discharge)
-    # each block, keyed by its first scenario: (members, (mass, solution, vmap))
+    singles = _solve_groups(storage, space, [[w] for w in range(S)], physical_discharge)
+    # each block, keyed by its first scenario: (members, (mass, solution))
     blocks = {w: ([w], result) for w, result in enumerate(singles)}
     if nonanticipative:
         binding = [members for members in _nonanticipativity_groups(space, True)
                    if not _certified([singles[w][1] for w in members])]
-        coupled = _solve_groups(horizon, storage, space, binding, True, physical_discharge)
+        coupled = _solve_groups(storage, space, binding, physical_discharge)
         for members, result in zip(binding, coupled):
             for w in members:
                 del blocks[w]
             blocks[members[0]] = members, result
 
     expected = 0.0
-    by_size: dict[int, list[tuple[list[int], np.ndarray, VariableMap]]] = {}
+    rows: list[int] = []
+    solutions = []
     for lead in sorted(blocks):
-        members, (mass, solution, vmap) = blocks[lead]
+        members, (mass, solution) = blocks[lead]
         if solution.status != "optimal":
             raise InfeasibleProgramError(
                 f"stochastic program is {solution.status} for the scenario group "
                 f"of {space.scenarios[lead].label!r}; check battery endpoint "
                 f"levels (initial={storage.initial}, terminal={storage.terminal}) "
                 f"against capacity {storage.capacity}")
-        by_size.setdefault(len(members), []).append((members, solution.x, vmap))
+        rows.extend(members)
+        solutions.append(solution.x)
         expected += mass * float(solution.objective_value)
 
-    # blocks of one size share their column layout: one unpack per size
+    # the blocks' solutions in block order hold every scenario's columns once
     purchase = np.zeros((S, T))
     battery = np.zeros((S, T))
     excess = np.zeros((S, T))
-    for sized in by_size.values():
-        rows = [w for members, _, _ in sized for w in members]
-        vmap = sized[0][2]
-        purchase[rows], battery[rows], excess[rows] = vmap.unpack(
-            np.stack([x for _, x, _ in sized]))
+    vmap = VariableMap(T=T, scenario_labels=tuple(space.labels))
+    purchase[rows], battery[rows], excess[rows] = vmap.unpack(np.concatenate(solutions))
     return PolicyTable(
         scenario_labels=tuple(space.labels),
         probabilities=space.probabilities,

@@ -474,7 +474,8 @@ def test_config_bad_battery_values_are_usage_errors(tiny, tmp_path, capsys):
     ({"seed": -1}, "config.seed"),
     ({"traffic": {"handoff_fraction": 2}}, "config.traffic.handoff_fraction"),
     ({"simulate": {"days": 0}}, "config.simulate.days"),
-], ids=("seed", "handoff-fraction", "days"))
+    ({"simulate": {"days": 1000000000000}}, "config.simulate.days"),
+], ids=("seed", "handoff-fraction", "days", "days-cap"))
 @pytest.mark.parametrize("command", [
     ["solve"], ["simulate"], ["sweep", "battery"], ["sweep", "cac"], ["sweep", "arrival"],
 ], ids=" ".join)
@@ -517,6 +518,14 @@ def test_negative_seed_rejected_by_parser(tiny, capsys):
         main(["solve", "--scenarios", tiny, "--seed", "-1"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("flag", ["--nonanticipative", "--physical-discharge"])
+def test_sweep_rejects_mode_flags_in_parser(tiny, capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "battery", "--scenarios", tiny, flag])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
 
 
 def test_missing_subcommand_exits_with_usage(capsys):

@@ -107,6 +107,14 @@ def grouped_instance(rng, S, T, max_group=4):
     return Horizon(T=T), storage, space
 
 
+def group_space(space, members):
+    """The members' scenarios with their probabilities renormalised to one."""
+    mass = sum(space.scenarios[w].probability for w in members)
+    return mass, ScenarioSpace(tuple(
+        replace(space.scenarios[w], probability=space.scenarios[w].probability / mass)
+        for w in members))
+
+
 def per_group_oracle(horizon, storage, space, nonanticipative, physical_discharge):
     """Each block's program built on its own and solved by the scalar oracle.
 
@@ -116,10 +124,7 @@ def per_group_oracle(horizon, storage, space, nonanticipative, physical_discharg
     each block's first scenario.
     """
     def solve(members):
-        mass = sum(space.scenarios[w].probability for w in members)
-        group = ScenarioSpace(tuple(
-            replace(space.scenarios[w], probability=space.scenarios[w].probability / mass)
-            for w in members))
+        mass, group = group_space(space, members)
         program, vmap = build_deterministic_equivalent(
             horizon, storage, group, nonanticipative, physical_discharge)
         return mass, scalar_lp.scalar_solve(program), vmap
@@ -214,16 +219,11 @@ def test_storage_config_validation():
 
 def test_variable_map_roundtrip():
     vmap = VariableMap(T=4, scenario_labels=("a", "b", "c"))
-    seen = set()
-    for w in range(3):
-        for kind in ("purchase", "battery", "excess"):
-            for t in range(4):
-                seen.add(vmap.column(kind, t, w))
-    assert seen == set(range(3 * 3 * 4))
-    with pytest.raises(IndexError):
-        vmap.column("purchase", 4, 0)
-    with pytest.raises(IndexError):
-        vmap.column("purchase", 0, 3)
+    n = 3 * 3 * 4
+    parts = vmap.unpack(np.arange(n))
+    assert all(part.shape == (3, 4) for part in parts)
+    # every column appears exactly once
+    assert sorted(np.concatenate([part.ravel() for part in parts])) == list(range(n))
 
 
 def test_program_dimensions():
@@ -239,7 +239,8 @@ def test_program_dimensions():
     # one balance row per transition per scenario
     assert program.a_eq.shape == (4 * 4, program.n_vars)
     # battery endpoints enter as pinned bounds, not rows
-    s1 = vmap.column("battery", 0, 2)
+    _, battery, _ = vmap.unpack(np.arange(program.n_vars))
+    s1 = battery[2, 0]
     assert program.lower[s1] == program.upper[s1] == 10.0
 
 
@@ -593,6 +594,37 @@ def test_certified_and_binding_groups_in_one_space(batch_calls):
     assert na.expected_cost == pytest.approx(full, rel=1e-9)
     assert na.expected_cost > ws.expected_cost
     assert verify_policy(na, horizon, space) == []
+
+
+@pytest.mark.parametrize("nonanticipative", [False, True])
+def test_batched_programs_are_the_groups_own_programs_byte_for_byte(monkeypatch,
+                                                                    nonanticipative):
+    horizon, storage, space = mixed_instance()
+    calls = []
+    real = lp_mod.solve_batch
+
+    def spy(program, c, b_eq):
+        calls.append((program, np.copy(c), np.copy(b_eq)))
+        return real(program, c, b_eq)
+
+    monkeypatch.setattr(lp_mod, "solve_batch", spy)
+    solve_policy(horizon, storage, space, nonanticipative=nonanticipative)
+    # the wait-and-see batch of singletons, then the one group that binds
+    expected = [[[w] for w in range(len(space))]]
+    if nonanticipative:
+        expected.append([[space.labels.index("split-spike"),
+                          space.labels.index("split-dip")]])
+    assert len(calls) == len(expected)
+    for (program, c, b_eq), groups in zip(calls, expected):
+        assert len(c) == len(b_eq) == len(groups)
+        for k, members in enumerate(groups):
+            own, _ = build_deterministic_equivalent(
+                horizon, storage, group_space(space, members)[1], nonanticipative)
+            for got, want in ((program.a_eq, own.a_eq), (program.lower, own.lower),
+                              (program.upper, own.upper), (c[k], own.c),
+                              (b_eq[k], own.b_eq)):
+                assert got.dtype == want.dtype and got.shape == want.shape, members
+                assert got.tobytes() == want.tobytes(), members
 
 
 def test_first_purchases_a_hair_apart_are_not_certified(batch_calls):
