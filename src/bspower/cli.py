@@ -4,15 +4,17 @@ Subcommands: solve, simulate, sweep {battery,cac,arrival}, estimate-probs.
 Shared flags: --config, --scenarios, --out, --seed; solve and simulate
 also take --nonanticipative and --physical-discharge. Exit codes: 0
 success, 2 usage error, 3 infeasible program, 4 I/O or file-format error
-(including non-finite numbers), 5 solver failure.
+(including non-finite numbers and values of the wrong JSON type), 5
+solver failure (including a non-finite optimal cost).
 
 The config file is JSON with schema "bspower-config-1"; unknown keys are
 rejected, and each value must have the JSON type of its default (a number
 given as a string such as "inf" exits 4). A scenario file (schema
-"bspower-scenarios-1") replaces the default price/renewable marginals and
-either the consumption marginals or the traffic profiles. Outputs are
-byte-deterministic for a fixed config and seed: fixed-format CSVs plus
-a manifest recording the config digest, seed, and package version.
+"bspower-scenarios-1"), type-checked the same way against its layout,
+replaces the default price/renewable marginals and either the consumption
+marginals or the traffic profiles. Outputs are byte-deterministic for a
+fixed config and seed: fixed-format CSVs plus a manifest recording the
+config digest, seed, and package version.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ from .calibration import (CONFIG_SCHEMA, DEFAULT_CONFIG, Calibration,
 from .evaluate import (RealizedDay, evaluate_policy, manifest_text,
                        monthly_cost, sweep_arrival_rate, sweep_battery,
                        sweep_cac)
-from .scenarios import (ScenarioDocument, ScenarioFileError,
-                        estimate_probabilities, find_non_finite,
+from .scenarios import (NUMBER_KINDS, ScenarioDocument, ScenarioFileError,
+                        estimate_probabilities, find_non_finite, json_kind,
                         load_scenario_file, scenario_document_dict)
 from .stochastic import InfeasibleProgramError, policy_csv_text, solve_policy
 from .traffic import uniform_traffic
@@ -45,15 +47,6 @@ class UsageError(ValueError):
 
 class ConfigError(ValueError):
     """Malformed config file content; exits with code 4."""
-
-
-def _json_kind(value) -> str:
-    """JSON type of a parsed value, telling integers from other numbers."""
-    for kind, cls in (("boolean", bool), ("integer", int), ("number", float),
-                      ("string", str), ("array", list), ("null", type(None))):
-        if isinstance(value, cls):
-            return kind
-    return "object"
 
 
 # The JSON kinds a config leaf accepts, by the kind of its default. A null
@@ -69,9 +62,9 @@ _LEAF_KINDS = {
 
 def _check_leaf(default, value, where):
     """A leaf must have the JSON kind of its default; strings never pass as numbers."""
-    accepted, wording = _LEAF_KINDS[_json_kind(default)]
-    if _json_kind(value) not in accepted:
-        raise ConfigError(f"{where}: expected {wording}, got {_json_kind(value)}")
+    accepted, wording = _LEAF_KINDS[json_kind(default)]
+    if json_kind(value) not in accepted:
+        raise ConfigError(f"{where}: expected {wording}, got {json_kind(value)}")
     if isinstance(value, list):
         for i, item in enumerate(value):
             _check_leaf(default[0], item, f"{where}[{i}]")
@@ -239,12 +232,16 @@ def cmd_estimate_probs(counts_path: str) -> int:
     if not isinstance(counts, list) or not counts:
         raise UsageError("counts file must hold a non-empty JSON array "
                          "(or an object with a 'counts' array)")
+    for i, count in enumerate(counts):
+        if json_kind(count) not in NUMBER_KINDS:
+            raise ConfigError(f"{counts_path}: counts[{i}]: expected a number, "
+                              f"got {json_kind(count)}")
     bad = find_non_finite(counts, "counts")
     if bad is not None:
         raise ConfigError(f"{counts_path}: {bad}: non-finite number")
     try:
         probs = estimate_probabilities([float(c) for c in counts])
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise UsageError(str(exc)) from exc
     print(" ".join(f"{p:g}" for p in probs))
     return 0

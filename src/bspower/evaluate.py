@@ -136,10 +136,6 @@ class ExperimentReport:
         if any(b < a for a, b in zip(first, first[1:])):
             raise ValueError("sweep parameter column must be non-decreasing")
 
-    def column_values(self, name: str) -> list:
-        idx = self.columns.index(name)
-        return [row[idx] for row in self.rows]
-
     def csv_text(self) -> str:
         lines = [",".join(self.columns)]
         for row in self.rows:

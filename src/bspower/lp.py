@@ -4,7 +4,6 @@ Problem form:
 
     minimize    c @ x
     subject to  a_eq @ x == b_eq
-                a_ub @ x <= b_ub
                 lower <= x <= upper
 
 Lower bounds must be finite; upper bounds may be +inf. Internally the
@@ -31,26 +30,25 @@ The starting basis is a crash basis (Bixby, "Implementing the simplex
 method: the initial basis", 1992): a row (sign-flipped to a nonnegative
 rhs) starts with the lowest-index column that is nonzero in no other row,
 positive in this one and without an upper bound, scaled to 1, so that its
-value rhs / entry is feasible; the slack of an inequality row with a
-nonnegative rhs is such a column. Only rows without one get an artificial
+value rhs / entry is feasible. Only rows without one get an artificial
 variable, and a program without artificials skips phase 1. In the
 per-scenario storage program the purchase or the excess of each period
 is such a column, so phase 1 never runs.
 
-solve_batch solves a batch of programs that share a_eq, a_ub, b_ub and the
-bounds and differ only in c and b_eq, such as the same-size scenario groups
-of a stochastic program. Preprocessing runs once on the shared matrices;
-the tableaux are stacked as (programs, rows + 1, cols) and step in
-lockstep. Each program keeps its own pricing rule, ratio test, stall
-counter, iteration cap and verdict, so it takes exactly the steps it would
-take alone and its result is the same bit for bit. Programs that finish
+solve_batch solves a batch of programs that share a_eq and the bounds and
+differ only in c and b_eq, such as the same-size scenario groups of a
+stochastic program. Preprocessing runs once on the shared matrices; the
+tableaux are stacked as (programs, rows + 1, cols) and step in lockstep.
+Each program keeps its own pricing rule, ratio test, stall counter,
+iteration cap and verdict, so it takes exactly the steps it would take
+alone and its result is the same bit for bit. Programs that finish
 are masked out and stay in the stack. A pivot's rank-1 update touches only
 the (program, row) pairs with a nonzero pivot-column entry. Artificial
 variables are not stored: they are never priced or ratio-tested, so a row
-whose artificial is basic only carries the basis index n_core + row. One
-stack holds at most _BATCH_BYTES of tableau (or a single program that is
-larger); a larger batch runs as several stacks of equal size. solve(lp) is
-the batch of one.
+whose artificial is basic only carries the basis index n + row, after the
+n free variables. One stack holds at most _BATCH_BYTES of tableau (or a
+single program that is larger); a larger batch runs as several stacks of
+equal size. solve(lp) is the batch of one.
 """
 
 from __future__ import annotations
@@ -76,16 +74,13 @@ class LinearProgram:
     c: np.ndarray
     a_eq: np.ndarray | None = None
     b_eq: np.ndarray | None = None
-    a_ub: np.ndarray | None = None
-    b_ub: np.ndarray | None = None
     lower: np.ndarray | None = None
     upper: np.ndarray | None = None
 
     def __post_init__(self):
         self.c = np.atleast_1d(np.asarray(self.c, dtype=float))
         n = self.c.size
-        self.a_eq, self.b_eq = _normalize_rows(self.a_eq, self.b_eq, n, "eq")
-        self.a_ub, self.b_ub = _normalize_rows(self.a_ub, self.b_ub, n, "ub")
+        self.a_eq, self.b_eq = _normalize_rows(self.a_eq, self.b_eq, n)
         self.lower = _normalize_bound(self.lower, n, 0.0)
         self.upper = _normalize_bound(self.upper, n, np.inf)
         if not np.all(np.isfinite(self.lower)):
@@ -108,15 +103,15 @@ class LpSolution:
     bland: bool = False  # Bland's rule switched on in phase 1 or phase 2
 
 
-def _normalize_rows(a, b, n, kind):
+def _normalize_rows(a, b, n):
     if a is None and b is None:
         return np.zeros((0, n)), np.zeros(0)
     if a is None or b is None:
-        raise ValueError(f"a_{kind} and b_{kind} must be given together")
+        raise ValueError("a_eq and b_eq must be given together")
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
     if a.shape != (b.size, n):
-        raise ValueError(f"a_{kind} shape {a.shape} incompatible with "
+        raise ValueError(f"a_eq shape {a.shape} incompatible with "
                          f"{b.size} rhs entries and {n} variables")
     return a, b
 
@@ -125,8 +120,6 @@ def _normalize_bound(v, n, default):
     if v is None:
         return np.full(n, default)
     v = np.atleast_1d(np.asarray(v, dtype=float))
-    if v.size == 1 and n != 1:
-        return np.full(n, float(v[0]))
     if v.size != n:
         raise ValueError(f"bound vector length {v.size} != {n} variables")
     return v.copy()
@@ -145,8 +138,6 @@ class _Prepared:
     up: np.ndarray            # shifted upper bounds of free variables, may be inf
     a_eq: np.ndarray
     b_eq: np.ndarray          # (programs, rows)
-    a_ub: np.ndarray
-    b_ub: np.ndarray          # shared by all programs
 
     def assemble(self, x_shift: np.ndarray, n_vars: int) -> np.ndarray:
         """Full solutions (programs, n_vars) from shifted free-variable values."""
@@ -169,35 +160,24 @@ def _prepare(lp: LinearProgram, b_eq: np.ndarray) -> _Prepared:
     lo = lp.lower[free]
 
     b_eq = b_eq - lp.a_eq[:, fixed] @ fixed_values
-    b_ub = lp.b_ub - lp.a_ub[:, fixed] @ fixed_values
     a_eq = lp.a_eq[:, free]
-    a_ub = lp.a_ub[:, free]
     if free.size:
         b_eq = b_eq - a_eq @ lo
-        b_ub = b_ub - a_ub @ lo
-    return _Prepared(free, fixed, fixed_values, lo, lp.upper[free] - lo,
-                     a_eq, b_eq, a_ub, b_ub)
+    return _Prepared(free, fixed, fixed_values, lo, lp.upper[free] - lo, a_eq, b_eq)
 
 
-def _rows_feasible(a, b, equality):
-    """Per program of the stacked b: do the rows hold with every variable fixed?"""
-    scale = np.maximum(np.abs(a).max(axis=1, initial=0.0), 1.0)
-    r = b / scale
-    return np.all(np.abs(r) <= FEAS_TOL, axis=1) if equality else np.all(r >= -FEAS_TOL, axis=1)
-
-
-def _equilibrate(a, b, equality):
+def _equilibrate(a, b):
     """Scale rows to unit max-abs; drop zero rows.
 
     a is shared and b is stacked (programs, rows). Returns (a, b, ok); ok
-    is False for the programs whose zero row is unsatisfiable.
+    is False for the programs whose zero row has a nonzero rhs. With every
+    variable fixed, every row is zero, so ok is the programs' verdict.
     """
     scale = np.abs(a).max(axis=1, initial=0.0)
     zero = scale <= 0.0
-    bz = b[:, zero]
-    bad = np.abs(bz) > FEAS_TOL if equality else bz < -FEAS_TOL
     keep = ~zero
-    return a[keep] / scale[keep, None], b[:, keep] / scale[keep], ~bad.any(axis=1)
+    ok = ~(np.abs(b[:, zero]) > FEAS_TOL).any(axis=1)
+    return a[keep] / scale[keep, None], b[:, keep] / scale[keep], ok
 
 
 # ---------------------------------------------------------------------------
@@ -213,9 +193,9 @@ def solve_batch(lp: LinearProgram, c, b_eq) -> list[LpSolution]:
     """Solve one program per row of c and b_eq, all in lockstep.
 
     Row k of c (programs, n_vars) and b_eq (programs, eq rows) replaces
-    lp.c and lp.b_eq for program k; every program shares lp's a_eq, a_ub,
-    b_ub and bounds. Each returned solution equals, bit for bit, the one
-    the program would get if solved alone.
+    lp.c and lp.b_eq for program k; every program shares lp's a_eq and
+    bounds. Each returned solution equals, bit for bit, the one the
+    program would get if solved alone.
     """
     c = np.ascontiguousarray(c, dtype=float)
     b_eq = np.asarray(b_eq, dtype=float)
@@ -225,31 +205,19 @@ def solve_batch(lp: LinearProgram, c, b_eq) -> list[LpSolution]:
                          f"{lp.n_vars} costs and {lp.b_eq.size} rhs entries per program")
     prep = _prepare(lp, b_eq)
     n = prep.free.size
+    body, rhs, ok = _equilibrate(prep.a_eq, prep.b_eq)
     solutions = [LpSolution("infeasible") for _ in range(K)]
     if n == 0:
-        ok = (_rows_feasible(prep.a_eq, prep.b_eq, equality=True)
-              & _rows_feasible(prep.a_ub, prep.b_ub[None], equality=False))
         x = prep.assemble(np.zeros((K, 0)), lp.n_vars)
         for k in np.nonzero(ok)[0]:
             solutions[k] = LpSolution("optimal", x[k], float(c[k] @ x[k]))
         return solutions
 
-    a_eq, b_eq, ok_eq = _equilibrate(prep.a_eq, prep.b_eq, equality=True)
-    a_ub, b_ub, ok_ub = _equilibrate(prep.a_ub, prep.b_ub[None], equality=False)
-    m_eq, m_ub = a_eq.shape[0], a_ub.shape[0]
-    m, n_core = m_eq + m_ub, n + m_ub
-    body = np.zeros((m, n_core))
-    body[:m_eq, :n] = a_eq
-    body[m_eq:, :n] = a_ub
-    body[m_eq + np.arange(m_ub), n + np.arange(m_ub)] = 1.0
-    rhs = np.empty((K, m))
-    rhs[:, :m_eq] = b_eq
-    rhs[:, m_eq:] = b_ub
-    # upper bound per basis index: free variables, then slacks and artificials
-    up = np.concatenate([prep.up, np.full(m_ub + m, np.inf)])
-
-    programs = np.nonzero(ok_eq & ok_ub)[0]
-    per_stack = max(1, _BATCH_BYTES // (8 * (m + 1) * (n_core + 1)))
+    m = body.shape[0]
+    # upper bound per basis index: free variables, then artificials
+    up = np.concatenate([prep.up, np.full(m, np.inf)])
+    programs = np.nonzero(ok)[0]
+    per_stack = max(1, _BATCH_BYTES // (8 * (m + 1) * (n + 1)))
     stacks = -(-programs.size // per_stack)
     for stack in np.array_split(programs, stacks) if stacks else ():
         status, x_shift, iterations, bland = _solve_stack(
@@ -274,46 +242,44 @@ def _solve_stack(body, rhs, c, up):
     """
     K, m = rhs.shape
     n = c.shape[1]
-    n_core = body.shape[1]
-    tableau = np.empty((K, m + 1, n_core + 1))
-    tableau[:, :m, :n_core] = body
+    tableau = np.empty((K, m + 1, n + 1))
+    tableau[:, :m, :n] = body
     tableau[:, :m, -1] = rhs
     flip = rhs < 0
     tableau[:, :m][flip] *= -1.0
 
     # crash basis: a row starts with the lowest-index column that is nonzero
     # in no other row, positive in this one after the sign flip and without
-    # an upper bound, so its starting value rhs / entry is feasible (the
-    # slack of an unflipped inequality row is such a column). Every other
-    # row starts with its artificial, which has basis index n_core + row.
-    basis = np.tile(np.arange(m) + n_core, (K, 1))
-    lone = (np.count_nonzero(body, axis=0) == 1) & (up[:n_core] == np.inf)
+    # an upper bound, so its starting value rhs / entry is feasible. Every
+    # other row starts with its artificial, which has basis index n + row.
+    basis = np.tile(np.arange(m) + n, (K, 1))
+    lone = (np.count_nonzero(body, axis=0) == 1) & (up[:n] == np.inf)
     for sign, flipped in ((1.0, False), (-1.0, True)):
         candidates = lone & (sign * body > 0.0)
         crash = candidates.any(axis=1) & (flip == flipped)
         basis = np.where(crash, candidates.argmax(axis=1), basis)
-    k, r = np.nonzero(basis < n_core)
+    k, r = np.nonzero(basis < n)
     tableau[k, r] /= tableau[k, r, basis[k, r]][:, None]
     complemented = np.zeros((K, n), dtype=bool)
 
     # phase 1 minimises the sum of artificials; programs without any skip it
-    cost = np.zeros((K, n_core + m))
-    cost[:, n_core:] = 1.0
+    cost = np.zeros((K, n + m))
+    cost[:, n:] = 1.0
     _price(tableau, basis, cost, complemented, up)
-    unbounded, iterations, bland = _run_simplex(tableau, basis, complemented, up, n_core,
-                                                (basis >= n_core).any(axis=1))
+    unbounded, iterations, bland = _run_simplex(tableau, basis, complemented, up,
+                                                (basis >= n).any(axis=1))
     if unbounded.any():
         raise RuntimeError("phase 1 terminated abnormally: unbounded")
     infeasible = -tableau[:, m, -1] > FEAS_TOL
-    redundant = _drop_artificials(tableau, basis, n_core, ~infeasible)
+    redundant = _drop_artificials(tableau, basis, ~infeasible)
 
     # phase 2; a program with a redundant row finishes on its own stack
     # without that row, as a one-program solve would
-    cost = np.zeros((K, n_core + m))
+    cost = np.zeros((K, n + m))
     cost[:, :n] = c
     _price(tableau, basis, cost, complemented, up)
     peel = redundant.any(axis=1) & ~infeasible
-    unbounded, it2, bland2 = _run_simplex(tableau, basis, complemented, up, n_core,
+    unbounded, it2, bland2 = _run_simplex(tableau, basis, complemented, up,
                                           ~infeasible & ~peel)
     x = _values(tableau, basis, complemented, up)
     for k in np.nonzero(peel)[0]:
@@ -321,7 +287,7 @@ def _solve_stack(body, rhs, c, up):
         sub, sub_basis = tableau[k][keep][None], basis[k][~redundant[k]][None]
         sub_complemented = complemented[k:k + 1].copy()
         _price(sub, sub_basis, cost[k:k + 1], sub_complemented, up)
-        ray, its, switched = _run_simplex(sub, sub_basis, sub_complemented, up, n_core,
+        ray, its, switched = _run_simplex(sub, sub_basis, sub_complemented, up,
                                           np.ones(1, bool))
         unbounded[k], it2[k], bland2[k] = ray[0], its[0], switched[0]
         x[k] = _values(sub, sub_basis, sub_complemented, up)[0]
@@ -332,7 +298,7 @@ def _solve_stack(body, rhs, c, up):
 def _price(tableau, basis, cost, complemented, up):
     """Write the reduced costs of cost in the current basis into row m.
 
-    cost (programs, n_core + m) has an entry for every basis index. A
+    cost (programs, n + m) has an entry for every basis index. A
     complemented variable x = u - x' costs -c and adds c u to the
     objective; the rhs entry of row m is minus the objective. Each
     program's basic costs meet its rows in one vector-matrix product, the
@@ -373,29 +339,30 @@ def _pivot(tableau, basis, k, r, j, col):
     basis[k, r] = j
 
 
-def _run_simplex(tableau, basis, complemented, up, n_price, running):
+def _run_simplex(tableau, basis, complemented, up, running):
     """Step the running programs of a stack in lockstep until each stops.
 
-    tableau (programs, m + 1, cols) carries the reduced-cost row as row m;
-    complemented (programs, n) is updated in place, and up holds the upper
-    bound of every basis index. Returns per-program (unbounded, iterations,
-    bland). A program prices with Dantzig's rule until more than
-    2 (m + n_price) steps in a row fail to improve its objective, then with
-    Bland's rule. All running programs take one step (a pivot or a bound
-    flip) per round, so one round counter serves as every running program's
-    iteration count, and a running program's stall is the number of rounds
-    since its last improvement.
+    tableau (programs, m + 1, n + 1) carries the reduced-cost row as row m
+    and the rhs as column n; complemented (programs, n) is updated in
+    place, and up holds the upper bound of every basis index. Returns
+    per-program (unbounded, iterations, bland). A program prices with
+    Dantzig's rule until more than 2 (m + n) steps in a row fail to
+    improve its objective, then with Bland's rule. All running programs
+    take one step (a pivot or a bound flip) per round, so one round
+    counter serves as every running program's iteration count, and a
+    running program's stall is the number of rounds since its last
+    improvement.
     """
     K, rows, width = tableau.shape
-    m = rows - 1
+    m, n = rows - 1, width - 1
     flat = tableau.reshape(K * rows, width)
     running = running.copy()
     unbounded = np.zeros(K, dtype=bool)
     iterations = np.zeros(K, dtype=int)
     bland = np.zeros(K, dtype=bool)
     last = np.zeros(K, dtype=int)  # round of each program's last improvement
-    max_stall = 2 * (m + n_price)
-    cap = 10_000 + 200 * (m + n_price)
+    max_stall = 2 * (m + n)
+    cap = 10_000 + 200 * (m + n)
     bar = _improvement_bar(tableau[:, m, -1])
     # upper bound of each row's basic variable; the reduced-cost row's is
     # inf, so its ratio (rhs - inf) / entry is inf for an entering column,
@@ -406,7 +373,7 @@ def _run_simplex(tableau, basis, complemented, up, n_price, running):
     act = np.nonzero(running)[0]
     while act.size:
         at = np.arange(act.size)
-        z = tableau[act, m, :n_price]
+        z = tableau[act, m, :n]
         j = z.argmin(axis=1)
         if bland.any():
             j = np.where(bland[act], (z < -PIVOT_TOL).argmax(axis=1), j)
@@ -486,17 +453,18 @@ def _improvement_bar(rhs):
     return rhs + _STALL_EPS * np.maximum(1.0, np.abs(rhs))
 
 
-def _drop_artificials(tableau, basis, n_core, feasible):
+def _drop_artificials(tableau, basis, feasible):
     """Pivot basic artificials out after phase 1, row by row in order.
 
     Returns the (program, row) mask of redundant rows, whose artificial
-    stays basic because every core entry of the row is below PIVOT_TOL.
+    stays basic because every entry of the row is below PIVOT_TOL.
     """
+    n = tableau.shape[2] - 1
     redundant = np.zeros(basis.shape, dtype=bool)
-    artificial = (basis >= n_core) & feasible[:, None]
+    artificial = (basis >= n) & feasible[:, None]
     for r in np.nonzero(artificial.any(axis=0))[0]:
         k = np.nonzero(artificial[:, r])[0]
-        big = np.abs(tableau[k, r, :n_core]) > PIVOT_TOL
+        big = np.abs(tableau[k, r, :n]) > PIVOT_TOL
         has = big.any(axis=1)
         redundant[k[~has], r] = True
         k, j = k[has], big[has].argmax(axis=1)

@@ -8,14 +8,15 @@ also be constructed directly when correlation matters.
 
 Scenario documents are JSON with a versioned ``schema`` key; see
 ``load_scenario_file`` for the layout. Unknown keys are rejected rather
-than ignored.
+than ignored, and every value must have the JSON type the layout gives it
+(a number written as a string such as "inf" is refused).
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -261,15 +262,28 @@ class ScenarioFileError(ValueError):
     """Raised when a scenario document is malformed; message names the key."""
 
 
+def json_kind(value) -> str:
+    """JSON type of a parsed value, telling integers from other numbers."""
+    for kind, cls in (("boolean", bool), ("integer", int), ("number", float),
+                      ("string", str), ("array", list), ("null", type(None))):
+        if isinstance(value, cls):
+            return kind
+    return "object"
+
+
+NUMBER_KINDS = frozenset({"integer", "number"})
+
+
 def find_non_finite(value, where: str = "") -> str | None:
     """Path of the first NaN or infinite number in parsed JSON, or None.
 
-    Python's json module accepts NaN and Infinity and reads 1e999 as inf,
-    and range checks such as ``trace < 0`` are false for NaN, so files are
-    scanned for non-finite numbers once, where they are read.
+    Python's json module accepts NaN and Infinity, reads 1e999 as inf and
+    a 400-digit integer as an int no float can hold, and range checks such
+    as ``trace < 0`` are false for NaN, so files are scanned for
+    non-finite numbers once, where they are read.
     """
-    if isinstance(value, float):
-        return None if math.isfinite(value) else where
+    if json_kind(value) in NUMBER_KINDS:
+        return None if abs(value) <= sys.float_info.max else where
     if isinstance(value, dict):
         items = ((f"{where}.{k}" if where else str(k), v) for k, v in value.items())
     elif isinstance(value, list):
@@ -283,7 +297,34 @@ def find_non_finite(value, where: str = "") -> str | None:
     return None
 
 
-def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str) -> None:
+def _expect(value, kinds, wording: str, where: str):
+    """value itself, if its JSON kind is one of kinds."""
+    if json_kind(value) not in kinds:
+        raise ScenarioFileError(f"{where}: expected {wording}, got {json_kind(value)}")
+    return value
+
+
+def _number(value, where: str) -> float:
+    return float(_expect(value, NUMBER_KINDS, "a number", where))
+
+
+def _numbers(value, where: str) -> list:
+    _expect(value, {"array"}, "an array of numbers", where)
+    return [_number(item, f"{where}[{i}]") for i, item in enumerate(value)]
+
+
+def _entries(obj, allowed: set[str], required: set[str], where: str) -> list:
+    """The scenario entries of a block {"scenarios": [...]}, each checked
+    to be an object with the allowed and required keys."""
+    _require_keys(obj, {"scenarios"}, {"scenarios"}, where)
+    entries = _expect(obj["scenarios"], {"array"}, "an array", f"{where}.scenarios")
+    for i, entry in enumerate(entries):
+        _require_keys(entry, allowed, required, f"{where}.scenarios[{i}]")
+    return entries
+
+
+def _require_keys(obj, allowed: set[str], required: set[str], where: str) -> None:
+    _expect(obj, {"object"}, "an object", where)
     unknown = set(obj) - allowed
     if unknown:
         raise ScenarioFileError(f"{where}: unknown key(s) {sorted(unknown)}")
@@ -292,41 +333,34 @@ def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str) 
         raise ScenarioFileError(f"{where}: missing key(s) {sorted(missing)}")
 
 
-def _parse_marginal(obj: dict, kind: str) -> MarginalSpace:
-    _require_keys(obj, {"scenarios"}, {"scenarios"}, kind)
+def _parse_marginal(obj, kind: str) -> MarginalSpace:
+    keys = {"label", "probability", "values"}
     scenarios = []
-    for i, entry in enumerate(obj["scenarios"]):
+    for i, entry in enumerate(_entries(obj, keys, keys, kind)):
         where = f"{kind}.scenarios[{i}]"
-        _require_keys(entry, {"label", "probability", "values"},
-                      {"label", "probability", "values"}, where)
         scenarios.append(
             MarginalScenario(
-                label=str(entry["label"]),
-                probability=float(entry["probability"]),
-                values=entry["values"],
+                label=_expect(entry["label"], {"string"}, "a string", f"{where}.label"),
+                probability=_number(entry["probability"], f"{where}.probability"),
+                values=_numbers(entry["values"], f"{where}.values"),
             )
         )
     return MarginalSpace(kind=kind, scenarios=tuple(scenarios))
 
 
-def _parse_traffic(obj: dict) -> list[RateProfile]:
-    _require_keys(obj, {"scenarios"}, {"scenarios"}, "traffic")
+def _parse_traffic(obj) -> list[RateProfile]:
+    required = {"label", "probability", "new_rate", "handoff_rate"}
     profiles = []
-    for i, entry in enumerate(obj["scenarios"]):
+    for i, entry in enumerate(_entries(obj, required | {"mean_holding_min"}, required,
+                                       "traffic")):
         where = f"traffic.scenarios[{i}]"
-        _require_keys(
-            entry,
-            {"label", "probability", "new_rate", "handoff_rate", "mean_holding_min"},
-            {"label", "probability", "new_rate", "handoff_rate"},
-            where,
-        )
         profiles.append(
             RateProfile(
-                label=str(entry["label"]),
-                probability=float(entry["probability"]),
-                new_rate=entry["new_rate"],
-                handoff_rate=entry["handoff_rate"],
-                mean_holding_min=(float(entry["mean_holding_min"])
+                label=_expect(entry["label"], {"string"}, "a string", f"{where}.label"),
+                probability=_number(entry["probability"], f"{where}.probability"),
+                new_rate=_numbers(entry["new_rate"], f"{where}.new_rate"),
+                handoff_rate=_numbers(entry["handoff_rate"], f"{where}.handoff_rate"),
+                mean_holding_min=(_number(entry["mean_holding_min"], f"{where}.mean_holding_min")
                                   if "mean_holding_min" in entry else None),
             )
         )
@@ -351,8 +385,8 @@ def parse_scenario_document(doc: dict) -> ScenarioDocument:
         )
     _require_keys(doc["horizon"], {"T", "period_hours"}, {"T"}, "horizon")
     horizon = Horizon(
-        T=int(doc["horizon"]["T"]),
-        period_hours=float(doc["horizon"].get("period_hours", 1.0)),
+        T=_expect(doc["horizon"]["T"], {"integer"}, "an integer", "horizon.T"),
+        period_hours=_number(doc["horizon"].get("period_hours", 1.0), "horizon.period_hours"),
     )
     if "consumption" not in doc and "traffic" not in doc:
         raise ScenarioFileError("document: needs either 'consumption' or 'traffic'")

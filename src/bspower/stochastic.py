@@ -39,6 +39,7 @@ within its per-stack memory budget.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -264,6 +265,9 @@ def solve_policy(
     of each block's first scenario. It equals the optimum of
     build_deterministic_equivalent over the whole space, because no
     constraint spans two groups.
+
+    Raises InfeasibleProgramError when a block has no optimum, and
+    RuntimeError when a block's optimal cost is not finite.
     """
     _check_space(space, horizon)
     T = horizon.T
@@ -291,6 +295,10 @@ def solve_policy(
                 f"of {space.scenarios[lead].label!r}; check battery endpoint "
                 f"levels (initial={storage.initial}, terminal={storage.terminal}) "
                 f"against capacity {storage.capacity}")
+        if not math.isfinite(solution.objective_value):
+            raise RuntimeError(
+                f"optimal cost of the scenario group of {space.scenarios[lead].label!r} "
+                f"is {solution.objective_value}; trace values too large for the solver")
         rows.extend(members)
         solutions.append(solution.x)
         expected += mass * float(solution.objective_value)

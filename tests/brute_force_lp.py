@@ -1,42 +1,64 @@
 """Brute-force LP oracle: enumerate every basic solution.
 
-Exponential in problem size, so small instances only. brute_force_solve
-takes the scalar oracle's fix and shift but writes every finite upper
-bound as an explicit inequality row, where the solvers handle bounds in
-the ratio test; it shares the row equilibration and then minimises over
-all active-set choices. Unboundedness is decided by enumerating the
-vertices of the normalized recession cone.
+Exponential in problem size, so small instances only. Besides the
+solvers' equality rows and bounds, brute_force_solve takes inequality rows
+a_ub @ x <= b_ub as an input of its own, so it stays independent of the
+solvers and never enumerates slack variables; with_slacks writes the same
+program in the solvers' equality form. It takes the scalar oracle's fix
+and shift, applies them to the inequality rows too, and writes every
+finite upper bound as an explicit inequality row, where the solvers
+handle bounds in the ratio test; it shares the equality-row equilibration
+and then minimises over all active-set choices. Unboundedness is decided
+by enumerating the vertices of the normalized recession cone.
 """
 
 import itertools
-from dataclasses import replace
 from math import comb
 
 import numpy as np
 
 from bspower.lp import FEAS_TOL, LinearProgram, LpSolution
-from scalar_lp import Prepared, equilibrate
+from scalar_lp import equilibrate
 from scalar_lp import prepare as scalar_prepare
 
 _MAX_BRUTE_COMBOS = 5_000_000
 
 
-def prepare(lp: LinearProgram) -> tuple[Prepared, int]:
-    """The scalar oracle's fix and shift, then one row x <= u per finite
-    upper bound. Returns the prepared program and the number of such rows.
+def with_slacks(lp: LinearProgram, a_ub, b_ub) -> LinearProgram:
+    """lp with the rows a_ub @ x <= b_ub added as equalities: one slack
+    column per row, after lp's columns, with cost 0 and bounds [0, inf)."""
+    a_ub = np.atleast_2d(np.asarray(a_ub, dtype=float))
+    m = a_ub.shape[0]
+    a_eq = np.block([[lp.a_eq, np.zeros((lp.b_eq.size, m))], [a_ub, np.eye(m)]])
+    return LinearProgram(c=np.append(lp.c, np.zeros(m)), a_eq=a_eq,
+                         b_eq=np.append(lp.b_eq, b_ub),
+                         lower=np.append(lp.lower, np.zeros(m)),
+                         upper=np.append(lp.upper, np.full(m, np.inf)))
+
+
+def stack_with_slacks(c, b_eq, b_ub):
+    """Stacked costs and rhs of with_slacks programs: every program's slacks
+    cost 0 and every program's rows gain the same b_ub."""
+    K, b_ub = len(c), np.asarray(b_ub, dtype=float)
+    return (np.hstack([c, np.zeros((K, b_ub.size))]),
+            np.hstack([b_eq, np.tile(b_ub, (K, 1))]))
+
+
+def _equilibrate_ub(a, b):
+    """Scale rows a @ x <= b to unit max-abs; drop zero rows.
+
+    Returns (a, b, ok); ok False means a zero row has a negative rhs.
     """
-    prep = scalar_prepare(lp)
-    if prep.status is not None:
-        return prep, 0
-    finite = np.nonzero(np.isfinite(prep.up))[0]
-    rows = np.zeros((finite.size, prep.up.size))
-    rows[np.arange(finite.size), finite] = 1.0
-    return replace(prep, a_ub=np.vstack([prep.a_ub, rows]),
-                   b_ub=np.concatenate([prep.b_ub, prep.up[finite]])), finite.size
+    scale = np.abs(a).max(axis=1, initial=0.0)
+    keep = scale > 0.0
+    ok = not np.any(b[~keep] < -FEAS_TOL)
+    return a[keep] / scale[keep, None], b[keep] / scale[keep], ok
 
 
-def brute_force_solve(lp: LinearProgram, max_vars: int = 12) -> LpSolution:
-    """Enumerate all basic solutions; test oracle for solve.
+def brute_force_solve(lp: LinearProgram, a_ub=None, b_ub=None,
+                      max_vars: int = 12) -> LpSolution:
+    """Enumerate all basic solutions of lp with the extra rows a_ub @ x <= b_ub;
+    test oracle for solve.
 
     Exponential in problem size; rejects instances with more than max_vars
     variables. Unboundedness is decided by enumerating vertices of the
@@ -44,15 +66,26 @@ def brute_force_solve(lp: LinearProgram, max_vars: int = 12) -> LpSolution:
     """
     if lp.n_vars > max_vars:
         raise ValueError(f"{lp.n_vars} variables exceeds brute-force limit {max_vars}")
-    prep, n_upper_rows = prepare(lp)
-    if prep.status == "infeasible":
-        return LpSolution("infeasible")
-    if prep.status == "optimal":
+    prep = scalar_prepare(lp)
+    if a_ub is None:
+        a_ub, b_ub = np.zeros((0, lp.n_vars)), np.zeros(0)
+    a_ub = np.atleast_2d(np.asarray(a_ub, dtype=float))
+    b_ub = (np.asarray(b_ub, dtype=float) - a_ub[:, prep.fixed] @ prep.fixed_values
+            - a_ub[:, prep.free] @ lp.lower[prep.free])
+    a_ub = a_ub[:, prep.free]
+    if prep.status == "optimal" and np.all(b_ub >= -FEAS_TOL):
         x = prep.assemble(np.zeros(0), lp)
         return LpSolution("optimal", x, float(lp.c @ x))
+    if prep.status is not None:
+        return LpSolution("infeasible")
 
-    a_eq, b_eq, ok_eq = equilibrate(prep.a_eq, prep.b_eq, equality=True)
-    a_ub, b_ub, ok_ub = equilibrate(prep.a_ub, prep.b_ub, equality=False)
+    # one row x <= u per finite upper bound
+    finite = np.nonzero(np.isfinite(prep.up))[0]
+    bound_rows = np.zeros((finite.size, prep.up.size))
+    bound_rows[np.arange(finite.size), finite] = 1.0
+    a_eq, b_eq, ok_eq = equilibrate(prep.a_eq, prep.b_eq)
+    a_ub, b_ub, ok_ub = _equilibrate_ub(np.vstack([a_ub, bound_rows]),
+                                        np.concatenate([b_ub, prep.up[finite]]))
     if not (ok_eq and ok_ub):
         return LpSolution("infeasible")
 
@@ -78,7 +111,7 @@ def brute_force_solve(lp: LinearProgram, max_vars: int = 12) -> LpSolution:
     if not found:
         return LpSolution("infeasible")
 
-    if np.any(prep.c < 0) and n_upper_rows < n:
+    if np.any(prep.c < 0) and finite.size < n:
         if _has_descent_ray(red_a, pool, a_eq, a_ub, prep.c):
             return LpSolution("unbounded")
 

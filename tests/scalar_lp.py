@@ -1,10 +1,11 @@
 """One-program two-phase bounded-variable simplex, kept as a test oracle.
 
-This is the one-tableau form of ``bspower.lp.solve_batch``: the same
-preprocessing (fixed variables substituted, shift to 0 <= x <= u, row
-equilibration); a tableau with the reduced-cost row as its last row and no
-artificial columns; the same crash basis of columns that appear in one row
-only; Dantzig pricing with a switch to Bland's rule after prolonged
+This is the one-tableau form of ``bspower.lp.solve_batch`` and takes the
+same input, equality rows plus bounds: the same preprocessing (fixed
+variables substituted, shift to 0 <= x <= u, row equilibration); a
+tableau with the reduced-cost row as its last row and no artificial
+columns; the same crash basis of columns that appear in one row only;
+Dantzig pricing with a switch to Bland's rule after prolonged
 stalling; and the same three-way ratio test: a basic variable falling to
 0, a basic variable rising to its upper bound (its row is complemented,
 then pivoted on) or a bound flip of the entering variable (its column is
@@ -37,8 +38,6 @@ class Prepared:
     c: np.ndarray             # costs of free variables
     a_eq: np.ndarray
     b_eq: np.ndarray
-    a_ub: np.ndarray
-    b_ub: np.ndarray
 
     def assemble(self, x_shift: np.ndarray, lp: LinearProgram) -> np.ndarray:
         x = np.empty(lp.n_vars)
@@ -54,45 +53,31 @@ def prepare(lp: LinearProgram) -> Prepared:
     fixed_values = lp.lower[fixed]
 
     b_eq = lp.b_eq - lp.a_eq[:, fixed] @ fixed_values
-    b_ub = lp.b_ub - lp.a_ub[:, fixed] @ fixed_values
     a_eq = lp.a_eq[:, free]
-    a_ub = lp.a_ub[:, free]
 
     if free.size == 0:
-        ok = _rows_feasible(a_eq, b_eq, equality=True) and \
-             _rows_feasible(a_ub, b_ub, equality=False)
-        status = "optimal" if ok else "infeasible"
+        # every row is zero, so equilibration's zero-row test is the verdict
+        status = "optimal" if equilibrate(a_eq, b_eq)[2] else "infeasible"
         return Prepared(status, free, fixed, fixed_values, np.zeros(0), np.zeros(0),
-                        np.zeros(0), a_eq, b_eq, a_ub, b_ub)
+                        np.zeros(0), a_eq, b_eq)
 
     lo = lp.lower[free]
     b_eq = b_eq - a_eq @ lo
-    b_ub = b_ub - a_ub @ lo
     return Prepared(None, free, fixed, fixed_values, lo, lp.upper[free] - lo, lp.c[free],
-                    a_eq, b_eq, a_ub, b_ub)
+                    a_eq, b_eq)
 
 
-def _rows_feasible(a, b, equality):
-    if b.size == 0:
-        return True
-    scale = np.maximum(np.abs(a).max(axis=1, initial=0.0), 1.0)
-    r = b / scale
-    return bool(np.all(np.abs(r) <= FEAS_TOL)) if equality else bool(np.all(r >= -FEAS_TOL))
-
-
-def equilibrate(a, b, equality):
+def equilibrate(a, b):
     """Scale rows to unit max-abs; drop zero rows, detecting inconsistency.
 
-    Returns (a, b, ok); ok False means a zero row was unsatisfiable.
+    Returns (a, b, ok); ok False means a zero row has a nonzero rhs.
     """
     if b.size == 0:
         return a, b, True
     scale = np.abs(a).max(axis=1, initial=0.0)
     zero = scale <= 0.0
     if zero.any():
-        bz = b[zero]
-        bad = np.any(np.abs(bz) > FEAS_TOL) if equality else np.any(bz < -FEAS_TOL)
-        if bad:
+        if np.any(np.abs(b[zero]) > FEAS_TOL):
             return a, b, False
         a, b, scale = a[~zero], b[~zero], scale[~zero]
     if b.size == 0:
@@ -109,22 +94,17 @@ def scalar_solve(lp: LinearProgram) -> LpSolution:
         x = prep.assemble(np.zeros(0), lp)
         return LpSolution("optimal", x, float(lp.c @ x))
 
-    a_eq, b_eq, ok_eq = equilibrate(prep.a_eq, prep.b_eq, equality=True)
-    a_ub, b_ub, ok_ub = equilibrate(prep.a_ub, prep.b_ub, equality=False)
-    if not (ok_eq and ok_ub):
+    a_eq, b_eq, ok = equilibrate(prep.a_eq, prep.b_eq)
+    if not ok:
         return LpSolution("infeasible")
 
     n = prep.c.size
-    m_eq, m_ub = b_eq.size, b_ub.size
-    m = m_eq + m_ub
-    n_core = n + m_ub
+    m = b_eq.size
 
     # rows, then the reduced-cost row
-    tableau = np.zeros((m + 1, n_core + 1))
-    tableau[:m_eq, :n] = a_eq
-    tableau[m_eq:m, :n] = a_ub
-    tableau[m_eq + np.arange(m_ub), n + np.arange(m_ub)] = 1.0
-    tableau[:m, -1] = np.concatenate([b_eq, b_ub])
+    tableau = np.zeros((m + 1, n + 1))
+    tableau[:m, :n] = a_eq
+    tableau[:m, -1] = b_eq
     flip = np.append(tableau[:m, -1] < 0, False)
     tableau[flip] *= -1.0
 
@@ -132,12 +112,12 @@ def scalar_solve(lp: LinearProgram) -> LpSolution:
     # in no other row, positive in this one and without an upper bound, its
     # row divided by that entry. Every other row starts with an artificial
     # variable, which is never priced and so needs no column: it only has
-    # basis index n_core + row
-    up = np.concatenate([prep.up, np.full(m_ub + m, np.inf)])
-    lone = (np.count_nonzero(tableau[:m, :n_core], axis=0) == 1) & (up[:n_core] == np.inf)
-    basis = np.arange(m) + n_core
+    # basis index n + row
+    up = np.concatenate([prep.up, np.full(m, np.inf)])
+    lone = (np.count_nonzero(tableau[:m, :n], axis=0) == 1) & (up[:n] == np.inf)
+    basis = np.arange(m) + n
     for r in range(m):
-        candidates = np.nonzero(lone & (tableau[r, :n_core] > 0.0))[0]
+        candidates = np.nonzero(lone & (tableau[r, :n] > 0.0))[0]
         if candidates.size:
             basis[r] = candidates[0]
             tableau[r] /= tableau[r, candidates[0]]
@@ -145,22 +125,22 @@ def scalar_solve(lp: LinearProgram) -> LpSolution:
 
     iterations = 0
     bland = False
-    if np.any(basis >= n_core):
-        cost1 = np.zeros(n_core + m)
-        cost1[n_core:] = 1.0
+    if np.any(basis >= n):
+        cost1 = np.zeros(n + m)
+        cost1[n:] = 1.0
         _price(tableau, basis, cost1, complemented, up)
-        status1, it1, bland = _run_simplex(tableau, basis, complemented, up, n_core)
+        status1, it1, bland = _run_simplex(tableau, basis, complemented, up)
         iterations += it1
         if status1 != "optimal":
             raise RuntimeError("phase 1 terminated abnormally: " + status1)
         if -tableau[-1, -1] > FEAS_TOL:
             return LpSolution("infeasible", iterations=iterations, bland=bland)
-        tableau, basis = _drop_artificials(tableau, basis, n_core)
+        tableau, basis = _drop_artificials(tableau, basis)
 
-    cost2 = np.zeros(n_core + m)
+    cost2 = np.zeros(n + m)
     cost2[:n] = prep.c
     _price(tableau, basis, cost2, complemented, up)
-    status2, it2, bland2 = _run_simplex(tableau, basis, complemented, up, n_core)
+    status2, it2, bland2 = _run_simplex(tableau, basis, complemented, up)
     iterations += it2
     bland = bland or bland2
     if status2 == "unbounded":
@@ -207,21 +187,22 @@ def _pivot(tableau, basis, r, j):
     basis[r] = j
 
 
-def _run_simplex(tableau, basis, complemented, up, n_price):
+def _run_simplex(tableau, basis, complemented, up):
     """Iterate pivots and bound flips in place; returns (status, iterations, bland).
 
-    The last tableau row holds the reduced costs; complemented is updated
-    in place, and up holds the upper bound of every basis index.
+    The last tableau row holds the reduced costs and the last column the
+    rhs; complemented is updated in place, and up holds the upper bound of
+    every basis index.
     """
-    m = tableau.shape[0] - 1
-    max_stall = 2 * (m + n_price)
-    cap = 10_000 + 200 * (m + n_price)
+    m, n = tableau.shape[0] - 1, tableau.shape[1] - 1
+    max_stall = 2 * (m + n)
+    cap = 10_000 + 200 * (m + n)
     bland = False
     stall = 0
     best = -tableau[m, -1]
     iterations = 0
     while True:
-        z = tableau[m, :n_price]
+        z = tableau[m, :n]
         if bland:
             neg = np.nonzero(z < -PIVOT_TOL)[0]
             if neg.size == 0:
@@ -271,14 +252,14 @@ def _run_simplex(tableau, basis, complemented, up, n_price):
             raise RuntimeError("simplex iteration cap exceeded")
 
 
-def _drop_artificials(tableau, basis, n_core):
+def _drop_artificials(tableau, basis):
     """Pivot basic artificials out after phase 1; drop redundant rows."""
-    m = basis.size
+    m, n = basis.size, tableau.shape[1] - 1
     drop = []
     for r in range(m):
-        if basis[r] < n_core:
+        if basis[r] < n:
             continue
-        row = np.abs(tableau[r, :n_core])
+        row = np.abs(tableau[r, :n])
         j = int(np.argmax(row > PIVOT_TOL)) if np.any(row > PIVOT_TOL) else -1
         if j < 0:
             drop.append(r)

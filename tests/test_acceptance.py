@@ -55,8 +55,14 @@ from bspower.traffic import (
 )
 from bspower.units import Horizon
 from analytic_traffic import analytic_guard_channel
-from brute_force_lp import brute_force_solve
+from brute_force_lp import brute_force_solve, with_slacks
 from scalar_traffic import lone_replication
+
+
+def column(report, name):
+    """The values of one column of a sweep report, in row order."""
+    i = report.columns.index(name)
+    return [row[i] for row in report.rows]
 
 
 def _report(criterion, ok, detail):
@@ -70,6 +76,7 @@ def _report(criterion, ok, detail):
 # ---------------------------------------------------------------------------
 
 def _random_lp(rng):
+    """(lp, a_ub, b_ub): equality rows and bounds, and rows a_ub @ x <= b_ub."""
     n = int(rng.integers(1, 9))
     m_eq = int(rng.integers(0, min(3, n) + 1))
     m_ub = int(rng.integers(0, 8 - m_eq + 1))
@@ -98,11 +105,9 @@ def _random_lp(rng):
     else:
         b_eq = rng.uniform(-4, 4, size=m_eq)
         b_ub = rng.uniform(-4, 4, size=m_ub)
-    return LinearProgram(
-        c=c,
-        a_eq=a_eq if m_eq else None, b_eq=b_eq if m_eq else None,
-        a_ub=a_ub if m_ub else None, b_ub=b_ub if m_ub else None,
-        lower=lower, upper=upper)
+    lp = LinearProgram(c=c, a_eq=a_eq if m_eq else None, b_eq=b_eq if m_eq else None,
+                       lower=lower, upper=upper)
+    return lp, a_ub, b_ub
 
 
 def _random_instance(rng):
@@ -208,9 +213,9 @@ def test_criterion_1_lp_oracle_equivalence():
     max_gap = 0.0
     counts = {"optimal": 0, "infeasible": 0, "unbounded": 0}
     for _ in range(500):
-        lp = _random_lp(rng)
-        fast = solve(lp)
-        slow = brute_force_solve(lp)
+        lp, a_ub, b_ub = _random_lp(rng)
+        fast = solve(with_slacks(lp, a_ub, b_ub))
+        slow = brute_force_solve(lp, a_ub, b_ub)
         if fast.status != slow.status:
             mismatches += 1
             continue
@@ -312,8 +317,8 @@ def test_criterion_6_battery_sweep_shape():
 def test_criterion_7_arrival_sweep_shape():
     cal = _calibration()
     report = sweep_arrival_rate(DEFAULT_ARRIVAL_RATES, cal, seed=0)
-    purchase = report.column_values("avg_purchase_wh")
-    battery = report.column_values("avg_battery_wh")
+    purchase = column(report, "avg_purchase_wh")
+    battery = column(report, "avg_battery_wh")
     ok = _non_decreasing(purchase) and _non_decreasing(battery)
     _report(7, ok,
             f"avg purchase {purchase[0]:.1f} -> {purchase[-1]:.1f} Wh and "
@@ -329,9 +334,9 @@ def test_criterion_8_admission_control_study():
     heavy = uniform_traffic(2.0, cal.handoff_fraction, cal.horizon.T,
                             cal.mean_holding)
     report = sweep_cac(DEFAULT_CAC_THRESHOLDS, heavy, cal, seed=0)
-    blocking = report.column_values("blocking")
-    dropping = report.column_values("dropping")
-    saving = report.column_values("cost_saving_pct")
+    blocking = column(report, "blocking")
+    dropping = column(report, "dropping")
+    saving = column(report, "cost_saving_pct")
     monotone = (_non_increasing(blocking) and _non_decreasing(dropping)
                 and _non_increasing(saving, tol=1e-7))
     nontrivial = blocking[0] > 0.0 and dropping[-1] > 0.0

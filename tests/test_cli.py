@@ -1,7 +1,10 @@
 """Command-line interface: subcommands, config ingestion, and exit codes."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +14,7 @@ from bspower.calibration import DEFAULT_CONFIG
 from bspower.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 TINY_SCENARIOS = {
     "schema": "bspower-scenarios-1",
@@ -148,6 +152,94 @@ def test_solve_rejects_nan_in_scenario_trace(tmp_path, capsys):
     assert "price.scenarios[0].values[1]" in captured.err
     assert "nan" not in captured.out
     assert not (out / "policy.csv").exists()
+
+
+TRAFFIC_BLOCK = {"scenarios": [
+    {"label": "busy", "probability": 1.0,
+     "new_rate": [0.7, 1.4, 1.4, 0.7], "handoff_rate": [0.3, 0.6, 0.6, 0.3]},
+]}
+
+
+def tiny_with(path, value):
+    """TINY_SCENARIOS with the entry at path (keys and indices) set to value;
+    a path into "traffic" first swaps the consumption block for TRAFFIC_BLOCK."""
+    doc = json.loads(json.dumps(TINY_SCENARIOS))
+    if path[0] == "traffic":
+        del doc["consumption"]
+        doc["traffic"] = json.loads(json.dumps(TRAFFIC_BLOCK))
+    *parents, last = path
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    return doc
+
+
+VALUES = ("price", "scenarios", 0, "values")
+
+
+@pytest.mark.parametrize("command, doc, key", [
+    ("solve", tiny_with(("consumption", "scenarios", 0, "values"), ["inf", 5, 5, 5]),
+     "consumption.scenarios[0].values[0]"),
+    ("solve", tiny_with(VALUES, ["nan", 1, 1, 1]), "price.scenarios[0].values[0]"),
+    ("solve", tiny_with(VALUES, 5), "price.scenarios[0].values"),
+    ("solve", tiny_with(VALUES, [[1], [1], [1], [1]]), "price.scenarios[0].values[0]"),
+    ("solve", tiny_with(VALUES, [True, False, True, False]), "price.scenarios[0].values[0]"),
+    ("solve", tiny_with(VALUES, [10 ** 400, 1, 1, 1]), "price.scenarios[0].values[0]"),
+    ("solve", tiny_with(("price", "scenarios", 0, "probability"), "1.0"),
+     "price.scenarios[0].probability"),
+    ("solve", tiny_with(("price", "scenarios", 0, "label"), 5), "price.scenarios[0].label"),
+    ("solve", tiny_with(("renewable", "scenarios"), 5), "renewable.scenarios"),
+    ("solve", tiny_with(("renewable", "scenarios", 0), 7), "renewable.scenarios[0]"),
+    ("solve", tiny_with(("horizon",), 3), "horizon"),
+    ("solve", tiny_with(("horizon", "T"), 2.5), "horizon.T"),
+    ("solve", tiny_with(("horizon", "period_hours"), "1"), "horizon.period_hours"),
+    ("solve", tiny_with(("traffic", "scenarios", 0, "new_rate"), ["1", 1, 1, 1]),
+     "traffic.scenarios[0].new_rate[0]"),
+    ("solve", tiny_with(("traffic", "scenarios", 0, "mean_holding_min"), "3"),
+     "traffic.scenarios[0].mean_holding_min"),
+    ("simulate", tiny_with(("consumption", "scenarios", 0, "values"), ["inf", 5, 5, 5]),
+     "consumption.scenarios[0].values[0]"),
+    ("estimate-probs", {"counts": ["inf", 1]}, "counts[0]"),
+    ("estimate-probs", [15, True], "counts[1]"),
+], ids=("string-inf-trace", "string-nan-trace", "number-for-trace", "nested-trace",
+        "bool-trace", "huge-integer", "string-probability", "number-label",
+        "number-for-entries", "number-entry", "number-for-horizon", "float-T",
+        "string-period", "string-rate", "string-holding", "simulate-string-inf",
+        "string-count", "bool-count"))
+def test_file_value_of_the_wrong_json_type_is_refused_by_key(tmp_path, capsys,
+                                                             command, doc, key):
+    path = write_json(tmp_path / "in.json", doc)
+    out = tmp_path / "o"
+    argv = ([command, path] if command == "estimate-probs"
+            else [command, "--scenarios", path, "--out", str(out)])
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert key in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_non_finite_optimal_cost_is_a_solver_failure(tmp_path):
+    # every number is finite, but buying 1e300 Wh at 1e305 cents/Wh costs
+    # more than a float holds. The CLI runs in its own process, as a user
+    # runs it, where numpy prints its overflow warnings instead of raising
+    doc = {"schema": "bspower-scenarios-1", "horizon": {"T": 2},
+           "price": {"scenarios": [{"label": "p", "probability": 1.0,
+                                    "values": [1e308, 1e307]}]},
+           "renewable": {"scenarios": [{"label": "r", "probability": 1.0,
+                                        "values": [0.0, 0.0]}]},
+           "consumption": {"scenarios": [{"label": "c", "probability": 1.0,
+                                          "values": [1e300, 1e300]}]}}
+    path = write_json(tmp_path / "huge.json", doc)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-m", "bspower.cli", "solve", "--scenarios", path,
+                          "--out", str(tmp_path / "o")],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 5, run.stderr
+    assert "solver failure" in run.stderr and "'p|r|c'" in run.stderr
+    assert "inf" not in run.stdout and "nan" not in run.stdout
 
 
 def test_traffic_profile_with_an_overflowing_rate_is_a_usage_error(tmp_path, capsys):

@@ -48,6 +48,12 @@ from bspower.units import Horizon
 from test_stochastic import random_instance, single_scenario
 
 
+def column(report, name):
+    """The values of one column of a sweep report, in row order."""
+    i = report.columns.index(name)
+    return [row[i] for row in report.rows]
+
+
 def cheap_calibration(T=24, replications=1):
     """Default shapes but a fixed consumption trace, skipping simulation."""
     cal = default_calibration(T)
@@ -251,7 +257,7 @@ def test_report_validates_shape_and_order():
     with pytest.raises(ValueError, match="non-decreasing"):
         ExperimentReport("k", ("a", "b"), ((2.0, 0.0), (1.0, 0.0)))
     report = ExperimentReport("k", ("a", "b"), ((1.0, 5.0), (2.0, None)))
-    assert report.column_values("b") == [5.0, None]
+    assert column(report, "b") == [5.0, None]
 
 
 def test_report_csv_formatting():
@@ -288,7 +294,7 @@ def test_battery_sweep_levels_off_and_orders_scalings():
 def test_battery_sweep_clamps_endpoints_to_small_capacities():
     cal = cheap_calibration()
     report = sweep_battery([200.0, 1000.0], [1.0], cal, seed=0)
-    costs = report.column_values("monthly_cost_usd")
+    costs = column(report, "monthly_cost_usd")
     assert all(np.isfinite(c) for c in costs)
     assert costs[1] <= costs[0] + 1e-9
 
@@ -372,8 +378,8 @@ def test_arrival_sweep_monotone_on_small_grid():
     report = sweep_arrival_rate([0.2, 0.8], cal, seed=0)
     assert report.columns == ("arrival_rate_per_min", "avg_purchase_wh",
                               "avg_battery_wh")
-    purchase = report.column_values("avg_purchase_wh")
-    battery = report.column_values("avg_battery_wh")
+    purchase = column(report, "avg_purchase_wh")
+    battery = column(report, "avg_battery_wh")
     assert purchase[1] >= purchase[0] - 1e-9
     assert battery[1] >= battery[0] - 1e-9
     with pytest.raises(ValueError):
@@ -393,7 +399,7 @@ def test_arrival_sweep_zero_rate_draws_static_power_only():
                   storage=StorageConfig(capacity=2000.0, initial=500.0,
                                         terminal=500.0))
     report = sweep_arrival_rate([0.0, 0.5], cal, seed=3)
-    assert report.column_values("arrival_rate_per_min")[0] == 0.0
-    purchase = report.column_values("avg_purchase_wh")
+    assert column(report, "arrival_rate_per_min")[0] == 0.0
+    purchase = column(report, "avg_purchase_wh")
     assert purchase[0] == pytest.approx(194.25 * 23 / 24, rel=1e-9)
     assert purchase[1] > purchase[0]

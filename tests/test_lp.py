@@ -13,37 +13,37 @@ from bspower.lp import (
     solve,
     solve_batch,
 )
-from brute_force_lp import brute_force_solve
+from brute_force_lp import brute_force_solve, stack_with_slacks, with_slacks
 
 
-def _assert_feasible(lp, x, tol=1e-6):
+def _assert_feasible(lp, x, a_ub, b_ub, tol=1e-6):
     assert np.all(x >= lp.lower - tol)
     assert np.all(x <= lp.upper + tol)
     if lp.b_eq.size:
         np.testing.assert_allclose(lp.a_eq @ x, lp.b_eq, atol=tol)
-    if lp.b_ub.size:
-        assert np.all(lp.a_ub @ x <= lp.b_ub + tol)
+    if b_ub.size:
+        assert np.all(a_ub @ x <= b_ub + tol)
 
 
 # ---------------------------------------------------------------------------
-# hand-checkable programs
+# hand-checkable programs; an inequality row a @ x <= b is posed to the
+# solver through with_slacks, as a @ x + s == b with a slack s >= 0 that
+# comes after the program's own columns
 # ---------------------------------------------------------------------------
 
 def test_single_variable_floor():
     # min x subject to x >= 3, expressed as -x <= -3
-    lp = LinearProgram(c=[1.0], a_ub=[[-1.0]], b_ub=[-3.0])
-    sol = solve(lp)
+    sol = solve(with_slacks(LinearProgram(c=[1.0]), [[-1.0]], [-3.0]))
     assert sol.status == "optimal"
     assert sol.objective_value == pytest.approx(3.0, abs=1e-9)
-    np.testing.assert_allclose(sol.x, [3.0], atol=1e-9)
+    np.testing.assert_allclose(sol.x[:1], [3.0], atol=1e-9)
 
 
 def test_two_variable_vertex():
     # steeper reward on x pulls the optimum to the (1, 0) corner
-    lp = LinearProgram(c=[-1.0, -0.5], a_ub=[[1.0, 1.0]], b_ub=[1.0])
-    sol = solve(lp)
+    sol = solve(with_slacks(LinearProgram(c=[-1.0, -0.5]), [[1.0, 1.0]], [1.0]))
     assert sol.status == "optimal"
-    np.testing.assert_allclose(sol.x, [1.0, 0.0], atol=1e-9)
+    np.testing.assert_allclose(sol.x[:2], [1.0, 0.0], atol=1e-9)
     assert sol.objective_value == pytest.approx(-1.0, abs=1e-9)
 
 
@@ -59,9 +59,9 @@ def test_equality_with_bounds():
 
 def test_infeasible_sign_conflict():
     # x <= -1 contradicts x >= 0
-    lp = LinearProgram(c=[1.0], a_ub=[[1.0]], b_ub=[-1.0])
-    assert solve(lp).status == "infeasible"
-    assert brute_force_solve(lp).status == "infeasible"
+    lp = LinearProgram(c=[1.0])
+    assert solve(with_slacks(lp, [[1.0]], [-1.0])).status == "infeasible"
+    assert brute_force_solve(lp, [[1.0]], [-1.0]).status == "infeasible"
 
 
 def test_zero_row_inconsistency():
@@ -71,9 +71,9 @@ def test_zero_row_inconsistency():
 
 
 def test_unbounded_direction():
-    lp = LinearProgram(c=[-1.0, 0.0], a_ub=[[0.0, 1.0]], b_ub=[5.0])
-    assert solve(lp).status == "unbounded"
-    assert brute_force_solve(lp).status == "unbounded"
+    lp = LinearProgram(c=[-1.0, 0.0])
+    assert solve(with_slacks(lp, [[0.0, 1.0]], [5.0])).status == "unbounded"
+    assert brute_force_solve(lp, [[0.0, 1.0]], [5.0]).status == "unbounded"
 
 
 def test_upper_bound_caps_unbounded_direction():
@@ -102,10 +102,10 @@ def test_fixed_variables_can_make_rows_infeasible():
 
 def test_degenerate_ties_still_terminate():
     # many redundant rows through one vertex; Bland's rule guards cycling
-    lp = LinearProgram(
-        c=[-1.0, -1.0],
-        a_ub=[[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [2.0, 2.0], [1.0, 1.0]],
-        b_ub=[1.0, 1.0, 2.0, 4.0, 2.0])
+    lp = with_slacks(
+        LinearProgram(c=[-1.0, -1.0]),
+        [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [2.0, 2.0], [1.0, 1.0]],
+        [1.0, 1.0, 2.0, 4.0, 2.0])
     sol = solve(lp)
     assert sol.status == "optimal"
     assert sol.objective_value == pytest.approx(-2.0, abs=1e-9)
@@ -116,7 +116,11 @@ def test_degenerate_ties_still_terminate():
 # ---------------------------------------------------------------------------
 
 def random_lp(rng):
-    """Small random LP mixing feasible, infeasible, and unbounded shapes."""
+    """Small random LP mixing feasible, infeasible, and unbounded shapes.
+
+    Returns (lp, a_ub, b_ub): the program's equality rows and bounds, and
+    its inequality rows a_ub @ x <= b_ub.
+    """
     n = int(rng.integers(1, 9))
     m_eq = int(rng.integers(0, min(3, n) + 1))
     m_ub = int(rng.integers(0, 8 - m_eq + 1))
@@ -146,33 +150,31 @@ def random_lp(rng):
     else:
         b_eq = rng.uniform(-4, 4, size=m_eq)
         b_ub = rng.uniform(-4, 4, size=m_ub)
-    return LinearProgram(
-        c=c,
-        a_eq=a_eq if m_eq else None, b_eq=b_eq if m_eq else None,
-        a_ub=a_ub if m_ub else None, b_ub=b_ub if m_ub else None,
-        lower=lower, upper=upper)
+    lp = LinearProgram(c=c, a_eq=a_eq if m_eq else None, b_eq=b_eq if m_eq else None,
+                       lower=lower, upper=upper)
+    return lp, a_ub, b_ub
 
 
 def test_simplex_agrees_with_vertex_enumeration():
     rng = np.random.default_rng(20240817)
     statuses = {"optimal": 0, "infeasible": 0, "unbounded": 0}
     for k in range(150):
-        lp = random_lp(rng)
-        got = solve(lp)
-        want = brute_force_solve(lp)
+        lp, a_ub, b_ub = random_lp(rng)
+        got = solve(with_slacks(lp, a_ub, b_ub))
+        want = brute_force_solve(lp, a_ub, b_ub)
         assert got.status == want.status, f"case {k}: {got.status} != {want.status}"
         statuses[got.status] += 1
         if got.status == "optimal":
             assert got.objective_value == pytest.approx(
                 want.objective_value, abs=1e-8), f"case {k}"
-            _assert_feasible(lp, got.x)
+            _assert_feasible(lp, got.x[:lp.n_vars], a_ub, b_ub)
     # the generator must actually exercise all three outcomes
     assert min(statuses.values()) > 0, statuses
 
 
 def test_solver_is_deterministic():
     rng = np.random.default_rng(99)
-    lp = random_lp(rng)
+    lp = with_slacks(*random_lp(rng))
     first = solve(lp)
     second = solve(lp)
     assert first.status == second.status
@@ -181,8 +183,8 @@ def test_solver_is_deterministic():
 
 
 def test_objective_scaling():
-    lp = LinearProgram(c=[-1.0, -0.5], a_ub=[[1.0, 1.0]], b_ub=[1.0])
-    scaled = LinearProgram(c=[-7.0, -3.5], a_ub=[[1.0, 1.0]], b_ub=[1.0])
+    lp = with_slacks(LinearProgram(c=[-1.0, -0.5]), [[1.0, 1.0]], [1.0])
+    scaled = with_slacks(LinearProgram(c=[-7.0, -3.5]), [[1.0, 1.0]], [1.0])
     assert solve(scaled).objective_value == pytest.approx(
         7.0 * solve(lp).objective_value, rel=1e-12)
 
@@ -195,10 +197,8 @@ def test_optimum_never_beaten_by_known_feasible_points():
         m = int(rng.integers(1, 5))
         a_ub = rng.uniform(-2, 2, size=(m, n))
         x0 = rng.uniform(0, 2, size=n)
-        lp = LinearProgram(c=rng.uniform(-3, 3, size=n), a_ub=a_ub,
-                           b_ub=a_ub @ x0 + rng.uniform(0.1, 2, size=m),
-                           upper=np.full(n, 10.0))
-        sol = solve(lp)
+        lp = LinearProgram(c=rng.uniform(-3, 3, size=n), upper=np.full(n, 10.0))
+        sol = solve(with_slacks(lp, a_ub, a_ub @ x0 + rng.uniform(0.1, 2, size=m)))
         assert sol.status == "optimal"
         assert sol.objective_value <= lp.c @ x0 + 1e-7
         checked += 1
@@ -218,6 +218,11 @@ def test_program_validation():
         LinearProgram(c=[1.0], lower=[-np.inf])
     with pytest.raises(ValueError):
         LinearProgram(c=[1.0], lower=[2.0], upper=[1.0])
+    # one bound for several variables is not broadcast
+    with pytest.raises(ValueError, match="bound vector length"):
+        LinearProgram(c=[1.0, 1.0], upper=[5.0])
+    with pytest.raises(ValueError, match="bound vector length"):
+        LinearProgram(c=[1.0, 1.0], lower=1.0)
 
 
 def test_brute_force_rejects_large_programs():
@@ -236,8 +241,7 @@ def test_feasibility_tolerance_is_tight():
 
 def alone(lp, c, b_eq):
     """Program k of a batch as a program of its own."""
-    return LinearProgram(c=c, a_eq=lp.a_eq, b_eq=b_eq, a_ub=lp.a_ub, b_ub=lp.b_ub,
-                         lower=lp.lower, upper=lp.upper)
+    return LinearProgram(c=c, a_eq=lp.a_eq, b_eq=b_eq, lower=lp.lower, upper=lp.upper)
 
 
 def assert_same_solution(got, want):
@@ -262,18 +266,18 @@ def test_batch_mixing_verdicts_matches_the_oracle_per_program():
     # a redundant row after phase 1, inconsistent ones are infeasible, and a
     # negative cost on x2 (free upwards) is unbounded
     lp = LinearProgram(c=[1.0, 2.0, 0.0], a_eq=[[1.0, 1.0, 0.0], [2.0, 2.0, 0.0]],
-                       b_eq=[1.0, 2.0], a_ub=[[1.0, 0.0, -1.0]], b_ub=[3.0],
-                       upper=[4.0, np.inf, np.inf])
+                       b_eq=[1.0, 2.0], upper=[4.0, np.inf, np.inf])
+    lp = with_slacks(lp, [[1.0, 0.0, -1.0]], [3.0])
     c = np.array([[1.0, 2.0, 0.0], [1.0, 2.0, 0.0], [1.0, 2.0, -1.0],
                   [-1.0, 1.0, 0.0], [0.0, 0.0, 0.0], [2.0, 1.0, 0.5]])
     b_eq = np.array([[1.0, 2.0], [1.0, 3.0], [1.0, 2.0], [2.0, 4.0], [0.0, 0.0], [-1.0, -2.0]])
-    statuses = assert_batch_matches_oracle(lp, c, b_eq)
+    statuses = assert_batch_matches_oracle(lp, *stack_with_slacks(c, b_eq, [3.0]))
     assert statuses == ["optimal", "infeasible", "unbounded", "optimal", "optimal", "infeasible"]
 
 
 def test_batch_of_all_fixed_programs_matches_the_oracle():
     lp = LinearProgram(c=[1.0, 1.0], a_eq=[[1.0, 1.0]], b_eq=[3.0],
-                       a_ub=[[1.0, -1.0]], b_ub=[0.0], lower=[1.0, 2.0], upper=[1.0, 2.0])
+                       lower=[1.0, 2.0], upper=[1.0, 2.0])
     c = np.array([[1.0, 1.0], [2.0, -1.0], [1.0, 1.0]])
     b_eq = np.array([[3.0], [3.0], [4.0]])
     assert assert_batch_matches_oracle(lp, c, b_eq) == ["optimal", "optimal", "infeasible"]
@@ -281,11 +285,13 @@ def test_batch_of_all_fixed_programs_matches_the_oracle():
 
 def test_batch_results_do_not_depend_on_the_stack_budget(monkeypatch):
     rng = np.random.default_rng(31)
-    lp = random_lp(rng)
+    lp, a_ub, b_ub = random_lp(rng)
     while lp.b_eq.size == 0:
-        lp = random_lp(rng)
+        lp, a_ub, b_ub = random_lp(rng)
     c = lp.c + rng.uniform(-2, 2, size=(9, lp.n_vars))
     b_eq = lp.b_eq + rng.uniform(-1, 1, size=(9, lp.b_eq.size))
+    lp = with_slacks(lp, a_ub, b_ub)
+    c, b_eq = stack_with_slacks(c, b_eq, b_ub)
     whole = solve_batch(lp, c, b_eq)
     monkeypatch.setattr(lp_mod, "_BATCH_BYTES", 1)  # one program per stack
     for got, want in zip(solve_batch(lp, c, b_eq), whole):
@@ -296,11 +302,12 @@ def test_random_batches_match_the_oracle_per_program():
     rng = np.random.default_rng(8128)
     seen = set()
     for _ in range(120):
-        lp = random_lp(rng)
+        lp, a_ub, b_ub = random_lp(rng)
         K = int(rng.integers(1, 7))
         c = lp.c + rng.uniform(-3, 3, size=(K, lp.n_vars)) * (rng.random((K, 1)) < 0.7)
         b_eq = lp.b_eq + rng.uniform(-2, 2, size=(K, lp.b_eq.size)) * (rng.random((K, 1)) < 0.7)
-        seen.update(assert_batch_matches_oracle(lp, c, b_eq))
+        seen.update(assert_batch_matches_oracle(with_slacks(lp, a_ub, b_ub),
+                                                *stack_with_slacks(c, b_eq, b_ub)))
     assert seen == {"optimal", "infeasible", "unbounded"}
 
 
@@ -330,7 +337,8 @@ def test_batch_takes_bound_flips_and_leaves_at_upper_bounds(monkeypatch):
     # Program 1 raises x2, which drags the basic x1 up to its bound: x1
     # leaves at its upper bound
     lp = LinearProgram(c=[0.0, 0.0, 0.0], a_eq=[[1.0, -1.0, 0.0]], b_eq=[0.0],
-                       a_ub=[[0.0, 1.0, 1.0]], b_ub=[10.0], upper=[2.0, np.inf, 3.0])
+                       upper=[2.0, np.inf, 3.0])
+    lp = with_slacks(lp, [[0.0, 1.0, 1.0]], [10.0])
     pivots = np.zeros(2, dtype=int)
     pivot = lp_mod._pivot
 
@@ -339,34 +347,34 @@ def test_batch_takes_bound_flips_and_leaves_at_upper_bounds(monkeypatch):
         pivot(tableau, basis, k, r, j, col)
 
     monkeypatch.setattr(lp_mod, "_pivot", counting_pivot)
-    c = np.array([[0.0, 0.0, -1.0], [0.0, -1.0, 0.0]])
-    flipped, left_at_bound = solve_batch(lp, c, np.zeros((2, 1)))
-    np.testing.assert_array_equal(flipped.x, [0.0, 0.0, 3.0])
-    np.testing.assert_array_equal(left_at_bound.x, [2.0, 2.0, 0.0])
+    c, b_eq = stack_with_slacks(np.array([[0.0, 0.0, -1.0], [0.0, -1.0, 0.0]]),
+                                np.zeros((2, 1)), [10.0])
+    flipped, left_at_bound = solve_batch(lp, c, b_eq)
+    np.testing.assert_array_equal(flipped.x[:3], [0.0, 0.0, 3.0])
+    np.testing.assert_array_equal(left_at_bound.x[:3], [2.0, 2.0, 0.0])
     # one phase-1 pivot each; then a flip for program 0 and a pivot for 1
     assert (flipped.iterations, left_at_bound.iterations) == (2, 2)
     assert pivots.tolist() == [1, 2]
-    assert assert_batch_matches_oracle(lp, c, np.zeros((2, 1))) == ["optimal", "optimal"]
+    assert assert_batch_matches_oracle(lp, c, b_eq) == ["optimal", "optimal"]
 
 
 def test_bound_flip_wins_a_tie_with_a_row():
     # x1 reaches its bound 2 exactly when the first row's slack reaches 0:
     # the flip ends it in one step, a pivot would leave x1 basic at its
     # bound and take a second, degenerate step
-    lp = LinearProgram(c=[0.0, -3.0], a_ub=[[-1.0, 1.0], [2.0, 1.0]], b_ub=[2.0, 3.0],
-                       upper=[1.0, 2.0])
+    lp = with_slacks(LinearProgram(c=[0.0, -3.0], upper=[1.0, 2.0]),
+                     [[-1.0, 1.0], [2.0, 1.0]], [2.0, 3.0])
     sol = solve(lp)
     assert (sol.status, sol.iterations) == ("optimal", 1)
-    np.testing.assert_array_equal(sol.x, [0.0, 2.0])
+    np.testing.assert_array_equal(sol.x[:2], [0.0, 2.0])
     assert_same_solution(sol, scalar_lp.scalar_solve(lp))
 
 
 def test_upper_bounds_stay_out_of_the_rows():
     lp = LinearProgram(c=[1.0, 1.0, 1.0], a_eq=[[1.0, 1.0, 1.0]], b_eq=[2.0],
-                       a_ub=[[1.0, -1.0, 0.0]], b_ub=[1.0], lower=[0.0, 1.0, 0.0],
-                       upper=[4.0, 3.0, np.inf])
+                       lower=[0.0, 1.0, 0.0], upper=[4.0, 3.0, np.inf])
     prep = lp_mod._prepare(lp, lp.b_eq[None])
-    assert prep.a_eq.shape == (1, 3) and prep.a_ub.shape == (1, 3)
+    assert prep.a_eq.shape == (1, 3)
     np.testing.assert_array_equal(prep.up, [4.0, 2.0, np.inf])
 
 
@@ -438,33 +446,34 @@ def with_cost_row(tableau, basis, cost):
     return out
 
 
-def run_core(tableau, basis, cost, n_price):
+def run_core(tableau, basis, cost):
     """The batched core on a stack of one; returns (unbounded, iterations, bland)."""
     unbounded, iterations, bland = _run_simplex(
         tableau[None], basis[None], np.zeros((1, 0), bool), np.full(cost.size, np.inf),
-        n_price, np.ones(1, bool))
+        np.ones(1, bool))
     return unbounded[0], iterations[0], bland[0]
 
 
-def run_oracle_core(tableau, basis, cost, n_price):
+def run_oracle_core(tableau, basis, cost):
     return scalar_lp._run_simplex(tableau, basis, np.zeros(0, bool),
-                                  np.full(cost.size, np.inf), n_price)
+                                  np.full(cost.size, np.inf))
 
 
 def test_stall_counter_counts_only_pivots_that_do_not_improve():
-    # 255 improving pivots, far above 2 (m + n_price) = 48: Dantzig's rule
-    # must stay in charge all the way
+    # 255 improving pivots, far above 2 (m + n) = 48: Dantzig's rule must
+    # stay in charge all the way
     tableau, basis, cost = klee_minty(8)
     tableau = with_cost_row(tableau, basis, cost)
-    assert run_core(tableau.copy(), basis.copy(), cost, 16) == (False, 2**8 - 1, False)
-    assert run_oracle_core(tableau.copy(), basis.copy(), cost, 16) == ("optimal", 255, False)
+    assert tableau.shape == (9, 17)  # m = 8 rows, n = 16 columns and the rhs
+    assert run_core(tableau.copy(), basis.copy(), cost) == (False, 2**8 - 1, False)
+    assert run_oracle_core(tableau.copy(), basis.copy(), cost) == ("optimal", 255, False)
 
     # a degenerate cycle improves nothing, so Bland's rule takes over
     # after 2 (3 + 7) + 1 pivots and ends it
     tableau, basis, cost = chvatal_cycle()
     stack, stack_basis = with_cost_row(tableau, basis, cost)[None], basis[None].copy()
     unbounded, iterations, bland = _run_simplex(stack, stack_basis, np.zeros((1, 0), bool),
-                                                np.full(7, np.inf), 7, np.ones(1, bool))
+                                                np.full(7, np.inf), np.ones(1, bool))
     assert not unbounded[0] and bland[0] and iterations[0] > 21
     assert cost[stack_basis[0]] @ stack[0, :3, -1] == -1.0
 
@@ -484,11 +493,11 @@ def test_stacked_simplex_core_matches_the_oracle_per_program():
     stack = np.stack([p[0] for p in programs])
     stack_basis = np.stack([p[1] for p in programs])
     unbounded, iterations, bland = _run_simplex(
-        stack, stack_basis, np.zeros((len(programs), 0), bool), np.full(7, np.inf), 7,
+        stack, stack_basis, np.zeros((len(programs), 0), bool), np.full(7, np.inf),
         np.ones(len(programs), bool))
     assert bland[0] and unbounded[2] and iterations[1] == 0
     for k, (tableau, basis, cost) in enumerate(programs):
         tableau, basis = tableau.copy(), basis.copy()
-        status, its, switched = run_oracle_core(tableau, basis, cost, 7)
+        status, its, switched = run_oracle_core(tableau, basis, cost)
         assert (status == "unbounded", its, switched) == (unbounded[k], iterations[k], bland[k])
         assert np.array_equal(stack[k], tableau) and np.array_equal(stack_basis[k], basis)

@@ -10,6 +10,7 @@ from hypothesis.extra import numpy as hnp  # noqa: E402
 
 import scalar_lp  # noqa: E402
 from bspower.lp import LinearProgram, solve_batch  # noqa: E402
+from brute_force_lp import stack_with_slacks, with_slacks  # noqa: E402
 
 SETTINGS = settings(max_examples=60, deadline=None, database=None)
 small_ints = st.integers(-3, 3).map(float)
@@ -18,7 +19,8 @@ values = st.floats(-4.0, 4.0, allow_nan=False, width=32)
 
 @st.composite
 def batches(draw):
-    """A program with shared rows and bounds, plus stacked costs and rhs."""
+    """A program with shared rows and bounds, plus stacked costs and rhs;
+    its inequality rows are posed through with_slacks."""
     n = draw(st.integers(1, 5))
     m_eq = draw(st.integers(0, 3))
     m_ub = draw(st.integers(0, 3))
@@ -30,9 +32,8 @@ def batches(draw):
     width = draw(hnp.arrays(float, n, elements=st.sampled_from([0.0, 1.0, 2.5, np.inf])))
     c = draw(hnp.arrays(float, (K, n), elements=values))
     b_eq = draw(hnp.arrays(float, (K, m_eq), elements=values))
-    lp = LinearProgram(c=c[0], a_eq=a_eq, b_eq=b_eq[0], a_ub=a_ub, b_ub=b_ub,
-                       lower=lower, upper=lower + width)
-    return lp, c, b_eq
+    lp = LinearProgram(c=c[0], a_eq=a_eq, b_eq=b_eq[0], lower=lower, upper=lower + width)
+    return (with_slacks(lp, a_ub, b_ub), *stack_with_slacks(c, b_eq, b_ub))
 
 
 @SETTINGS
@@ -41,8 +42,7 @@ def test_each_program_of_a_batch_equals_its_lone_solve(batch):
     lp, c, b_eq = batch
     for k, got in enumerate(solve_batch(lp, c, b_eq)):
         want = scalar_lp.scalar_solve(LinearProgram(
-            c=c[k], a_eq=lp.a_eq, b_eq=b_eq[k], a_ub=lp.a_ub, b_ub=lp.b_ub,
-            lower=lp.lower, upper=lp.upper))
+            c=c[k], a_eq=lp.a_eq, b_eq=b_eq[k], lower=lp.lower, upper=lp.upper))
         assert (got.status, got.iterations, got.bland) == (want.status, want.iterations, want.bland)
         assert got.objective_value == want.objective_value
         assert (got.x is None and want.x is None) or np.array_equal(got.x, want.x)
