@@ -13,7 +13,7 @@ from .evaluate import (EvaluationResult, ExperimentReport, RealizedDay,
                        ReplayError, baseline_policy, evaluate_policy,
                        monthly_cost, sweep_arrival_rate, sweep_battery,
                        sweep_cac)
-from .lp import LinearProgram, LpSolution, solve
+from .lp import LinearProgram, solve
 from .power_model import BaseStationParams, consumption_trace
 from .scenarios import (CompositeScenario, MarginalScenario, MarginalSpace,
                         RateProfile, ScenarioDocument, ScenarioFileError,
@@ -32,8 +32,8 @@ __version__ = "0.1.0"
 __all__ = [
     "BaseStationParams", "CacConfig", "Calibration", "CompositeScenario",
     "EvaluationResult", "ExperimentReport", "Horizon", "InfeasibleProgramError",
-    "LinearProgram", "LpSolution", "MarginalScenario", "MarginalSpace",
-    "PolicyTable", "QosStats", "RateProfile", "RealizedDay", "ReplayError",
+    "LinearProgram", "MarginalScenario", "MarginalSpace", "PolicyTable",
+    "QosStats", "RateProfile", "RealizedDay", "ReplayError",
     "ScenarioDocument", "ScenarioFileError", "ScenarioSpace", "StorageConfig",
     "TrafficSpec", "VariableMap", "baseline_policy",
     "build_deterministic_equivalent", "compose", "consumption_trace",

@@ -23,6 +23,7 @@ All of this is data; callers can substitute any piece.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -160,8 +161,11 @@ def default_traffic_profiles(handoff_fraction: float, mean_holding: float,
 
 def derived_loss_cost(price: MarginalSpace, self_discharge: float) -> float:
     """Penalty pricing the energy expected to self-discharge each period."""
-    mean_price = float(sum(s.probability * s.values.mean() for s in price.scenarios))
-    return self_discharge * mean_price / 1000.0
+    # in units of a power of two above the largest price, so the means cannot
+    # overflow and every other price keeps its bits
+    exponent = math.frexp(max(float(np.abs(s.values).max()) for s in price.scenarios))[1]
+    scaled = sum(s.probability * np.ldexp(s.values, -exponent).mean() for s in price.scenarios)
+    return self_discharge * math.ldexp(float(scaled), exponent) / 1000.0
 
 
 def consumption_space_from_profiles(

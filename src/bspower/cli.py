@@ -127,6 +127,10 @@ def _check_ranges(cfg: dict) -> None:
     days = cfg["simulate"]["days"]
     if not 1 <= days <= _MAX_SIM_DAYS:
         raise UsageError(f"config.simulate.days must be in [1, {_MAX_SIM_DAYS}], got {days}")
+    channels, connections = cfg["cac"]["channels"], cfg["base_station"]["max_connections"]
+    if channels > connections:
+        raise UsageError(f"config.cac.channels must be at most "
+                         f"config.base_station.max_connections ({connections}), got {channels}")
 
 
 def _build_run_config(args) -> RunConfig:

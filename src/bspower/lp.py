@@ -48,7 +48,9 @@ variables are not stored: they are never priced or ratio-tested, so a row
 whose artificial is basic only carries the basis index n + row, after the
 n free variables. One stack holds at most _BATCH_BYTES of tableau (or a
 single program that is larger); a larger batch runs as several stacks of
-equal size. solve(lp) is the batch of one.
+equal size. The results come back as one LpResult record of arrays with
+one entry per program, x and the objective NaN where a program is not
+optimal; solve(lp) is the batch of one.
 """
 
 from __future__ import annotations
@@ -95,12 +97,17 @@ class LinearProgram:
 
 
 @dataclass
-class LpSolution:
-    status: str  # "optimal" | "infeasible" | "unbounded"
-    x: np.ndarray | None = None
-    objective_value: float | None = None
-    iterations: int = 0  # pivots plus bound flips, both phases
-    bland: bool = False  # Bland's rule switched on in phase 1 or phase 2
+class LpResult:
+    """The results of a batch of programs, entry (or row) k for program k.
+
+    x and objective are NaN where a program is not optimal.
+    """
+
+    status: np.ndarray      # (programs,) "optimal" | "infeasible" | "unbounded"
+    x: np.ndarray           # (programs, n_vars)
+    objective: np.ndarray   # (programs,) c @ x
+    iterations: np.ndarray  # (programs,) pivots plus bound flips, both phases
+    bland: np.ndarray       # (programs,) Bland's rule switched on in phase 1 or 2
 
 
 def _normalize_rows(a, b, n):
@@ -184,18 +191,18 @@ def _equilibrate(a, b):
 # Lockstep two-phase bounded-variable simplex
 # ---------------------------------------------------------------------------
 
-def solve(lp: LinearProgram) -> LpSolution:
+def solve(lp: LinearProgram) -> LpResult:
     """Two-phase simplex; returns status optimal, infeasible, or unbounded."""
-    return solve_batch(lp, lp.c[None], lp.b_eq[None])[0]
+    return solve_batch(lp, lp.c[None], lp.b_eq[None])
 
 
-def solve_batch(lp: LinearProgram, c, b_eq) -> list[LpSolution]:
+def solve_batch(lp: LinearProgram, c, b_eq) -> LpResult:
     """Solve one program per row of c and b_eq, all in lockstep.
 
     Row k of c (programs, n_vars) and b_eq (programs, eq rows) replaces
     lp.c and lp.b_eq for program k; every program shares lp's a_eq and
-    bounds. Each returned solution equals, bit for bit, the one the
-    program would get if solved alone.
+    bounds. Entry k of the result equals, bit for bit, what the program
+    would get if solved alone.
     """
     c = np.ascontiguousarray(c, dtype=float)
     b_eq = np.asarray(b_eq, dtype=float)
@@ -206,30 +213,26 @@ def solve_batch(lp: LinearProgram, c, b_eq) -> list[LpSolution]:
     prep = _prepare(lp, b_eq)
     n = prep.free.size
     body, rhs, ok = _equilibrate(prep.a_eq, prep.b_eq)
-    solutions = [LpSolution("infeasible") for _ in range(K)]
-    if n == 0:
-        x = prep.assemble(np.zeros((K, 0)), lp.n_vars)
-        for k in np.nonzero(ok)[0]:
-            solutions[k] = LpSolution("optimal", x[k], float(c[k] @ x[k]))
-        return solutions
+    # with every variable fixed, ok is the verdict and no stack runs
+    status = np.where(ok, "optimal", "infeasible")
+    x_shift = np.zeros((K, n))
+    iterations = np.zeros(K, dtype=int)
+    bland = np.zeros(K, dtype=bool)
 
     m = body.shape[0]
     # upper bound per basis index: free variables, then artificials
     up = np.concatenate([prep.up, np.full(m, np.inf)])
     programs = np.nonzero(ok)[0]
     per_stack = max(1, _BATCH_BYTES // (8 * (m + 1) * (n + 1)))
-    stacks = -(-programs.size // per_stack)
+    stacks = -(-programs.size // per_stack) if n else 0
     for stack in np.array_split(programs, stacks) if stacks else ():
-        status, x_shift, iterations, bland = _solve_stack(
+        status[stack], x_shift[stack], iterations[stack], bland[stack] = _solve_stack(
             body, rhs[stack], c[stack][:, prep.free], up)
-        x = prep.assemble(np.maximum(x_shift, 0.0), lp.n_vars)
-        for i, k in enumerate(stack):
-            solutions[k] = LpSolution(str(status[i]), iterations=int(iterations[i]),
-                                      bland=bool(bland[i]))
-            if status[i] == "optimal":
-                solutions[k].x = x[i]
-                solutions[k].objective_value = float(c[k] @ x[i])
-    return solutions
+    x = prep.assemble(np.maximum(x_shift, 0.0), lp.n_vars)
+    x[status != "optimal"] = np.nan
+    # one dot product per program, the call a lone solve makes
+    objective = (c[:, None] @ x[:, :, None])[:, 0, 0]
+    return LpResult(status, x, objective, iterations, bland)
 
 
 def _solve_stack(body, rhs, c, up):

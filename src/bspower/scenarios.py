@@ -420,21 +420,16 @@ def scenario_document_dict(document: ScenarioDocument) -> dict:
         "schema": SCENARIO_SCHEMA,
         "horizon": {"T": document.horizon.T, "period_hours": document.horizon.period_hours},
     }
-    for kind in ("price", "renewable"):
-        space: MarginalSpace = getattr(document, kind)
-        out[kind] = {
-            "scenarios": [
-                {"label": s.label, "probability": s.probability, "values": list(map(float, s.values))}
-                for s in space.scenarios
-            ]
-        }
-    if document.consumption is not None:
-        out["consumption"] = {
-            "scenarios": [
-                {"label": s.label, "probability": s.probability, "values": list(map(float, s.values))}
-                for s in document.consumption.scenarios
-            ]
-        }
+    for kind in MARGINAL_KINDS:
+        space: MarginalSpace | None = getattr(document, kind)
+        if space is not None:
+            out[kind] = {
+                "scenarios": [
+                    {"label": s.label, "probability": s.probability,
+                     "values": list(map(float, s.values))}
+                    for s in space.scenarios
+                ]
+            }
     if document.traffic:
         out["traffic"] = {
             "scenarios": [

@@ -210,13 +210,15 @@ def build_deterministic_equivalent(
     return program, VariableMap(T=horizon.T, scenario_labels=tuple(space.labels))
 
 
-def _solve_groups(storage, space, groups, physical_discharge):
-    """Solve each group's program, all members coupled in period 1;
-    returns (mass, solution) per group.
+def _solve_groups(storage, space, groups, physical_discharge, cube):
+    """Solve each group's program, all members coupled in period 1.
 
-    Groups of one size share their constraint matrix and bounds, so one
-    lp.solve_batch call per size solves them all, with each group's own
-    costs and right-hand side stacked as rows.
+    Writes each member's purchase, battery and excess into its row of cube
+    (S, 3, T), NaN where the program is not optimal, and returns each
+    group's probability mass, status and optimal cost. Groups of one size
+    share their constraint matrix and bounds, so one lp.solve_batch call per
+    size solves them all, with each group's own costs and right-hand side
+    stacked as rows.
     """
     masses = [sum(space.scenarios[w].probability for w in members) for members in groups]
     prices = space.trace_matrix("price")
@@ -225,7 +227,8 @@ def _solve_groups(storage, space, groups, physical_discharge):
     for g, members in enumerate(groups):
         by_size.setdefault(len(members), []).append(g)
 
-    solved = [None] * len(groups)
+    status = np.empty(len(groups), dtype=object)
+    objective = np.empty(len(groups))
     for size, ids in by_size.items():
         members = np.array([groups[g] for g in ids])
         probs = np.array([[space.scenarios[w].probability / masses[g] for w in groups[g]]
@@ -233,15 +236,10 @@ def _solve_groups(storage, space, groups, physical_discharge):
         program, c, b_eq = _assemble(storage, probs, prices[members], net_load[members],
                                      _retention(storage, physical_discharge),
                                      [range(size)])
-        for g, solution in zip(ids, lp_mod.solve_batch(program, c, b_eq)):
-            solved[g] = masses[g], solution
-    return solved
-
-
-def _certified(solutions: list[lp_mod.LpSolution]) -> bool:
-    """Whether every program is optimal and all first-period purchases are equal."""
-    return (all(solution.status == "optimal" for solution in solutions)
-            and len({float(solution.x[0]) for solution in solutions}) == 1)
+        result = lp_mod.solve_batch(program, c, b_eq)
+        cube[members] = result.x.reshape(members.shape + cube.shape[1:])
+        status[ids], objective[ids] = result.status, result.objective
+    return masses, status, objective
 
 
 def solve_policy(
@@ -260,55 +258,49 @@ def solve_policy(
     keeps their schedules and costs: the wait-and-see cost bounds the
     coupled cost from below, so they are optimal for the group too. Each
     other group is one block, solved as its own deterministic equivalent
-    with the probabilities renormalised inside the group. The expected
-    cost sums the block optima weighted by block probability mass, in order
-    of each block's first scenario. It equals the optimum of
-    build_deterministic_equivalent over the whole space, because no
-    constraint spans two groups.
+    with the probabilities renormalised inside the group; its schedules
+    overwrite its members' wait-and-see ones in the (S, 3, T) cube that
+    every solve writes into. The expected cost sums the block optima
+    weighted by block probability mass, in order of each block's first
+    scenario. It equals the optimum of build_deterministic_equivalent over
+    the whole space, because no constraint spans two groups.
 
     Raises InfeasibleProgramError when a block has no optimum, and
     RuntimeError when a block's optimal cost is not finite.
     """
     _check_space(space, horizon)
-    T = horizon.T
     S = len(space)
-    singles = _solve_groups(storage, space, [[w] for w in range(S)], physical_discharge)
-    # each block, keyed by its first scenario: (members, (mass, solution))
-    blocks = {w: ([w], result) for w, result in enumerate(singles)}
+    cube = np.empty((S, 3, horizon.T))
+    singles = _solve_groups(storage, space, [[w] for w in range(S)], physical_discharge, cube)
+    # each block, keyed by its first scenario: (mass, status, optimal cost)
+    blocks = dict(enumerate(zip(*singles)))
     if nonanticipative:
+        optimal = singles[1] == "optimal"
         binding = [members for members in _nonanticipativity_groups(space, True)
-                   if not _certified([singles[w][1] for w in members])]
-        coupled = _solve_groups(storage, space, binding, physical_discharge)
-        for members, result in zip(binding, coupled):
+                   if not (optimal[members].all()
+                           and (cube[members, 0, 0] == cube[members[0], 0, 0]).all())]
+        coupled = _solve_groups(storage, space, binding, physical_discharge, cube)
+        for members, *block in zip(binding, *coupled):
             for w in members:
                 del blocks[w]
-            blocks[members[0]] = members, result
+            blocks[members[0]] = block
 
     expected = 0.0
-    rows: list[int] = []
-    solutions = []
     for lead in sorted(blocks):
-        members, (mass, solution) = blocks[lead]
-        if solution.status != "optimal":
+        mass, status, cost = blocks[lead]
+        if status != "optimal":
             raise InfeasibleProgramError(
-                f"stochastic program is {solution.status} for the scenario group "
+                f"stochastic program is {status} for the scenario group "
                 f"of {space.scenarios[lead].label!r}; check battery endpoint "
                 f"levels (initial={storage.initial}, terminal={storage.terminal}) "
                 f"against capacity {storage.capacity}")
-        if not math.isfinite(solution.objective_value):
+        if not math.isfinite(cost):
             raise RuntimeError(
                 f"optimal cost of the scenario group of {space.scenarios[lead].label!r} "
-                f"is {solution.objective_value}; trace values too large for the solver")
-        rows.extend(members)
-        solutions.append(solution.x)
-        expected += mass * float(solution.objective_value)
+                f"is {cost}; trace values too large for the solver")
+        expected += mass * float(cost)
 
-    # the blocks' solutions in block order hold every scenario's columns once
-    purchase = np.zeros((S, T))
-    battery = np.zeros((S, T))
-    excess = np.zeros((S, T))
-    vmap = VariableMap(T=T, scenario_labels=tuple(space.labels))
-    purchase[rows], battery[rows], excess[rows] = vmap.unpack(np.concatenate(solutions))
+    purchase, battery, excess = cube.transpose(1, 0, 2).copy()
     return PolicyTable(
         scenario_labels=tuple(space.labels),
         probabilities=space.probabilities,

@@ -17,8 +17,8 @@ from math import comb
 
 import numpy as np
 
-from bspower.lp import FEAS_TOL, LinearProgram, LpSolution
-from scalar_lp import equilibrate
+from bspower.lp import FEAS_TOL, LinearProgram, LpResult
+from scalar_lp import equilibrate, record
 from scalar_lp import prepare as scalar_prepare
 
 _MAX_BRUTE_COMBOS = 5_000_000
@@ -56,7 +56,7 @@ def _equilibrate_ub(a, b):
 
 
 def brute_force_solve(lp: LinearProgram, a_ub=None, b_ub=None,
-                      max_vars: int = 12) -> LpSolution:
+                      max_vars: int = 12) -> LpResult:
     """Enumerate all basic solutions of lp with the extra rows a_ub @ x <= b_ub;
     test oracle for solve.
 
@@ -75,9 +75,9 @@ def brute_force_solve(lp: LinearProgram, a_ub=None, b_ub=None,
     a_ub = a_ub[:, prep.free]
     if prep.status == "optimal" and np.all(b_ub >= -FEAS_TOL):
         x = prep.assemble(np.zeros(0), lp)
-        return LpSolution("optimal", x, float(lp.c @ x))
+        return record(lp, "optimal", x)
     if prep.status is not None:
-        return LpSolution("infeasible")
+        return record(lp, "infeasible")
 
     # one row x <= u per finite upper bound
     finite = np.nonzero(np.isfinite(prep.up))[0]
@@ -87,12 +87,12 @@ def brute_force_solve(lp: LinearProgram, a_ub=None, b_ub=None,
     a_ub, b_ub, ok_ub = _equilibrate_ub(np.vstack([a_ub, bound_rows]),
                                         np.concatenate([b_ub, prep.up[finite]]))
     if not (ok_eq and ok_ub):
-        return LpSolution("infeasible")
+        return record(lp, "infeasible")
 
     n = prep.c.size
     red_a, red_b, consistent = _row_reduce(a_eq, b_eq)
     if not consistent:
-        return LpSolution("infeasible")
+        return record(lp, "infeasible")
 
     pool = np.vstack([a_ub, -np.eye(n)])
     pool_rhs = np.concatenate([b_ub, np.zeros(n)])
@@ -109,14 +109,14 @@ def brute_force_solve(lp: LinearProgram, a_ub=None, b_ub=None,
     found, best_obj, best_x = _best_vertex(red_a, red_b, pool, pool_rhs,
                                            prep.c, feasible_mask)
     if not found:
-        return LpSolution("infeasible")
+        return record(lp, "infeasible")
 
     if np.any(prep.c < 0) and finite.size < n:
         if _has_descent_ray(red_a, pool, a_eq, a_ub, prep.c):
-            return LpSolution("unbounded")
+            return record(lp, "unbounded")
 
     x = prep.assemble(np.maximum(best_x, 0.0), lp)
-    return LpSolution("optimal", x, float(lp.c @ x))
+    return record(lp, "optimal", x)
 
 
 def _best_vertex(red_a, red_b, pool, pool_rhs, c, feasible_mask):

@@ -11,9 +11,9 @@ stalling; and the same three-way ratio test: a basic variable falling to
 then pivoted on) or a bound flip of the entering variable (its column is
 complemented, no pivot). Ties go to the bound flip, then to the lowest
 basis index. The rank-1 update is restricted to rows with a nonzero
-pivot-column entry. The batched solver must reproduce its solution,
-objective, iteration count, status and Bland flag bit for bit, program by
-program.
+pivot-column entry. It returns solve_batch's record for a batch of one,
+and the batched solver must reproduce its solution, objective, iteration
+count, status and Bland flag bit for bit, program by program.
 
 The stall counter counts only steps that do not improve the objective,
 read from the rhs entry of the reduced-cost row; ``best`` starts at the
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from bspower.lp import _STALL_EPS, FEAS_TOL, PIVOT_TOL, LinearProgram, LpSolution
+from bspower.lp import _STALL_EPS, FEAS_TOL, PIVOT_TOL, LinearProgram, LpResult
 
 
 @dataclass
@@ -85,18 +85,25 @@ def equilibrate(a, b):
     return a / scale[:, None], b / scale, True
 
 
-def scalar_solve(lp: LinearProgram) -> LpSolution:
+def record(lp: LinearProgram, status: str, x=None, iterations=0, bland=False) -> LpResult:
+    """solve_batch's record of lp alone; x is given only when optimal."""
+    x = np.full(lp.n_vars, np.nan) if x is None else x
+    return LpResult(np.array([status]), x[None], np.array([lp.c @ x]),
+                    np.array([iterations]), np.array([bland]))
+
+
+def scalar_solve(lp: LinearProgram) -> LpResult:
     """Two-phase simplex on one tableau; returns optimal, infeasible or unbounded."""
     prep = prepare(lp)
     if prep.status == "infeasible":
-        return LpSolution("infeasible")
+        return record(lp, "infeasible")
     if prep.status == "optimal":
         x = prep.assemble(np.zeros(0), lp)
-        return LpSolution("optimal", x, float(lp.c @ x))
+        return record(lp, "optimal", x)
 
     a_eq, b_eq, ok = equilibrate(prep.a_eq, prep.b_eq)
     if not ok:
-        return LpSolution("infeasible")
+        return record(lp, "infeasible")
 
     n = prep.c.size
     m = b_eq.size
@@ -134,7 +141,7 @@ def scalar_solve(lp: LinearProgram) -> LpSolution:
         if status1 != "optimal":
             raise RuntimeError("phase 1 terminated abnormally: " + status1)
         if -tableau[-1, -1] > FEAS_TOL:
-            return LpSolution("infeasible", iterations=iterations, bland=bland)
+            return record(lp, "infeasible", iterations=iterations, bland=bland)
         tableau, basis = _drop_artificials(tableau, basis)
 
     cost2 = np.zeros(n + m)
@@ -144,7 +151,7 @@ def scalar_solve(lp: LinearProgram) -> LpSolution:
     iterations += it2
     bland = bland or bland2
     if status2 == "unbounded":
-        return LpSolution("unbounded", iterations=iterations, bland=bland)
+        return record(lp, "unbounded", iterations=iterations, bland=bland)
 
     x_shift = np.zeros(n)
     for r in range(basis.size):
@@ -152,7 +159,7 @@ def scalar_solve(lp: LinearProgram) -> LpSolution:
             x_shift[basis[r]] = tableau[r, -1]
     x_shift = np.where(complemented, prep.up - x_shift, x_shift)
     x = prep.assemble(np.maximum(x_shift, 0.0), lp)
-    return LpSolution("optimal", x, float(lp.c @ x), iterations, bland)
+    return record(lp, "optimal", x, iterations, bland)
 
 
 def _price(tableau, basis, cost, complemented, up):

@@ -567,7 +567,8 @@ def test_config_bad_battery_values_are_usage_errors(tiny, tmp_path, capsys):
     ({"traffic": {"handoff_fraction": 2}}, "config.traffic.handoff_fraction"),
     ({"simulate": {"days": 0}}, "config.simulate.days"),
     ({"simulate": {"days": 1000000000000}}, "config.simulate.days"),
-], ids=("seed", "handoff-fraction", "days", "days-cap"))
+    ({"cac": {"channels": 40, "threshold": 40}}, "config.cac.channels"),
+], ids=("seed", "handoff-fraction", "days", "days-cap", "channels"))
 @pytest.mark.parametrize("command", [
     ["solve"], ["simulate"], ["sweep", "battery"], ["sweep", "cac"], ["sweep", "arrival"],
 ], ids=" ".join)
@@ -579,7 +580,10 @@ def test_config_out_of_range_value_is_refused_by_key_before_any_work(
     monkeypatch.setattr("bspower.cli.calibration_from_config", no_work)
     cfg = write_json(tmp_path / "cfg.json", {"schema": "bspower-config-1", **override})
     assert main([*command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-    assert f"usage error: {key} must be" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"usage error: {key} must be" in err
+    if key == "config.cac.channels":
+        assert "config.base_station.max_connections" in err
 
 
 def _assert_same_leaves(doc, default, where):

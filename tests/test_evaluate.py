@@ -240,6 +240,13 @@ def test_derived_loss_cost_prices_expected_decay():
     assert coeff == pytest.approx(0.001 * 13.6 / 1000.0, rel=1e-12)
 
 
+def test_derived_loss_cost_of_huge_prices_does_not_overflow():
+    # the plain mean of these prices overflows to inf
+    price = MarginalSpace(kind="price", scenarios=(
+        MarginalScenario("huge", 1.0, np.array([1e308, 1e308])),))
+    assert derived_loss_cost(price, 0.001) == pytest.approx(1e302, rel=1e-12)
+
+
 def test_calibration_scenario_space_is_product_of_marginals():
     cal = cheap_calibration()
     space = cal.scenario_space(seed=0)

@@ -1,6 +1,8 @@
 """Two-phase simplex solver checked against brute-force vertex enumeration
 and, program by program, against the one-tableau scalar oracle."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ import scalar_lp
 from bspower.lp import (
     FEAS_TOL,
     LinearProgram,
+    LpResult,
     _run_simplex,
     solve,
     solve_batch,
@@ -34,17 +37,17 @@ def _assert_feasible(lp, x, a_ub, b_ub, tol=1e-6):
 def test_single_variable_floor():
     # min x subject to x >= 3, expressed as -x <= -3
     sol = solve(with_slacks(LinearProgram(c=[1.0]), [[-1.0]], [-3.0]))
-    assert sol.status == "optimal"
-    assert sol.objective_value == pytest.approx(3.0, abs=1e-9)
-    np.testing.assert_allclose(sol.x[:1], [3.0], atol=1e-9)
+    assert sol.status[0] == "optimal"
+    assert sol.objective[0] == pytest.approx(3.0, abs=1e-9)
+    np.testing.assert_allclose(sol.x[0, :1], [3.0], atol=1e-9)
 
 
 def test_two_variable_vertex():
     # steeper reward on x pulls the optimum to the (1, 0) corner
     sol = solve(with_slacks(LinearProgram(c=[-1.0, -0.5]), [[1.0, 1.0]], [1.0]))
-    assert sol.status == "optimal"
-    np.testing.assert_allclose(sol.x[:2], [1.0, 0.0], atol=1e-9)
-    assert sol.objective_value == pytest.approx(-1.0, abs=1e-9)
+    assert sol.status[0] == "optimal"
+    np.testing.assert_allclose(sol.x[0, :2], [1.0, 0.0], atol=1e-9)
+    assert sol.objective[0] == pytest.approx(-1.0, abs=1e-9)
 
 
 def test_equality_with_bounds():
@@ -52,35 +55,35 @@ def test_equality_with_bounds():
     lp = LinearProgram(c=[2.0, 1.0], a_eq=[[1.0, 1.0]], b_eq=[4.0],
                        upper=[1.5, np.inf])
     sol = solve(lp)
-    assert sol.status == "optimal"
-    np.testing.assert_allclose(sol.x, [0.0, 4.0], atol=1e-9)
-    assert sol.objective_value == pytest.approx(4.0, abs=1e-9)
+    assert sol.status[0] == "optimal"
+    np.testing.assert_allclose(sol.x[0], [0.0, 4.0], atol=1e-9)
+    assert sol.objective[0] == pytest.approx(4.0, abs=1e-9)
 
 
 def test_infeasible_sign_conflict():
     # x <= -1 contradicts x >= 0
     lp = LinearProgram(c=[1.0])
-    assert solve(with_slacks(lp, [[1.0]], [-1.0])).status == "infeasible"
-    assert brute_force_solve(lp, [[1.0]], [-1.0]).status == "infeasible"
+    assert solve(with_slacks(lp, [[1.0]], [-1.0])).status[0] == "infeasible"
+    assert brute_force_solve(lp, [[1.0]], [-1.0]).status[0] == "infeasible"
 
 
 def test_zero_row_inconsistency():
     lp = LinearProgram(c=[1.0, 1.0], a_eq=[[0.0, 0.0]], b_eq=[1.0])
-    assert solve(lp).status == "infeasible"
-    assert brute_force_solve(lp).status == "infeasible"
+    assert solve(lp).status[0] == "infeasible"
+    assert brute_force_solve(lp).status[0] == "infeasible"
 
 
 def test_unbounded_direction():
     lp = LinearProgram(c=[-1.0, 0.0])
-    assert solve(with_slacks(lp, [[0.0, 1.0]], [5.0])).status == "unbounded"
-    assert brute_force_solve(lp, [[0.0, 1.0]], [5.0]).status == "unbounded"
+    assert solve(with_slacks(lp, [[0.0, 1.0]], [5.0])).status[0] == "unbounded"
+    assert brute_force_solve(lp, [[0.0, 1.0]], [5.0]).status[0] == "unbounded"
 
 
 def test_upper_bound_caps_unbounded_direction():
     lp = LinearProgram(c=[-1.0], upper=[10.0])
     sol = solve(lp)
-    assert sol.status == "optimal"
-    np.testing.assert_allclose(sol.x, [10.0], atol=1e-9)
+    assert sol.status[0] == "optimal"
+    np.testing.assert_allclose(sol.x[0], [10.0], atol=1e-9)
 
 
 def test_fixed_variables_are_presolved():
@@ -88,16 +91,16 @@ def test_fixed_variables_are_presolved():
     lp = LinearProgram(c=[5.0, 1.0], a_eq=[[1.0, 1.0]], b_eq=[3.0],
                        lower=[2.0, 0.0], upper=[2.0, np.inf])
     sol = solve(lp)
-    assert sol.status == "optimal"
-    np.testing.assert_allclose(sol.x, [2.0, 1.0], atol=1e-9)
-    assert sol.objective_value == pytest.approx(11.0, abs=1e-9)
+    assert sol.status[0] == "optimal"
+    np.testing.assert_allclose(sol.x[0], [2.0, 1.0], atol=1e-9)
+    assert sol.objective[0] == pytest.approx(11.0, abs=1e-9)
 
 
 def test_fixed_variables_can_make_rows_infeasible():
     lp = LinearProgram(c=[1.0], a_eq=[[1.0]], b_eq=[7.0],
                        lower=[2.0], upper=[2.0])
-    assert solve(lp).status == "infeasible"
-    assert brute_force_solve(lp).status == "infeasible"
+    assert solve(lp).status[0] == "infeasible"
+    assert brute_force_solve(lp).status[0] == "infeasible"
 
 
 def test_degenerate_ties_still_terminate():
@@ -107,8 +110,8 @@ def test_degenerate_ties_still_terminate():
         [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [2.0, 2.0], [1.0, 1.0]],
         [1.0, 1.0, 2.0, 4.0, 2.0])
     sol = solve(lp)
-    assert sol.status == "optimal"
-    assert sol.objective_value == pytest.approx(-2.0, abs=1e-9)
+    assert sol.status[0] == "optimal"
+    assert sol.objective[0] == pytest.approx(-2.0, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -162,12 +165,12 @@ def test_simplex_agrees_with_vertex_enumeration():
         lp, a_ub, b_ub = random_lp(rng)
         got = solve(with_slacks(lp, a_ub, b_ub))
         want = brute_force_solve(lp, a_ub, b_ub)
-        assert got.status == want.status, f"case {k}: {got.status} != {want.status}"
-        statuses[got.status] += 1
-        if got.status == "optimal":
-            assert got.objective_value == pytest.approx(
-                want.objective_value, abs=1e-8), f"case {k}"
-            _assert_feasible(lp, got.x[:lp.n_vars], a_ub, b_ub)
+        assert got.status[0] == want.status[0], f"case {k}: {got.status[0]} != {want.status[0]}"
+        statuses[got.status[0]] += 1
+        if got.status[0] == "optimal":
+            assert got.objective[0] == pytest.approx(
+                want.objective[0], abs=1e-8), f"case {k}"
+            _assert_feasible(lp, got.x[0, :lp.n_vars], a_ub, b_ub)
     # the generator must actually exercise all three outcomes
     assert min(statuses.values()) > 0, statuses
 
@@ -177,16 +180,16 @@ def test_solver_is_deterministic():
     lp = with_slacks(*random_lp(rng))
     first = solve(lp)
     second = solve(lp)
-    assert first.status == second.status
+    assert first.status[0] == second.status[0]
     np.testing.assert_array_equal(first.x, second.x)
-    assert first.iterations == second.iterations
+    assert first.iterations[0] == second.iterations[0]
 
 
 def test_objective_scaling():
     lp = with_slacks(LinearProgram(c=[-1.0, -0.5]), [[1.0, 1.0]], [1.0])
     scaled = with_slacks(LinearProgram(c=[-7.0, -3.5]), [[1.0, 1.0]], [1.0])
-    assert solve(scaled).objective_value == pytest.approx(
-        7.0 * solve(lp).objective_value, rel=1e-12)
+    assert solve(scaled).objective[0] == pytest.approx(
+        7.0 * solve(lp).objective[0], rel=1e-12)
 
 
 def test_optimum_never_beaten_by_known_feasible_points():
@@ -199,8 +202,8 @@ def test_optimum_never_beaten_by_known_feasible_points():
         x0 = rng.uniform(0, 2, size=n)
         lp = LinearProgram(c=rng.uniform(-3, 3, size=n), upper=np.full(n, 10.0))
         sol = solve(with_slacks(lp, a_ub, a_ub @ x0 + rng.uniform(0.1, 2, size=m)))
-        assert sol.status == "optimal"
-        assert sol.objective_value <= lp.c @ x0 + 1e-7
+        assert sol.status[0] == "optimal"
+        assert sol.objective[0] <= lp.c @ x0 + 1e-7
         checked += 1
     assert checked == 60
 
@@ -244,21 +247,26 @@ def alone(lp, c, b_eq):
     return LinearProgram(c=c, a_eq=lp.a_eq, b_eq=b_eq, lower=lp.lower, upper=lp.upper)
 
 
+def oracle_batch(lp, c, b_eq):
+    """The scalar oracle's records of every program alone, stacked as one."""
+    ones = [scalar_lp.scalar_solve(alone(lp, c[k], b_eq[k])) for k in range(len(c))]
+    return LpResult(*(np.concatenate([getattr(one, field.name) for one in ones])
+                      for field in fields(LpResult)))
+
+
 def assert_same_solution(got, want):
-    assert (got.status, got.iterations, got.bland) == (want.status, want.iterations, want.bland)
-    assert got.objective_value == want.objective_value
-    if want.x is None:
-        assert got.x is None
-    else:
-        assert np.array_equal(got.x, want.x)
+    """Two records agree bit for bit, program by program; x and the
+    objective are NaN in the same places."""
+    assert (got.status.tolist(), got.iterations.tolist(), got.bland.tolist()) == (
+        want.status.tolist(), want.iterations.tolist(), want.bland.tolist())
+    assert np.array_equal(got.objective, want.objective, equal_nan=True)
+    assert np.array_equal(got.x, want.x, equal_nan=True)
 
 
 def assert_batch_matches_oracle(lp, c, b_eq):
-    solutions = solve_batch(lp, c, b_eq)
-    assert len(solutions) == len(c)
-    for k, got in enumerate(solutions):
-        assert_same_solution(got, scalar_lp.scalar_solve(alone(lp, c[k], b_eq[k])))
-    return [s.status for s in solutions]
+    got = solve_batch(lp, c, b_eq)
+    assert_same_solution(got, oracle_batch(lp, c, b_eq))
+    return got.status.tolist()
 
 
 def test_batch_mixing_verdicts_matches_the_oracle_per_program():
@@ -294,8 +302,7 @@ def test_batch_results_do_not_depend_on_the_stack_budget(monkeypatch):
     c, b_eq = stack_with_slacks(c, b_eq, b_ub)
     whole = solve_batch(lp, c, b_eq)
     monkeypatch.setattr(lp_mod, "_BATCH_BYTES", 1)  # one program per stack
-    for got, want in zip(solve_batch(lp, c, b_eq), whole):
-        assert_same_solution(got, want)
+    assert_same_solution(solve_batch(lp, c, b_eq), whole)
 
 
 def test_random_batches_match_the_oracle_per_program():
@@ -316,12 +323,12 @@ def test_bounds_only_programs_solve_alone_and_in_a_batch():
     lp = LinearProgram(c=[-1.0, 2.0, -3.0], lower=[1.0, 0.0, 0.0],
                        upper=[10.0, np.inf, 4.0])
     sol = solve(lp)
-    assert sol.status == "optimal"
-    np.testing.assert_array_equal(sol.x, [10.0, 0.0, 4.0])
-    assert sol.objective_value == -22.0 and sol.iterations == 2
+    assert sol.status[0] == "optimal"
+    np.testing.assert_array_equal(sol.x[0], [10.0, 0.0, 4.0])
+    assert sol.objective[0] == -22.0 and sol.iterations[0] == 2
     ray = LinearProgram(c=[-1.0, -1.0], upper=[5.0, np.inf])
-    assert solve(ray).status == "unbounded"
-    assert brute_force_solve(ray).status == "unbounded"
+    assert solve(ray).status[0] == "unbounded"
+    assert brute_force_solve(ray).status[0] == "unbounded"
 
     c = np.array([[-1.0, 2.0, -3.0], [1.0, 1.0, 1.0], [0.0, -1.0, 0.0], [0.0, 0.0, 0.0]])
     statuses = assert_batch_matches_oracle(lp, c, np.zeros((4, 0)))
@@ -349,11 +356,11 @@ def test_batch_takes_bound_flips_and_leaves_at_upper_bounds(monkeypatch):
     monkeypatch.setattr(lp_mod, "_pivot", counting_pivot)
     c, b_eq = stack_with_slacks(np.array([[0.0, 0.0, -1.0], [0.0, -1.0, 0.0]]),
                                 np.zeros((2, 1)), [10.0])
-    flipped, left_at_bound = solve_batch(lp, c, b_eq)
-    np.testing.assert_array_equal(flipped.x[:3], [0.0, 0.0, 3.0])
-    np.testing.assert_array_equal(left_at_bound.x[:3], [2.0, 2.0, 0.0])
+    result = solve_batch(lp, c, b_eq)
+    np.testing.assert_array_equal(result.x[0, :3], [0.0, 0.0, 3.0])
+    np.testing.assert_array_equal(result.x[1, :3], [2.0, 2.0, 0.0])
     # one phase-1 pivot each; then a flip for program 0 and a pivot for 1
-    assert (flipped.iterations, left_at_bound.iterations) == (2, 2)
+    assert result.iterations.tolist() == [2, 2]
     assert pivots.tolist() == [1, 2]
     assert assert_batch_matches_oracle(lp, c, b_eq) == ["optimal", "optimal"]
 
@@ -365,8 +372,8 @@ def test_bound_flip_wins_a_tie_with_a_row():
     lp = with_slacks(LinearProgram(c=[0.0, -3.0], upper=[1.0, 2.0]),
                      [[-1.0, 1.0], [2.0, 1.0]], [2.0, 3.0])
     sol = solve(lp)
-    assert (sol.status, sol.iterations) == ("optimal", 1)
-    np.testing.assert_array_equal(sol.x[:2], [0.0, 2.0])
+    assert (sol.status[0], sol.iterations[0]) == ("optimal", 1)
+    np.testing.assert_array_equal(sol.x[0, :2], [0.0, 2.0])
     assert_same_solution(sol, scalar_lp.scalar_solve(lp))
 
 
@@ -385,13 +392,13 @@ def test_crash_basis_starts_from_columns_of_one_row():
     a_eq = [[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, -1.0, -1.0]]
     lp = LinearProgram(c=[1.0, 1.0, 3.0, 1.0], a_eq=a_eq, b_eq=[3.0, -1.0])
     sol = solve(lp)
-    assert (sol.status, sol.iterations) == ("optimal", 0)
-    np.testing.assert_array_equal(sol.x, [3.0, 0.0, 0.0, 1.0])
+    assert (sol.status[0], sol.iterations[0]) == ("optimal", 0)
+    np.testing.assert_array_equal(sol.x[0], [3.0, 0.0, 0.0, 1.0])
     # with an upper bound on y, row 1 has no such column: phase 1 pivots
     bounded = LinearProgram(c=lp.c, a_eq=a_eq, b_eq=lp.b_eq, upper=[np.inf] * 3 + [5.0])
     sol = solve(bounded)
-    assert sol.status == "optimal" and sol.iterations > 0
-    np.testing.assert_array_equal(sol.x, [3.0, 0.0, 0.0, 1.0])
+    assert sol.status[0] == "optimal" and sol.iterations[0] > 0
+    np.testing.assert_array_equal(sol.x[0], [3.0, 0.0, 0.0, 1.0])
     c = np.array([[1.0, 1.0, 3.0, 1.0], [1.0, 1.0, 1.0, 1.0], [0.0, -1.0, 0.0, 0.0]])
     b_eq = np.array([[3.0, -1.0], [3.0, 2.0], [1.0, 1.0]])
     # x1 = 1 + x2 + y grows without end unless y is bounded

@@ -133,8 +133,8 @@ def per_group_oracle(horizon, storage, space, nonanticipative, physical_discharg
     blocks = []
     for members in _nonanticipativity_groups(space, nonanticipative):
         own = [singles[w][1] for w in members]
-        if (all(s.status == "optimal" for s in own)
-                and all(s.x[0] == own[0].x[0] for s in own)):
+        if (all(s.status[0] == "optimal" for s in own)
+                and all(s.x[0, 0] == own[0].x[0, 0] for s in own)):
             blocks.extend([w] for w in members)
         else:
             blocks.append(members)
@@ -142,9 +142,9 @@ def per_group_oracle(horizon, storage, space, nonanticipative, physical_discharg
     expected = 0.0
     for members in sorted(blocks):
         mass, solution, vmap = singles[members[0]] if len(members) == 1 else solve(members)
-        assert solution.status == "optimal"
+        assert solution.status[0] == "optimal"
         schedules[:, members] = vmap.unpack(solution.x)
-        expected += mass * solution.objective_value
+        expected += mass * solution.objective[0]
     return schedules, expected
 
 
@@ -152,8 +152,8 @@ def monolithic_cost(horizon, storage, space, **modes):
     """The oracle: one LP over all scenarios, solved without decomposition."""
     program, _ = build_deterministic_equivalent(horizon, storage, space, **modes)
     solution = lp_mod.solve(program)
-    assert solution.status == "optimal"
-    return solution.objective_value
+    assert solution.status[0] == "optimal"
+    return solution.objective[0]
 
 
 def mixed_instance():
@@ -410,8 +410,8 @@ def test_small_programs_match_vertex_enumeration():
         program, _ = build_deterministic_equivalent(Horizon(T=T), storage, space)
         fast = lp_mod.solve(program)
         slow = brute_force_solve(program)
-        assert fast.status == slow.status == "optimal"
-        assert fast.objective_value == pytest.approx(slow.objective_value, abs=1e-8)
+        assert fast.status[0] == slow.status[0] == "optimal"
+        assert fast.objective[0] == pytest.approx(slow.objective[0], abs=1e-8)
 
 
 def test_decomposition_matches_full_program():
@@ -437,7 +437,7 @@ def test_decomposition_of_single_scenario_is_the_plain_solve():
     full = lp_mod.solve(program)
     purchase, battery, excess = vmap.unpack(full.x)
     split = solve_policy(horizon, storage, space)
-    assert split.expected_cost == pytest.approx(full.objective_value, rel=1e-10)
+    assert split.expected_cost == pytest.approx(full.objective[0], rel=1e-10)
     np.testing.assert_allclose(split.purchase, purchase, atol=1e-6)
     np.testing.assert_allclose(split.battery, battery, atol=1e-6)
     np.testing.assert_allclose(split.excess, excess, atol=1e-6)
@@ -652,10 +652,10 @@ def test_non_optimal_singleton_sends_its_group_to_the_coupled_solve(monkeypatch,
     flat_b = space.labels.index("flat-b")
 
     def flat_b_alone_not_optimal(program, c, b_eq):
-        solutions = spied(program, c, b_eq)
+        result = spied(program, c, b_eq)
         if program.n_vars == 3 * horizon.T:
-            solutions[flat_b] = replace(solutions[flat_b], status="unbounded")
-        return solutions
+            result.status[flat_b] = "unbounded"
+        return result
 
     monkeypatch.setattr(lp_mod, "solve_batch", flat_b_alone_not_optimal)
     na = solve_policy(horizon, storage, space, nonanticipative=True)
@@ -673,8 +673,12 @@ def test_infeasible_group_names_its_first_scenario(monkeypatch):
         CompositeScenario(label, 0.5, np.array([10.0, later, later]), np.zeros(3),
                           np.array([0.0, 200.0, 0.0]))
         for label, later in (("spike", 40.0), ("dip", 5.0))))
-    monkeypatch.setattr(lp_mod, "solve_batch",
-                        lambda program, c, b_eq: [lp_mod.LpSolution("infeasible") for _ in c])
+    def all_infeasible(program, c, b_eq):
+        K = len(c)
+        return lp_mod.LpResult(np.full(K, "infeasible"), np.full(c.shape, np.nan),
+                               np.full(K, np.nan), np.zeros(K, int), np.zeros(K, bool))
+
+    monkeypatch.setattr(lp_mod, "solve_batch", all_infeasible)
     with pytest.raises(InfeasibleProgramError,
                        match=r"group of 'spike'.*initial=0.0, terminal=0.0"):
         solve_policy(horizon, storage, space, nonanticipative=True)
