@@ -22,7 +22,7 @@ from .scenarios import (CompositeScenario, MarginalScenario, MarginalSpace,
 from .stochastic import (InfeasibleProgramError, PolicyTable, StorageConfig,
                          VariableMap, build_deterministic_equivalent,
                          per_scenario_decomposition, policy_csv_text,
-                         solve_policy, verify_policy)
+                         solve_policies, solve_policy, verify_policy)
 from .traffic import (CacConfig, QosStats, TrafficSpec, simulate_replicated,
                       uniform_traffic)
 from .units import Horizon
@@ -40,7 +40,7 @@ __all__ = [
     "default_calibration", "estimate_probabilities",
     "evaluate_policy", "load_scenario_file", "monthly_cost",
     "per_scenario_decomposition", "policy_csv_text", "simulate_replicated",
-    "solve", "solve_policy",
+    "solve", "solve_policies", "solve_policy",
     "sweep_arrival_rate", "sweep_battery", "sweep_cac", "uniform_traffic",
     "validate", "verify_policy",
 ]

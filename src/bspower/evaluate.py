@@ -12,9 +12,10 @@ level, buys whatever consumption exceeds renewable supply each period,
 and dumps the rest.
 
 Sweeps re-solve the program across parameter grids and return fixed-schema
-reports; simulation-driven sweeps share one seed across grid points so
-traffic realizations are coupled and the documented monotone trends hold
-exactly per run, not just in expectation.
+reports. Each sweep hands all its grid cells to one solve_policies call,
+which solves them in lockstep batches; simulation-driven sweeps share one
+seed across grid points so traffic realizations are coupled and the
+documented monotone trends hold exactly per run, not just in expectation.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 from .calibration import Calibration
 from .power_model import consumption_trace
 from .scenarios import CompositeScenario, MarginalScenario, MarginalSpace, compose
-from .stochastic import InfeasibleProgramError, PolicyTable, solve_policy
+from .stochastic import InfeasibleProgramError, PolicyTable, solve_policies
 from .traffic import CacConfig, TrafficSpec, simulate_replicated, uniform_traffic
 from .units import Horizon
 
@@ -178,6 +179,19 @@ def _single_consumption(values: np.ndarray) -> MarginalSpace:
         MarginalScenario("simulated", 1.0, values),))
 
 
+def _solve_traces(cal: Calibration, traces) -> list[PolicyTable]:
+    """The policy under the calibration's battery for the consumption of
+    each occupancy trace, all solved in one solve_policies call."""
+    spaces = [compose(cal.price, cal.renewable,
+                      _single_consumption(consumption_trace(cal.params, trace, cal.horizon)))
+              for trace in traces]
+    policies = solve_policies(cal.horizon, [(cal.storage, space) for space in spaces])
+    for policy in policies:
+        if isinstance(policy, InfeasibleProgramError):
+            raise policy
+    return policies
+
+
 def sweep_battery(capacities, renewable_scalings, cal: Calibration,
                   seed: int = 0) -> ExperimentReport:
     """Expected monthly cost over a (capacity, renewable scale) grid.
@@ -193,18 +207,14 @@ def sweep_battery(capacities, renewable_scalings, cal: Calibration,
         scale: compose(cal.price, _scaled_renewable(cal.renewable, scale), consumption)
         for scale in renewable_scalings
     }
-    rows = []
-    for cap in capacities:
-        storage = replace(cal.storage, capacity=cap,
-                          initial=min(cal.storage.initial, cap),
-                          terminal=min(cal.storage.terminal, cap))
-        for scale in renewable_scalings:
-            try:
-                policy = solve_policy(cal.horizon, storage, spaces[scale])
-                cost = monthly_cost(policy.expected_cost)
-            except InfeasibleProgramError:
-                cost = float("nan")
-            rows.append((cap, float(scale), cost))
+    grid = [(cap, scale) for cap in capacities for scale in renewable_scalings]
+    policies = solve_policies(cal.horizon, [
+        (replace(cal.storage, capacity=cap, initial=min(cal.storage.initial, cap),
+                 terminal=min(cal.storage.terminal, cap)), spaces[scale])
+        for cap, scale in grid])
+    rows = [(cap, float(scale), float("nan") if isinstance(policy, InfeasibleProgramError)
+             else monthly_cost(policy.expected_cost))
+            for (cap, scale), policy in zip(grid, policies)]
     return ExperimentReport(
         kind="battery",
         columns=("capacity_wh", "renewable_scale", "monthly_cost_usd"),
@@ -231,11 +241,9 @@ def sweep_cac(thresholds, spec: TrafficSpec, cal: Calibration,
     runs = simulate_replicated(
         [(spec, CacConfig(channels=channels, threshold=tau)) for tau in distinct],
         cal.horizon, cal.replications, seed)
-    results = {}
-    for tau, trace, stats in zip(distinct, runs.traces, runs.qos):
-        consumption = consumption_trace(cal.params, trace, cal.horizon)
-        space = compose(cal.price, cal.renewable, _single_consumption(consumption))
-        results[tau] = stats, solve_policy(cal.horizon, cal.storage, space).expected_cost
+    policies = _solve_traces(cal, runs.traces)
+    results = {tau: (stats, policy.expected_cost)
+               for tau, stats, policy in zip(distinct, runs.qos, policies)}
     _, cost_open = results[channels]
     rows = []
     for tau in thresholds:
@@ -265,10 +273,7 @@ def sweep_arrival_rate(rates, cal: Calibration, seed: int = 0) -> ExperimentRepo
     traces = simulate_replicated([(spec, cal.cac) for spec in specs], cal.horizon,
                                  cal.replications, seed).traces
     rows = []
-    for rate, trace in zip(rates, traces):
-        consumption = consumption_trace(cal.params, trace, cal.horizon)
-        space = compose(cal.price, cal.renewable, _single_consumption(consumption))
-        policy = solve_policy(cal.horizon, cal.storage, space)
+    for rate, policy in zip(rates, _solve_traces(cal, traces)):
         probs = policy.probabilities
         avg_purchase = float(probs @ policy.purchase.mean(axis=1))
         avg_battery = float(probs @ policy.battery.mean(axis=1))

@@ -35,22 +35,27 @@ variable, and a program without artificials skips phase 1. In the
 per-scenario storage program the purchase or the excess of each period
 is such a column, so phase 1 never runs.
 
-solve_batch solves a batch of programs that share a_eq and the bounds and
-differ only in c and b_eq, such as the same-size scenario groups of a
-stochastic program. Preprocessing runs once on the shared matrices; the
-tableaux are stacked as (programs, rows + 1, cols) and step in lockstep.
-Each program keeps its own pricing rule, ratio test, stall counter,
-iteration cap and verdict, so it takes exactly the steps it would take
-alone and its result is the same bit for bit. Programs that finish
-are masked out and stay in the stack. A pivot's rank-1 update touches only
-the (program, row) pairs with a nonzero pivot-column entry. Artificial
-variables are not stored: they are never priced or ratio-tested, so a row
-whose artificial is basic only carries the basis index n + row, after the
-n free variables. One stack holds at most _BATCH_BYTES of tableau (or a
-single program that is larger); a larger batch runs as several stacks of
-equal size. The results come back as one LpResult record of arrays with
-one entry per program, x and the objective NaN where a program is not
-optimal; solve(lp) is the batch of one.
+solve_batch solves a batch of programs that share a_eq and the lower
+bounds. A batch comes as row tables, cost rows, rhs rows and upper-bound
+rows, and one (cost, rhs, bound) index triple per program, so programs
+that share a row share one copy of it; every bound row must fix the same
+variables. Programs with equal triples are solved once and share their
+result. Preprocessing runs once on the shared matrix and the tables;
+the tableaux are stacked as (programs, rows + 1, cols) and step in
+lockstep. Each program keeps its own upper bounds, pricing rule, ratio
+test, stall counter, iteration cap and verdict, so it takes exactly the
+steps it would take alone and its result is the same bit for bit.
+Programs that finish are masked out and stay in the stack. A pivot's
+rank-1 update touches only the (program, row) pairs with a nonzero
+pivot-column entry. Artificial variables are not stored: they are never
+priced or ratio-tested, so a row whose artificial is basic only carries
+the basis index n + row, after the n free variables. One stack holds at
+most _BATCH_BYTES of tableau (or a single program that is larger); a
+larger batch runs as several stacks of equal size, each prepared, solved
+and written into the result before the next is built. The results come
+back as one LpResult record of arrays with one entry per program, x and
+the objective NaN where a program is not optimal; solve(lp) is the batch
+of one.
 """
 
 from __future__ import annotations
@@ -64,9 +69,11 @@ PIVOT_TOL = 1e-9  # reduced-cost / pivot-element threshold
 
 _STALL_EPS = 1e-12
 # Tableau bytes per lockstep stack. A bigger stack shares each round among
-# more programs but raises peak memory: on the 80-scenario storage sweep
-# (then 45 x 93 tableaux, shared 2-vCPU host) one 80-program stack raised
-# peak RSS by ~3.4 MB (+8%), and 1 MiB stacks of 26-27 programs by ~0.7 MB.
+# more programs but raises peak memory: a stack's working set peaks at
+# about 1.7 times its tableau, during the rank-1 update of a pivot
+# (tracemalloc, 75-76 storage programs of 24 x 71: 1.6 MiB for 0.98 MiB of
+# tableau). 1 MiB holds 76 such programs, so the 1280 programs of the
+# 80-scenario, 16-cell storage sweep run as 17 stacks.
 _BATCH_BYTES = 1 << 20
 _NO_BASIS = np.iinfo(np.intp).max  # above every basis index in a tie-break
 
@@ -142,9 +149,9 @@ class _Prepared:
     fixed: np.ndarray
     fixed_values: np.ndarray
     lo: np.ndarray            # lower bounds of free variables (the shift)
-    up: np.ndarray            # shifted upper bounds of free variables, may be inf
+    up: np.ndarray            # (bound rows, free) shifted upper bounds, may be inf
     a_eq: np.ndarray
-    b_eq: np.ndarray          # (programs, rows)
+    b_eq: np.ndarray          # (rhs rows, rows)
 
     def assemble(self, x_shift: np.ndarray, n_vars: int) -> np.ndarray:
         """Full solutions (programs, n_vars) from shifted free-variable values."""
@@ -154,13 +161,20 @@ class _Prepared:
         return x
 
 
-def _prepare(lp: LinearProgram, b_eq: np.ndarray) -> _Prepared:
+def _prepare(lp: LinearProgram, b_eq: np.ndarray, upper: np.ndarray) -> _Prepared:
     """Substitute fixed variables and shift to 0 <= x <= up.
 
-    The shifts of the stacked b_eq are vectors shared by every program,
-    subtracted elementwise.
+    b_eq and upper are row tables. Every bound row must fix the same
+    variables (upper == lp.lower), so the shifts are vectors shared by
+    every rhs row, subtracted elementwise.
     """
-    fixed_mask = lp.lower == lp.upper
+    if np.any(lp.lower > upper):
+        k, bad = np.argwhere(lp.lower > upper)[0]
+        raise ValueError(f"bound row {k}, variable {bad}: lower bound exceeds upper bound")
+    fixed_rows = lp.lower == upper
+    if np.any(fixed_rows != fixed_rows[:1]):
+        raise ValueError("every bound row must fix the same variables")
+    fixed_mask = fixed_rows.any(axis=0)
     fixed = np.nonzero(fixed_mask)[0]
     free = np.nonzero(~fixed_mask)[0]
     fixed_values = lp.lower[fixed]
@@ -170,7 +184,7 @@ def _prepare(lp: LinearProgram, b_eq: np.ndarray) -> _Prepared:
     a_eq = lp.a_eq[:, free]
     if free.size:
         b_eq = b_eq - a_eq @ lo
-    return _Prepared(free, fixed, fixed_values, lo, lp.upper[free] - lo, a_eq, b_eq)
+    return _Prepared(free, fixed, fixed_values, lo, upper[:, free] - lo, a_eq, b_eq)
 
 
 def _equilibrate(a, b):
@@ -196,52 +210,107 @@ def solve(lp: LinearProgram) -> LpResult:
     return solve_batch(lp, lp.c[None], lp.b_eq[None])
 
 
-def solve_batch(lp: LinearProgram, c, b_eq) -> LpResult:
-    """Solve one program per row of c and b_eq, all in lockstep.
+def solve_batch(lp: LinearProgram, c, b_eq, upper=None, rows=None) -> LpResult:
+    """Solve one program per index triple, all in lockstep.
 
-    Row k of c (programs, n_vars) and b_eq (programs, eq rows) replaces
-    lp.c and lp.b_eq for program k; every program shares lp's a_eq and
-    bounds. Entry k of the result equals, bit for bit, what the program
-    would get if solved alone.
+    c (cost rows, n_vars), b_eq (rhs rows, eq rows) and upper (bound rows,
+    n_vars) are row tables, and row k of rows (programs, 3) names the cost,
+    rhs and bound rows that replace lp.c, lp.b_eq and lp.upper for program
+    k. Without rows, program k takes row k of c and of b_eq; without upper,
+    the one bound row is lp.upper. Every program shares lp's a_eq and lower
+    bounds, and every bound row must fix the same variables. Programs with
+    equal triples are solved once and share their result. Entry k of the
+    result equals, bit for bit, what program k would get if solved alone.
     """
-    c = np.ascontiguousarray(c, dtype=float)
+    c = np.asarray(c, dtype=float)
     b_eq = np.asarray(b_eq, dtype=float)
-    K = c.shape[0] if c.ndim == 2 else -1
-    if c.shape != (K, lp.n_vars) or b_eq.shape != (K, lp.b_eq.size):
-        raise ValueError(f"c {c.shape} and b_eq {b_eq.shape} must stack "
-                         f"{lp.n_vars} costs and {lp.b_eq.size} rhs entries per program")
-    prep = _prepare(lp, b_eq)
+    upper = lp.upper[None] if upper is None else np.asarray(upper, dtype=float)
+    n_vars, n_rows = lp.n_vars, lp.b_eq.size
+    if not (c.ndim == b_eq.ndim == upper.ndim == 2 and c.shape[1] == upper.shape[1] == n_vars
+            and b_eq.shape[1] == n_rows):
+        raise ValueError(f"c {c.shape}, b_eq {b_eq.shape} and upper {upper.shape} must stack "
+                         f"{n_vars} costs, {n_rows} rhs entries and {n_vars} bounds per row")
+    if rows is None:
+        if len(c) != len(b_eq):
+            raise ValueError(f"without rows, c {c.shape} and b_eq {b_eq.shape} must stack "
+                             f"one row per program")
+        rows = np.zeros((len(c), 3), dtype=np.intp)
+        rows[:, 0] = rows[:, 1] = np.arange(len(c))
+    rows = np.asarray(rows, dtype=np.intp)
+    if rows.ndim != 2 or rows.shape[1] != 3 or not (
+            (rows >= 0) & (rows < [len(c), len(b_eq), len(upper)])).all():
+        raise ValueError("rows must hold one (cost, rhs, bound) row triple per program")
+    prep = _prepare(lp, b_eq, upper)
     n = prep.free.size
     body, rhs, ok = _equilibrate(prep.a_eq, prep.b_eq)
-    # with every variable fixed, ok is the verdict and no stack runs
-    status = np.where(ok, "optimal", "infeasible")
-    x_shift = np.zeros((K, n))
+    m = body.shape[0]
+    # upper bound per basis index: free variables, then artificials
+    up = np.concatenate([prep.up, np.full((len(upper), m), np.inf)], axis=1)
+    crash = _crash(body, up) if n else None
+
+    K = len(rows)
+    # each program's first program with the same triple, which solves for both
+    _, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+    source = first[inverse.reshape(-1)]
+    own = source == np.arange(K)
+    # a zero row with a nonzero rhs is infeasible before any stack runs
+    consistent = ok[rows[:, 1]]
+    status = np.where(consistent, "optimal", "infeasible")
+    x = np.full((K, n_vars), np.nan)
+    objective = np.full(K, np.nan)
     iterations = np.zeros(K, dtype=int)
     bland = np.zeros(K, dtype=bool)
 
-    m = body.shape[0]
-    # upper bound per basis index: free variables, then artificials
-    up = np.concatenate([prep.up, np.full(m, np.inf)])
-    programs = np.nonzero(ok)[0]
+    programs = np.nonzero(own & consistent)[0]
     per_stack = max(1, _BATCH_BYTES // (8 * (m + 1) * (n + 1)))
-    stacks = -(-programs.size // per_stack) if n else 0
+    stacks = -(-programs.size // per_stack)
     for stack in np.array_split(programs, stacks) if stacks else ():
-        status[stack], x_shift[stack], iterations[stack], bland[stack] = _solve_stack(
-            body, rhs[stack], c[stack][:, prep.free], up)
-    x = prep.assemble(np.maximum(x_shift, 0.0), lp.n_vars)
-    x[status != "optimal"] = np.nan
-    # one dot product per program, the call a lone solve makes
-    objective = (c[:, None] @ x[:, :, None])[:, 0, 0]
+        cost, rhs_row, bound = rows[stack].T
+        c_stack = c[cost]
+        values = np.zeros((stack.size, n))
+        # with every variable fixed, consistent is the verdict and no simplex runs
+        if n:
+            status[stack], values, iterations[stack], bland[stack] = _solve_stack(
+                body, rhs[rhs_row], c_stack[:, prep.free], up[bound], crash[bound])
+        x_stack = prep.assemble(np.maximum(values, 0.0), n_vars)
+        x_stack[status[stack] != "optimal"] = np.nan
+        x[stack] = x_stack
+        # one dot product per program, the call a lone solve makes
+        objective[stack] = (c_stack[:, None] @ x_stack[:, :, None])[:, 0, 0]
+    copies = np.nonzero(~own)[0]
+    for field in (status, x, objective, iterations, bland):
+        field[copies] = field[source[copies]]
     return LpResult(status, x, objective, iterations, bland)
 
 
-def _solve_stack(body, rhs, c, up):
+def _crash(body, up):
+    """Crash-basis columns of each bound row in up (bound rows, basis indices).
+
+    A row starts with the lowest-index column that is nonzero in no other
+    row, positive in this one after the sign flip and without an upper
+    bound, so its starting value rhs / entry is feasible. Every other row
+    starts with its artificial, which has basis index n + row. Returns
+    (bound rows, 2, rows): each row's start when its rhs is nonnegative,
+    then when it is negative and the row is flipped.
+    """
+    m, n = body.shape
+    lone = (np.count_nonzero(body, axis=0) == 1) & (up[:, :n] == np.inf)
+    crash = np.empty((len(up), 2, m), dtype=np.intp)
+    for flipped, sign in enumerate((1.0, -1.0)):
+        candidates = lone[:, None, :] & (sign * body > 0.0)
+        crash[:, flipped] = np.where(candidates.any(axis=2), candidates.argmax(axis=2),
+                                     np.arange(m) + n)
+    return crash
+
+
+def _solve_stack(body, rhs, c, up, crash):
     """Run both phases on one stack of programs that share the row body.
 
-    rhs (programs, rows) and c (programs, free vars) are per program; up
-    holds the upper bound of every basis index. Returns per-program status,
-    values of the free variables, iterations and whether Bland's rule
-    switched on.
+    rhs (programs, rows), c (programs, free vars), up (programs, basis
+    indices), the upper bound of every basis index, and crash (programs,
+    2, rows), the _crash columns, are per program. Returns per-program
+    status, values of the free variables, iterations and whether Bland's
+    rule switched on.
     """
     K, m = rhs.shape
     n = c.shape[1]
@@ -251,26 +320,27 @@ def _solve_stack(body, rhs, c, up):
     flip = rhs < 0
     tableau[:, :m][flip] *= -1.0
 
-    # crash basis: a row starts with the lowest-index column that is nonzero
-    # in no other row, positive in this one after the sign flip and without
-    # an upper bound, so its starting value rhs / entry is feasible. Every
-    # other row starts with its artificial, which has basis index n + row.
-    basis = np.tile(np.arange(m) + n, (K, 1))
-    lone = (np.count_nonzero(body, axis=0) == 1) & (up[:n] == np.inf)
-    for sign, flipped in ((1.0, False), (-1.0, True)):
-        candidates = lone & (sign * body > 0.0)
-        crash = candidates.any(axis=1) & (flip == flipped)
-        basis = np.where(crash, candidates.argmax(axis=1), basis)
-    k, r = np.nonzero(basis < n)
-    tableau[k, r] /= tableau[k, r, basis[k, r]][:, None]
+    # a crashed row is divided by its entry in the starting column, unless
+    # that entry is 1 already
+    basis = np.where(flip, crash[:, 1], crash[:, 0])
+    crashed = basis < n
+    entry = np.take_along_axis(tableau[:, :m], np.where(crashed, basis, 0)[:, :, None],
+                               axis=2)[:, :, 0]
+    k, r = np.nonzero(crashed & (entry != 1.0))
+    tableau[k, r] /= entry[k, r][:, None]
     complemented = np.zeros((K, n), dtype=bool)
 
-    # phase 1 minimises the sum of artificials; programs without any skip it
-    cost = np.zeros((K, n + m))
-    cost[:, n:] = 1.0
-    _price(tableau, basis, cost, complemented, up)
-    unbounded, iterations, bland = _run_simplex(tableau, basis, complemented, up,
-                                                (basis >= n).any(axis=1))
+    # phase 1 minimises the sum of artificials; programs without any skip
+    # it. Their phase-1 reduced costs are all 0, so a stack without
+    # artificials writes that row instead of pricing it
+    artificial = ~crashed.all(axis=1)
+    if artificial.any():
+        cost = np.zeros((K, n + m))
+        cost[:, n:] = 1.0
+        _price(tableau, basis, cost, complemented, up)
+    else:
+        tableau[:, m] = 0.0
+    unbounded, iterations, bland = _run_simplex(tableau, basis, complemented, up, artificial)
     if unbounded.any():
         raise RuntimeError("phase 1 terminated abnormally: unbounded")
     infeasible = -tableau[:, m, -1] > FEAS_TOL
@@ -289,11 +359,11 @@ def _solve_stack(body, rhs, c, up):
         keep = np.append(~redundant[k], True)
         sub, sub_basis = tableau[k][keep][None], basis[k][~redundant[k]][None]
         sub_complemented = complemented[k:k + 1].copy()
-        _price(sub, sub_basis, cost[k:k + 1], sub_complemented, up)
-        ray, its, switched = _run_simplex(sub, sub_basis, sub_complemented, up,
+        _price(sub, sub_basis, cost[k:k + 1], sub_complemented, up[k:k + 1])
+        ray, its, switched = _run_simplex(sub, sub_basis, sub_complemented, up[k:k + 1],
                                           np.ones(1, bool))
         unbounded[k], it2[k], bland2[k] = ray[0], its[0], switched[0]
-        x[k] = _values(sub, sub_basis, sub_complemented, up)[0]
+        x[k] = _values(sub, sub_basis, sub_complemented, up[k:k + 1])[0]
     status = np.where(infeasible, "infeasible", np.where(unbounded, "unbounded", "optimal"))
     return status, x, iterations + it2, bland | bland2
 
@@ -301,7 +371,7 @@ def _solve_stack(body, rhs, c, up):
 def _price(tableau, basis, cost, complemented, up):
     """Write the reduced costs of cost in the current basis into row m.
 
-    cost (programs, n + m) has an entry for every basis index. A
+    cost and up (programs, n + m) have an entry for every basis index. A
     complemented variable x = u - x' costs -c and adds c u to the
     objective; the rhs entry of row m is minus the objective. Each
     program's basic costs meet its rows in one vector-matrix product, the
@@ -310,7 +380,7 @@ def _price(tableau, basis, cost, complemented, up):
     K, _, width = tableau.shape
     n = complemented.shape[1]
     cost = cost.copy()
-    shift = (cost[:, :n] * np.where(complemented, up[:n], 0.0)).sum(axis=1)
+    shift = (cost[:, :n] * np.where(complemented, up[:, :n], 0.0)).sum(axis=1)
     cost[:, :n] = np.where(complemented, -cost[:, :n], cost[:, :n])
     basic_cost = cost[np.arange(K)[:, None], basis]
     tableau[:, -1, :-1] = cost[:, :width - 1]
@@ -336,8 +406,14 @@ def _pivot(tableau, basis, k, r, j, col):
     piv_row /= col[at, r][:, None]
     col[at, r] = 0.0
     p, i = np.nonzero(col)
-    # a lone program's pivot row broadcasts; a copy per updated row only costs time
-    flat[k[p] * m + i] -= col[p, i][:, None] * (piv_row.take(p, axis=0) if k.size > 1 else piv_row)
+    # a lone program's pivot row broadcasts; a stack's is taken once per
+    # updated row and scaled in place, so the update holds one copy of them
+    if k.size > 1:
+        update = piv_row.take(p, axis=0)
+        update *= col[p, i][:, None]
+    else:
+        update = col[p, i][:, None] * piv_row
+    flat[k[p] * m + i] -= update
     flat[pivot_rows] = piv_row
     basis[k, r] = j
 
@@ -347,13 +423,13 @@ def _run_simplex(tableau, basis, complemented, up, running):
 
     tableau (programs, m + 1, n + 1) carries the reduced-cost row as row m
     and the rhs as column n; complemented (programs, n) is updated in
-    place, and up holds the upper bound of every basis index. Returns
-    per-program (unbounded, iterations, bland). A program prices with
-    Dantzig's rule until more than 2 (m + n) steps in a row fail to
-    improve its objective, then with Bland's rule. All running programs
-    take one step (a pivot or a bound flip) per round, so one round
-    counter serves as every running program's iteration count, and a
-    running program's stall is the number of rounds since its last
+    place, and up (programs, m + n) holds each program's upper bound of
+    every basis index. Returns per-program (unbounded, iterations, bland).
+    A program prices with Dantzig's rule until more than 2 (m + n) steps
+    in a row fail to improve its objective, then with Bland's rule. All
+    running programs take one step (a pivot or a bound flip) per round, so
+    one round counter serves as every running program's iteration count,
+    and a running program's stall is the number of rounds since its last
     improvement.
     """
     K, rows, width = tableau.shape
@@ -371,7 +447,7 @@ def _run_simplex(tableau, basis, complemented, up, running):
     # inf, so its ratio (rhs - inf) / entry is inf for an entering column,
     # whose entry there is negative
     row_up = np.full((K, rows), np.inf)
-    row_up[:, :m] = up[basis]
+    row_up[:, :m] = np.take_along_axis(up, basis, axis=1)
     rounds = 0
     act = np.nonzero(running)[0]
     while act.size:
@@ -390,7 +466,7 @@ def _run_simplex(tableau, basis, complemented, up, running):
                            where=np.abs(col) > PIVOT_TOL)
         r = ratios.argmin(axis=1)
         rmin = ratios[at, r]
-        uj = up[j]
+        uj = up[act, j]
         stop = optimal | (np.minimum(rmin, uj) == np.inf)
         if stop.any():
             unbounded[act[stop & ~optimal]] = True
@@ -426,11 +502,11 @@ def _run_simplex(tableau, basis, complemented, up, running):
                 b = basis[p, rp]
                 flat[p * rows + rp] *= -1.0
                 flat[p * rows + rp, b] = 1.0
-                flat[p * rows + rp, -1] += up[b]
+                flat[p * rows + rp, -1] += up[p, b]
                 complemented[p, b] ^= True
                 col[rising, rp] *= -1.0
             _pivot(tableau, basis, step, r, j, col)
-            row_up[step, r] = up[j]
+            row_up[step, r] = up[step, j]
         rounds += 1
         if rounds > cap:
             raise RuntimeError("simplex iteration cap exceeded")
@@ -482,4 +558,4 @@ def _values(tableau, basis, complemented, up):
     x = np.zeros(complemented.shape)
     k, r = np.nonzero(basis < n)
     x[k, basis[k, r]] = tableau[k, r, -1]
-    return np.where(complemented, up[:n] - x, x)
+    return np.where(complemented, up[:, :n] - x, x)

@@ -18,28 +18,31 @@ balance instead of only pricing it in the objective.
 
 Scenarios share constraints only inside a nonanticipativity group (every
 scenario is its own group without the nonanticipative mode), so the
-program is block-diagonal by group. solve_policy is the one solve path.
-It solves every scenario alone first (the wait-and-see solve). Under the
-nonanticipative mode a group is certified when all its members' programs
-are optimal and their first-period purchases are exactly equal, with no
-tolerance: the wait-and-see cost bounds the coupled cost from below, so
-such a plan is optimal for the coupled group as well (Madansky 1960;
-Birge & Louveaux, ch. 4). Only the other groups are solved as coupled
-programs.
+program is block-diagonal by group. solve_policies is the one solve path:
+it takes a sequence of (storage, space) cells, such as the cells of a
+sweep, and returns one PolicyTable per cell; solve_policy is its batch of
+one. It solves every scenario alone first (the wait-and-see solve). Under
+the nonanticipative mode a group is certified when all its members'
+programs are optimal and their first-period purchases are exactly equal,
+with no tolerance: the wait-and-see cost bounds the coupled cost from
+below, so such a plan is optimal for the coupled group as well (Madansky
+1960; Birge & Louveaux, ch. 4). Only the other groups are solved as
+coupled programs.
 
-One assembly writes every program, the monolithic one and the grouped
-batches alike. It takes a stack of same-size scenario blocks and returns
-their shared constraint matrix and bounds with each block's costs and
-right-hand side. build_deterministic_equivalent calls it once over the
-whole space: the dense monolithic program, which the tests solve as the
-oracle for solve_policy. solve_policy calls it once per group size and
-hands the stack to lp.solve_batch, which pivots the programs in lockstep
+One assembly writes every program: _structure gives the constraint matrix
+and bounds that the blocks of one size and battery share, and _costs and
+_rhs give each block's own rows. build_deterministic_equivalent puts them
+together once over the whole space: the dense monolithic program, which
+the tests solve as the oracle for solve_policy. solve_policies hands the
+blocks of all its cells to lp.solve_batch as row tables, one call per
+block size, retention and fixed-variable pattern (the endpoint levels,
+and whether the capacity is 0), with each distinct cost, right-hand side
+and bound row stored once; lp.solve_batch pivots the programs in lockstep
 within its per-stack memory budget.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,22 +149,18 @@ def _nonanticipativity_groups(space: ScenarioSpace,
     return list(groups.values())
 
 
-def _assemble(storage: StorageConfig, probs: np.ndarray, prices: np.ndarray,
-              net_load: np.ndarray, keep: float, coupled
-              ) -> tuple[lp_mod.LinearProgram, np.ndarray, np.ndarray]:
-    """The program of a stack of same-size scenario blocks.
+def _structure(storage: StorageConfig, size: int, T: int, keep: float, coupled
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Constraint matrix and bounds of a block of size scenarios.
 
-    probs is (blocks, size) and prices and net_load (consumption minus
-    renewable) are (blocks, size, T). coupled lists the index lists, within
-    a block, of scenarios whose first-period purchases are made equal: each
-    member after the first gets a row equating its purchase with the
-    first's. Rows are every scenario's balance rows, scenario-major, then
-    the coupling rows; columns follow VariableMap. Returns the program of
-    the first block and the costs (blocks, n) and right-hand sides
-    (blocks, rows) of every block; the blocks share the constraint matrix
-    and bounds.
+    coupled lists the index lists, within the block, of scenarios whose
+    first-period purchases are made equal: each member after the first
+    gets a row equating its purchase with the first's. Rows are every
+    scenario's balance rows, scenario-major, then the coupling rows;
+    columns follow VariableMap. Returns (a_eq, lower, upper); every block
+    of this size and storage shares them and brings its own _costs and
+    _rhs rows.
     """
-    blocks, size, T = prices.shape
     n = 3 * T * size
     leads = [members[0] for members in coupled for _ in members[1:]]
     others = [w for members in coupled for w in members[1:]]
@@ -176,21 +175,31 @@ def _assemble(storage: StorageConfig, probs: np.ndarray, prices: np.ndarray,
     coupling = n_balance + np.arange(len(others))
     a_eq[coupling, 3 * T * np.array(leads, dtype=int)] = 1.0
     a_eq[coupling, 3 * T * np.array(others, dtype=int)] = -1.0
-
-    c = np.zeros((blocks, size, 3, T))
-    c[:, :, 0] = probs[:, :, None] * prices / 1000.0
-    c[:, :, 1] = probs[:, :, None] * storage.loss_cost_coeff
-    c = c.reshape(blocks, n)
-    b_eq = np.zeros((blocks, a_eq.shape[0]))
-    b_eq[:, :n_balance] = net_load[:, :, :T - 1].reshape(blocks, n_balance)
     lower = np.zeros((size, 3, T))
     upper = np.full((size, 3, T), np.inf)
     upper[:, 1] = storage.capacity
     lower[:, 1, 0] = upper[:, 1, 0] = storage.initial
     lower[:, 1, T - 1] = upper[:, 1, T - 1] = storage.terminal
-    program = lp_mod.LinearProgram(c=c[0], a_eq=a_eq, b_eq=b_eq[0],
-                                   lower=lower.ravel(), upper=upper.ravel())
-    return program, c, b_eq
+    return a_eq, lower.ravel(), upper.ravel()
+
+
+def _costs(storage: StorageConfig, probs: np.ndarray, prices: np.ndarray) -> np.ndarray:
+    """Cost rows (blocks, 3 T size) of blocks with probabilities probs
+    (blocks, size) and prices (blocks, size, T)."""
+    blocks, size, T = prices.shape
+    c = np.zeros((blocks, size, 3, T))
+    c[:, :, 0] = probs[:, :, None] * prices / 1000.0
+    c[:, :, 1] = probs[:, :, None] * storage.loss_cost_coeff
+    return c.reshape(blocks, 3 * T * size)
+
+
+def _rhs(net_load: np.ndarray, rows: int) -> np.ndarray:
+    """Right-hand sides (blocks, rows) of blocks with net load (consumption
+    minus renewable) (blocks, size, T); the coupling rows' are 0."""
+    blocks, size, T = net_load.shape
+    b_eq = np.zeros((blocks, rows))
+    b_eq[:, :size * (T - 1)] = net_load[:, :, :T - 1].reshape(blocks, -1)
+    return b_eq
 
 
 def build_deterministic_equivalent(
@@ -203,43 +212,106 @@ def build_deterministic_equivalent(
     """Assemble the full LP over all scenarios and the column map."""
     _check_space(space, horizon)
     net_load = space.trace_matrix("consumption") - space.trace_matrix("renewable")
-    program, _, _ = _assemble(
-        storage, space.probabilities[None], space.trace_matrix("price")[None],
-        net_load[None], _retention(storage, physical_discharge),
-        _nonanticipativity_groups(space, nonanticipative))
+    a_eq, lower, upper = _structure(storage, len(space), horizon.T,
+                                    _retention(storage, physical_discharge),
+                                    _nonanticipativity_groups(space, nonanticipative))
+    program = lp_mod.LinearProgram(
+        c=_costs(storage, space.probabilities[None], space.trace_matrix("price")[None])[0],
+        a_eq=a_eq, b_eq=_rhs(net_load[None], len(a_eq))[0], lower=lower, upper=upper)
     return program, VariableMap(T=horizon.T, scenario_labels=tuple(space.labels))
 
 
-def _solve_groups(storage, space, groups, physical_discharge, cube):
-    """Solve each group's program, all members coupled in period 1.
+class _RowTable:
+    """The distinct rows of a batch in first-seen order, keyed by their bytes."""
 
-    Writes each member's purchase, battery and excess into its row of cube
-    (S, 3, T), NaN where the program is not optimal, and returns each
-    group's probability mass, status and optimal cost. Groups of one size
-    share their constraint matrix and bounds, so one lp.solve_batch call per
-    size solves them all, with each group's own costs and right-hand side
-    stacked as rows.
+    def __init__(self):
+        self.ids: dict[bytes, int] = {}
+        self.rows: list[np.ndarray] = []
+
+    def add(self, rows: np.ndarray) -> np.ndarray:
+        """Row ids of the rows of a (rows, width) array, new rows appended."""
+        ids = np.empty(len(rows), dtype=np.intp)
+        for k, row in enumerate(rows):
+            ids[k] = self.ids.setdefault(row.tobytes(), len(self.rows))
+            if ids[k] == len(self.rows):
+                self.rows.append(row)
+        return ids
+
+
+class _Batch:
+    """The programs of one lp.solve_batch call: a shared constraint matrix
+    and lower bounds, row tables of costs, right-hand sides and upper
+    bounds, and one (cost, rhs, bound) index triple per program."""
+
+    def __init__(self, a_eq, lower, upper):
+        # c and b_eq are placeholders: every program's come from the tables
+        self.program = lp_mod.LinearProgram(c=np.zeros(lower.size), a_eq=a_eq,
+                                            b_eq=np.zeros(len(a_eq)), lower=lower, upper=upper)
+        self.costs, self.rhs, self.bounds = _RowTable(), _RowTable(), _RowTable()
+        self.index: list[np.ndarray] = []
+        self.programs = 0
+        # the row ids of the cost and rhs rows added so far, by the space,
+        # groups (and loss cost) they were made from
+        self.seen: dict[tuple, np.ndarray] = {}
+
+    def rows(self, table: _RowTable, source: tuple, make) -> np.ndarray:
+        """Row ids in table of the rows make() returns, made once per source."""
+        if source not in self.seen:
+            self.seen[source] = table.add(make())
+        return self.seen[source]
+
+    def run(self) -> lp_mod.LpResult:
+        return lp_mod.solve_batch(self.program, np.array(self.costs.rows),
+                                  np.array(self.rhs.rows), np.array(self.bounds.rows),
+                                  np.concatenate(self.index))
+
+
+def _solve_groups(cells, traces, segments, T, physical_discharge):
+    """Solve the program of every group, all its members coupled in period 1.
+
+    A segment (cell, members) holds same-size groups of one cell, members
+    (groups, size) indexing the scenarios of that cell's space; traces
+    maps id(space) to the space's probabilities, price matrix and net
+    load (consumption minus renewable) matrix. Returns,
+    for each segment, the groups' probability masses, statuses, optimal
+    costs and solution rows (groups, 3 T size), NaN where a program is not
+    optimal. Segments whose programs share the constraint matrix and fix the
+    same variables at the same values (one group size, one retention and
+    one pair of endpoint levels) go to one lp.solve_batch call, their costs,
+    right-hand sides and upper bounds as deduplicated row tables; each
+    segment's results are one slice of its call's.
     """
-    masses = [sum(space.scenarios[w].probability for w in members) for members in groups]
-    prices = space.trace_matrix("price")
-    net_load = space.trace_matrix("consumption") - space.trace_matrix("renewable")
-    by_size: dict[int, list[int]] = {}
-    for g, members in enumerate(groups):
-        by_size.setdefault(len(members), []).append(g)
+    batches: dict[tuple, _Batch] = {}
+    placed = []
+    for cell, members in segments:
+        storage, space = cells[cell]
+        p, prices, net_load = traces[id(space)]
+        # the left fold of Python's sum, one group per entry
+        mass = p[members[:, 0]]
+        for j in range(1, members.shape[1]):
+            mass = mass + p[members[:, j]]
+        size = members.shape[1]
+        keep = _retention(storage, physical_discharge)
+        a_eq, lower, upper = _structure(storage, size, T, keep, [range(size)])
+        key = (size, keep, lower.tobytes(), (lower == upper).tobytes())
+        if key not in batches:
+            batches[key] = _Batch(a_eq, lower, upper)
+        batch = batches[key]
+        groups = (id(space), members.tobytes())
+        index = np.empty((len(members), 3), dtype=np.intp)
+        index[:, 0] = batch.rows(batch.costs, (*groups, storage.loss_cost_coeff),
+                                 lambda: _costs(storage, p[members] / mass[:, None],
+                                                prices[members]))
+        index[:, 1] = batch.rows(batch.rhs, groups,
+                                 lambda: _rhs(net_load[members], len(a_eq)))
+        index[:, 2] = batch.bounds.add(upper[None])
+        batch.index.append(index)
+        placed.append((key, slice(batch.programs, batch.programs + len(members)), mass))
+        batch.programs += len(members)
 
-    status = np.empty(len(groups), dtype=object)
-    objective = np.empty(len(groups))
-    for size, ids in by_size.items():
-        members = np.array([groups[g] for g in ids])
-        probs = np.array([[space.scenarios[w].probability / masses[g] for w in groups[g]]
-                          for g in ids])
-        program, c, b_eq = _assemble(storage, probs, prices[members], net_load[members],
-                                     _retention(storage, physical_discharge),
-                                     [range(size)])
-        result = lp_mod.solve_batch(program, c, b_eq)
-        cube[members] = result.x.reshape(members.shape + cube.shape[1:])
-        status[ids], objective[ids] = result.status, result.objective
-    return masses, status, objective
+    results = {key: batch.run() for key, batch in batches.items()}
+    return [(mass, results[key].status[at], results[key].objective[at], results[key].x[at])
+            for key, at, mass in placed]
 
 
 def solve_policy(
@@ -249,58 +321,108 @@ def solve_policy(
     nonanticipative: bool = False,
     physical_discharge: bool = False,
 ) -> PolicyTable:
-    """Solve the program one block of scenarios at a time.
-
-    Every scenario is first solved alone (the wait-and-see solve, one
-    lp.solve_batch call); without nonanticipative that is the whole
-    program. With it, a nonanticipativity group whose members are all
-    optimal with exactly equal first-period purchases is certified and
-    keeps their schedules and costs: the wait-and-see cost bounds the
-    coupled cost from below, so they are optimal for the group too. Each
-    other group is one block, solved as its own deterministic equivalent
-    with the probabilities renormalised inside the group; its schedules
-    overwrite its members' wait-and-see ones in the (S, 3, T) cube that
-    every solve writes into. The expected cost sums the block optima
-    weighted by block probability mass, in order of each block's first
-    scenario. It equals the optimum of build_deterministic_equivalent over
-    the whole space, because no constraint spans two groups.
+    """The policy of one cell: solve_policies over [(storage, space)].
 
     Raises InfeasibleProgramError when a block has no optimum, and
     RuntimeError when a block's optimal cost is not finite.
     """
-    _check_space(space, horizon)
-    S = len(space)
-    cube = np.empty((S, 3, horizon.T))
-    singles = _solve_groups(storage, space, [[w] for w in range(S)], physical_discharge, cube)
-    # each block, keyed by its first scenario: (mass, status, optimal cost)
-    blocks = dict(enumerate(zip(*singles)))
-    if nonanticipative:
-        optimal = singles[1] == "optimal"
-        binding = [members for members in _nonanticipativity_groups(space, True)
-                   if not (optimal[members].all()
-                           and (cube[members, 0, 0] == cube[members[0], 0, 0]).all())]
-        coupled = _solve_groups(storage, space, binding, physical_discharge, cube)
-        for members, *block in zip(binding, *coupled):
-            for w in members:
-                del blocks[w]
-            blocks[members[0]] = block
+    policy, = solve_policies(horizon, [(storage, space)], nonanticipative, physical_discharge)
+    if isinstance(policy, InfeasibleProgramError):
+        raise policy
+    return policy
 
-    expected = 0.0
-    for lead in sorted(blocks):
-        mass, status, cost = blocks[lead]
-        if status != "optimal":
-            raise InfeasibleProgramError(
-                f"stochastic program is {status} for the scenario group "
-                f"of {space.scenarios[lead].label!r}; check battery endpoint "
+
+def solve_policies(
+    horizon: Horizon,
+    cells,
+    nonanticipative: bool = False,
+    physical_discharge: bool = False,
+) -> list:
+    """Solve the program of every (storage, space) cell one block at a time.
+
+    Every scenario is first solved alone (the wait-and-see solve); without
+    nonanticipative that is the whole program. With it, a
+    nonanticipativity group whose members are all optimal with exactly
+    equal first-period purchases is certified and keeps their schedules
+    and costs: the wait-and-see cost bounds the coupled cost from below, so
+    they are optimal for the group too. Each other group is one block,
+    solved as its own deterministic equivalent with the probabilities
+    renormalised inside the group; its schedules overwrite its members'
+    wait-and-see ones in the cell's (S, 3, T) cube. Each of the two stages
+    solves the blocks of every cell together, one lp.solve_batch call per
+    block size and fixed-variable pattern. Each distinct space is
+    validated and turned into trace matrices once.
+
+    A cell's expected cost sums its block optima weighted by block
+    probability mass, in order of each block's first scenario. It equals
+    the optimum of build_deterministic_equivalent over the whole space,
+    because no constraint spans two groups.
+
+    Returns one PolicyTable per cell; a cell with a block that has no
+    optimum gets the InfeasibleProgramError that names that block instead.
+    Raises RuntimeError at the first cell whose first failing block has an
+    optimal cost that is not finite.
+    """
+    cells = list(cells)
+    traces = {}
+    for _, space in cells:
+        if id(space) not in traces:
+            _check_space(space, horizon)
+            traces[id(space)] = (space.probabilities, space.trace_matrix("price"),
+                                 space.trace_matrix("consumption")
+                                 - space.trace_matrix("renewable"))
+    # each cell's blocks, indexed by their first scenario: whether a block
+    # starts there, and its mass, status and optimal cost
+    blocks = []
+    cubes = []
+    singles = [(cell, np.arange(len(space))[:, None]) for cell, (_, space) in enumerate(cells)]
+    for mass, status, cost, x in _solve_groups(cells, traces, singles, horizon.T,
+                                               physical_discharge):
+        blocks.append((np.ones(len(mass), dtype=bool), mass, status.copy(), cost.copy()))
+        cubes.append(x.reshape(len(mass), 3, horizon.T))
+    if nonanticipative:
+        coupled = []
+        for cell, (_, space) in enumerate(cells):
+            cube, optimal = cubes[cell], blocks[cell][2] == "optimal"
+            by_size: dict[int, list[list[int]]] = {}
+            for members in _nonanticipativity_groups(space, True):
+                if not (optimal[members].all()
+                        and (cube[members, 0, 0] == cube[members[0], 0, 0]).all()):
+                    by_size.setdefault(len(members), []).append(members)
+            coupled.extend((cell, np.array(groups)) for groups in by_size.values())
+        for (cell, members), (mass, status, cost, x) in zip(
+                coupled, _solve_groups(cells, traces, coupled, horizon.T, physical_discharge)):
+            cubes[cell][members] = x.reshape(members.shape + cubes[cell].shape[1:])
+            lead, masses, statuses, costs = blocks[cell]
+            lead[members] = False
+            leads = members[:, 0]
+            lead[leads], masses[leads], statuses[leads], costs[leads] = True, mass, status, cost
+    return [_policy(storage, space, cube, block, nonanticipative, physical_discharge)
+            for (storage, space), cube, block in zip(cells, cubes, blocks)]
+
+
+def _policy(storage, space, cube, blocks, nonanticipative, physical_discharge):
+    """A cell's PolicyTable, or the InfeasibleProgramError of its first
+    block without an optimum."""
+    lead, masses, statuses, costs = blocks
+    order = np.nonzero(lead)[0]
+    failing = (statuses[order] != "optimal") | ~np.isfinite(costs[order])
+    if failing.any():
+        first = order[failing.argmax()]
+        label = space.scenarios[first].label
+        if statuses[first] != "optimal":
+            return InfeasibleProgramError(
+                f"stochastic program is {statuses[first]} for the scenario group "
+                f"of {label!r}; check battery endpoint "
                 f"levels (initial={storage.initial}, terminal={storage.terminal}) "
                 f"against capacity {storage.capacity}")
-        if not math.isfinite(cost):
-            raise RuntimeError(
-                f"optimal cost of the scenario group of {space.scenarios[lead].label!r} "
-                f"is {cost}; trace values too large for the solver")
-        expected += mass * float(cost)
-
-    purchase, battery, excess = cube.transpose(1, 0, 2).copy()
+        raise RuntimeError(
+            f"optimal cost of the scenario group of {label!r} "
+            f"is {costs[first]}; trace values too large for the solver")
+    expected = 0.0
+    for mass, cost in zip(masses[order].tolist(), costs[order].tolist()):
+        expected += mass * cost
+    purchase, battery, excess = cube.transpose(1, 0, 2)
     return PolicyTable(
         scenario_labels=tuple(space.labels),
         probabilities=space.probabilities,
@@ -353,20 +475,23 @@ def verify_policy(policy: PolicyTable, horizon: Horizon, space: ScenarioSpace,
         problems.append(
             f"battery exceeds capacity {policy.storage.capacity} "
             f"(max {policy.battery.max():.6f})")
-    for w, label in enumerate(policy.scenario_labels):
-        if abs(policy.battery[w, 0] - policy.storage.initial) > tol:
+    initial = np.abs(policy.battery[:, 0] - policy.storage.initial) > tol
+    terminal = np.abs(policy.battery[:, T - 1] - policy.storage.terminal) > tol
+    residual = np.abs(policy.purchase[:, :T - 1] + keep * policy.battery[:, :T - 1]
+                      + renewable[:, :T - 1] - policy.battery[:, 1:]
+                      - consumption[:, :T - 1] - policy.excess[:, :T - 1])
+    worst = residual.max(axis=1, initial=0.0)
+    for w in np.nonzero(initial | terminal | (worst > tol))[0]:
+        label = policy.scenario_labels[w]
+        if initial[w]:
             problems.append(f"{label}: initial level {policy.battery[w, 0]:.6f} "
                             f"!= {policy.storage.initial}")
-        if abs(policy.battery[w, T - 1] - policy.storage.terminal) > tol:
+        if terminal[w]:
             problems.append(f"{label}: terminal level {policy.battery[w, T - 1]:.6f} "
                             f"!= {policy.storage.terminal}")
-        residual = (policy.purchase[w, :T - 1] + keep * policy.battery[w, :T - 1]
-                    + renewable[w, :T - 1] - policy.battery[w, 1:]
-                    - consumption[w, :T - 1] - policy.excess[w, :T - 1])
-        worst = np.abs(residual).max() if T > 1 else 0.0
-        if worst > tol:
-            t_bad = int(np.abs(residual).argmax())
-            problems.append(f"{label}: balance residual {worst:.3e} at period {t_bad + 1}")
+        if worst[w] > tol:
+            problems.append(f"{label}: balance residual {worst[w]:.3e} "
+                            f"at period {int(residual[w].argmax()) + 1}")
     if policy.nonanticipative:
         for members in _nonanticipativity_groups(space, True):
             spread = np.ptp(policy.purchase[members, 0])

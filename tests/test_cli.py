@@ -298,7 +298,7 @@ def test_replication_count_past_the_event_budget_is_a_usage_error(tmp_path, caps
 
 
 def test_solver_failure_exits_with_code_5(tiny, tmp_path, capsys, monkeypatch):
-    def broken(program, c, b_eq):
+    def broken(program, *tables):
         raise RuntimeError("simplex iteration cap exceeded")
 
     monkeypatch.setattr("bspower.stochastic.lp_mod.solve_batch", broken)

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import bspower.lp as lp_mod
 from bspower.calibration import (
     DEFAULT_ARRIVAL_RATES,
     DEFAULT_CAC_THRESHOLDS,
@@ -20,6 +21,7 @@ from bspower.calibration import (
 )
 from bspower.evaluate import (
     DAYS_PER_MONTH,
+    _scaled_renewable,
     ExperimentReport,
     RealizedDay,
     ReplayError,
@@ -33,11 +35,13 @@ from bspower.evaluate import (
 )
 from bspower.scenarios import (
     CompositeScenario,
+    compose,
     MarginalScenario,
     MarginalSpace,
     ScenarioSpace,
 )
 from bspower.stochastic import (
+    InfeasibleProgramError,
     StorageConfig,
     per_scenario_decomposition,
     solve_policy,
@@ -304,6 +308,92 @@ def test_battery_sweep_clamps_endpoints_to_small_capacities():
     costs = column(report, "monthly_cost_usd")
     assert all(np.isfinite(c) for c in costs)
     assert costs[1] <= costs[0] + 1e-9
+
+
+def test_merged_battery_sweep_equals_its_cells_solved_alone(monkeypatch):
+    # capacity 0 fixes every battery level and 300 Wh clamps the 500 Wh
+    # endpoints, so each fixes other values than the other capacities and
+    # gets a solve_batch call of its own; the spy makes the 1500 Wh programs
+    # infeasible. The one sweep must write what each cell's own solve_policy
+    # gives, the NaN rows included
+    cal = cheap_calibration()
+    T = cal.horizon.T
+    real = lp_mod.solve_batch
+    calls = []
+
+    def infeasible_at_1500(program, c, b_eq, upper=None, rows=None):
+        result = real(program, c, b_eq, upper, rows)
+        capacity = (program.upper[None] if upper is None else upper[rows[:, 2]])[:, T + 1]
+        result.status[capacity == 1500.0] = "infeasible"
+        calls.append(program.lower[T])
+        return result
+
+    monkeypatch.setattr(lp_mod, "solve_batch", infeasible_at_1500)
+    capacities, scalings = [0.0, 300.0, 1000.0, 1500.0], [1.0, 1.5]
+    report = sweep_battery(capacities, scalings, cal, seed=0)
+    assert sorted(calls) == [0.0, 300.0, 500.0]
+
+    consumption = cal.consumption_space(0)
+    alone = []
+    for cap in capacities:
+        storage = replace(cal.storage, capacity=cap, initial=min(cal.storage.initial, cap),
+                          terminal=min(cal.storage.terminal, cap))
+        for scale in scalings:
+            space = compose(cal.price, _scaled_renewable(cal.renewable, scale), consumption)
+            try:
+                cost = monthly_cost(solve_policy(cal.horizon, storage, space).expected_cost)
+            except InfeasibleProgramError:
+                cost = float("nan")
+            alone.append((cap, scale, cost))
+    assert [np.isnan(row[2]) for row in alone] == [False] * 6 + [True] * 2
+    assert report.csv_text() == ExperimentReport("battery", report.columns, alone).csv_text()
+
+
+def test_sweeps_solve_in_one_call_and_full_stacks(monkeypatch):
+    # 16 cells of 80 scenarios are 1280 programs: one solve_batch call whose
+    # stacks are all as full as the budget allows, not 16 calls of two half
+    # stacks. The default cac sweep's 21 thresholds repeat 12 distinct
+    # traces, so its 84 programs are 48 distinct ones, each solved once
+    batches, stacks = [], []
+    real_batch, real_stack = lp_mod.solve_batch, lp_mod._solve_stack
+
+    def batch_spy(program, c, b_eq, upper=None, rows=None):
+        batches.append(len(c if rows is None else rows))
+        return real_batch(program, c, b_eq, upper, rows)
+
+    def stack_spy(body, rhs, c, up, crash):
+        tableau_bytes = 8 * (rhs.shape[1] + 1) * (c.shape[1] + 1)
+        stacks.append((len(rhs), lp_mod._BATCH_BYTES // tableau_bytes))
+        return real_stack(body, rhs, c, up, crash)
+
+    monkeypatch.setattr(lp_mod, "solve_batch", batch_spy)
+    monkeypatch.setattr(lp_mod, "_solve_stack", stack_spy)
+    rng = np.random.default_rng(5)
+    T = 24
+
+    def marginal(kind, count, low, high):
+        return MarginalSpace(kind=kind, scenarios=tuple(
+            MarginalScenario(f"{kind}{i}", 1.0 / count, rng.uniform(low, high, T))
+            for i in range(count)))
+
+    cal = replace(default_calibration(), price=marginal("price", 4, 8.0, 20.0),
+                  renewable=marginal("renewable", 4, 0.0, 300.0),
+                  consumption=marginal("consumption", 5, 250.0, 650.0))
+    report = sweep_battery(DEFAULT_CONFIG["sweeps"]["battery"]["capacities_wh"],
+                           DEFAULT_CONFIG["sweeps"]["battery"]["renewable_scalings"], cal)
+    assert len(report.rows) == 16 and batches == [16 * 80]
+    per_stack = stacks[0][1]
+    assert len(stacks) == -(-1280 // per_stack) and sum(k for k, _ in stacks) == 1280
+
+    batches.clear()
+    stacks.clear()
+    cal = default_calibration()
+    cac = DEFAULT_CONFIG["sweeps"]["cac"]
+    spec = uniform_traffic(cac["load_per_min"], cal.handoff_fraction, cal.horizon.T,
+                           cal.mean_holding)
+    sweep_cac(cac["thresholds"], spec, cal, seed=0)
+    assert batches == [21 * 4]
+    assert sum(k for k, _ in stacks) == 12 * 4
 
 
 def test_battery_sweep_rejects_empty_grid():

@@ -380,9 +380,9 @@ def test_bound_flip_wins_a_tie_with_a_row():
 def test_upper_bounds_stay_out_of_the_rows():
     lp = LinearProgram(c=[1.0, 1.0, 1.0], a_eq=[[1.0, 1.0, 1.0]], b_eq=[2.0],
                        lower=[0.0, 1.0, 0.0], upper=[4.0, 3.0, np.inf])
-    prep = lp_mod._prepare(lp, lp.b_eq[None])
+    prep = lp_mod._prepare(lp, lp.b_eq[None], lp.upper[None])
     assert prep.a_eq.shape == (1, 3)
-    np.testing.assert_array_equal(prep.up, [4.0, 2.0, np.inf])
+    np.testing.assert_array_equal(prep.up, [[4.0, 2.0, np.inf]])
 
 
 def test_crash_basis_starts_from_columns_of_one_row():
@@ -414,6 +414,13 @@ def test_solve_batch_checks_the_stacked_shapes():
         solve_batch(lp, np.ones((2, 2)), np.ones((3, 1)))
     with pytest.raises(ValueError, match="stack"):
         solve_batch(lp, np.ones(2), np.ones(1))
+    with pytest.raises(ValueError, match="triple"):
+        solve_batch(lp, np.ones((2, 2)), np.ones((1, 1)), rows=[[1, 1, 0]])
+    with pytest.raises(ValueError, match="fix the same"):
+        solve_batch(lp, np.ones((1, 2)), np.ones((1, 1)), np.array([[0.0, 1.0], [1.0, 1.0]]),
+                    [[0, 0, 0], [0, 0, 1]])
+    with pytest.raises(ValueError, match="lower bound exceeds"):
+        solve_batch(lp, np.ones((1, 2)), np.ones((1, 1)), np.array([[1.0, -1.0]]))
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +463,7 @@ def with_cost_row(tableau, basis, cost):
 def run_core(tableau, basis, cost):
     """The batched core on a stack of one; returns (unbounded, iterations, bland)."""
     unbounded, iterations, bland = _run_simplex(
-        tableau[None], basis[None], np.zeros((1, 0), bool), np.full(cost.size, np.inf),
+        tableau[None], basis[None], np.zeros((1, 0), bool), np.full((1, cost.size), np.inf),
         np.ones(1, bool))
     return unbounded[0], iterations[0], bland[0]
 
@@ -480,7 +487,7 @@ def test_stall_counter_counts_only_pivots_that_do_not_improve():
     tableau, basis, cost = chvatal_cycle()
     stack, stack_basis = with_cost_row(tableau, basis, cost)[None], basis[None].copy()
     unbounded, iterations, bland = _run_simplex(stack, stack_basis, np.zeros((1, 0), bool),
-                                                np.full(7, np.inf), np.ones(1, bool))
+                                                np.full((1, 7), np.inf), np.ones(1, bool))
     assert not unbounded[0] and bland[0] and iterations[0] > 21
     assert cost[stack_basis[0]] @ stack[0, :3, -1] == -1.0
 
@@ -500,8 +507,8 @@ def test_stacked_simplex_core_matches_the_oracle_per_program():
     stack = np.stack([p[0] for p in programs])
     stack_basis = np.stack([p[1] for p in programs])
     unbounded, iterations, bland = _run_simplex(
-        stack, stack_basis, np.zeros((len(programs), 0), bool), np.full(7, np.inf),
-        np.ones(len(programs), bool))
+        stack, stack_basis, np.zeros((len(programs), 0), bool),
+        np.full((len(programs), 7), np.inf), np.ones(len(programs), bool))
     assert bland[0] and unbounded[2] and iterations[1] == 0
     for k, (tableau, basis, cost) in enumerate(programs):
         tableau, basis = tableau.copy(), basis.copy()

@@ -9,7 +9,7 @@ from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
 import scalar_lp  # noqa: E402
-from bspower.lp import LinearProgram, solve_batch  # noqa: E402
+from bspower.lp import LinearProgram, solve, solve_batch  # noqa: E402
 from brute_force_lp import stack_with_slacks, with_slacks  # noqa: E402
 
 SETTINGS = settings(max_examples=60, deadline=None, database=None)
@@ -48,3 +48,52 @@ def test_each_program_of_a_batch_equals_its_lone_solve(batch):
             want.status[0], want.iterations[0], want.bland[0])
         assert np.array_equal(got.objective[k], want.objective[0], equal_nan=True)
         assert np.array_equal(got.x[k], want.x[0], equal_nan=True)
+
+
+@st.composite
+def row_tables(draw):
+    """A program's shared rows and lower bounds with row tables of costs,
+    rhs and upper bounds, every bound row fixing the same variables, and
+    index triples that use every bound row and repeat two triples;
+    inequality rows are posed through with_slacks."""
+    n = draw(st.integers(1, 5))
+    m_eq = draw(st.integers(0, 3))
+    m_ub = draw(st.integers(0, 3))
+    a_eq = draw(hnp.arrays(float, (m_eq, n), elements=small_ints))
+    a_ub = draw(hnp.arrays(float, (m_ub, n), elements=small_ints))
+    b_ub = draw(hnp.arrays(float, m_ub, elements=values))
+    lower = draw(hnp.arrays(float, n, elements=st.sampled_from([0.0, 0.5, 1.0])))
+    fixed = draw(hnp.arrays(bool, n))
+    width = draw(hnp.arrays(float, n, elements=st.sampled_from([1.0, 2.5, np.inf])))
+    # each bound row scales the widths by its own factor; the third has none
+    factors = np.array([1.0, 2.0, np.inf])[:draw(st.integers(2, 3)), None]
+    upper = lower + np.where(fixed, 0.0, width * factors)
+    c = draw(hnp.arrays(float, (draw(st.integers(1, 3)), n), elements=values))
+    b_eq = draw(hnp.arrays(float, (draw(st.integers(1, 3)), m_eq), elements=values))
+    rows = draw(st.lists(st.tuples(*(st.integers(0, len(t) - 1) for t in (c, b_eq, upper))),
+                         min_size=1, max_size=7))
+    # every bound row takes part with a cost row that pulls each variable
+    # up, so programs end at different bounds, and two triples repeat
+    c = np.vstack([c, np.full(n, -1.0)])
+    rows += [(len(c) - 1, len(b_eq) - 1, bound) for bound in range(len(upper))]
+    rows += [rows[-2], draw(st.sampled_from(rows))]
+    lp = with_slacks(LinearProgram(c=c[0], a_eq=a_eq, b_eq=b_eq[0], lower=lower,
+                                   upper=upper[0]), a_ub, b_ub)
+    return (lp, np.hstack([c, np.zeros((len(c), m_ub))]),
+            np.hstack([b_eq, np.tile(b_ub, (len(b_eq), 1))]),
+            np.hstack([upper, np.full((len(upper), m_ub), np.inf)]), np.array(rows))
+
+
+@SETTINGS
+@given(batch=row_tables())
+def test_each_triple_of_mixed_bound_tables_equals_its_lone_solve(batch):
+    lp, c, b_eq, upper, rows = batch
+    got = solve_batch(lp, c, b_eq, upper, rows)
+    for k, (cost, rhs, bound) in enumerate(rows):
+        alone = LinearProgram(c=c[cost], a_eq=lp.a_eq, b_eq=b_eq[rhs], lower=lp.lower,
+                              upper=upper[bound])
+        for want in (solve(alone), scalar_lp.scalar_solve(alone)):
+            assert (got.status[k], got.iterations[k], got.bland[k]) == (
+                want.status[0], want.iterations[0], want.bland[0])
+            assert np.array_equal(got.objective[k], want.objective[0], equal_nan=True)
+            assert np.array_equal(got.x[k], want.x[0], equal_nan=True)

@@ -186,9 +186,9 @@ def batch_calls(monkeypatch):
     calls = []
     real = lp_mod.solve_batch
 
-    def spy(program, c, b_eq):
-        calls.append((program.n_vars, len(c)))
-        return real(program, c, b_eq)
+    def spy(program, c, b_eq, upper=None, rows=None):
+        calls.append((program.n_vars, len(c if rows is None else rows)))
+        return real(program, c, b_eq, upper, rows)
 
     monkeypatch.setattr(lp_mod, "solve_batch", spy)
     return calls
@@ -603,9 +603,9 @@ def test_batched_programs_are_the_groups_own_programs_byte_for_byte(monkeypatch,
     calls = []
     real = lp_mod.solve_batch
 
-    def spy(program, c, b_eq):
-        calls.append((program, np.copy(c), np.copy(b_eq)))
-        return real(program, c, b_eq)
+    def spy(program, c, b_eq, upper, rows):
+        calls.append((program, c[rows[:, 0]], b_eq[rows[:, 1]], upper[rows[:, 2]]))
+        return real(program, c, b_eq, upper, rows)
 
     monkeypatch.setattr(lp_mod, "solve_batch", spy)
     solve_policy(horizon, storage, space, nonanticipative=nonanticipative)
@@ -615,13 +615,13 @@ def test_batched_programs_are_the_groups_own_programs_byte_for_byte(monkeypatch,
         expected.append([[space.labels.index("split-spike"),
                           space.labels.index("split-dip")]])
     assert len(calls) == len(expected)
-    for (program, c, b_eq), groups in zip(calls, expected):
-        assert len(c) == len(b_eq) == len(groups)
+    for (program, c, b_eq, upper), groups in zip(calls, expected):
+        assert len(c) == len(b_eq) == len(upper) == len(groups)
         for k, members in enumerate(groups):
             own, _ = build_deterministic_equivalent(
                 horizon, storage, group_space(space, members)[1], nonanticipative)
             for got, want in ((program.a_eq, own.a_eq), (program.lower, own.lower),
-                              (program.upper, own.upper), (c[k], own.c),
+                              (upper[k], own.upper), (c[k], own.c),
                               (b_eq[k], own.b_eq)):
                 assert got.dtype == want.dtype and got.shape == want.shape, members
                 assert got.tobytes() == want.tobytes(), members
@@ -651,8 +651,8 @@ def test_non_optimal_singleton_sends_its_group_to_the_coupled_solve(monkeypatch,
     spied = lp_mod.solve_batch
     flat_b = space.labels.index("flat-b")
 
-    def flat_b_alone_not_optimal(program, c, b_eq):
-        result = spied(program, c, b_eq)
+    def flat_b_alone_not_optimal(program, *tables):
+        result = spied(program, *tables)
         if program.n_vars == 3 * horizon.T:
             result.status[flat_b] = "unbounded"
         return result
@@ -673,9 +673,9 @@ def test_infeasible_group_names_its_first_scenario(monkeypatch):
         CompositeScenario(label, 0.5, np.array([10.0, later, later]), np.zeros(3),
                           np.array([0.0, 200.0, 0.0]))
         for label, later in (("spike", 40.0), ("dip", 5.0))))
-    def all_infeasible(program, c, b_eq):
-        K = len(c)
-        return lp_mod.LpResult(np.full(K, "infeasible"), np.full(c.shape, np.nan),
+    def all_infeasible(program, c, b_eq, upper, rows):
+        K = len(rows)
+        return lp_mod.LpResult(np.full(K, "infeasible"), np.full((K, program.n_vars), np.nan),
                                np.full(K, np.nan), np.zeros(K, int), np.zeros(K, bool))
 
     monkeypatch.setattr(lp_mod, "solve_batch", all_infeasible)
@@ -812,6 +812,35 @@ def test_verified_policy_catches_tampering():
     problems = verify_policy(replace(na, purchase=nudged, nonanticipative=False),
                              horizon, space)
     assert problems and not any("first-period purchases" in p for p in problems)
+
+
+def test_verify_policy_reports_every_violation_in_a_fixed_order():
+    # the checks over whole arrays come first, then each failing scenario in
+    # order with its initial, terminal and worst balance findings, then the
+    # first-period spread of each nonanticipativity group
+    horizon, storage, space = mixed_instance()
+    policy = solve_policy(horizon, storage, space, nonanticipative=True)
+    assert verify_policy(policy, horizon, space) == []
+    purchase, battery, excess = policy.purchase.copy(), policy.battery.copy(), policy.excess.copy()
+    purchase[1, 2] = -2.0
+    excess[3, 0] = -1.0
+    battery[0, 0] = 3.0
+    battery[0, 2] = 50.0
+    battery[2, 2] = 600.0
+    purchase[space.labels.index("split-dip"), 0] += 0.5
+    tampered = replace(policy, purchase=purchase, battery=battery, excess=excess)
+    assert verify_policy(tampered, horizon, space) == [
+        "negative purchase entries (min -2.000e+00)",
+        "negative excess entries (min -1.000e+00)",
+        "battery exceeds capacity 500.0 (max 600.000000)",
+        "flat-a: initial level 3.000000 != 0.0",
+        "flat-a: terminal level 50.000000 != 0.0",
+        "flat-a: balance residual 5.000e+01 at period 2",
+        "flat-b: terminal level 600.000000 != 0.0",
+        "flat-b: balance residual 6.000e+02 at period 2",
+        "split-dip: balance residual 1.500e+00 at period 1",
+        "split-spike: first-period purchases of its group spread 5.000e-01",
+    ]
 
 
 def test_policy_csv_layout():
