@@ -5,7 +5,8 @@ Shared flags: --config, --scenarios, --out, --seed; solve and simulate
 also take --nonanticipative and --physical-discharge. Exit codes: 0
 success, 2 usage error, 3 infeasible program, 4 I/O or file-format error
 (including non-finite numbers and values of the wrong JSON type), 5
-solver failure (including a non-finite optimal cost).
+solver failure (including a non-finite optimal cost or an overflowed
+tableau).
 
 The config file is JSON with schema "bspower-config-1"; unknown keys are
 rejected, and each value must have the JSON type of its default (a number
@@ -197,9 +198,9 @@ def cmd_simulate(rc: RunConfig) -> int:
         for s in space.scenarios
     ]
     costs = np.array([per_scenario[i] for i in draws])
+    rows = [f"{label},{cost:.6f}" for label, cost in zip(space.labels, per_scenario)]
     lines = ["day,scenario_label,cost_cents"]
-    lines.extend(f"{d + 1},{space.labels[i]},{per_scenario[i]:.6f}"
-                 for d, i in enumerate(draws))
+    lines.extend(f"{d + 1},{rows[i]}" for d, i in enumerate(draws))
     _write_outputs(rc, {"simulate.csv": "\n".join(lines) + "\n"})
     mean = float(costs.mean())
     se = float(costs.std(ddof=1) / np.sqrt(len(costs))) if len(costs) > 1 else 0.0

@@ -37,10 +37,11 @@ is such a column, so phase 1 never runs.
 
 solve_batch solves a batch of programs that share a_eq and the lower
 bounds. A batch comes as row tables, cost rows, rhs rows and upper-bound
-rows, and one (cost, rhs, bound) index triple per program, so programs
-that share a row share one copy of it; every bound row must fix the same
-variables. Programs with equal triples are solved once and share their
-result. Preprocessing runs once on the shared matrix and the tables;
+rows, and one (cost, rhs, bound) index triple per program; every bound
+row must fix the same variables. Programs equal in content, their three
+rows the same bytes wherever the tables hold them, are solved once and
+share their result. Preprocessing runs once on the shared matrix and the
+tables;
 the tableaux are stacked as (programs, rows + 1, cols) and step in
 lockstep. Each program keeps its own upper bounds, pricing rule, ratio
 test, stall counter, iteration cap and verdict, so it takes exactly the
@@ -52,10 +53,11 @@ priced or ratio-tested, so a row whose artificial is basic only carries
 the basis index n + row, after the n free variables. One stack holds at
 most _BATCH_BYTES of tableau (or a single program that is larger); a
 larger batch runs as several stacks of equal size, each prepared, solved
-and written into the result before the next is built. The results come
-back as one LpResult record of arrays with one entry per program, x and
-the objective NaN where a program is not optimal; solve(lp) is the batch
-of one.
+and written into the result before the next is built. A program whose
+final reduced-cost row or rhs column holds inf or NaN (an overflow) gets
+the status numerical. The results come back as one LpResult record of
+arrays with one entry per program, x and the objective NaN where a
+program is not optimal; solve(lp) is the batch of one.
 """
 
 from __future__ import annotations
@@ -110,7 +112,7 @@ class LpResult:
     x and objective are NaN where a program is not optimal.
     """
 
-    status: np.ndarray      # (programs,) "optimal" | "infeasible" | "unbounded"
+    status: np.ndarray      # (programs,) "optimal" | "infeasible" | "unbounded" | "numerical"
     x: np.ndarray           # (programs, n_vars)
     objective: np.ndarray   # (programs,) c @ x
     iterations: np.ndarray  # (programs,) pivots plus bound flips, both phases
@@ -206,36 +208,30 @@ def _equilibrate(a, b):
 # ---------------------------------------------------------------------------
 
 def solve(lp: LinearProgram) -> LpResult:
-    """Two-phase simplex; returns status optimal, infeasible, or unbounded."""
-    return solve_batch(lp, lp.c[None], lp.b_eq[None])
+    """Two-phase simplex; returns status optimal, infeasible, unbounded or numerical."""
+    return solve_batch(lp, lp.c[None], lp.b_eq[None], lp.upper[None], [(0, 0, 0)])
 
 
-def solve_batch(lp: LinearProgram, c, b_eq, upper=None, rows=None) -> LpResult:
+def solve_batch(lp: LinearProgram, c, b_eq, upper, rows) -> LpResult:
     """Solve one program per index triple, all in lockstep.
 
     c (cost rows, n_vars), b_eq (rhs rows, eq rows) and upper (bound rows,
     n_vars) are row tables, and row k of rows (programs, 3) names the cost,
     rhs and bound rows that replace lp.c, lp.b_eq and lp.upper for program
-    k. Without rows, program k takes row k of c and of b_eq; without upper,
-    the one bound row is lp.upper. Every program shares lp's a_eq and lower
-    bounds, and every bound row must fix the same variables. Programs with
-    equal triples are solved once and share their result. Entry k of the
-    result equals, bit for bit, what program k would get if solved alone.
+    k. Every program shares lp's a_eq and lower bounds, and every bound row
+    must fix the same variables. Programs equal in content, each of their
+    three rows the same bytes wherever the tables hold them, are solved
+    once and share their result. Entry k of the result equals, bit for
+    bit, what program k would get if solved alone.
     """
     c = np.asarray(c, dtype=float)
     b_eq = np.asarray(b_eq, dtype=float)
-    upper = lp.upper[None] if upper is None else np.asarray(upper, dtype=float)
+    upper = np.asarray(upper, dtype=float)
     n_vars, n_rows = lp.n_vars, lp.b_eq.size
     if not (c.ndim == b_eq.ndim == upper.ndim == 2 and c.shape[1] == upper.shape[1] == n_vars
             and b_eq.shape[1] == n_rows):
         raise ValueError(f"c {c.shape}, b_eq {b_eq.shape} and upper {upper.shape} must stack "
                          f"{n_vars} costs, {n_rows} rhs entries and {n_vars} bounds per row")
-    if rows is None:
-        if len(c) != len(b_eq):
-            raise ValueError(f"without rows, c {c.shape} and b_eq {b_eq.shape} must stack "
-                             f"one row per program")
-        rows = np.zeros((len(c), 3), dtype=np.intp)
-        rows[:, 0] = rows[:, 1] = np.arange(len(c))
     rows = np.asarray(rows, dtype=np.intp)
     if rows.ndim != 2 or rows.shape[1] != 3 or not (
             (rows >= 0) & (rows < [len(c), len(b_eq), len(upper)])).all():
@@ -249,8 +245,10 @@ def solve_batch(lp: LinearProgram, c, b_eq, upper=None, rows=None) -> LpResult:
     crash = _crash(body, up) if n else None
 
     K = len(rows)
-    # each program's first program with the same triple, which solves for both
-    _, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+    # each program's first program equal in content, which solves for both
+    content = np.stack([_first_equal(table)[index]
+                        for table, index in zip((c, b_eq, upper), rows.T)], axis=1)
+    _, first, inverse = np.unique(content, axis=0, return_index=True, return_inverse=True)
     source = first[inverse.reshape(-1)]
     own = source == np.arange(K)
     # a zero row with a nonzero rhs is infeasible before any stack runs
@@ -281,6 +279,13 @@ def solve_batch(lp: LinearProgram, c, b_eq, upper=None, rows=None) -> LpResult:
     for field in (status, x, objective, iterations, bland):
         field[copies] = field[source[copies]]
     return LpResult(status, x, objective, iterations, bland)
+
+
+def _first_equal(table):
+    """Each row's index of the first row of table with the same bytes."""
+    first: dict[bytes, int] = {}
+    return np.array([first.setdefault(row.tobytes(), k) for k, row in enumerate(table)],
+                    dtype=np.intp)
 
 
 def _crash(body, up):
@@ -355,6 +360,10 @@ def _solve_stack(body, rhs, c, up, crash):
     unbounded, it2, bland2 = _run_simplex(tableau, basis, complemented, up,
                                           ~infeasible & ~peel)
     x = _values(tableau, basis, complemented, up)
+    # no verdict read from an overflowed tableau holds; an infeasible
+    # program's reduced-cost row was priced for phase 2 but is never read
+    finite = np.isfinite(tableau[:, :m, -1]).all(axis=1) & (
+        np.isfinite(tableau[:, m]).all(axis=1) | infeasible)
     for k in np.nonzero(peel)[0]:
         keep = np.append(~redundant[k], True)
         sub, sub_basis = tableau[k][keep][None], basis[k][~redundant[k]][None]
@@ -364,7 +373,9 @@ def _solve_stack(body, rhs, c, up, crash):
                                           np.ones(1, bool))
         unbounded[k], it2[k], bland2[k] = ray[0], its[0], switched[0]
         x[k] = _values(sub, sub_basis, sub_complemented, up[k:k + 1])[0]
+        finite[k] = np.isfinite(sub[0, :, -1]).all() and np.isfinite(sub[0, -1]).all()
     status = np.where(infeasible, "infeasible", np.where(unbounded, "unbounded", "optimal"))
+    status[~finite] = "numerical"
     return status, x, iterations + it2, bland | bland2
 
 

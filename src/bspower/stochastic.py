@@ -36,9 +36,9 @@ together once over the whole space: the dense monolithic program, which
 the tests solve as the oracle for solve_policy. solve_policies hands the
 blocks of all its cells to lp.solve_batch as row tables, one call per
 block size, retention and fixed-variable pattern (the endpoint levels,
-and whether the capacity is 0), with each distinct cost, right-hand side
-and bound row stored once; lp.solve_batch pivots the programs in lockstep
-within its per-stack memory budget.
+and whether the capacity is 0), each space's cost and right-hand side
+rows made once; lp.solve_batch solves programs equal in content once, in
+lockstep within its per-stack memory budget.
 """
 
 from __future__ import annotations
@@ -221,49 +221,32 @@ def build_deterministic_equivalent(
     return program, VariableMap(T=horizon.T, scenario_labels=tuple(space.labels))
 
 
-class _RowTable:
-    """The distinct rows of a batch in first-seen order, keyed by their bytes."""
-
-    def __init__(self):
-        self.ids: dict[bytes, int] = {}
-        self.rows: list[np.ndarray] = []
-
-    def add(self, rows: np.ndarray) -> np.ndarray:
-        """Row ids of the rows of a (rows, width) array, new rows appended."""
-        ids = np.empty(len(rows), dtype=np.intp)
-        for k, row in enumerate(rows):
-            ids[k] = self.ids.setdefault(row.tobytes(), len(self.rows))
-            if ids[k] == len(self.rows):
-                self.rows.append(row)
-        return ids
-
-
 class _Batch:
     """The programs of one lp.solve_batch call: a shared constraint matrix
-    and lower bounds, row tables of costs, right-hand sides and upper
-    bounds, and one (cost, rhs, bound) index triple per program."""
+    and lower bounds, tables of cost, right-hand side and upper-bound rows,
+    and one (cost, rhs, bound) row triple per program, the tables and
+    triples kept as lists of blocks until run()."""
 
-    def __init__(self, a_eq, lower, upper):
-        # c and b_eq are placeholders: every program's come from the tables
+    def __init__(self, a_eq, lower):
+        # c, b_eq and upper are placeholders: every program's come from the tables
         self.program = lp_mod.LinearProgram(c=np.zeros(lower.size), a_eq=a_eq,
-                                            b_eq=np.zeros(len(a_eq)), lower=lower, upper=upper)
-        self.costs, self.rhs, self.bounds = _RowTable(), _RowTable(), _RowTable()
-        self.index: list[np.ndarray] = []
-        self.programs = 0
+                                            b_eq=np.zeros(len(a_eq)), lower=lower)
+        self.costs, self.rhs, self.bounds, self.index = [], [], [], []
         # the row ids of the cost and rhs rows added so far, by the space,
         # groups (and loss cost) they were made from
         self.seen: dict[tuple, np.ndarray] = {}
 
-    def rows(self, table: _RowTable, source: tuple, make) -> np.ndarray:
+    def rows(self, table: list, source: tuple, make) -> np.ndarray:
         """Row ids in table of the rows make() returns, made once per source."""
         if source not in self.seen:
-            self.seen[source] = table.add(make())
+            start = sum(map(len, table))
+            table.append(make())
+            self.seen[source] = np.arange(start, start + len(table[-1]))
         return self.seen[source]
 
     def run(self) -> lp_mod.LpResult:
-        return lp_mod.solve_batch(self.program, np.array(self.costs.rows),
-                                  np.array(self.rhs.rows), np.array(self.bounds.rows),
-                                  np.concatenate(self.index))
+        return lp_mod.solve_batch(self.program, *map(np.concatenate, (
+            self.costs, self.rhs, self.bounds, self.index)))
 
 
 def _solve_groups(cells, traces, segments, T, physical_discharge):
@@ -278,8 +261,9 @@ def _solve_groups(cells, traces, segments, T, physical_discharge):
     optimal. Segments whose programs share the constraint matrix and fix the
     same variables at the same values (one group size, one retention and
     one pair of endpoint levels) go to one lp.solve_batch call, their costs,
-    right-hand sides and upper bounds as deduplicated row tables; each
-    segment's results are one slice of its call's.
+    right-hand sides and upper bounds as row tables, each space's and
+    group set's rows made once; each segment's results are one slice of
+    its call's.
     """
     batches: dict[tuple, _Batch] = {}
     placed = []
@@ -295,7 +279,7 @@ def _solve_groups(cells, traces, segments, T, physical_discharge):
         a_eq, lower, upper = _structure(storage, size, T, keep, [range(size)])
         key = (size, keep, lower.tobytes(), (lower == upper).tobytes())
         if key not in batches:
-            batches[key] = _Batch(a_eq, lower, upper)
+            batches[key] = _Batch(a_eq, lower)
         batch = batches[key]
         groups = (id(space), members.tobytes())
         index = np.empty((len(members), 3), dtype=np.intp)
@@ -304,10 +288,11 @@ def _solve_groups(cells, traces, segments, T, physical_discharge):
                                                 prices[members]))
         index[:, 1] = batch.rows(batch.rhs, groups,
                                  lambda: _rhs(net_load[members], len(a_eq)))
-        index[:, 2] = batch.bounds.add(upper[None])
+        index[:, 2] = len(batch.bounds)
+        batch.bounds.append(upper[None])
+        start = sum(map(len, batch.index))
         batch.index.append(index)
-        placed.append((key, slice(batch.programs, batch.programs + len(members)), mass))
-        batch.programs += len(members)
+        placed.append((key, slice(start, start + len(members)), mass))
 
     results = {key: batch.run() for key, batch in batches.items()}
     return [(mass, results[key].status[at], results[key].objective[at], results[key].x[at])
@@ -324,7 +309,8 @@ def solve_policy(
     """The policy of one cell: solve_policies over [(storage, space)].
 
     Raises InfeasibleProgramError when a block has no optimum, and
-    RuntimeError when a block's optimal cost is not finite.
+    RuntimeError when a block's optimal cost is not finite or its solve
+    broke down numerically.
     """
     policy, = solve_policies(horizon, [(storage, space)], nonanticipative, physical_discharge)
     if isinstance(policy, InfeasibleProgramError):
@@ -361,7 +347,7 @@ def solve_policies(
     Returns one PolicyTable per cell; a cell with a block that has no
     optimum gets the InfeasibleProgramError that names that block instead.
     Raises RuntimeError at the first cell whose first failing block has an
-    optimal cost that is not finite.
+    optimal cost that is not finite or the status numerical.
     """
     cells = list(cells)
     traces = {}
@@ -410,15 +396,15 @@ def _policy(storage, space, cube, blocks, nonanticipative, physical_discharge):
     if failing.any():
         first = order[failing.argmax()]
         label = space.scenarios[first].label
-        if statuses[first] != "optimal":
+        if statuses[first] in ("infeasible", "unbounded"):
             return InfeasibleProgramError(
                 f"stochastic program is {statuses[first]} for the scenario group "
                 f"of {label!r}; check battery endpoint "
                 f"levels (initial={storage.initial}, terminal={storage.terminal}) "
                 f"against capacity {storage.capacity}")
         raise RuntimeError(
-            f"optimal cost of the scenario group of {label!r} "
-            f"is {costs[first]}; trace values too large for the solver")
+            f"the scenario group of {label!r} solved {statuses[first]} with cost "
+            f"{costs[first]}; trace values too large for the solver")
     expected = 0.0
     for mass, cost in zip(masses[order].tolist(), costs[order].tolist()):
         expected += mass * cost

@@ -44,6 +44,14 @@ def stack_with_slacks(c, b_eq, b_ub):
             np.hstack([b_eq, np.tile(b_ub, (K, 1))]))
 
 
+def row_triples(K):
+    """solve_batch's index triples of K programs that take row k of the
+    cost and rhs tables and share bound row 0."""
+    rows = np.zeros((K, 3), dtype=np.intp)
+    rows[:, 0] = rows[:, 1] = np.arange(K)
+    return rows
+
+
 def _equilibrate_ub(a, b):
     """Scale rows a @ x <= b to unit max-abs; drop zero rows.
 

@@ -310,7 +310,7 @@ def test_battery_sweep_clamps_endpoints_to_small_capacities():
     assert costs[1] <= costs[0] + 1e-9
 
 
-def test_merged_battery_sweep_equals_its_cells_solved_alone(monkeypatch):
+def test_merged_battery_sweep_equals_its_cells_solved_alone(monkeypatch, solver_calls):
     # capacity 0 fixes every battery level and 300 Wh clamps the 500 Wh
     # endpoints, so each fixes other values than the other capacities and
     # gets a solve_batch call of its own; the spy makes the 1500 Wh programs
@@ -319,18 +319,16 @@ def test_merged_battery_sweep_equals_its_cells_solved_alone(monkeypatch):
     cal = cheap_calibration()
     T = cal.horizon.T
     real = lp_mod.solve_batch
-    calls = []
 
-    def infeasible_at_1500(program, c, b_eq, upper=None, rows=None):
+    def infeasible_at_1500(program, c, b_eq, upper, rows):
         result = real(program, c, b_eq, upper, rows)
-        capacity = (program.upper[None] if upper is None else upper[rows[:, 2]])[:, T + 1]
-        result.status[capacity == 1500.0] = "infeasible"
-        calls.append(program.lower[T])
+        result.status[upper[rows[:, 2], T + 1] == 1500.0] = "infeasible"
         return result
 
     monkeypatch.setattr(lp_mod, "solve_batch", infeasible_at_1500)
     capacities, scalings = [0.0, 300.0, 1000.0, 1500.0], [1.0, 1.5]
     report = sweep_battery(capacities, scalings, cal, seed=0)
+    calls = [call.program.lower[T] for call in solver_calls.batches]
     assert sorted(calls) == [0.0, 300.0, 500.0]
 
     consumption = cal.consumption_space(0)
@@ -349,25 +347,12 @@ def test_merged_battery_sweep_equals_its_cells_solved_alone(monkeypatch):
     assert report.csv_text() == ExperimentReport("battery", report.columns, alone).csv_text()
 
 
-def test_sweeps_solve_in_one_call_and_full_stacks(monkeypatch):
+def test_sweeps_solve_in_one_call_and_full_stacks(solver_calls):
     # 16 cells of 80 scenarios are 1280 programs: one solve_batch call whose
     # stacks are all as full as the budget allows, not 16 calls of two half
     # stacks. The default cac sweep's 21 thresholds repeat 12 distinct
     # traces, so its 84 programs are 48 distinct ones, each solved once
-    batches, stacks = [], []
-    real_batch, real_stack = lp_mod.solve_batch, lp_mod._solve_stack
-
-    def batch_spy(program, c, b_eq, upper=None, rows=None):
-        batches.append(len(c if rows is None else rows))
-        return real_batch(program, c, b_eq, upper, rows)
-
-    def stack_spy(body, rhs, c, up, crash):
-        tableau_bytes = 8 * (rhs.shape[1] + 1) * (c.shape[1] + 1)
-        stacks.append((len(rhs), lp_mod._BATCH_BYTES // tableau_bytes))
-        return real_stack(body, rhs, c, up, crash)
-
-    monkeypatch.setattr(lp_mod, "solve_batch", batch_spy)
-    monkeypatch.setattr(lp_mod, "_solve_stack", stack_spy)
+    stacks = solver_calls.stacks
     rng = np.random.default_rng(5)
     T = 24
 
@@ -381,17 +366,18 @@ def test_sweeps_solve_in_one_call_and_full_stacks(monkeypatch):
                   consumption=marginal("consumption", 5, 250.0, 650.0))
     report = sweep_battery(DEFAULT_CONFIG["sweeps"]["battery"]["capacities_wh"],
                            DEFAULT_CONFIG["sweeps"]["battery"]["renewable_scalings"], cal)
+    batches = [len(call.rows) for call in solver_calls.batches]
     assert len(report.rows) == 16 and batches == [16 * 80]
     per_stack = stacks[0][1]
     assert len(stacks) == -(-1280 // per_stack) and sum(k for k, _ in stacks) == 1280
 
-    batches.clear()
-    stacks.clear()
+    solver_calls.clear()
     cal = default_calibration()
     cac = DEFAULT_CONFIG["sweeps"]["cac"]
     spec = uniform_traffic(cac["load_per_min"], cal.handoff_fraction, cal.horizon.T,
                            cal.mean_holding)
     sweep_cac(cac["thresholds"], spec, cal, seed=0)
+    batches = [len(call.rows) for call in solver_calls.batches]
     assert batches == [21 * 4]
     assert sum(k for k, _ in stacks) == 12 * 4
 

@@ -8,6 +8,7 @@ import pytest
 
 import bspower.lp as lp_mod
 import scalar_lp
+from bspower.calibration import default_calibration
 from bspower.lp import (
     FEAS_TOL,
     LinearProgram,
@@ -16,7 +17,10 @@ from bspower.lp import (
     solve,
     solve_batch,
 )
-from brute_force_lp import brute_force_solve, stack_with_slacks, with_slacks
+from bspower.scenarios import CompositeScenario, ScenarioSpace
+from bspower.stochastic import build_deterministic_equivalent
+from bspower.units import Horizon
+from brute_force_lp import brute_force_solve, row_triples, stack_with_slacks, with_slacks
 
 
 def _assert_feasible(lp, x, a_ub, b_ub, tol=1e-6):
@@ -264,7 +268,7 @@ def assert_same_solution(got, want):
 
 
 def assert_batch_matches_oracle(lp, c, b_eq):
-    got = solve_batch(lp, c, b_eq)
+    got = solve_batch(lp, c, b_eq, lp.upper[None], row_triples(len(c)))
     assert_same_solution(got, oracle_batch(lp, c, b_eq))
     return got.status.tolist()
 
@@ -300,9 +304,9 @@ def test_batch_results_do_not_depend_on_the_stack_budget(monkeypatch):
     b_eq = lp.b_eq + rng.uniform(-1, 1, size=(9, lp.b_eq.size))
     lp = with_slacks(lp, a_ub, b_ub)
     c, b_eq = stack_with_slacks(c, b_eq, b_ub)
-    whole = solve_batch(lp, c, b_eq)
+    whole = solve_batch(lp, c, b_eq, lp.upper[None], row_triples(len(c)))
     monkeypatch.setattr(lp_mod, "_BATCH_BYTES", 1)  # one program per stack
-    assert_same_solution(solve_batch(lp, c, b_eq), whole)
+    assert_same_solution(solve_batch(lp, c, b_eq, lp.upper[None], row_triples(len(c))), whole)
 
 
 def test_random_batches_match_the_oracle_per_program():
@@ -356,7 +360,7 @@ def test_batch_takes_bound_flips_and_leaves_at_upper_bounds(monkeypatch):
     monkeypatch.setattr(lp_mod, "_pivot", counting_pivot)
     c, b_eq = stack_with_slacks(np.array([[0.0, 0.0, -1.0], [0.0, -1.0, 0.0]]),
                                 np.zeros((2, 1)), [10.0])
-    result = solve_batch(lp, c, b_eq)
+    result = solve_batch(lp, c, b_eq, lp.upper[None], row_triples(2))
     np.testing.assert_array_equal(result.x[0, :3], [0.0, 0.0, 3.0])
     np.testing.assert_array_equal(result.x[1, :3], [2.0, 2.0, 0.0])
     # one phase-1 pivot each; then a flip for program 0 and a pivot for 1
@@ -406,21 +410,38 @@ def test_crash_basis_starts_from_columns_of_one_row():
     assert assert_batch_matches_oracle(bounded, c, b_eq) == ["optimal", "optimal", "optimal"]
 
 
+def test_an_overflowed_tableau_is_numerical_not_optimal():
+    # every input is finite, but buying 1e300 Wh at 1e305 cents/Wh
+    # overflows the pricing of phase 2, and no verdict read from that
+    # tableau holds
+    space = ScenarioSpace((CompositeScenario("p|r|c", 1.0, np.array([1e308, 1e307]),
+                                             np.zeros(2), np.array([1e300, 1e300])),))
+    program, _ = build_deterministic_equivalent(Horizon(T=2), default_calibration().storage,
+                                                space)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sol = solve(program)
+    assert sol.status.tolist() == ["numerical"]
+    assert np.isnan(sol.x).all() and np.isnan(sol.objective).all()
+
+
 def test_solve_batch_checks_the_stacked_shapes():
     lp = LinearProgram(c=[1.0, 1.0], a_eq=[[1.0, 1.0]], b_eq=[1.0])
+    upper, one = lp.upper[None], [[0, 0, 0]]
     with pytest.raises(ValueError, match="stack"):
-        solve_batch(lp, np.ones((2, 3)), np.ones((2, 1)))
+        solve_batch(lp, np.ones((2, 3)), np.ones((2, 1)), upper, one)
     with pytest.raises(ValueError, match="stack"):
-        solve_batch(lp, np.ones((2, 2)), np.ones((3, 1)))
+        solve_batch(lp, np.ones((2, 2)), np.ones((3, 1)), np.ones((1, 3)), one)
     with pytest.raises(ValueError, match="stack"):
-        solve_batch(lp, np.ones(2), np.ones(1))
+        solve_batch(lp, np.ones(2), np.ones(1), upper, one)
     with pytest.raises(ValueError, match="triple"):
-        solve_batch(lp, np.ones((2, 2)), np.ones((1, 1)), rows=[[1, 1, 0]])
+        solve_batch(lp, np.ones((2, 2)), np.ones((1, 1)), upper, [[1, 1, 0]])
+    with pytest.raises(ValueError, match="triple"):
+        solve_batch(lp, np.ones((2, 2)), np.ones((1, 1)), upper, [[1, 0]])
     with pytest.raises(ValueError, match="fix the same"):
         solve_batch(lp, np.ones((1, 2)), np.ones((1, 1)), np.array([[0.0, 1.0], [1.0, 1.0]]),
                     [[0, 0, 0], [0, 0, 1]])
     with pytest.raises(ValueError, match="lower bound exceeds"):
-        solve_batch(lp, np.ones((1, 2)), np.ones((1, 1)), np.array([[1.0, -1.0]]))
+        solve_batch(lp, np.ones((1, 2)), np.ones((1, 1)), np.array([[1.0, -1.0]]), one)
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
 import scalar_lp  # noqa: E402
 from bspower.lp import LinearProgram, solve, solve_batch  # noqa: E402
-from brute_force_lp import stack_with_slacks, with_slacks  # noqa: E402
+from brute_force_lp import row_triples, stack_with_slacks, with_slacks  # noqa: E402
 
 SETTINGS = settings(max_examples=60, deadline=None, database=None)
 small_ints = st.integers(-3, 3).map(float)
@@ -40,7 +40,7 @@ def batches(draw):
 @given(batch=batches())
 def test_each_program_of_a_batch_equals_its_lone_solve(batch):
     lp, c, b_eq = batch
-    got = solve_batch(lp, c, b_eq)
+    got = solve_batch(lp, c, b_eq, lp.upper[None], row_triples(len(c)))
     for k in range(len(c)):
         want = scalar_lp.scalar_solve(LinearProgram(
             c=c[k], a_eq=lp.a_eq, b_eq=b_eq[k], lower=lp.lower, upper=lp.upper))
@@ -84,11 +84,9 @@ def row_tables(draw):
             np.hstack([upper, np.full((len(upper), m_ub), np.inf)]), np.array(rows))
 
 
-@SETTINGS
-@given(batch=row_tables())
-def test_each_triple_of_mixed_bound_tables_equals_its_lone_solve(batch):
-    lp, c, b_eq, upper, rows = batch
-    got = solve_batch(lp, c, b_eq, upper, rows)
+def assert_each_triple_equals_its_lone_solve(got, lp, c, b_eq, upper, rows):
+    """Entry k of got equals, bit for bit, lp.solve and the scalar oracle
+    on the program of triple k alone."""
     for k, (cost, rhs, bound) in enumerate(rows):
         alone = LinearProgram(c=c[cost], a_eq=lp.a_eq, b_eq=b_eq[rhs], lower=lp.lower,
                               upper=upper[bound])
@@ -97,3 +95,40 @@ def test_each_triple_of_mixed_bound_tables_equals_its_lone_solve(batch):
                 want.status[0], want.iterations[0], want.bland[0])
             assert np.array_equal(got.objective[k], want.objective[0], equal_nan=True)
             assert np.array_equal(got.x[k], want.x[0], equal_nan=True)
+
+
+@SETTINGS
+@given(batch=row_tables())
+def test_each_triple_of_mixed_bound_tables_equals_its_lone_solve(batch):
+    lp, c, b_eq, upper, rows = batch
+    got = solve_batch(lp, c, b_eq, upper, rows)
+    assert_each_triple_equals_its_lone_solve(got, lp, c, b_eq, upper, rows)
+
+
+@st.composite
+def repeated_row_tables(draw):
+    """row_tables with each table's rows appended twice, as two sources
+    that made the same rows would, and the triples spread over both
+    copies; the triples into the first copy alone come last."""
+    lp, c, b_eq, upper, rows = draw(row_tables())
+    second = draw(hnp.arrays(bool, rows.shape))
+    spread = rows + second * np.array([len(c), len(b_eq), len(upper)])
+    return (lp, np.vstack([c, c]), np.vstack([b_eq, b_eq]), np.vstack([upper, upper]),
+            spread, rows)
+
+
+@settings(SETTINGS, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(batch=repeated_row_tables())
+def test_programs_equal_in_content_are_solved_once(solver_calls, batch):
+    lp, c, b_eq, upper, rows, first_copy = batch
+    solver_calls.clear()
+    got = solve_batch(lp, c, b_eq, upper, rows)
+    stacked = sum(k for k, _ in solver_calls.stacks)
+    distinct = {(c[cost].tobytes(), b_eq[rhs].tobytes(), upper[bound].tobytes())
+                for cost, rhs, bound in rows}
+    assert stacked <= len(distinct)
+    # which copy of a row a triple names does not change what is solved
+    solver_calls.clear()
+    solve_batch(lp, c, b_eq, upper, first_copy)
+    assert sum(k for k, _ in solver_calls.stacks) == stacked
+    assert_each_triple_equals_its_lone_solve(got, lp, c, b_eq, upper, rows)

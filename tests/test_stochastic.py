@@ -180,20 +180,6 @@ def mixed_instance():
     return Horizon(T=3), storage, space
 
 
-@pytest.fixture
-def batch_calls(monkeypatch):
-    """(variables per program, programs) of every lp.solve_batch call."""
-    calls = []
-    real = lp_mod.solve_batch
-
-    def spy(program, c, b_eq, upper=None, rows=None):
-        calls.append((program.n_vars, len(c if rows is None else rows)))
-        return real(program, c, b_eq, upper, rows)
-
-    monkeypatch.setattr(lp_mod, "solve_batch", spy)
-    return calls
-
-
 @lru_cache(maxsize=None)
 def default_program():
     cal = default_calibration()
@@ -549,10 +535,10 @@ def test_nonanticipativity_couples_first_period_purchase():
     assert verify_policy(na, horizon, space) == []
 
 
-def test_default_nonanticipative_plan_is_certified_from_one_batch(batch_calls):
+def test_default_nonanticipative_plan_is_certified_from_one_batch(solver_calls):
     horizon, storage, space = default_program()
     na = solve_policy(horizon, storage, space, nonanticipative=True)
-    assert batch_calls == [(3 * horizon.T, 20)]
+    assert solver_calls.shapes() == [(3 * horizon.T, 20)]
     ws = solve_policy(horizon, storage, space)
     assert np.array_equal(na.purchase, ws.purchase)
     assert np.array_equal(na.battery, ws.battery)
@@ -562,22 +548,22 @@ def test_default_nonanticipative_plan_is_certified_from_one_batch(batch_calls):
     assert verify_policy(na, horizon, space) == []
 
 
-def test_coupled_solve_runs_only_for_groups_that_bind(batch_calls):
+def test_coupled_solve_runs_only_for_groups_that_bind(solver_calls):
     rng = np.random.default_rng(2718)
     for k in range(10):
         horizon, storage, space = coupled_instance(rng)
-        batch_calls.clear()
+        solver_calls.clear()
         solve_policy(horizon, storage, space, nonanticipative=True)
         n = 3 * horizon.T
-        assert batch_calls[0] == (n, 7), k
-        assert sorted(batch_calls[1:]) == [(2 * n, 1), (4 * n, 1)], k
+        assert solver_calls.shapes()[0] == (n, 7), k
+        assert sorted(solver_calls.shapes()[1:]) == [(2 * n, 1), (4 * n, 1)], k
 
 
-def test_certified_and_binding_groups_in_one_space(batch_calls):
+def test_certified_and_binding_groups_in_one_space(solver_calls):
     horizon, storage, space = mixed_instance()
     na = solve_policy(horizon, storage, space, nonanticipative=True)
     n = 3 * horizon.T
-    assert batch_calls == [(n, 5), (2 * n, 1)]
+    assert solver_calls.shapes() == [(n, 5), (2 * n, 1)]
     schedules, expected = per_group_oracle(horizon, storage, space, True, False)
     assert np.array_equal(na.purchase, schedules[0])
     assert np.array_equal(na.battery, schedules[1])
@@ -597,18 +583,12 @@ def test_certified_and_binding_groups_in_one_space(batch_calls):
 
 
 @pytest.mark.parametrize("nonanticipative", [False, True])
-def test_batched_programs_are_the_groups_own_programs_byte_for_byte(monkeypatch,
+def test_batched_programs_are_the_groups_own_programs_byte_for_byte(solver_calls,
                                                                     nonanticipative):
     horizon, storage, space = mixed_instance()
-    calls = []
-    real = lp_mod.solve_batch
-
-    def spy(program, c, b_eq, upper, rows):
-        calls.append((program, c[rows[:, 0]], b_eq[rows[:, 1]], upper[rows[:, 2]]))
-        return real(program, c, b_eq, upper, rows)
-
-    monkeypatch.setattr(lp_mod, "solve_batch", spy)
     solve_policy(horizon, storage, space, nonanticipative=nonanticipative)
+    calls = [(call.program, call.c[call.rows[:, 0]], call.b_eq[call.rows[:, 1]],
+              call.upper[call.rows[:, 2]]) for call in solver_calls.batches]
     # the wait-and-see batch of singletons, then the one group that binds
     expected = [[[w] for w in range(len(space))]]
     if nonanticipative:
@@ -627,7 +607,7 @@ def test_batched_programs_are_the_groups_own_programs_byte_for_byte(monkeypatch,
                 assert got.tobytes() == want.tobytes(), members
 
 
-def test_first_purchases_a_hair_apart_are_not_certified(batch_calls):
+def test_first_purchases_a_hair_apart_are_not_certified(solver_calls):
     # the dear future buys its 1e-7 Wh ahead, the cheap one does not; the
     # certificate compares exactly, so the group still goes to the coupled solve
     horizon = Horizon(T=3)
@@ -639,14 +619,14 @@ def test_first_purchases_a_hair_apart_are_not_certified(batch_calls):
         for label, later in (("spike", 40.0), ("dip", 5.0))))
     ws = solve_policy(horizon, storage, space)
     assert 0 < ws.purchase[0, 0] - ws.purchase[1, 0] < 1e-6
-    batch_calls.clear()
+    solver_calls.clear()
     na = solve_policy(horizon, storage, space, nonanticipative=True)
-    assert batch_calls == [(9, 2), (18, 1)]
+    assert solver_calls.shapes() == [(9, 2), (18, 1)]
     assert na.purchase[0, 0] == na.purchase[1, 0]
 
 
 def test_non_optimal_singleton_sends_its_group_to_the_coupled_solve(monkeypatch,
-                                                                   batch_calls):
+                                                                   solver_calls):
     horizon, storage, space = mixed_instance()
     spied = lp_mod.solve_batch
     flat_b = space.labels.index("flat-b")
@@ -660,7 +640,7 @@ def test_non_optimal_singleton_sends_its_group_to_the_coupled_solve(monkeypatch,
     monkeypatch.setattr(lp_mod, "solve_batch", flat_b_alone_not_optimal)
     na = solve_policy(horizon, storage, space, nonanticipative=True)
     n = 3 * horizon.T
-    assert batch_calls == [(n, 5), (2 * n, 2)]
+    assert solver_calls.shapes() == [(n, 5), (2 * n, 2)]
     full = monolithic_cost(horizon, storage, space, nonanticipative=True)
     assert na.expected_cost == pytest.approx(full, rel=1e-9)
     assert verify_policy(na, horizon, space) == []
