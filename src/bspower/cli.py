@@ -237,6 +237,9 @@ def cmd_estimate_probs(counts_path: str) -> int:
     if not isinstance(counts, list) or not counts:
         raise UsageError("counts file must hold a non-empty JSON array "
                          "(or an object with a 'counts' array)")
+    unknown = set(doc) - {"counts"} if isinstance(doc, dict) else set()
+    if unknown:
+        raise ConfigError(f"{counts_path}: unknown key(s) {sorted(unknown)}")
     for i, count in enumerate(counts):
         if json_kind(count) not in NUMBER_KINDS:
             raise ConfigError(f"{counts_path}: counts[{i}]: expected a number, "

@@ -28,7 +28,7 @@ import numpy as np
 from .calibration import Calibration
 from .power_model import consumption_trace
 from .scenarios import CompositeScenario, MarginalScenario, MarginalSpace, compose
-from .stochastic import InfeasibleProgramError, PolicyTable, solve_policies
+from .stochastic import InfeasibleProgramError, PolicyTable, _retention, solve_policies
 from .traffic import CacConfig, TrafficSpec, simulate_replicated, uniform_traffic
 from .units import Horizon
 
@@ -81,7 +81,7 @@ def evaluate_policy(policy: PolicyTable, day: RealizedDay,
     if day.price.size != T:
         raise ValueError(f"day has {day.price.size} periods, policy has {T}")
     storage = policy.storage
-    keep = 1.0 - storage.self_discharge if policy.physical_discharge else 1.0
+    keep = _retention(storage, policy.physical_discharge)
     s = np.empty(T)
     s[0] = storage.initial
     for t in range(T - 1):

@@ -33,7 +33,10 @@ positive in this one and without an upper bound, scaled to 1, so that its
 value rhs / entry is feasible. Only rows without one get an artificial
 variable, and a program without artificials skips phase 1. In the
 per-scenario storage program the purchase or the excess of each period
-is such a column, so phase 1 never runs.
+is such a column, so phase 1 never runs. After phase 1 each basic
+artificial is pivoted out; a row without an entry above PIVOT_TOL is
+redundant and is set to exactly 0, its artificial basic at level 0, so
+every program runs phase 2 in its stack.
 
 solve_batch solves a batch of programs that share a_eq and the lower
 bounds. A batch comes as row tables, cost rows, rhs rows and upper-bound
@@ -349,31 +352,17 @@ def _solve_stack(body, rhs, c, up, crash):
     if unbounded.any():
         raise RuntimeError("phase 1 terminated abnormally: unbounded")
     infeasible = -tableau[:, m, -1] > FEAS_TOL
-    redundant = _drop_artificials(tableau, basis, ~infeasible)
+    _drop_artificials(tableau, basis, ~infeasible)
 
-    # phase 2; a program with a redundant row finishes on its own stack
-    # without that row, as a one-program solve would
     cost = np.zeros((K, n + m))
     cost[:, :n] = c
     _price(tableau, basis, cost, complemented, up)
-    peel = redundant.any(axis=1) & ~infeasible
-    unbounded, it2, bland2 = _run_simplex(tableau, basis, complemented, up,
-                                          ~infeasible & ~peel)
+    unbounded, it2, bland2 = _run_simplex(tableau, basis, complemented, up, ~infeasible)
     x = _values(tableau, basis, complemented, up)
     # no verdict read from an overflowed tableau holds; an infeasible
     # program's reduced-cost row was priced for phase 2 but is never read
     finite = np.isfinite(tableau[:, :m, -1]).all(axis=1) & (
         np.isfinite(tableau[:, m]).all(axis=1) | infeasible)
-    for k in np.nonzero(peel)[0]:
-        keep = np.append(~redundant[k], True)
-        sub, sub_basis = tableau[k][keep][None], basis[k][~redundant[k]][None]
-        sub_complemented = complemented[k:k + 1].copy()
-        _price(sub, sub_basis, cost[k:k + 1], sub_complemented, up[k:k + 1])
-        ray, its, switched = _run_simplex(sub, sub_basis, sub_complemented, up[k:k + 1],
-                                          np.ones(1, bool))
-        unbounded[k], it2[k], bland2[k] = ray[0], its[0], switched[0]
-        x[k] = _values(sub, sub_basis, sub_complemented, up[k:k + 1])[0]
-        finite[k] = np.isfinite(sub[0, :, -1]).all() and np.isfinite(sub[0, -1]).all()
     status = np.where(infeasible, "infeasible", np.where(unbounded, "unbounded", "optimal"))
     status[~finite] = "numerical"
     return status, x, iterations + it2, bland | bland2
@@ -417,13 +406,10 @@ def _pivot(tableau, basis, k, r, j, col):
     piv_row /= col[at, r][:, None]
     col[at, r] = 0.0
     p, i = np.nonzero(col)
-    # a lone program's pivot row broadcasts; a stack's is taken once per
-    # updated row and scaled in place, so the update holds one copy of them
-    if k.size > 1:
-        update = piv_row.take(p, axis=0)
-        update *= col[p, i][:, None]
-    else:
-        update = col[p, i][:, None] * piv_row
+    # the pivot row is taken once per updated row and scaled in place, so
+    # the update holds one copy of them
+    update = piv_row.take(p, axis=0)
+    update *= col[p, i][:, None]
     flat[k[p] * m + i] -= update
     flat[pivot_rows] = piv_row
     basis[k, r] = j
@@ -546,20 +532,20 @@ def _improvement_bar(rhs):
 def _drop_artificials(tableau, basis, feasible):
     """Pivot basic artificials out after phase 1, row by row in order.
 
-    Returns the (program, row) mask of redundant rows, whose artificial
-    stays basic because every entry of the row is below PIVOT_TOL.
+    A redundant row, every entry of it below PIVOT_TOL, is set to exactly 0,
+    rhs included, and keeps its artificial basic (Chvatal, ch. 8): no pivot
+    updates a zero row, the ratio test never picks it and the artificial
+    costs 0 in phase 2, so the program finishes in its stack.
     """
     n = tableau.shape[2] - 1
-    redundant = np.zeros(basis.shape, dtype=bool)
     artificial = (basis >= n) & feasible[:, None]
     for r in np.nonzero(artificial.any(axis=0))[0]:
         k = np.nonzero(artificial[:, r])[0]
         big = np.abs(tableau[k, r, :n]) > PIVOT_TOL
         has = big.any(axis=1)
-        redundant[k[~has], r] = True
+        tableau[k[~has], r] = 0.0
         k, j = k[has], big[has].argmax(axis=1)
         _pivot(tableau, basis, k, np.full(k.size, r), j, tableau[k, :, j])
-    return redundant
 
 
 def _values(tableau, basis, complemented, up):

@@ -209,7 +209,13 @@ def build_deterministic_equivalent(
     nonanticipative: bool = False,
     physical_discharge: bool = False,
 ) -> tuple[lp_mod.LinearProgram, VariableMap]:
-    """Assemble the full LP over all scenarios and the column map."""
+    """Assemble the full LP over all scenarios and the column map.
+
+    This dense monolithic program is kept only as the documented oracle:
+    the HiGHS check in benchmarks/gate.py and the tests solve it to check
+    solve_policy. The CLI never calls it; solve_policies builds its blocks
+    from the same _structure, _costs and _rhs.
+    """
     _check_space(space, horizon)
     net_load = space.trace_matrix("consumption") - space.trace_matrix("renewable")
     a_eq, lower, upper = _structure(storage, len(space), horizon.T,

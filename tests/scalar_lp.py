@@ -10,10 +10,12 @@ stalling; and the same three-way ratio test: a basic variable falling to
 0, a basic variable rising to its upper bound (its row is complemented,
 then pivoted on) or a bound flip of the entering variable (its column is
 complemented, no pivot). Ties go to the bound flip, then to the lowest
-basis index. The rank-1 update is restricted to rows with a nonzero
-pivot-column entry. It returns solve_batch's record for a batch of one,
-and the batched solver must reproduce its solution, objective, iteration
-count, status and Bland flag bit for bit, program by program.
+basis index. A redundant row left after phase 1 is set to exactly 0 and
+keeps its artificial basic, as in the batch. The rank-1 update is
+restricted to rows with a nonzero pivot-column entry. It returns
+solve_batch's record for a batch of one, and the batched solver must
+reproduce its solution, objective, iteration count, status and Bland flag
+bit for bit, program by program.
 
 The stall counter counts only steps that do not improve the objective,
 read from the rhs entry of the reduced-cost row; ``best`` starts at the
@@ -142,7 +144,7 @@ def scalar_solve(lp: LinearProgram) -> LpResult:
             raise RuntimeError("phase 1 terminated abnormally: " + status1)
         if -tableau[-1, -1] > FEAS_TOL:
             return record(lp, "infeasible", iterations=iterations, bland=bland)
-        tableau, basis = _drop_artificials(tableau, basis)
+        _drop_artificials(tableau, basis)
 
     cost2 = np.zeros(n + m)
     cost2[:n] = prep.c
@@ -260,17 +262,12 @@ def _run_simplex(tableau, basis, complemented, up):
 
 
 def _drop_artificials(tableau, basis):
-    """Pivot basic artificials out after phase 1; drop redundant rows."""
-    m, n = basis.size, tableau.shape[1] - 1
-    drop = []
-    for r in range(m):
-        if basis[r] < n:
-            continue
+    """Pivot basic artificials out after phase 1, in place; a redundant row
+    is set to exactly 0, rhs included, and keeps its artificial basic."""
+    n = tableau.shape[1] - 1
+    for r in np.nonzero(basis >= n)[0]:
         row = np.abs(tableau[r, :n])
-        j = int(np.argmax(row > PIVOT_TOL)) if np.any(row > PIVOT_TOL) else -1
-        if j < 0:
-            drop.append(r)
-            continue
-        _pivot(tableau, basis, r, j)
-    keep = np.setdiff1d(np.arange(m + 1), drop)
-    return tableau[keep], basis[keep[:-1]]
+        if np.any(row > PIVOT_TOL):
+            _pivot(tableau, basis, r, int(np.argmax(row > PIVOT_TOL)))
+        else:
+            tableau[r] = 0.0

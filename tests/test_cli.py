@@ -482,6 +482,14 @@ def test_estimate_probs_missing_file(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_estimate_probs_refuses_unknown_keys(tmp_path, capsys):
+    path = write_json(tmp_path / "counts.json", {"counts": [1, 3], "count": [9, 9]})
+    assert main(["estimate-probs", path]) == 4
+    captured = capsys.readouterr()
+    assert "unknown key(s) ['count']" in captured.err
+    assert captured.out == ""
+
+
 def test_estimate_probs_rejects_non_array(tmp_path, capsys):
     path = write_json(tmp_path / "counts.json", {"not_counts": [1]})
     assert main(["estimate-probs", path]) == 2

@@ -287,6 +287,24 @@ def test_batch_mixing_verdicts_matches_the_oracle_per_program():
     assert statuses == ["optimal", "infeasible", "unbounded", "optimal", "optimal", "infeasible"]
 
 
+def test_programs_with_a_redundant_row_finish_in_their_stack(solver_calls):
+    # the rows of the mixing-verdicts batch: after phase 1 every feasible
+    # program has one redundant row, zeroed in place, and runs phase 2 with
+    # the rest of its stack, so the stack makes one call per phase
+    lp = with_slacks(LinearProgram(c=[1.0, 2.0, 0.0], a_eq=[[1.0, 1.0, 0.0], [2.0, 2.0, 0.0]],
+                                   b_eq=[1.0, 2.0], upper=[4.0, np.inf, np.inf]),
+                     [[1.0, 0.0, -1.0]], [3.0])
+    c = np.array([[1.0, 2.0, 0.0], [1.0, 2.0, -1.0], [-1.0, 1.0, 0.0], [2.0, 1.0, 0.5]])
+    b_eq = np.array([[1.0, 2.0], [1.0, 2.0], [2.0, 4.0], [-1.0, -2.0]])
+    c, b_eq = stack_with_slacks(c, b_eq, [3.0])
+    statuses = assert_batch_matches_oracle(lp, c, b_eq)
+    assert [k for k, _ in solver_calls.stacks] == [4]
+    assert solver_calls.simplex_runs == [2]
+    assert statuses == [brute_force_solve(alone(lp, c[k], b_eq[k])).status[0]
+                        for k in range(len(c))]
+    assert statuses == ["optimal", "unbounded", "optimal", "infeasible"]
+
+
 def test_batch_of_all_fixed_programs_matches_the_oracle():
     lp = LinearProgram(c=[1.0, 1.0], a_eq=[[1.0, 1.0]], b_eq=[3.0],
                        lower=[1.0, 2.0], upper=[1.0, 2.0])

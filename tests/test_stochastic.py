@@ -16,6 +16,7 @@ from bspower.stochastic import (
     StorageConfig,
     VariableMap,
     _nonanticipativity_groups,
+    _structure,
     build_deterministic_equivalent,
     per_scenario_decomposition,
     policy_csv_text,
@@ -533,6 +534,19 @@ def test_nonanticipativity_couples_first_period_purchase():
     assert na.purchase[0, 0] == pytest.approx(na.purchase[1, 0], abs=1e-7)
     assert na.expected_cost == pytest.approx(2.0, abs=1e-9)
     assert verify_policy(na, horizon, space) == []
+
+
+@pytest.mark.parametrize("capacity", [2000.0, 500.0, 0.0])
+@pytest.mark.parametrize("keep", [1.0, 0.999])
+def test_every_block_has_full_row_rank_on_its_free_columns(capacity, keep):
+    # every balance row has its own excess column and the coupling rows hold
+    # only first-period purchases, none of them fixed, so the simplex never
+    # meets a redundant row in a program the package builds
+    storage = StorageConfig(capacity=capacity, initial=capacity / 2, terminal=capacity / 4)
+    for size in (1, 2, 4, 12):
+        for coupled in ([[w] for w in range(size)], [range(size)]):
+            a_eq, lower, upper = _structure(storage, size, 24, keep, coupled)
+            assert np.linalg.matrix_rank(a_eq[:, lower != upper]) == len(a_eq), (size, coupled)
 
 
 def test_default_nonanticipative_plan_is_certified_from_one_batch(solver_calls):
