@@ -30,8 +30,7 @@ import numpy as np
 
 from .power_model import BaseStationParams, consumption_trace
 from .scenarios import (MarginalScenario, MarginalSpace, RateProfile,
-                        ScenarioDocument, ScenarioSpace, check_marginal_space,
-                        compose)
+                        ScenarioDocument, ScenarioSpace, compose)
 from .stochastic import StorageConfig
 from .traffic import CacConfig, TrafficSpec, simulate_replicated
 from .units import Horizon
@@ -257,11 +256,8 @@ def calibration_from_config(cfg: dict, scenarios: ScenarioDocument | None = None
     bat = cfg["battery"]
     loss_coeff = bat["loss_cost_coeff"]
     if loss_coeff is None:
-        # checked first, so a bad price trace is named as such rather than
-        # as the coefficient derived from it
-        problems = check_marginal_space(price)
-        if problems:
-            raise ValueError("invalid price scenarios:\n  " + "\n  ".join(problems))
+        # a ScenarioDocument checks its price block when built, so a bad trace
+        # is named as such rather than as the coefficient derived from it
         loss_coeff = derived_loss_cost(price, float(bat["self_discharge"]))
     storage = StorageConfig(
         capacity=float(bat["capacity_wh"]),

@@ -3,15 +3,17 @@
 Subcommands: solve, simulate, sweep {battery,cac,arrival}, estimate-probs.
 Shared flags: --config, --scenarios, --out, --seed; solve and simulate
 also take --nonanticipative and --physical-discharge. Exit codes: 0
-success, 2 usage error, 3 infeasible program, 4 I/O or file-format error
-(including non-finite numbers and values of the wrong JSON type), 5
-solver failure (including a non-finite optimal cost or an overflowed
-tableau).
+success, 2 usage error (including a bad value in a scenario file, named
+by key), 3 infeasible program, 4 I/O or file-format error (a decode
+error, an unknown or missing key, a non-finite number or a value of the
+wrong JSON type), 5 solver failure (including a non-finite optimal cost
+or an overflowed tableau).
 
-The config file is JSON with schema "bspower-config-1"; unknown keys are
-rejected, and each value must have the JSON type of its default (a number
-given as a string such as "inf" exits 4). A scenario file (schema
-"bspower-scenarios-1"), type-checked the same way against its layout,
+Every input file goes through scenarios.read_document. The config file is
+JSON with schema "bspower-config-1", its layout read off DEFAULT_CONFIG:
+unknown keys are rejected, and each value must have the JSON type of its
+default (a number given as a string such as "inf" exits 4). A scenario
+file (schema "bspower-scenarios-1", layout scenarios.SCENARIO_SPEC)
 replaces the default price/renewable marginals and either the consumption
 marginals or the traffic profiles. Outputs are byte-deterministic for a
 fixed config and seed: fixed-format CSVs plus a manifest recording the
@@ -35,9 +37,9 @@ from .calibration import (CONFIG_SCHEMA, DEFAULT_CONFIG, Calibration,
 from .evaluate import (RealizedDay, evaluate_policy, manifest_text,
                        monthly_cost, sweep_arrival_rate, sweep_battery,
                        sweep_cac)
-from .scenarios import (NUMBER_KINDS, ScenarioDocument, ScenarioFileError,
-                        estimate_probabilities, find_non_finite, json_kind,
-                        load_scenario_file, scenario_document_dict)
+from .scenarios import (ScenarioDocument, ScenarioFileError, check_document,
+                        estimate_probabilities, load_scenario_file, read_document,
+                        read_json, scenario_document_dict)
 from .stochastic import InfeasibleProgramError, policy_csv_text, solve_policy
 from .traffic import uniform_traffic
 
@@ -46,60 +48,35 @@ class UsageError(ValueError):
     """Bad invocation or unusable parameter values; exits with code 2."""
 
 
-class ConfigError(ValueError):
-    """Malformed config file content; exits with code 4."""
+def _override_spec(default):
+    """The layout of a config file, read off DEFAULT_CONFIG: any key may be
+    left out, and each value has the JSON kind of its default. A null default
+    (loss_cost_coeff) means "derive it", so a number may replace it."""
+    if isinstance(default, dict):
+        return {f"{key}?": _override_spec(value) for key, value in default.items()}
+    if isinstance(default, list):
+        return [_override_spec(default[0])]
+    return default if default is None or isinstance(default, str) else type(default)
 
 
-# The JSON kinds a config leaf accepts, by the kind of its default. A null
-# default (loss_cost_coeff) means "derive it", so a number may replace it.
-_LEAF_KINDS = {
-    "integer": ({"integer"}, "an integer"),
-    "number": ({"integer", "number"}, "a number"),
-    "null": ({"integer", "number", "null"}, "a number or null"),
-    "string": ({"string"}, "a string"),
-    "array": ({"array"}, "an array"),
-}
+CONFIG_SPEC = {**_override_spec(DEFAULT_CONFIG), "schema": CONFIG_SCHEMA}
+del CONFIG_SPEC["schema?"]
 
 
-def _check_leaf(default, value, where):
-    """A leaf must have the JSON kind of its default; strings never pass as numbers."""
-    accepted, wording = _LEAF_KINDS[json_kind(default)]
-    if json_kind(value) not in accepted:
-        raise ConfigError(f"{where}: expected {wording}, got {json_kind(value)}")
-    if isinstance(value, list):
-        for i, item in enumerate(value):
-            _check_leaf(default[0], item, f"{where}[{i}]")
-
-
-def _merge(defaults, override, where):
-    if not isinstance(override, dict):
-        raise ConfigError(f"{where}: expected an object, got {type(override).__name__}")
-    unknown = set(override) - set(defaults)
-    if unknown:
-        raise ConfigError(f"{where}: unknown key(s) {sorted(unknown)}")
+def _merge(defaults, override):
+    """defaults with the leaves a checked override gives replaced."""
+    if not isinstance(defaults, dict):
+        return override
     merged = copy.deepcopy(defaults)
     for key, value in override.items():
-        if isinstance(defaults[key], dict):
-            merged[key] = _merge(defaults[key], value, f"{where}.{key}")
-        else:
-            _check_leaf(defaults[key], value, f"{where}.{key}")
-            merged[key] = value
+        merged[key] = _merge(defaults[key], value)
     return merged
 
 
 def _load_config_file(path: str | None) -> dict:
     if path is None:
         return copy.deepcopy(DEFAULT_CONFIG)
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    if not isinstance(doc, dict) or doc.get("schema") != CONFIG_SCHEMA:
-        raise ConfigError(f"{path}: expected schema {CONFIG_SCHEMA!r}")
-    bad = find_non_finite(doc, "config")
-    if bad is not None:
-        raise ConfigError(f"{path}: {bad}: non-finite number")
-    return _merge(DEFAULT_CONFIG, doc, "config")
+    return _merge(DEFAULT_CONFIG, read_document(path, CONFIG_SPEC, "config"))
 
 
 @dataclass
@@ -228,27 +205,15 @@ def cmd_sweep(rc: RunConfig, kind: str) -> int:
 
 
 def cmd_estimate_probs(counts_path: str) -> int:
-    try:
-        doc = json.loads(Path(counts_path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(
-            f"{counts_path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    counts = doc.get("counts") if isinstance(doc, dict) else doc
-    if not isinstance(counts, list) or not counts:
-        raise UsageError("counts file must hold a non-empty JSON array "
+    doc = read_json(counts_path)
+    if not isinstance(doc, dict):
+        doc = {"counts": doc}
+    elif "counts" not in doc:
+        raise UsageError("counts file must hold a JSON array "
                          "(or an object with a 'counts' array)")
-    unknown = set(doc) - {"counts"} if isinstance(doc, dict) else set()
-    if unknown:
-        raise ConfigError(f"{counts_path}: unknown key(s) {sorted(unknown)}")
-    for i, count in enumerate(counts):
-        if json_kind(count) not in NUMBER_KINDS:
-            raise ConfigError(f"{counts_path}: counts[{i}]: expected a number, "
-                              f"got {json_kind(count)}")
-    bad = find_non_finite(counts, "counts")
-    if bad is not None:
-        raise ConfigError(f"{counts_path}: {bad}: non-finite number")
+    counts = check_document(doc, {"counts": [float]})["counts"]
     try:
-        probs = estimate_probabilities([float(c) for c in counts])
+        probs = estimate_probabilities(counts)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     print(" ".join(f"{p:g}" for p in probs))
@@ -313,7 +278,7 @@ def main(argv=None) -> int:
     except RuntimeError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 5
-    except (OSError, ConfigError, ScenarioFileError) as exc:
+    except (OSError, ScenarioFileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
     except ValueError as exc:

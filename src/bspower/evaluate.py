@@ -21,7 +21,6 @@ documented monotone trends hold exactly per run, not just in expectation.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from importlib import metadata
 
 import numpy as np
 
@@ -155,6 +154,9 @@ def _format_cell(v) -> str:
 def manifest_text(config_hash: str, seed: int) -> str:
     """Run provenance: config digest, seed, package version. No timestamps,
     so reruns of the same configuration are byte-identical."""
+    # imported here: it is ~15% of `import bspower`, and only this line needs it
+    from importlib import metadata
+
     try:
         version = metadata.version("bspower")
     except metadata.PackageNotFoundError:

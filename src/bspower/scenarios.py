@@ -7,8 +7,9 @@ combination, assuming the sources are independent. A fully joint space can
 also be constructed directly when correlation matters.
 
 Scenario documents are JSON with a versioned ``schema`` key; see
-``load_scenario_file`` for the layout. Unknown keys are rejected rather
-than ignored, and every value must have the JSON type the layout gives it
+``SCENARIO_SPEC`` for the layout. ``read_document`` is the one reader of
+every input file (scenario, config and counts): unknown or missing keys
+are rejected, and every value must have the JSON type the layout gives it
 (a number written as a string such as "inf" is refused).
 """
 
@@ -120,35 +121,46 @@ def estimate_probabilities(counts: Sequence[float]) -> np.ndarray:
     return scaled / scaled.sum()
 
 
+def _check_block(kind: str, scenarios, traces: tuple[str, ...],
+                 horizon: Horizon | None = None) -> list[str]:
+    """Diagnostics for one block of alternatives, each led by its key path
+    ``kind.scenarios[i].field`` (the same in a scenario file and on the
+    dataclasses): distinct labels, probabilities in (0, 1] of mass 1, and
+    non-negative traces of one length (T, given a horizon)."""
+    where = f"{kind}.scenarios"
+    if not scenarios:
+        return [f"{where}: no scenarios"]
+    problems: list[str] = []
+    lengths = {len(getattr(s, name)) for s in scenarios for name in traces}
+    if len(lengths) > 1:
+        problems.append(f"{where}: traces have mixed lengths {sorted(lengths)}")
+    labels = set()
+    for i, s in enumerate(scenarios):
+        entry, tag = f"{where}[{i}]", f"{kind}/{s.label}"
+        if s.label in labels:
+            problems.append(f"{entry}.label: duplicate scenario label {s.label!r}")
+        labels.add(s.label)
+        if not 0.0 < s.probability <= 1.0:
+            problems.append(f"{entry}.probability: {tag}: probability {s.probability} "
+                            f"outside (0, 1]")
+        for name in traces:
+            trace = getattr(s, name)
+            if horizon is not None and len(trace) != horizon.T:
+                problems.append(f"{entry}.{name}: {tag}: trace length {len(trace)} "
+                                f"!= T={horizon.T}")
+            if np.any(trace < 0):
+                problems.append(f"{entry}.{name}: {tag}: negative trace values")
+    mass = float(np.sum([s.probability for s in scenarios]))
+    if abs(mass - 1.0) > PROB_TOL:
+        problems.append(f"{where}: probability mass {mass:.12g} != 1")
+    return problems
+
+
 def check_marginal_space(space: MarginalSpace, horizon: Horizon | None = None) -> list[str]:
     """Diagnostics for one marginal space; empty list means valid."""
-    problems: list[str] = []
-    if space.kind not in MARGINAL_KINDS:
-        problems.append(f"unknown marginal kind {space.kind!r}")
-    if not space.scenarios:
-        problems.append(f"{space.kind}: no scenarios")
-        return problems
-    lengths = {len(s.values) for s in space.scenarios}
-    if len(lengths) > 1:
-        problems.append(f"{space.kind}: traces have mixed lengths {sorted(lengths)}")
-    if horizon is not None:
-        for s in space.scenarios:
-            if len(s.values) != horizon.T:
-                problems.append(
-                    f"{space.kind}/{s.label}: trace length {len(s.values)} != T={horizon.T}"
-                )
-    for s in space.scenarios:
-        if not 0.0 <= s.probability <= 1.0:
-            problems.append(f"{space.kind}/{s.label}: probability {s.probability} outside [0, 1]")
-        if np.any(s.values < 0):
-            problems.append(f"{space.kind}/{s.label}: negative trace values")
-    mass = float(space.probabilities.sum())
-    if abs(mass - 1.0) > PROB_TOL:
-        problems.append(f"{space.kind}: probability mass {mass:.12g} != 1")
-    labels = [s.label for s in space.scenarios]
-    if len(set(labels)) != len(labels):
-        problems.append(f"{space.kind}: duplicate scenario labels")
-    return problems
+    problems = [] if space.kind in MARGINAL_KINDS else [
+        f"kind: unknown marginal kind {space.kind!r}"]
+    return problems + _check_block(space.kind, space.scenarios, ("values",), horizon)
 
 
 def compose(
@@ -249,7 +261,12 @@ class RateProfile:
 @dataclass
 class ScenarioDocument:
     """Parsed scenario file: horizon, price/renewable marginals, and either
-    consumption traces or traffic rate profiles."""
+    consumption traces or traffic rate profiles.
+
+    Each block is checked once, where the document is built: a bad
+    probability, mass, label, trace length or negative value raises
+    ValueError naming its key (``price.scenarios[0].probability``).
+    """
 
     horizon: Horizon
     price: MarginalSpace
@@ -257,12 +274,23 @@ class ScenarioDocument:
     consumption: MarginalSpace | None = None
     traffic: list[RateProfile] = field(default_factory=list)
 
+    def __post_init__(self):
+        spaces = (self.price, self.renewable, self.consumption)
+        problems = [p for space in spaces if space is not None
+                    for p in check_marginal_space(space, self.horizon)]
+        if self.consumption is None:
+            problems += _check_block("traffic", self.traffic,
+                                     ("new_rate", "handoff_rate"), self.horizon)
+        if problems:
+            raise ValueError("invalid scenario document:\n  " + "\n  ".join(problems))
+
 
 class ScenarioFileError(ValueError):
-    """Raised when a scenario document is malformed; message names the key."""
+    """Raised when an input document (scenario, config or counts file) does
+    not have its layout; the message names the key."""
 
 
-def json_kind(value) -> str:
+def _json_kind(value) -> str:
     """JSON type of a parsed value, telling integers from other numbers."""
     for kind, cls in (("boolean", bool), ("integer", int), ("number", float),
                       ("string", str), ("array", list), ("null", type(None))):
@@ -271,147 +299,125 @@ def json_kind(value) -> str:
     return "object"
 
 
-NUMBER_KINDS = frozenset({"integer", "number"})
+_NUMBER_KINDS = frozenset({"integer", "number"})
+
+# The JSON kinds a leaf spec accepts, and how a message words them
+_LEAF_SPECS = {
+    int: ({"integer"}, "an integer"),
+    float: (_NUMBER_KINDS, "a number"),
+    None: (_NUMBER_KINDS | {"null"}, "a number or null"),
+    str: ({"string"}, "a string"),
+}
 
 
-def find_non_finite(value, where: str = "") -> str | None:
-    """Path of the first NaN or infinite number in parsed JSON, or None.
+def check_document(doc, spec, where: str = ""):
+    """doc itself, if it has the layout spec describes.
 
-    Python's json module accepts NaN and Infinity, reads 1e999 as inf and
-    a 400-digit integer as an int no float can hold, and range checks such
-    as ``trace < 0`` are false for NaN, so files are scanned for
-    non-finite numbers once, where they are read.
+    A spec is a dict for an object (a key ending in "?" may be left out,
+    every other key must be there, and no other key may), a one-item list
+    for an array of such items, ``int`` for an integer, ``float`` for any
+    number, ``None`` for a number or null, ``str`` for any string, and a
+    string value for that exact string. Numbers must be finite: Python's
+    json module accepts NaN and Infinity, reads 1e999 as inf and a
+    400-digit integer as an int no float can hold, and range checks such
+    as ``trace < 0`` are false for NaN. The first mismatch raises
+    ScenarioFileError naming its key path below ``where``.
     """
-    if json_kind(value) in NUMBER_KINDS:
-        return None if abs(value) <= sys.float_info.max else where
-    if isinstance(value, dict):
-        items = ((f"{where}.{k}" if where else str(k), v) for k, v in value.items())
-    elif isinstance(value, list):
-        items = ((f"{where}[{i}]", v) for i, v in enumerate(value))
+    name = where or "document"
+    if isinstance(spec, str):
+        if doc != spec:
+            raise ScenarioFileError(f"{name}: expected {spec!r}, got {doc!r}")
+        return doc
+    if isinstance(spec, dict):
+        kinds, wording = {"object"}, "a JSON object"
+    elif isinstance(spec, list):
+        kinds, wording = {"array"}, "a JSON array"
     else:
-        return None
-    for path, item in items:
-        found = find_non_finite(item, path)
-        if found is not None:
-            return found
-    return None
+        kinds, wording = _LEAF_SPECS[spec]
+    kind = _json_kind(doc)
+    if kind not in kinds:
+        raise ScenarioFileError(f"{name}: expected {wording}, got {kind}")
+    if kind in _NUMBER_KINDS and not abs(doc) <= sys.float_info.max:
+        raise ScenarioFileError(f"{name}: non-finite number")
+    if kind == "array":
+        for i, item in enumerate(doc):
+            check_document(item, spec[0], f"{where}[{i}]")
+    elif kind == "object":
+        keys = {key.removesuffix("?"): key for key in spec}
+        unknown = doc.keys() - keys
+        if unknown:
+            raise ScenarioFileError(f"{name}: unknown key(s) {sorted(unknown)}")
+        missing = [key for key in spec if not key.endswith("?") and key not in doc]
+        if missing:
+            raise ScenarioFileError(f"{name}: missing key(s) {sorted(missing)}")
+        for key, value in doc.items():
+            check_document(value, spec[keys[key]], f"{where}.{key}" if where else key)
+    return doc
 
 
-def _expect(value, kinds, wording: str, where: str):
-    """value itself, if its JSON kind is one of kinds."""
-    if json_kind(value) not in kinds:
-        raise ScenarioFileError(f"{where}: expected {wording}, got {json_kind(value)}")
-    return value
+def read_json(path: str | Path):
+    """The JSON document in a file; a decode error names its line or byte."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ScenarioFileError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise ScenarioFileError(f"{path}: not UTF-8 at byte {exc.start}") from exc
 
 
-def _number(value, where: str) -> float:
-    return float(_expect(value, NUMBER_KINDS, "a number", where))
+def read_document(path: str | Path, spec, where: str = ""):
+    """The JSON document in a file, checked against spec (see check_document)."""
+    return check_document(read_json(path), spec, where)
 
 
-def _numbers(value, where: str) -> list:
-    _expect(value, {"array"}, "an array of numbers", where)
-    return [_number(item, f"{where}[{i}]") for i, item in enumerate(value)]
+_ENTRY = {"label": str, "probability": float, "values": [float]}
+_PROFILE = {"label": str, "probability": float, "new_rate": [float],
+            "handoff_rate": [float], "mean_holding_min?": float}
+
+SCENARIO_SPEC = {
+    "schema": SCENARIO_SCHEMA,
+    "horizon": {"T": int, "period_hours?": float},
+    "price": {"scenarios": [_ENTRY]},
+    "renewable": {"scenarios": [_ENTRY]},
+    "consumption?": {"scenarios": [_ENTRY]},
+    "traffic?": {"scenarios": [_PROFILE]},
+}
 
 
-def _entries(obj, allowed: set[str], required: set[str], where: str) -> list:
-    """The scenario entries of a block {"scenarios": [...]}, each checked
-    to be an object with the allowed and required keys."""
-    _require_keys(obj, {"scenarios"}, {"scenarios"}, where)
-    entries = _expect(obj["scenarios"], {"array"}, "an array", f"{where}.scenarios")
-    for i, entry in enumerate(entries):
-        _require_keys(entry, allowed, required, f"{where}.scenarios[{i}]")
-    return entries
+def _marginal(doc: dict, kind: str) -> MarginalSpace:
+    return MarginalSpace(kind=kind, scenarios=tuple(
+        MarginalScenario(e["label"], float(e["probability"]), e["values"])
+        for e in doc[kind]["scenarios"]))
 
 
-def _require_keys(obj, allowed: set[str], required: set[str], where: str) -> None:
-    _expect(obj, {"object"}, "an object", where)
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ScenarioFileError(f"{where}: unknown key(s) {sorted(unknown)}")
-    missing = required - set(obj)
-    if missing:
-        raise ScenarioFileError(f"{where}: missing key(s) {sorted(missing)}")
-
-
-def _parse_marginal(obj, kind: str) -> MarginalSpace:
-    keys = {"label", "probability", "values"}
-    scenarios = []
-    for i, entry in enumerate(_entries(obj, keys, keys, kind)):
-        where = f"{kind}.scenarios[{i}]"
-        scenarios.append(
-            MarginalScenario(
-                label=_expect(entry["label"], {"string"}, "a string", f"{where}.label"),
-                probability=_number(entry["probability"], f"{where}.probability"),
-                values=_numbers(entry["values"], f"{where}.values"),
-            )
-        )
-    return MarginalSpace(kind=kind, scenarios=tuple(scenarios))
-
-
-def _parse_traffic(obj) -> list[RateProfile]:
-    required = {"label", "probability", "new_rate", "handoff_rate"}
-    profiles = []
-    for i, entry in enumerate(_entries(obj, required | {"mean_holding_min"}, required,
-                                       "traffic")):
-        where = f"traffic.scenarios[{i}]"
-        profiles.append(
-            RateProfile(
-                label=_expect(entry["label"], {"string"}, "a string", f"{where}.label"),
-                probability=_number(entry["probability"], f"{where}.probability"),
-                new_rate=_numbers(entry["new_rate"], f"{where}.new_rate"),
-                handoff_rate=_numbers(entry["handoff_rate"], f"{where}.handoff_rate"),
-                mean_holding_min=(_number(entry["mean_holding_min"], f"{where}.mean_holding_min")
-                                  if "mean_holding_min" in entry else None),
-            )
-        )
-    return profiles
-
-
-def parse_scenario_document(doc: dict) -> ScenarioDocument:
-    if not isinstance(doc, dict):
-        raise ScenarioFileError("scenario document must be a JSON object")
-    bad = find_non_finite(doc)
-    if bad is not None:
-        raise ScenarioFileError(f"{bad}: non-finite number")
-    _require_keys(
-        doc,
-        {"schema", "horizon", "price", "renewable", "consumption", "traffic"},
-        {"schema", "horizon", "price", "renewable"},
-        "document",
-    )
-    if doc["schema"] != SCENARIO_SCHEMA:
-        raise ScenarioFileError(
-            f"schema: expected {SCENARIO_SCHEMA!r}, got {doc['schema']!r}"
-        )
-    _require_keys(doc["horizon"], {"T", "period_hours"}, {"T"}, "horizon")
-    horizon = Horizon(
-        T=_expect(doc["horizon"]["T"], {"integer"}, "an integer", "horizon.T"),
-        period_hours=_number(doc["horizon"].get("period_hours", 1.0), "horizon.period_hours"),
-    )
+def _scenario_document(doc: dict) -> ScenarioDocument:
+    """The ScenarioDocument of a document that has SCENARIO_SPEC's layout."""
     if "consumption" not in doc and "traffic" not in doc:
         raise ScenarioFileError("document: needs either 'consumption' or 'traffic'")
     if "consumption" in doc and "traffic" in doc:
         raise ScenarioFileError("document: 'consumption' and 'traffic' are exclusive")
     return ScenarioDocument(
-        horizon=horizon,
-        price=_parse_marginal(doc["price"], "price"),
-        renewable=_parse_marginal(doc["renewable"], "renewable"),
-        consumption=(
-            _parse_marginal(doc["consumption"], "consumption")
-            if "consumption" in doc else None
-        ),
-        traffic=_parse_traffic(doc["traffic"]) if "traffic" in doc else [],
+        horizon=Horizon(T=doc["horizon"]["T"],
+                        period_hours=float(doc["horizon"].get("period_hours", 1.0))),
+        price=_marginal(doc, "price"),
+        renewable=_marginal(doc, "renewable"),
+        consumption=_marginal(doc, "consumption") if "consumption" in doc else None,
+        traffic=[RateProfile(e["label"], float(e["probability"]), e["new_rate"],
+                             e["handoff_rate"], float(e["mean_holding_min"])
+                             if "mean_holding_min" in e else None)
+                 for e in doc["traffic"]["scenarios"]] if "traffic" in doc else [],
     )
+
+
+def parse_scenario_document(doc: dict) -> ScenarioDocument:
+    """The ScenarioDocument of a parsed JSON document; a layout error raises
+    ScenarioFileError and a bad value ValueError, each naming its key."""
+    return _scenario_document(check_document(doc, SCENARIO_SPEC))
 
 
 def load_scenario_file(path: str | Path) -> ScenarioDocument:
     """Read and validate a scenario JSON document."""
-    text = Path(path).read_text()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ScenarioFileError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    return parse_scenario_document(doc)
+    return _scenario_document(read_document(path, SCENARIO_SPEC))
 
 
 def scenario_document_dict(document: ScenarioDocument) -> dict:

@@ -408,9 +408,10 @@ def _policy(storage, space, cube, blocks, nonanticipative, physical_discharge):
                 f"of {label!r}; check battery endpoint "
                 f"levels (initial={storage.initial}, terminal={storage.terminal}) "
                 f"against capacity {storage.capacity}")
-        raise RuntimeError(
-            f"the scenario group of {label!r} solved {statuses[first]} with cost "
-            f"{costs[first]}; trace values too large for the solver")
+        # an overflowed block has no cost to show; an optimal one shows its inf
+        cost = f" with cost {costs[first]}" if statuses[first] == "optimal" else ""
+        raise RuntimeError(f"the scenario group of {label!r} solved {statuses[first]}"
+                           f"{cost}; trace values too large for the solver")
     expected = 0.0
     for mass, cost in zip(masses[order].tolist(), costs[order].tolist()):
         expected += mass * cost

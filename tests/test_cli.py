@@ -154,6 +154,24 @@ def test_solve_rejects_nan_in_scenario_trace(tmp_path, capsys):
     assert not (out / "policy.csv").exists()
 
 
+def test_zero_price_probability_is_refused_once_by_key(tmp_path, capsys):
+    # each block is checked where it is parsed, so the bad entry is named
+    # once, not once per composite scenario that contains it
+    doc = json.loads(json.dumps(TWO_DAY_SCENARIOS))
+    doc["renewable"]["scenarios"].append(
+        {"label": "some", "probability": 0.5, "values": [5.0, 5.0, 5.0]})
+    doc["renewable"]["scenarios"][0]["probability"] = 0.5
+    doc["price"]["scenarios"][0]["probability"] = 0.0
+    doc["price"]["scenarios"][1]["probability"] = 1.0
+    path = write_json(tmp_path / "zero.json", doc)
+    out = tmp_path / "o"
+    assert main(["solve", "--scenarios", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("price.scenarios[0].probability") == 1
+    assert "outside (0, 1]" in err and "|" not in err
+    assert not out.exists()
+
+
 TRAFFIC_BLOCK = {"scenarios": [
     {"label": "busy", "probability": 1.0,
      "new_rate": [0.7, 1.4, 1.4, 0.7], "handoff_rate": [0.3, 0.6, 0.6, 0.3]},
@@ -240,6 +258,7 @@ def test_non_finite_optimal_cost_is_a_solver_failure(tmp_path):
     assert run.returncode == 5, run.stderr
     assert "solver failure" in run.stderr and "'p|r|c'" in run.stderr
     assert "inf" not in run.stdout and "nan" not in run.stdout
+    assert "nan" not in run.stderr
 
 
 def test_traffic_profile_with_an_overflowing_rate_is_a_usage_error(tmp_path, capsys):
@@ -253,6 +272,35 @@ def test_traffic_profile_with_an_overflowing_rate_is_a_usage_error(tmp_path, cap
     assert main(["solve", "--scenarios", path, "--out", str(tmp_path / "o")]) == 2
     assert "arrival rates must be finite" in capsys.readouterr().err
     assert not (tmp_path / "o" / "policy.csv").exists()
+
+
+@pytest.mark.parametrize("path, value, key", [
+    (("traffic", "scenarios", 0, "probability"), 0.0, "traffic.scenarios[0].probability"),
+    (("traffic", "scenarios", 0, "probability"), -0.5, "traffic.scenarios[0].probability"),
+    (("traffic", "scenarios", 0, "new_rate"), [0.7, -1.0, 1.4, 0.7],
+     "traffic.scenarios[0].new_rate"),
+    (("traffic", "scenarios", 0, "handoff_rate"), [0.3, 0.6, 0.6],
+     "traffic.scenarios[0].handoff_rate"),
+], ids=("zero-probability", "negative-probability", "negative-rate", "short-rate"))
+def test_bad_traffic_profile_is_refused_by_key_before_any_simulation(
+        tmp_path, capsys, monkeypatch, path, value, key):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("traffic was simulated")
+
+    monkeypatch.setattr("bspower.calibration.simulate_replicated", no_simulation)
+    scenarios = write_json(tmp_path / "traffic.json", tiny_with(path, value))
+    out = tmp_path / "o"
+    assert main(["solve", "--scenarios", scenarios, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert key in captured.err and captured.out == ""
+    assert not out.exists()
+
+
+def test_empty_traffic_block_is_refused_not_replaced_by_defaults(tmp_path, capsys):
+    scenarios = write_json(tmp_path / "traffic.json",
+                           tiny_with(("traffic", "scenarios"), []))
+    assert main(["solve", "--scenarios", scenarios, "--out", str(tmp_path / "o")]) == 2
+    assert "traffic.scenarios: no scenarios" in capsys.readouterr().err
 
 
 def test_traffic_profile_without_holding_time_takes_the_config_value(tmp_path, capsys):
@@ -475,6 +523,15 @@ def test_estimate_probs_rejects_non_finite_counts(tmp_path, capsys):
     path.write_text('{"counts": [15, Infinity]}')
     assert main(["estimate-probs", str(path)]) == 4
     assert "counts[1]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["estimate-probs"], ["solve", "--scenarios"],
+                                     ["solve", "--config"]], ids=" ".join)
+def test_input_file_that_is_not_utf8_is_a_decode_error(tmp_path, capsys, command):
+    path = tmp_path / "in.json"
+    path.write_bytes(b'{"counts": [1, 2]}\n\xff')
+    assert main([*command, str(path)]) == 4
+    assert f"{path}: not UTF-8 at byte 19" in capsys.readouterr().err
 
 
 def test_estimate_probs_missing_file(tmp_path, capsys):

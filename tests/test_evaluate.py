@@ -1,10 +1,15 @@
 """Policy replay, the no-scheduling baseline, reports, and sweeps."""
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bspower
 import bspower.lp as lp_mod
 from bspower.calibration import (
     DEFAULT_ARRIVAL_RATES,
@@ -283,6 +288,19 @@ def test_manifest_is_stable_and_labelled():
     assert "config_sha256: deadbeef" in a
     assert "seed: 7" in a
     assert "bspower" in a
+
+
+def test_importing_the_package_leaves_importlib_metadata_unloaded():
+    # only manifest_text needs the package version, so it imports it
+    code = ("import sys; before = 'importlib.metadata' in sys.modules; import bspower; "
+            "print(before, 'importlib.metadata' in sys.modules)")
+    src = str(Path(bspower.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=120, check=True)
+    before, after = run.stdout.split()
+    assert after == before, run.stdout
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from bspower.scenarios import (
     ScenarioDocument,
     ScenarioFileError,
     ScenarioSpace,
+    check_document,
     check_marginal_space,
     compose,
     estimate_probabilities,
@@ -343,3 +344,54 @@ def test_load_reports_json_syntax_position(tmp_path):
     path.write_text('{"schema": "bspower-scenarios-1",\n  "horizon": }\n')
     with pytest.raises(ScenarioFileError, match="line 2"):
         load_scenario_file(path)
+
+
+def test_document_checks_each_block_by_key_where_it_is_built():
+    doc = _document_with_consumption()
+    zero = _marginal("price", [("hi", 0.0), ("lo", 1.0)])
+    with pytest.raises(ValueError, match=r"price\.scenarios\[0\]\.probability: price/hi"):
+        replace(doc, price=zero)
+    short = _marginal("consumption", [("busy", 1.0)], T=3)
+    with pytest.raises(ValueError, match=r"consumption\.scenarios\[0\]\.values: .*T=4"):
+        replace(doc, consumption=short)
+    traffic = _document_with_traffic()
+    with pytest.raises(ValueError, match=r"traffic\.scenarios: no scenarios"):
+        replace(traffic, traffic=[])
+    twin = [traffic.traffic[0], replace(traffic.traffic[0], probability=0.0)]
+    with pytest.raises(ValueError, match=r"traffic\.scenarios\[1\]\.label: duplicate"):
+        replace(traffic, traffic=twin)
+
+
+SPEC = {"name": str, "count": int, "scale?": float, "limit?": None,
+        "tag": "v1", "items?": [{"x": float}]}
+
+
+def test_check_document_accepts_its_layout_and_returns_the_document():
+    doc = {"name": "a", "count": 3, "tag": "v1", "limit": None,
+           "items": [{"x": 1}, {"x": 2.5}]}
+    assert check_document(doc, SPEC) is doc
+    assert check_document(dict(doc, limit=2), SPEC) is not None
+    with pytest.raises(ScenarioFileError, match=r"document: missing key\(s\) \['count'\]"):
+        check_document({"name": "a", "tag": "v1"}, SPEC)
+    with pytest.raises(ScenarioFileError, match=r"cfg\.count: expected an integer"):
+        check_document(dict(doc, count="3"), SPEC, "cfg")
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"count": 3.0}, "count: expected an integer, got number"),
+    ({"count": True}, "count: expected an integer, got boolean"),
+    ({"scale": "1"}, "scale: expected a number, got string"),
+    ({"limit": "0"}, "limit: expected a number or null, got string"),
+    ({"tag": "v2"}, "tag: expected 'v1', got 'v2'"),
+    ({"items": {"x": 1}}, "items: expected a JSON array, got object"),
+    ({"items": [{"x": 1}, 5]}, r"items\[1\]: expected a JSON object, got integer"),
+    ({"items": [{"x": 1e999}]}, r"items\[0\]\.x: non-finite number"),
+    ({"items": [{"x": -10 ** 400}]}, r"items\[0\]\.x: non-finite number"),
+    ({"items": [{"x": 1, "y": 2}]}, r"items\[0\]: unknown key\(s\) \['y'\]"),
+    ({"items": [{}]}, r"items\[0\]: missing key\(s\) \['x'\]"),
+    ({"extra": 1}, r"document: unknown key\(s\) \['extra'\]"),
+])
+def test_check_document_names_the_first_mismatch_by_key(change, message):
+    doc = dict({"name": "a", "count": 3, "tag": "v1"}, **change)
+    with pytest.raises(ScenarioFileError, match=message):
+        check_document(doc, SPEC)
