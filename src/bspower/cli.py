@@ -97,18 +97,21 @@ _MAX_SIM_DAYS = 100_000
 
 def _check_ranges(cfg: dict) -> None:
     """Refuse out-of-range config values by key, before any work is done."""
-    if cfg["seed"] < 0:
-        raise UsageError(f"config.seed must be non-negative, got {cfg['seed']}")
-    handoff = cfg["traffic"]["handoff_fraction"]
-    if not 0.0 <= handoff <= 1.0:
-        raise UsageError(f"config.traffic.handoff_fraction must be in [0, 1], got {handoff}")
-    days = cfg["simulate"]["days"]
-    if not 1 <= days <= _MAX_SIM_DAYS:
-        raise UsageError(f"config.simulate.days must be in [1, {_MAX_SIM_DAYS}], got {days}")
-    channels, connections = cfg["cac"]["channels"], cfg["base_station"]["max_connections"]
-    if channels > connections:
-        raise UsageError(f"config.cac.channels must be at most "
-                         f"config.base_station.max_connections ({connections}), got {channels}")
+    traffic, connections = cfg["traffic"], cfg["base_station"]["max_connections"]
+    for key, value, ok, rule in (
+            ("seed", cfg["seed"], cfg["seed"] >= 0, "be non-negative"),
+            ("traffic.handoff_fraction", traffic["handoff_fraction"],
+             0.0 <= traffic["handoff_fraction"] <= 1.0, "be in [0, 1]"),
+            ("traffic.mean_holding_min", traffic["mean_holding_min"],
+             traffic["mean_holding_min"] > 0.0, "be positive"),
+            ("traffic.replications", traffic["replications"],
+             traffic["replications"] >= 1, "be >= 1"),
+            ("simulate.days", cfg["simulate"]["days"],
+             1 <= cfg["simulate"]["days"] <= _MAX_SIM_DAYS, f"be in [1, {_MAX_SIM_DAYS}]"),
+            ("cac.channels", cfg["cac"]["channels"], cfg["cac"]["channels"] <= connections,
+             f"be at most config.base_station.max_connections ({connections})")):
+        if not ok:
+            raise UsageError(f"config.{key} must {rule}, got {value}")
 
 
 def _build_run_config(args) -> RunConfig:

@@ -171,9 +171,11 @@ def manifest_text(config_hash: str, seed: int) -> str:
 # ---------------------------------------------------------------------------
 
 def _scaled_renewable(space: MarginalSpace, factor: float) -> MarginalSpace:
-    return MarginalSpace(kind="renewable", scenarios=tuple(
-        MarginalScenario(s.label, s.probability, s.values * factor)
-        for s in space.scenarios))
+    # a trace that overflows is refused by key when it is composed
+    with np.errstate(over="ignore"):
+        return MarginalSpace(kind="renewable", scenarios=tuple(
+            MarginalScenario(s.label, s.probability, s.values * factor)
+            for s in space.scenarios))
 
 
 def _single_consumption(values: np.ndarray) -> MarginalSpace:

@@ -10,13 +10,18 @@ Scenario documents are JSON with a versioned ``schema`` key; see
 ``SCENARIO_SPEC`` for the layout. ``read_document`` is the one reader of
 every input file (scenario, config and counts): unknown or missing keys
 are rejected, and every value must have the JSON type the layout gives it
-(a number written as a string such as "inf" is refused).
+(a number written as a string such as "inf" is refused). One checker,
+``_check_block``, holds the value rules of a scenario file's blocks,
+marginal spaces, compose's product and joint spaces (``validate``):
+distinct labels, probabilities in (0, 1] of mass 1, and finite,
+non-negative traces of one length (T, given a horizon).
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -123,34 +128,45 @@ def estimate_probabilities(counts: Sequence[float]) -> np.ndarray:
 
 def _check_block(kind: str, scenarios, traces: tuple[str, ...],
                  horizon: Horizon | None = None) -> list[str]:
-    """Diagnostics for one block of alternatives, each led by its key path
-    ``kind.scenarios[i].field`` (the same in a scenario file and on the
-    dataclasses): distinct labels, probabilities in (0, 1] of mass 1, and
-    non-negative traces of one length (T, given a horizon)."""
-    where = f"{kind}.scenarios"
+    """Diagnostics for one block of alternatives (see the module docstring),
+    each led by its key path ``kind.scenarios[i].field``, or
+    ``scenarios[i].field`` for a joint space, whose kind is ""."""
+    where, tag = (f"{kind}.scenarios", f"{kind}/") if kind else ("scenarios", "")
     if not scenarios:
         return [f"{where}: no scenarios"]
-    problems: list[str] = []
-    lengths = {len(getattr(s, name)) for s in scenarios for name in traces}
-    if len(lengths) > 1:
-        problems.append(f"{where}: traces have mixed lengths {sorted(lengths)}")
-    labels = set()
-    for i, s in enumerate(scenarios):
-        entry, tag = f"{where}[{i}]", f"{kind}/{s.label}"
-        if s.label in labels:
+    flat = [getattr(s, name) for s in scenarios for name in traces]
+    lengths = [len(trace) for trace in flat]
+    shapes = {trace.shape for trace in flat}
+    if len(shapes) == 1:  # one comparison over (scenarios x traces) rows
+        stacked = np.array(flat).reshape(len(flat), math.prod(shapes.pop()))
+        negative, finite = (stacked < 0).any(axis=1), np.isfinite(stacked).all(axis=1)
+    else:
+        negative = np.array([np.any(trace < 0) for trace in flat], dtype=bool)
+        finite = np.array([np.all(np.isfinite(trace)) for trace in flat], dtype=bool)
+    wrong = (np.array(lengths) != horizon.T) if horizon else np.zeros_like(negative)
+    first: dict = {}  # each label's first index
+    duplicate = np.array([first.setdefault(s.label, i) != i for i, s in enumerate(scenarios)])
+    probabilities = np.array([s.probability for s in scenarios], dtype=float)
+    outside = ~((probabilities > 0.0) & (probabilities <= 1.0))
+    flagged = (wrong | negative | ~finite).reshape(len(scenarios), len(traces)).any(axis=1)
+    problems = ([f"{where}: traces have mixed lengths {sorted(set(lengths))}"]
+                if len(set(lengths)) > 1 else [])
+    for i in np.flatnonzero(duplicate | outside | flagged).tolist():
+        s, entry = scenarios[i], f"{where}[{i}]"
+        if duplicate[i]:
             problems.append(f"{entry}.label: duplicate scenario label {s.label!r}")
-        labels.add(s.label)
-        if not 0.0 < s.probability <= 1.0:
-            problems.append(f"{entry}.probability: {tag}: probability {s.probability} "
-                            f"outside (0, 1]")
-        for name in traces:
-            trace = getattr(s, name)
-            if horizon is not None and len(trace) != horizon.T:
-                problems.append(f"{entry}.{name}: {tag}: trace length {len(trace)} "
-                                f"!= T={horizon.T}")
-            if np.any(trace < 0):
-                problems.append(f"{entry}.{name}: {tag}: negative trace values")
-    mass = float(np.sum([s.probability for s in scenarios]))
+        if outside[i]:
+            problems.append(f"{entry}.probability: {tag}{s.label}: probability "
+                            f"{s.probability} outside (0, 1]")
+        for j, name in enumerate(traces, start=i * len(traces)):
+            lead = f"{entry}.{name}: {tag}{s.label}:"
+            if wrong[j]:
+                problems.append(f"{lead} trace length {lengths[j]} != T={horizon.T}")
+            if negative[j]:
+                problems.append(f"{lead} negative trace values")
+            if not finite[j]:
+                problems.append(f"{lead} non-finite trace values")
+    mass = float(probabilities.sum())
     if abs(mass - 1.0) > PROB_TOL:
         problems.append(f"{where}: probability mass {mass:.12g} != 1")
     return problems
@@ -171,8 +187,10 @@ def compose(
     """Cartesian product of the three marginals under independence.
 
     Pr of each composite is the product of its marginal probabilities, so
-    total mass is preserved. Composite labels join the marginal labels
-    with '|'.
+    total mass is preserved up to rounding. Composite labels join the
+    marginal labels with '|'. A product of checked marginals whose labels
+    collide through the join ('a|b' + 'c', 'a' + 'b|c'), whose probability
+    underflows to 0 or whose mass drifts past PROB_TOL raises ValueError.
     """
     spaces = {"price": price, "renewable": renewable, "consumption": consumption}
     problems = []
@@ -183,53 +201,23 @@ def compose(
     lengths = {len(space.scenarios[0].values) for space in spaces.values() if space.scenarios}
     if len(lengths) > 1:
         problems.append(f"marginal trace lengths differ: {sorted(lengths)}")
+    if not problems:
+        composites = tuple(
+            CompositeScenario(f"{p.label}|{r.label}|{c.label}",
+                              p.probability * r.probability * c.probability,
+                              price=p.values, renewable=r.values, consumption=c.values)
+            for p, r, c in itertools.product(price.scenarios, renewable.scenarios,
+                                             consumption.scenarios))
+        problems = _check_block("", composites, ())  # the product's labels and mass
     if problems:
         raise ValueError("cannot compose scenario spaces:\n  " + "\n  ".join(problems))
-
-    composites = []
-    for p, r, c in itertools.product(price.scenarios, renewable.scenarios, consumption.scenarios):
-        composites.append(
-            CompositeScenario(
-                label=f"{p.label}|{r.label}|{c.label}",
-                probability=p.probability * r.probability * c.probability,
-                price=p.values,
-                renewable=r.values,
-                consumption=c.values,
-            )
-        )
-    return ScenarioSpace(tuple(composites))
+    return ScenarioSpace(composites)
 
 
 def validate(space: ScenarioSpace, horizon: Horizon) -> list[str]:
-    """Diagnostics for a joint scenario space; empty list means valid."""
-    problems: list[str] = []
-    if not space.scenarios:
-        problems.append("scenario space is empty")
-        return problems
-    names = ("price", "renewable", "consumption")
-    traces = [[getattr(s, name) for name in names] for s in space.scenarios]
-    # one check over the stacked traces when every trace has length T
-    negative = None
-    if all(trace.shape == (horizon.T,) for row in traces for trace in row):
-        negative = (np.array(traces) < 0).any(axis=2)
-    for w, s in enumerate(space.scenarios):
-        for i, name in enumerate(names):
-            trace = traces[w][i]
-            if len(trace) != horizon.T:
-                problems.append(
-                    f"{s.label}: {name} trace length {len(trace)} != T={horizon.T}"
-                )
-            if negative[w, i] if negative is not None else np.any(trace < 0):
-                problems.append(f"{s.label}: negative {name} values")
-        if not 0.0 < s.probability <= 1.0:
-            problems.append(f"{s.label}: probability {s.probability} outside (0, 1]")
-    mass = float(space.probabilities.sum())
-    if abs(mass - 1.0) > PROB_TOL:
-        problems.append(f"probability mass {mass:.12g} != 1")
-    labels = space.labels
-    if len(set(labels)) != len(labels):
-        problems.append("duplicate composite scenario labels")
-    return problems
+    """Diagnostics for a joint scenario space, keyed ``scenarios[i].price``
+    (see _check_block); empty list means valid."""
+    return _check_block("", space.scenarios, MARGINAL_KINDS, horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +252,9 @@ class ScenarioDocument:
     consumption traces or traffic rate profiles.
 
     Each block is checked once, where the document is built: a bad
-    probability, mass, label, trace length or negative value raises
-    ValueError naming its key (``price.scenarios[0].probability``).
+    probability, mass, label, trace length, negative or non-finite value,
+    or a traffic profile's holding time of 0 or below raises ValueError
+    naming its key (``price.scenarios[0].probability``).
     """
 
     horizon: Horizon
@@ -281,6 +270,10 @@ class ScenarioDocument:
         if self.consumption is None:
             problems += _check_block("traffic", self.traffic,
                                      ("new_rate", "handoff_rate"), self.horizon)
+            problems += [f"traffic.scenarios[{i}].mean_holding_min: traffic/{p.label}: "
+                         f"mean holding time {p.mean_holding_min} must be positive"
+                         for i, p in enumerate(self.traffic)
+                         if p.mean_holding_min is not None and not p.mean_holding_min > 0]
         if problems:
             raise ValueError("invalid scenario document:\n  " + "\n  ".join(problems))
 

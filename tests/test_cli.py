@@ -238,6 +238,19 @@ def test_file_value_of_the_wrong_json_type_is_refused_by_key(tmp_path, capsys,
     assert not out.exists()
 
 
+def test_sweep_whose_scaled_renewable_overflows_is_refused_by_key(tmp_path, capsys,
+                                                                  solver_calls):
+    cfg = write_json(tmp_path / "cfg.json", {
+        "schema": "bspower-config-1",
+        "sweeps": {"battery": {"renewable_scalings": [1e308]}}})
+    out = tmp_path / "o"
+    assert main(["sweep", "battery", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "renewable.scenarios[0].values: renewable/" in err
+    assert "non-finite trace values" in err
+    assert solver_calls.batches == [] and not out.exists()
+
+
 def test_non_finite_optimal_cost_is_a_solver_failure(tmp_path):
     # every number is finite, but buying 1e300 Wh at 1e305 cents/Wh costs
     # more than a float holds. The CLI runs in its own process, as a user
@@ -281,7 +294,12 @@ def test_traffic_profile_with_an_overflowing_rate_is_a_usage_error(tmp_path, cap
      "traffic.scenarios[0].new_rate"),
     (("traffic", "scenarios", 0, "handoff_rate"), [0.3, 0.6, 0.6],
      "traffic.scenarios[0].handoff_rate"),
-], ids=("zero-probability", "negative-probability", "negative-rate", "short-rate"))
+    (("traffic", "scenarios", 0, "mean_holding_min"), 0.0,
+     "traffic.scenarios[0].mean_holding_min"),
+    (("traffic", "scenarios", 0, "mean_holding_min"), -2.5,
+     "traffic.scenarios[0].mean_holding_min"),
+], ids=("zero-probability", "negative-probability", "negative-rate", "short-rate",
+        "zero-holding", "negative-holding"))
 def test_bad_traffic_profile_is_refused_by_key_before_any_simulation(
         tmp_path, capsys, monkeypatch, path, value, key):
     def no_simulation(*args, **kwargs):
@@ -633,7 +651,10 @@ def test_config_bad_battery_values_are_usage_errors(tiny, tmp_path, capsys):
     ({"simulate": {"days": 0}}, "config.simulate.days"),
     ({"simulate": {"days": 1000000000000}}, "config.simulate.days"),
     ({"cac": {"channels": 40, "threshold": 40}}, "config.cac.channels"),
-], ids=("seed", "handoff-fraction", "days", "days-cap", "channels"))
+    ({"traffic": {"mean_holding_min": 0}}, "config.traffic.mean_holding_min"),
+    ({"traffic": {"replications": 0}}, "config.traffic.replications"),
+], ids=("seed", "handoff-fraction", "days", "days-cap", "channels", "holding",
+        "replications"))
 @pytest.mark.parametrize("command", [
     ["solve"], ["simulate"], ["sweep", "battery"], ["sweep", "cac"], ["sweep", "arrival"],
 ], ids=" ".join)

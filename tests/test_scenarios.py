@@ -1,12 +1,14 @@
 """Scenario spaces: probability estimation, composition, and JSON documents."""
 
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from bspower.scenarios import (
+    MARGINAL_KINDS,
     CompositeScenario,
     MarginalScenario,
     MarginalSpace,
@@ -174,6 +176,17 @@ def test_compose_rejects_inconsistent_marginals():
     bad_mass = _marginal("price", [("a", 0.5)])
     with pytest.raises(ValueError, match="mass"):
         compose(bad_mass, renew, cons)
+    # each marginal passes its check, their product does not: labels that
+    # join into one, probabilities that underflow to 0, a mass that drifts
+    for entries, message in (
+            ([[("a|b", 0.5), ("a", 0.5)], [("c", 0.5), ("b|c", 0.5)], [("d", 1.0)]],
+             "scenarios[3].label: duplicate scenario label 'a|b|c|d'"),
+            ([[("a", 1e-200), ("b", 1.0)]] * 3,
+             "scenarios[0].probability: a|a|a: probability 0.0 outside (0, 1]"),
+            ([[("a", 0.5 + 4.5e-10), ("b", 0.5 + 4.5e-10)]] * 3,
+             "scenarios: probability mass 1.0000000027 != 1")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            compose(*map(_marginal, MARGINAL_KINDS, entries))
 
 
 def test_validate_flags_tampered_spaces():
@@ -182,24 +195,26 @@ def test_validate_flags_tampered_spaces():
     assert validate(ScenarioSpace((good,)), horizon) == []
 
     wrong_len = CompositeScenario("w", 1.0, np.ones(3), np.ones(4), np.ones(4))
-    assert any("w" in p and "price" in p
-               for p in validate(ScenarioSpace((wrong_len,)), horizon))
+    assert validate(ScenarioSpace((wrong_len,)), horizon) == [
+        "scenarios: traces have mixed lengths [3, 4]",
+        "scenarios[0].price: w: trace length 3 != T=4"]
 
     neg = CompositeScenario("w", 1.0, np.ones(4), -np.ones(4), np.ones(4))
-    assert any("negative renewable" in p
-               for p in validate(ScenarioSpace((neg,)), horizon))
+    assert validate(ScenarioSpace((neg,)), horizon) == [
+        "scenarios[0].renewable: w: negative trace values"]
 
     zero_prob = CompositeScenario("w", 0.0, np.ones(4), np.ones(4), np.ones(4))
     whole = CompositeScenario("v", 1.0, np.ones(4), np.ones(4), np.ones(4))
-    assert any("probability" in p
-               for p in validate(ScenarioSpace((zero_prob, whole)), horizon))
+    assert validate(ScenarioSpace((zero_prob, whole)), horizon) == [
+        "scenarios[0].probability: w: probability 0.0 outside (0, 1]"]
 
     dup = ScenarioSpace((good, CompositeScenario("w", 0.0001, np.ones(4),
                                                  np.ones(4), np.ones(4))))
-    problems = validate(dup, horizon)
-    assert any("duplicate" in p for p in problems)
+    assert validate(dup, horizon) == [
+        "scenarios[1].label: duplicate scenario label 'w'",
+        "scenarios: probability mass 1.0001 != 1"]
 
-    assert validate(ScenarioSpace(()), horizon) == ["scenario space is empty"]
+    assert validate(ScenarioSpace(()), horizon) == ["scenarios: no scenarios"]
 
 
 def test_validate_lists_mixed_violations_in_order():
@@ -211,29 +226,36 @@ def test_validate_lists_mixed_violations_in_order():
         CompositeScenario("a", 0.5, np.array([1.0, -2.0, 0.0, 3.0]), v, v),
         CompositeScenario("b", 0.0, v, -v, np.array([0.0, 0.0, -1e-300, 0.0])),
         CompositeScenario("c", 0.25, v, v, np.array([np.nan, 1.0, 1.0, 1.0])),
-        CompositeScenario("a", 1.5, v, v, -v),
+        CompositeScenario("a", 1.5, v, np.array([1.0, np.inf, 0.0, 0.0]), -v),
     ))
     assert validate(same, horizon) == [
-        "a: negative price values",
-        "b: negative renewable values",
-        "b: negative consumption values",
-        "b: probability 0.0 outside (0, 1]",
-        "a: negative consumption values",
-        "a: probability 1.5 outside (0, 1]",
-        "probability mass 2.25 != 1",
-        "duplicate composite scenario labels",
+        "scenarios[0].price: a: negative trace values",
+        "scenarios[1].probability: b: probability 0.0 outside (0, 1]",
+        "scenarios[1].renewable: b: negative trace values",
+        "scenarios[1].consumption: b: negative trace values",
+        "scenarios[2].consumption: c: non-finite trace values",
+        "scenarios[3].label: duplicate scenario label 'a'",
+        "scenarios[3].probability: a: probability 1.5 outside (0, 1]",
+        "scenarios[3].renewable: a: non-finite trace values",
+        "scenarios[3].consumption: a: negative trace values",
+        "scenarios: probability mass 2.25 != 1",
     ]
     mixed = ScenarioSpace((
         CompositeScenario("a", 0.5, np.array([1.0, -2.0, 0.0]), v, v),
         CompositeScenario("b", 0.25, v, np.ones(5), -v),
-        CompositeScenario("c", 0.25, np.array([np.nan, 1.0, 1.0, 1.0]), v, np.zeros(0)),
+        CompositeScenario("c", 0.25, np.array([np.nan, 1.0, 1.0, 1.0]),
+                          np.array([-np.inf, 1.0, 1.0, 1.0]), np.zeros(0)),
     ))
     assert validate(mixed, horizon) == [
-        "a: price trace length 3 != T=4",
-        "a: negative price values",
-        "b: renewable trace length 5 != T=4",
-        "b: negative consumption values",
-        "c: consumption trace length 0 != T=4",
+        "scenarios: traces have mixed lengths [0, 3, 4, 5]",
+        "scenarios[0].price: a: trace length 3 != T=4",
+        "scenarios[0].price: a: negative trace values",
+        "scenarios[1].renewable: b: trace length 5 != T=4",
+        "scenarios[1].consumption: b: negative trace values",
+        "scenarios[2].price: c: non-finite trace values",
+        "scenarios[2].renewable: c: negative trace values",
+        "scenarios[2].renewable: c: non-finite trace values",
+        "scenarios[2].consumption: c: trace length 0 != T=4",
     ]
 
 

@@ -231,7 +231,7 @@ def test_program_dimensions():
     assert program.lower[s1] == program.upper[s1] == 10.0
 
 
-def test_invalid_space_is_rejected_up_front():
+def test_invalid_space_is_rejected_up_front(solver_calls):
     horizon = Horizon(T=3)
     storage = StorageConfig(capacity=10.0, initial=0.0, terminal=0.0)
     bad = ScenarioSpace((CompositeScenario(
@@ -240,6 +240,12 @@ def test_invalid_space_is_rejected_up_front():
         solve_policy(horizon, storage, bad)
     with pytest.raises(ValueError, match="mass"):
         per_scenario_decomposition(horizon, storage, bad)
+    for value in (np.nan, np.inf):
+        space = single_scenario(price=[10.0, value, 10.0], renewable=np.zeros(3),
+                                consumption=np.ones(3))
+        with pytest.raises(ValueError, match=r"scenarios\[0\]\.price: only: non-finite"):
+            solve_policy(horizon, storage, space)
+    assert solver_calls.batches == []
 
 
 # ---------------------------------------------------------------------------
