@@ -18,7 +18,7 @@ from .power_model import BaseStationParams, consumption_trace
 from .scenarios import (CompositeScenario, MarginalScenario, MarginalSpace,
                         RateProfile, ScenarioDocument, ScenarioFileError,
                         ScenarioSpace, compose, estimate_probabilities,
-                        load_scenario_file, validate)
+                        load_scenario_file)
 from .stochastic import (InfeasibleProgramError, PolicyTable, StorageConfig,
                          VariableMap, build_deterministic_equivalent,
                          per_scenario_decomposition, policy_csv_text,
@@ -42,5 +42,5 @@ __all__ = [
     "per_scenario_decomposition", "policy_csv_text", "simulate_replicated",
     "solve", "solve_policies", "solve_policy",
     "sweep_arrival_rate", "sweep_battery", "sweep_cac", "uniform_traffic",
-    "validate", "verify_policy",
+    "verify_policy",
 ]

@@ -256,8 +256,8 @@ def calibration_from_config(cfg: dict, scenarios: ScenarioDocument | None = None
     bat = cfg["battery"]
     loss_coeff = bat["loss_cost_coeff"]
     if loss_coeff is None:
-        # a ScenarioDocument checks its price block when built, so a bad trace
-        # is named as such rather than as the coefficient derived from it
+        # a price space checks its traces when built, so a bad trace is
+        # named as such rather than as the coefficient derived from it
         loss_coeff = derived_loss_cost(price, float(bat["self_discharge"]))
     storage = StorageConfig(
         capacity=float(bat["capacity_wh"]),

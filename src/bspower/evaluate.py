@@ -171,7 +171,7 @@ def manifest_text(config_hash: str, seed: int) -> str:
 # ---------------------------------------------------------------------------
 
 def _scaled_renewable(space: MarginalSpace, factor: float) -> MarginalSpace:
-    # a trace that overflows is refused by key when it is composed
+    # a trace that overflows is refused by key when the scaled space is built
     with np.errstate(over="ignore"):
         return MarginalSpace(kind="renewable", scenarios=tuple(
             MarginalScenario(s.label, s.probability, s.values * factor)

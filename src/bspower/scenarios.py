@@ -10,11 +10,11 @@ Scenario documents are JSON with a versioned ``schema`` key; see
 ``SCENARIO_SPEC`` for the layout. ``read_document`` is the one reader of
 every input file (scenario, config and counts): unknown or missing keys
 are rejected, and every value must have the JSON type the layout gives it
-(a number written as a string such as "inf" is refused). One checker,
-``_check_block``, holds the value rules of a scenario file's blocks,
-marginal spaces, compose's product and joint spaces (``validate``):
+(a number written as a string such as "inf" is refused). A MarginalSpace
+or ScenarioSpace checks itself once, when built, with ``_check_block``:
 distinct labels, probabilities in (0, 1] of mass 1, and finite,
-non-negative traces of one length (T, given a horizon).
+non-negative, one-dimensional traces of one length, each bad key named in
+a ValueError. Trace length against T is checked where a horizon is known.
 """
 
 from __future__ import annotations
@@ -59,6 +59,10 @@ class MarginalSpace:
 
     def __post_init__(self):
         object.__setattr__(self, "scenarios", tuple(self.scenarios))
+        kind = [] if self.kind in MARGINAL_KINDS else [
+            f"kind: unknown marginal kind {self.kind!r}"]
+        _refuse("invalid marginal space",
+                kind + _check_block(self.kind, self.scenarios, ("values",)))
 
     @property
     def probabilities(self) -> np.ndarray:
@@ -88,6 +92,7 @@ class ScenarioSpace:
 
     def __post_init__(self):
         object.__setattr__(self, "scenarios", tuple(self.scenarios))
+        _refuse("invalid scenario space", _check_block("", self.scenarios, MARGINAL_KINDS))
 
     def __len__(self) -> int:
         return len(self.scenarios)
@@ -126,8 +131,13 @@ def estimate_probabilities(counts: Sequence[float]) -> np.ndarray:
     return scaled / scaled.sum()
 
 
-def _check_block(kind: str, scenarios, traces: tuple[str, ...],
-                 horizon: Horizon | None = None) -> list[str]:
+def _refuse(what: str, problems: list[str]) -> None:
+    """Raise ValueError listing problems, one per line, if there are any."""
+    if problems:
+        raise ValueError(f"{what}:\n  " + "\n  ".join(problems))
+
+
+def _check_block(kind: str, scenarios, traces: tuple[str, ...]) -> list[str]:
     """Diagnostics for one block of alternatives (see the module docstring),
     each led by its key path ``kind.scenarios[i].field``, or
     ``scenarios[i].field`` for a joint space, whose kind is ""."""
@@ -135,22 +145,21 @@ def _check_block(kind: str, scenarios, traces: tuple[str, ...],
     if not scenarios:
         return [f"{where}: no scenarios"]
     flat = [getattr(s, name) for s in scenarios for name in traces]
-    lengths = [len(trace) for trace in flat]
-    shapes = {trace.shape for trace in flat}
-    if len(shapes) == 1:  # one comparison over (scenarios x traces) rows
-        stacked = np.array(flat).reshape(len(flat), math.prod(shapes.pop()))
+    shapes = [trace.shape for trace in flat]
+    bent = np.array([len(shape) != 1 for shape in shapes])  # not one-dimensional
+    if len(set(shapes)) == 1:  # one comparison over (scenarios x traces) rows
+        stacked = np.array(flat).reshape(len(flat), math.prod(shapes[0]))
         negative, finite = (stacked < 0).any(axis=1), np.isfinite(stacked).all(axis=1)
     else:
         negative = np.array([np.any(trace < 0) for trace in flat], dtype=bool)
         finite = np.array([np.all(np.isfinite(trace)) for trace in flat], dtype=bool)
-    wrong = (np.array(lengths) != horizon.T) if horizon else np.zeros_like(negative)
     first: dict = {}  # each label's first index
     duplicate = np.array([first.setdefault(s.label, i) != i for i, s in enumerate(scenarios)])
     probabilities = np.array([s.probability for s in scenarios], dtype=float)
     outside = ~((probabilities > 0.0) & (probabilities <= 1.0))
-    flagged = (wrong | negative | ~finite).reshape(len(scenarios), len(traces)).any(axis=1)
-    problems = ([f"{where}: traces have mixed lengths {sorted(set(lengths))}"]
-                if len(set(lengths)) > 1 else [])
+    flagged = (bent | negative | ~finite).reshape(len(scenarios), len(traces)).any(axis=1)
+    lengths = sorted({shape[0] for shape in shapes if len(shape) == 1})
+    problems = [f"{where}: traces have mixed lengths {lengths}"] if len(lengths) > 1 else []
     for i in np.flatnonzero(duplicate | outside | flagged).tolist():
         s, entry = scenarios[i], f"{where}[{i}]"
         if duplicate[i]:
@@ -160,8 +169,8 @@ def _check_block(kind: str, scenarios, traces: tuple[str, ...],
                             f"{s.probability} outside (0, 1]")
         for j, name in enumerate(traces, start=i * len(traces)):
             lead = f"{entry}.{name}: {tag}{s.label}:"
-            if wrong[j]:
-                problems.append(f"{lead} trace length {lengths[j]} != T={horizon.T}")
+            if bent[j]:
+                problems.append(f"{lead} trace must be one-dimensional, got shape {shapes[j]}")
             if negative[j]:
                 problems.append(f"{lead} negative trace values")
             if not finite[j]:
@@ -172,11 +181,13 @@ def _check_block(kind: str, scenarios, traces: tuple[str, ...],
     return problems
 
 
-def check_marginal_space(space: MarginalSpace, horizon: Horizon | None = None) -> list[str]:
-    """Diagnostics for one marginal space; empty list means valid."""
-    problems = [] if space.kind in MARGINAL_KINDS else [
-        f"kind: unknown marginal kind {space.kind!r}"]
-    return problems + _check_block(space.kind, space.scenarios, ("values",), horizon)
+def _length_problems(kind: str, scenarios, traces: tuple[str, ...], T: int) -> list[str]:
+    """The rule that needs a horizon: one diagnostic per one-dimensional
+    trace of a block whose length is not T, keyed as in _check_block."""
+    return [f"{kind}.scenarios[{i}].{name}: {kind}/{s.label}: trace length "
+            f"{len(getattr(s, name))} != T={T}"
+            for i, s in enumerate(scenarios) for name in traces
+            if np.ndim(getattr(s, name)) == 1 and len(getattr(s, name)) != T]
 
 
 def compose(
@@ -188,36 +199,19 @@ def compose(
 
     Pr of each composite is the product of its marginal probabilities, so
     total mass is preserved up to rounding. Composite labels join the
-    marginal labels with '|'. A product of checked marginals whose labels
-    collide through the join ('a|b' + 'c', 'a' + 'b|c'), whose probability
-    underflows to 0 or whose mass drifts past PROB_TOL raises ValueError.
+    marginal labels with '|'. A space in the wrong slot raises ValueError,
+    and so does a product that is not a valid ScenarioSpace, such as one
+    whose labels collide through the join ('a|b' + 'c', 'a' + 'b|c').
     """
-    spaces = {"price": price, "renewable": renewable, "consumption": consumption}
-    problems = []
-    for kind, space in spaces.items():
-        if space.kind != kind:
-            problems.append(f"expected a {kind} space, got kind {space.kind!r}")
-        problems.extend(check_marginal_space(space))
-    lengths = {len(space.scenarios[0].values) for space in spaces.values() if space.scenarios}
-    if len(lengths) > 1:
-        problems.append(f"marginal trace lengths differ: {sorted(lengths)}")
-    if not problems:
-        composites = tuple(
-            CompositeScenario(f"{p.label}|{r.label}|{c.label}",
-                              p.probability * r.probability * c.probability,
-                              price=p.values, renewable=r.values, consumption=c.values)
-            for p, r, c in itertools.product(price.scenarios, renewable.scenarios,
-                                             consumption.scenarios))
-        problems = _check_block("", composites, ())  # the product's labels and mass
-    if problems:
-        raise ValueError("cannot compose scenario spaces:\n  " + "\n  ".join(problems))
-    return ScenarioSpace(composites)
-
-
-def validate(space: ScenarioSpace, horizon: Horizon) -> list[str]:
-    """Diagnostics for a joint scenario space, keyed ``scenarios[i].price``
-    (see _check_block); empty list means valid."""
-    return _check_block("", space.scenarios, MARGINAL_KINDS, horizon)
+    spaces = (price, renewable, consumption)
+    _refuse("cannot compose scenario spaces", [
+        f"expected a {kind} space, got kind {space.kind!r}"
+        for kind, space in zip(MARGINAL_KINDS, spaces) if space.kind != kind])
+    return ScenarioSpace(tuple(
+        CompositeScenario(f"{p.label}|{r.label}|{c.label}",
+                          p.probability * r.probability * c.probability,
+                          price=p.values, renewable=r.values, consumption=c.values)
+        for p, r, c in itertools.product(*(space.scenarios for space in spaces))))
 
 
 # ---------------------------------------------------------------------------
@@ -251,10 +245,11 @@ class ScenarioDocument:
     """Parsed scenario file: horizon, price/renewable marginals, and either
     consumption traces or traffic rate profiles.
 
-    Each block is checked once, where the document is built: a bad
-    probability, mass, label, trace length, negative or non-finite value,
-    or a traffic profile's holding time of 0 or below raises ValueError
-    naming its key (``price.scenarios[0].probability``).
+    The marginals checked themselves when built; the document checks
+    their trace lengths against the horizon's T, and the traffic profiles
+    with the same rules as a marginal block plus a holding time above 0.
+    Each bad value raises ValueError naming its key
+    (``price.scenarios[0].values``).
     """
 
     horizon: Horizon
@@ -264,18 +259,18 @@ class ScenarioDocument:
     traffic: list[RateProfile] = field(default_factory=list)
 
     def __post_init__(self):
-        spaces = (self.price, self.renewable, self.consumption)
-        problems = [p for space in spaces if space is not None
-                    for p in check_marginal_space(space, self.horizon)]
+        T, rates = self.horizon.T, ("new_rate", "handoff_rate")
+        problems = [p for space in (self.price, self.renewable, self.consumption)
+                    if space is not None
+                    for p in _length_problems(space.kind, space.scenarios, ("values",), T)]
         if self.consumption is None:
-            problems += _check_block("traffic", self.traffic,
-                                     ("new_rate", "handoff_rate"), self.horizon)
+            problems += _check_block("traffic", self.traffic, rates)
+            problems += _length_problems("traffic", self.traffic, rates, T)
             problems += [f"traffic.scenarios[{i}].mean_holding_min: traffic/{p.label}: "
                          f"mean holding time {p.mean_holding_min} must be positive"
                          for i, p in enumerate(self.traffic)
                          if p.mean_holding_min is not None and not p.mean_holding_min > 0]
-        if problems:
-            raise ValueError("invalid scenario document:\n  " + "\n  ".join(problems))
+        _refuse("invalid scenario document", problems)
 
 
 class ScenarioFileError(ValueError):

@@ -38,7 +38,9 @@ blocks of all its cells to lp.solve_batch as row tables, one call per
 block size, retention and fixed-variable pattern (the endpoint levels,
 and whether the capacity is 0), each space's cost and right-hand side
 rows made once; lp.solve_batch solves programs equal in content once, in
-lockstep within its per-stack memory budget.
+lockstep within its per-stack memory budget. A ScenarioSpace is valid
+once built, so build_deterministic_equivalent and solve_policies only
+compare its trace length with T.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lp as lp_mod
-from .scenarios import ScenarioSpace, validate
+from .scenarios import ScenarioSpace
 from .units import Horizon
 
 BALANCE_TOL = 1e-6
@@ -126,10 +128,14 @@ def _retention(storage: StorageConfig, physical_discharge: bool) -> float:
     return 1.0 - storage.self_discharge if physical_discharge else 1.0
 
 
-def _check_space(space: ScenarioSpace, horizon: Horizon) -> None:
-    problems = validate(space, horizon)
-    if problems:
-        raise ValueError("invalid scenario space:\n  " + "\n  ".join(problems))
+def _traces(space: ScenarioSpace, horizon: Horizon):
+    """A space's probabilities and its (S, T) price and net-load (consumption
+    minus renewable) matrices, once its trace length is checked against T."""
+    price = space.trace_matrix("price")
+    if price.shape[1] != horizon.T:
+        raise ValueError(f"scenarios: trace length {price.shape[1]} != T={horizon.T}")
+    return (space.probabilities, price,
+            space.trace_matrix("consumption") - space.trace_matrix("renewable"))
 
 
 def _nonanticipativity_groups(space: ScenarioSpace,
@@ -216,13 +222,12 @@ def build_deterministic_equivalent(
     solve_policy. The CLI never calls it; solve_policies builds its blocks
     from the same _structure, _costs and _rhs.
     """
-    _check_space(space, horizon)
-    net_load = space.trace_matrix("consumption") - space.trace_matrix("renewable")
+    probabilities, price, net_load = _traces(space, horizon)
     a_eq, lower, upper = _structure(storage, len(space), horizon.T,
                                     _retention(storage, physical_discharge),
                                     _nonanticipativity_groups(space, nonanticipative))
     program = lp_mod.LinearProgram(
-        c=_costs(storage, space.probabilities[None], space.trace_matrix("price")[None])[0],
+        c=_costs(storage, probabilities[None], price[None])[0],
         a_eq=a_eq, b_eq=_rhs(net_load[None], len(a_eq))[0], lower=lower, upper=upper)
     return program, VariableMap(T=horizon.T, scenario_labels=tuple(space.labels))
 
@@ -342,8 +347,8 @@ def solve_policies(
     renormalised inside the group; its schedules overwrite its members'
     wait-and-see ones in the cell's (S, 3, T) cube. Each of the two stages
     solves the blocks of every cell together, one lp.solve_batch call per
-    block size and fixed-variable pattern. Each distinct space is
-    validated and turned into trace matrices once.
+    block size and fixed-variable pattern. Each distinct space has its
+    trace length compared with T and is turned into trace matrices once.
 
     A cell's expected cost sums its block optima weighted by block
     probability mass, in order of each block's first scenario. It equals
@@ -359,10 +364,7 @@ def solve_policies(
     traces = {}
     for _, space in cells:
         if id(space) not in traces:
-            _check_space(space, horizon)
-            traces[id(space)] = (space.probabilities, space.trace_matrix("price"),
-                                 space.trace_matrix("consumption")
-                                 - space.trace_matrix("renewable"))
+            traces[id(space)] = _traces(space, horizon)
     # each cell's blocks, indexed by their first scenario: whether a block
     # starts there, and its mass, status and optimal cost
     blocks = []

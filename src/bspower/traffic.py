@@ -168,8 +168,8 @@ class TrafficRuns(NamedTuple):
     """What one ``simulate_replicated`` call returns, in the order of its runs.
 
     ``traces`` and ``pooled`` keep the places of a one-run result's trace
-    and counts, so a caller that reads item 1 as the QoS counts of a call
-    still gets them.
+    and counts: benchmarks/tracing.py reads item 1 as the QoS counts of a
+    call. Elsewhere, counts over several runs are the sum of ``qos``.
     """
 
     traces: np.ndarray         # (runs, T): each run's mean occupancy per period

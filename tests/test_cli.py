@@ -10,8 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bspower import scenarios as scenarios_mod
 from bspower.calibration import DEFAULT_CONFIG
 from bspower.cli import main
+from bspower.scenarios import MarginalSpace, ScenarioDocument, ScenarioSpace
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -463,6 +465,45 @@ def test_sweep_battery_with_reduced_grid(tiny, tmp_path, capsys):
     lines = (out / "battery_sweep.csv").read_text().splitlines()
     assert lines[0] == "capacity_wh,renewable_scale,monthly_cost_usd"
     assert len(lines) == 1 + 2
+
+
+def storage_scenarios():
+    """A 24-period scenario file with explicit consumption whose joint
+    space has 4 x 4 x 5 = 80 scenarios."""
+    rng = np.random.default_rng(3)
+    doc = {"schema": "bspower-scenarios-1", "horizon": {"T": 24}}
+    for kind, count, high in (("price", 4, 20.0), ("renewable", 4, 300.0),
+                              ("consumption", 5, 650.0)):
+        doc[kind] = {"scenarios": [
+            {"label": f"{kind}{i}", "probability": 1.0 / count,
+             "values": rng.uniform(0.0, high, 24).round(3).tolist()}
+            for i in range(count)]}
+    return doc
+
+
+@pytest.mark.parametrize("command, doc", [
+    (["sweep", "battery"], storage_scenarios()),
+    (["sweep", "cac"], None),
+    (["solve"], dict({k: v for k, v in TINY_SCENARIOS.items() if k != "consumption"},
+                     traffic=TRAFFIC_BLOCK)),
+], ids=("battery-80", "cac", "solve-traffic"))
+def test_each_scenario_space_is_checked_once(tmp_path, capsys, monkeypatch, command, doc):
+    # one block check per MarginalSpace or ScenarioSpace built, and one per
+    # traffic block of a scenario document; no other place checks again
+    built, checks = [], []
+    real_check = scenarios_mod._check_block
+    monkeypatch.setattr(scenarios_mod, "_check_block",
+                        lambda *args: checks.append(args[0]) or real_check(*args))
+    for cls in (MarginalSpace, ScenarioSpace, ScenarioDocument):
+        def counted(self, real=cls.__post_init__):
+            real(self)
+            if not isinstance(self, ScenarioDocument) or self.consumption is None:
+                built.append(self)
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    files = ["--scenarios", write_json(tmp_path / "s.json", doc)] if doc else []
+    assert main([*command, *files, "--out", str(tmp_path / "o")]) == 0
+    capsys.readouterr()
+    assert len(checks) == len(built) >= 4
 
 
 def test_sweep_cac_with_reduced_grid(tmp_path, capsys):

@@ -17,13 +17,11 @@ from bspower.scenarios import (
     ScenarioFileError,
     ScenarioSpace,
     check_document,
-    check_marginal_space,
     compose,
     estimate_probabilities,
     load_scenario_file,
     parse_scenario_document,
     scenario_document_dict,
-    validate,
 )
 from bspower.units import Horizon
 
@@ -33,6 +31,24 @@ def _marginal(kind, labelled_probs, T=4, scale=1.0):
     return MarginalSpace(kind=kind, scenarios=tuple(
         MarginalScenario(label, p, rng.uniform(0, 10, T) * scale)
         for label, p in labelled_probs))
+
+
+def refused(build, heading):
+    """The diagnostics, one per line, of the ValueError that build() raises
+    under heading."""
+    with pytest.raises(ValueError) as info:
+        build()
+    first, *lines = str(info.value).splitlines()
+    assert first == f"{heading}:"
+    return [line.strip() for line in lines]
+
+
+def marginal_refused(kind, scenarios):
+    return refused(lambda: MarginalSpace(kind, scenarios), "invalid marginal space")
+
+
+def space_refused(*scenarios):
+    return refused(lambda: ScenarioSpace(scenarios), "invalid scenario space")
 
 
 # ---------------------------------------------------------------------------
@@ -83,35 +99,53 @@ def test_probabilities_reject_bad_counts():
 
 
 # ---------------------------------------------------------------------------
-# marginal and joint space validation
+# marginal and joint spaces check themselves when built
 # ---------------------------------------------------------------------------
 
 def test_valid_marginal_space_has_no_diagnostics():
     space = _marginal("price", [("a", 0.25), ("b", 0.75)])
-    assert check_marginal_space(space, Horizon(T=4)) == []
+    assert [s.label for s in space.scenarios] == ["a", "b"]
+    np.testing.assert_array_equal(space.probabilities, [0.25, 0.75])
 
 
 def test_marginal_space_diagnostics():
-    bad_kind = _marginal("weather", [("a", 1.0)])
-    assert any("weather" in p for p in check_marginal_space(bad_kind))
-
-    mass = _marginal("price", [("a", 0.5), ("b", 0.4)])
-    assert any("mass" in p for p in check_marginal_space(mass))
-
-    dup = _marginal("price", [("a", 0.5), ("a", 0.5)])
-    assert any("duplicate" in p for p in check_marginal_space(dup))
-
-    mixed = MarginalSpace(kind="price", scenarios=(
-        MarginalScenario("a", 0.5, np.ones(3)),
-        MarginalScenario("b", 0.5, np.ones(4))))
-    assert any("mixed lengths" in p for p in check_marginal_space(mixed))
-
-    neg = MarginalSpace(kind="price", scenarios=(
-        MarginalScenario("a", 1.0, np.array([1.0, -2.0, 3.0])),))
-    assert any("negative" in p for p in check_marginal_space(neg))
-
+    one = np.ones(3)
+    assert marginal_refused("weather", (MarginalScenario("a", 1.0, one),)) == [
+        "kind: unknown marginal kind 'weather'"]
+    assert marginal_refused("price", (MarginalScenario("a", 0.5, one),
+                                      MarginalScenario("b", 0.4, one))) == [
+        "price.scenarios: probability mass 0.9 != 1"]
+    assert marginal_refused("price", (MarginalScenario("a", 0.5, one),
+                                      MarginalScenario("a", 0.5, one))) == [
+        "price.scenarios[1].label: duplicate scenario label 'a'"]
+    assert marginal_refused("price", (MarginalScenario("a", 0.5, one),
+                                      MarginalScenario("b", 0.5, np.ones(4)))) == [
+        "price.scenarios: traces have mixed lengths [3, 4]"]
+    assert marginal_refused("renewable", (MarginalScenario("a", 1.0, [1.0, -2.0, np.nan]),)) == [
+        "renewable.scenarios[0].values: renewable/a: negative trace values",
+        "renewable.scenarios[0].values: renewable/a: non-finite trace values"]
+    assert marginal_refused("price", ()) == ["price.scenarios: no scenarios"]
+    # without a horizon, any one length is valid; the document checks it against T
     short = _marginal("price", [("a", 1.0)], T=3)
-    assert any("T=4" in p for p in check_marginal_space(short, Horizon(T=4)))
+    assert refused(lambda: replace(_document_with_consumption(), price=short),
+                   "invalid scenario document") == [
+        "price.scenarios[0].values: price/a: trace length 3 != T=4"]
+
+
+@pytest.mark.parametrize("bent", (5.0, np.ones((3, 2))), ids=("0-d", "2-d"))
+def test_a_trace_must_be_one_dimensional(solver_calls, bent):
+    shape = np.shape(bent)
+    assert marginal_refused("price", (MarginalScenario("a", 0.5, np.ones(3)),
+                                      MarginalScenario("b", 0.5, bent))) == [
+        f"price.scenarios[1].values: price/b: trace must be one-dimensional, got shape {shape}"]
+    one = np.ones(3)
+    assert space_refused(CompositeScenario("w", 1.0, bent, one, one)) == [
+        f"scenarios[0].price: w: trace must be one-dimensional, got shape {shape}"]
+    # every trace of one shape is checked stacked
+    assert space_refused(CompositeScenario("w", 1.0, bent, bent, -bent)) == [
+        f"scenarios[0].{name}: w: trace must be one-dimensional, got shape {shape}"
+        for name in MARGINAL_KINDS] + ["scenarios[0].consumption: w: negative trace values"]
+    assert solver_calls.batches == []
 
 
 def test_compose_builds_the_product_space():
@@ -161,23 +195,20 @@ def test_compose_probability_mass_on_random_marginals():
         space = compose(*spaces)
         assert len(space) == int(np.prod(sizes))
         assert space.probabilities.sum() == pytest.approx(1.0, abs=1e-9)
-        assert validate(space, Horizon(T=6)) == []
 
 
 def test_compose_rejects_inconsistent_marginals():
     price = _marginal("price", [("a", 1.0)])
     renew = _marginal("renewable", [("b", 1.0)])
     cons = _marginal("consumption", [("c", 1.0)])
-    with pytest.raises(ValueError):
-        compose(renew, price, cons)  # kinds in the wrong slots
+    assert refused(lambda: compose(renew, price, cons), "cannot compose scenario spaces") == [
+        "expected a price space, got kind 'renewable'",
+        "expected a renewable space, got kind 'price'"]
     short = _marginal("consumption", [("c", 1.0)], T=3)
-    with pytest.raises(ValueError, match="lengths"):
-        compose(price, renew, short)
-    bad_mass = _marginal("price", [("a", 0.5)])
-    with pytest.raises(ValueError, match="mass"):
-        compose(bad_mass, renew, cons)
-    # each marginal passes its check, their product does not: labels that
-    # join into one, probabilities that underflow to 0, a mass that drifts
+    assert refused(lambda: compose(price, renew, short), "invalid scenario space") == [
+        "scenarios: traces have mixed lengths [3, 4]"]
+    # each marginal can be built, their product cannot: labels that join
+    # into one, probabilities that underflow to 0, a mass that drifts
     for entries, message in (
             ([[("a|b", 0.5), ("a", 0.5)], [("c", 0.5), ("b|c", 0.5)], [("d", 1.0)]],
              "scenarios[3].label: duplicate scenario label 'a|b|c|d'"),
@@ -189,46 +220,40 @@ def test_compose_rejects_inconsistent_marginals():
             compose(*map(_marginal, MARGINAL_KINDS, entries))
 
 
-def test_validate_flags_tampered_spaces():
-    horizon = Horizon(T=4)
+def test_space_construction_flags_tampered_spaces():
     good = CompositeScenario("w", 1.0, np.ones(4), np.ones(4), np.ones(4))
-    assert validate(ScenarioSpace((good,)), horizon) == []
+    assert ScenarioSpace((good,)).labels == ["w"]
 
     wrong_len = CompositeScenario("w", 1.0, np.ones(3), np.ones(4), np.ones(4))
-    assert validate(ScenarioSpace((wrong_len,)), horizon) == [
-        "scenarios: traces have mixed lengths [3, 4]",
-        "scenarios[0].price: w: trace length 3 != T=4"]
+    assert space_refused(wrong_len) == ["scenarios: traces have mixed lengths [3, 4]"]
 
     neg = CompositeScenario("w", 1.0, np.ones(4), -np.ones(4), np.ones(4))
-    assert validate(ScenarioSpace((neg,)), horizon) == [
-        "scenarios[0].renewable: w: negative trace values"]
+    assert space_refused(neg) == ["scenarios[0].renewable: w: negative trace values"]
 
     zero_prob = CompositeScenario("w", 0.0, np.ones(4), np.ones(4), np.ones(4))
     whole = CompositeScenario("v", 1.0, np.ones(4), np.ones(4), np.ones(4))
-    assert validate(ScenarioSpace((zero_prob, whole)), horizon) == [
+    assert space_refused(zero_prob, whole) == [
         "scenarios[0].probability: w: probability 0.0 outside (0, 1]"]
 
-    dup = ScenarioSpace((good, CompositeScenario("w", 0.0001, np.ones(4),
-                                                 np.ones(4), np.ones(4))))
-    assert validate(dup, horizon) == [
+    assert space_refused(good, CompositeScenario("w", 0.0001, np.ones(4),
+                                                 np.ones(4), np.ones(4))) == [
         "scenarios[1].label: duplicate scenario label 'w'",
         "scenarios: probability mass 1.0001 != 1"]
 
-    assert validate(ScenarioSpace(()), horizon) == ["scenarios: no scenarios"]
+    assert space_refused() == ["scenarios: no scenarios"]
 
 
-def test_validate_lists_mixed_violations_in_order():
-    # every message and its order, with all traces of length T (checked
+def test_space_construction_lists_mixed_violations_in_order():
+    # every message and its order, with all traces of one length (checked
     # stacked) and with some of another length (checked trace by trace)
-    horizon = Horizon(T=4)
     v = np.array([1.0, 2.0, 0.0, 3.0])
-    same = ScenarioSpace((
+    same = (
         CompositeScenario("a", 0.5, np.array([1.0, -2.0, 0.0, 3.0]), v, v),
         CompositeScenario("b", 0.0, v, -v, np.array([0.0, 0.0, -1e-300, 0.0])),
         CompositeScenario("c", 0.25, v, v, np.array([np.nan, 1.0, 1.0, 1.0])),
         CompositeScenario("a", 1.5, v, np.array([1.0, np.inf, 0.0, 0.0]), -v),
-    ))
-    assert validate(same, horizon) == [
+    )
+    assert space_refused(*same) == [
         "scenarios[0].price: a: negative trace values",
         "scenarios[1].probability: b: probability 0.0 outside (0, 1]",
         "scenarios[1].renewable: b: negative trace values",
@@ -240,22 +265,19 @@ def test_validate_lists_mixed_violations_in_order():
         "scenarios[3].consumption: a: negative trace values",
         "scenarios: probability mass 2.25 != 1",
     ]
-    mixed = ScenarioSpace((
+    mixed = (
         CompositeScenario("a", 0.5, np.array([1.0, -2.0, 0.0]), v, v),
         CompositeScenario("b", 0.25, v, np.ones(5), -v),
         CompositeScenario("c", 0.25, np.array([np.nan, 1.0, 1.0, 1.0]),
                           np.array([-np.inf, 1.0, 1.0, 1.0]), np.zeros(0)),
-    ))
-    assert validate(mixed, horizon) == [
+    )
+    assert space_refused(*mixed) == [
         "scenarios: traces have mixed lengths [0, 3, 4, 5]",
-        "scenarios[0].price: a: trace length 3 != T=4",
         "scenarios[0].price: a: negative trace values",
-        "scenarios[1].renewable: b: trace length 5 != T=4",
         "scenarios[1].consumption: b: negative trace values",
         "scenarios[2].price: c: non-finite trace values",
         "scenarios[2].renewable: c: negative trace values",
         "scenarios[2].renewable: c: non-finite trace values",
-        "scenarios[2].consumption: c: trace length 0 != T=4",
     ]
 
 
@@ -370,9 +392,8 @@ def test_load_reports_json_syntax_position(tmp_path):
 
 def test_document_checks_each_block_by_key_where_it_is_built():
     doc = _document_with_consumption()
-    zero = _marginal("price", [("hi", 0.0), ("lo", 1.0)])
     with pytest.raises(ValueError, match=r"price\.scenarios\[0\]\.probability: price/hi"):
-        replace(doc, price=zero)
+        _marginal("price", [("hi", 0.0), ("lo", 1.0)])
     short = _marginal("consumption", [("busy", 1.0)], T=3)
     with pytest.raises(ValueError, match=r"consumption\.scenarios\[0\]\.values: .*T=4"):
         replace(doc, consumption=short)

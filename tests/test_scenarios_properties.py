@@ -1,10 +1,12 @@
 """Composition keeps a scenario space valid."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import given, reject, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from bspower.scenarios import (  # noqa: E402
@@ -12,11 +14,8 @@ from bspower.scenarios import (  # noqa: E402
     PROB_TOL,
     MarginalScenario,
     MarginalSpace,
-    check_marginal_space,
     compose,
-    validate,
 )
-from bspower.units import Horizon  # noqa: E402
 
 SETTINGS = settings(max_examples=100, deadline=None, database=None)
 # short labels over an alphabet with the '|' of composite labels, so joined
@@ -27,30 +26,31 @@ values = st.floats(0.0, 1e300)
 
 
 @st.composite
-def marginal(draw, kind, T):
-    """A marginal space of 1-3 alternatives whose mass may sit anywhere in
-    the tolerance; the caller keeps only the spaces that pass the check."""
+def alternatives(draw, T):
+    """1-3 alternatives of one source whose mass may sit anywhere in the
+    tolerance; the test keeps only those a MarginalSpace accepts."""
     names = draw(st.lists(labels, min_size=1, max_size=3, unique=True))
     w = np.array(draw(st.lists(weights, min_size=len(names), max_size=len(names))))
     probabilities = w / w.sum()
     probabilities[-1] += draw(st.one_of(st.just(0.0), st.floats(-PROB_TOL, PROB_TOL)))
-    return MarginalSpace(kind, tuple(
-        MarginalScenario(name, float(p),
-                         np.array(draw(st.lists(values, min_size=T, max_size=T))))
-        for name, p in zip(names, probabilities)))
+    return tuple(MarginalScenario(name, float(p),
+                                  np.array(draw(st.lists(values, min_size=T, max_size=T))))
+                 for name, p in zip(names, probabilities))
 
 
 @st.composite
 def marginals(draw):
     T = draw(st.integers(2, 4))
-    return Horizon(T=T), [draw(marginal(kind, T)) for kind in MARGINAL_KINDS]
+    return [draw(alternatives(T)) for _ in MARGINAL_KINDS]
 
 
 @SETTINGS
 @given(case=marginals())
-def test_checked_marginals_compose_into_a_space_validate_passes(case):
-    horizon, spaces = case
-    assume(all(check_marginal_space(space, horizon) == [] for space in spaces))
+def test_buildable_marginals_compose_or_raise_a_product_error(case):
+    try:
+        spaces = [MarginalSpace(kind, scenarios) for kind, scenarios in zip(MARGINAL_KINDS, case)]
+    except ValueError:
+        reject()
     try:
         space = compose(*spaces)
     except ValueError as exc:
@@ -60,4 +60,6 @@ def test_checked_marginals_compose_into_a_space_validate_passes(case):
             ".label: duplicate" in line or "probability 0.0 outside" in line
             or line.strip().startswith("scenarios: probability mass") for line in lines)
         return
-    assert validate(space, horizon) == []
+    assert len(space) == np.prod([len(s) for s in case])
+    assert space.labels == ["|".join(labels) for labels in itertools.product(
+        *([s.label for s in scenarios] for scenarios in case))]

@@ -1,5 +1,6 @@
 """Deterministic-equivalent construction, solving, and policy verification."""
 
+import re
 from dataclasses import replace
 from functools import lru_cache
 
@@ -232,19 +233,20 @@ def test_program_dimensions():
 
 
 def test_invalid_space_is_rejected_up_front(solver_calls):
+    # a space checks itself when built; the program compares its trace
+    # length with T before any solve
     horizon = Horizon(T=3)
     storage = StorageConfig(capacity=10.0, initial=0.0, terminal=0.0)
-    bad = ScenarioSpace((CompositeScenario(
-        "w", 0.5, np.ones(3), np.ones(3), np.ones(3)),))  # mass != 1
     with pytest.raises(ValueError, match="mass"):
-        solve_policy(horizon, storage, bad)
-    with pytest.raises(ValueError, match="mass"):
-        per_scenario_decomposition(horizon, storage, bad)
+        ScenarioSpace((CompositeScenario("w", 0.5, np.ones(3), np.ones(3), np.ones(3)),))
     for value in (np.nan, np.inf):
-        space = single_scenario(price=[10.0, value, 10.0], renewable=np.zeros(3),
-                                consumption=np.ones(3))
         with pytest.raises(ValueError, match=r"scenarios\[0\]\.price: only: non-finite"):
-            solve_policy(horizon, storage, space)
+            single_scenario(price=[10.0, value, 10.0], renewable=np.zeros(3),
+                            consumption=np.ones(3))
+    short = single_scenario(np.ones(2), np.zeros(2), np.ones(2))
+    for solve in (solve_policy, per_scenario_decomposition, build_deterministic_equivalent):
+        with pytest.raises(ValueError, match=re.escape("scenarios: trace length 2 != T=3")):
+            solve(horizon, storage, short)
     assert solver_calls.batches == []
 
 
