@@ -9,10 +9,9 @@ experiment sweeps.
 """
 
 from .calibration import Calibration, default_calibration
-from .evaluate import (EvaluationResult, ExperimentReport, RealizedDay,
-                       ReplayError, baseline_policy, evaluate_policy,
-                       monthly_cost, sweep_arrival_rate, sweep_battery,
-                       sweep_cac)
+from .evaluate import (ExperimentReport, ReplayError, baseline_policy,
+                       evaluate_policy, monthly_cost, sweep_arrival_rate,
+                       sweep_battery, sweep_cac)
 from .lp import LinearProgram, solve
 from .power_model import BaseStationParams, consumption_trace
 from .scenarios import (CompositeScenario, MarginalScenario, MarginalSpace,
@@ -31,9 +30,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BaseStationParams", "CacConfig", "Calibration", "CompositeScenario",
-    "EvaluationResult", "ExperimentReport", "Horizon", "InfeasibleProgramError",
+    "ExperimentReport", "Horizon", "InfeasibleProgramError",
     "LinearProgram", "MarginalScenario", "MarginalSpace", "PolicyTable",
-    "QosStats", "RateProfile", "RealizedDay", "ReplayError",
+    "QosStats", "RateProfile", "ReplayError",
     "ScenarioDocument", "ScenarioFileError", "ScenarioSpace", "StorageConfig",
     "TrafficSpec", "VariableMap", "baseline_policy",
     "build_deterministic_equivalent", "compose", "consumption_trace",

@@ -34,9 +34,8 @@ import numpy as np
 
 from .calibration import (CONFIG_SCHEMA, DEFAULT_CONFIG, Calibration,
                           calibration_from_config)
-from .evaluate import (RealizedDay, evaluate_policy, manifest_text,
-                       monthly_cost, sweep_arrival_rate, sweep_battery,
-                       sweep_cac)
+from .evaluate import (evaluate_policy, manifest_text, monthly_cost,
+                       sweep_arrival_rate, sweep_battery, sweep_cac)
 from .scenarios import (ScenarioDocument, ScenarioFileError, check_document,
                         estimate_probabilities, load_scenario_file, read_document,
                         read_json, scenario_document_dict)
@@ -173,11 +172,8 @@ def cmd_simulate(rc: RunConfig) -> int:
                           physical_discharge=rc.physical_discharge)
     rng = np.random.default_rng(np.random.SeedSequence(rc.seed, spawn_key=(101,)))
     draws = rng.choice(len(space), size=rc.sim_days, p=space.probabilities)
-    per_scenario = [
-        evaluate_policy(policy, RealizedDay.from_scenario(s)).cost_cents
-        for s in space.scenarios
-    ]
-    costs = np.array([per_scenario[i] for i in draws])
+    per_scenario = evaluate_policy(policy, space)
+    costs = per_scenario[draws]
     rows = [f"{label},{cost:.6f}" for label, cost in zip(space.labels, per_scenario)]
     lines = ["day,scenario_label,cost_cents"]
     lines.extend(f"{d + 1},{rows[i]}" for d, i in enumerate(draws))

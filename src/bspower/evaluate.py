@@ -1,15 +1,17 @@
 """Policy evaluation, the constant-level baseline, and experiment sweeps.
 
-evaluate_policy replays a solved schedule against a realized day: the
-purchase and dump decisions for that day's scenario are applied as-is and
-the battery trajectory is recomputed forward from the initial level via
-the balance equation, then certified against capacity and the terminal
-condition. Replaying the scenario used at solve time therefore reproduces
-the optimizer's own trajectory and cost.
+evaluate_policy replays a solved schedule against a scenario space with
+the policy's labels: each scenario's purchase and dump decisions are
+applied as-is, and its battery trajectory is recomputed forward from the
+initial level via the balance equation, then certified against capacity
+and the terminal condition. The result is one cost per scenario.
+Replaying the space used at solve time therefore reproduces the
+optimizer's own trajectories and costs.
 
 The baseline scheme never schedules the battery: it holds a constant
 level, buys whatever consumption exceeds renewable supply each period,
-and dumps the rest.
+and dumps the rest. baseline_policy returns its expected cost over a
+scenario space.
 
 Sweeps re-solve the program across parameter grids and return fixed-schema
 reports. Each sweep hands all its grid cells to one solve_policies call,
@@ -26,10 +28,10 @@ import numpy as np
 
 from .calibration import Calibration
 from .power_model import consumption_trace
-from .scenarios import CompositeScenario, MarginalScenario, MarginalSpace, compose
-from .stochastic import InfeasibleProgramError, PolicyTable, _retention, solve_policies
+from .scenarios import MarginalScenario, MarginalSpace, ScenarioSpace, compose
+from .stochastic import (BALANCE_TOL, InfeasibleProgramError, PolicyTable, _retention,
+                         solve_policies)
 from .traffic import CacConfig, TrafficSpec, simulate_replicated, uniform_traffic
-from .units import Horizon
 
 DAYS_PER_MONTH = 30
 
@@ -38,75 +40,51 @@ class ReplayError(RuntimeError):
     """A replayed schedule violated storage bounds or the terminal level."""
 
 
-@dataclass(frozen=True)
-class RealizedDay:
-    """One realized set of traces; a scenario stripped of its probability."""
-
-    label: str
-    price: np.ndarray
-    renewable: np.ndarray
-    consumption: np.ndarray
-
-    def __post_init__(self):
-        for name in ("price", "renewable", "consumption"):
-            trace = np.atleast_1d(np.asarray(getattr(self, name), dtype=float))
-            object.__setattr__(self, name, trace)
-            if np.any(trace < 0):
-                raise ValueError(f"{name} trace has negative values")
-        if not (self.price.size == self.renewable.size == self.consumption.size):
-            raise ValueError("realized traces must have equal length")
-
-    @classmethod
-    def from_scenario(cls, scenario: CompositeScenario) -> "RealizedDay":
-        return cls(label=scenario.label, price=scenario.price,
-                   renewable=scenario.renewable, consumption=scenario.consumption)
+def _energy_cost(purchase: np.ndarray, price: np.ndarray) -> np.ndarray:
+    """Each row's purchase cost in cents, summed as the row's own x @ price."""
+    return (purchase[:, None, :] @ price[:, :, None])[:, 0, 0] / 1000.0
 
 
-@dataclass(frozen=True)
-class EvaluationResult:
-    cost_cents: float
-    purchase: np.ndarray
-    battery: np.ndarray
-    excess: np.ndarray
-
-
-def evaluate_policy(policy: PolicyTable, day: RealizedDay,
-                    tol: float = 1e-6) -> EvaluationResult:
-    """Replay the day's scheduled purchases/dumps; recompute the battery path."""
-    w = policy.scenario_index(day.label)
-    x = policy.purchase[w]
-    y = policy.excess[w]
-    T = x.size
-    if day.price.size != T:
-        raise ValueError(f"day has {day.price.size} periods, policy has {T}")
+def evaluate_policy(policy: PolicyTable, space: ScenarioSpace) -> np.ndarray:
+    """Replay each scenario's scheduled purchases/dumps against its traces;
+    recompute the battery paths. Returns each scenario's cost in cents."""
+    x, y = policy.purchase, policy.excess
+    T = x.shape[1]
+    if space.labels != list(policy.scenario_labels):
+        raise ValueError("space scenario labels do not match the policy")
+    renewable, consumption = space.trace_matrix("renewable"), space.trace_matrix("consumption")
+    if renewable.shape[1] != T:
+        raise ValueError(f"space has {renewable.shape[1]} periods, policy has {T}")
     storage = policy.storage
     keep = _retention(storage, policy.physical_discharge)
-    s = np.empty(T)
-    s[0] = storage.initial
+    s = np.empty_like(x)
+    s[:, 0] = storage.initial
     for t in range(T - 1):
-        s[t + 1] = keep * s[t] + x[t] + day.renewable[t] - day.consumption[t] - y[t]
-    if np.any(s < -tol) or np.any(s > storage.capacity + tol):
+        s[:, t + 1] = keep * s[:, t] + x[:, t] + renewable[:, t] - consumption[:, t] - y[:, t]
+    leaves = np.any(s < -BALANCE_TOL, axis=1) | np.any(s > storage.capacity + BALANCE_TOL, axis=1)
+    missed = np.abs(s[:, T - 1] - storage.terminal) > BALANCE_TOL
+    failed = np.flatnonzero(leaves | missed)
+    if failed.size:
+        w = failed[0]
+        label, path = policy.scenario_labels[w], s[w]
+        if leaves[w]:
+            raise ReplayError(
+                f"battery path leaves [0, {storage.capacity}] on day {label!r} "
+                f"(range {path.min():.6f}..{path.max():.6f})")
         raise ReplayError(
-            f"battery path leaves [0, {storage.capacity}] on day {day.label!r} "
-            f"(range {s.min():.6f}..{s.max():.6f})")
-    if abs(s[T - 1] - storage.terminal) > tol:
-        raise ReplayError(
-            f"terminal level {s[T - 1]:.6f} != {storage.terminal} on day {day.label!r}")
-    cost = float(x @ day.price / 1000.0 + storage.loss_cost_coeff * s.sum())
-    return EvaluationResult(cost_cents=cost, purchase=x.copy(), battery=s,
-                            excess=y.copy())
+            f"terminal level {path[T - 1]:.6f} != {storage.terminal} on day {label!r}")
+    return _energy_cost(x, space.trace_matrix("price")) + storage.loss_cost_coeff * s.sum(axis=1)
 
 
-def baseline_policy(horizon: Horizon, storage, day: RealizedDay,
-                    hold_level: float = 1000.0) -> float:
-    """Cost in cents of the no-scheduling scheme: constant battery level,
-    grid purchase only when renewable falls short, surplus dumped."""
-    if day.price.size != horizon.T:
-        raise ValueError(f"day has {day.price.size} periods, horizon has {horizon.T}")
+def baseline_policy(storage, space: ScenarioSpace, hold_level: float = 1000.0) -> float:
+    """Expected cost in cents of the no-scheduling scheme: constant battery
+    level, grid purchase only when renewable falls short, surplus dumped."""
     level = min(hold_level, storage.capacity)
-    purchase = np.maximum(0.0, day.consumption - day.renewable)
-    return float(purchase @ day.price / 1000.0
-                 + storage.loss_cost_coeff * level * horizon.T)
+    purchase = np.maximum(0.0, space.trace_matrix("consumption")
+                          - space.trace_matrix("renewable"))
+    per_scenario = (_energy_cost(purchase, space.trace_matrix("price"))
+                    + storage.loss_cost_coeff * level * purchase.shape[1])
+    return float(space.probabilities @ per_scenario)
 
 
 def monthly_cost(expected_daily_cost: float) -> float:
@@ -144,8 +122,6 @@ class ExperimentReport:
 
 
 def _format_cell(v) -> str:
-    if v is None:
-        return "nan"
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     return f"{float(v):.6f}"

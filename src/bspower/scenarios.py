@@ -12,9 +12,10 @@ every input file (scenario, config and counts): unknown or missing keys
 are rejected, and every value must have the JSON type the layout gives it
 (a number written as a string such as "inf" is refused). A MarginalSpace
 or ScenarioSpace checks itself once, when built, with ``_check_block``:
-distinct labels, probabilities in (0, 1] of mass 1, and finite,
-non-negative, one-dimensional traces of one length, each bad key named in
-a ValueError. Trace length against T is checked where a horizon is known.
+distinct labels free of CSV delimiters (comma, double quote, CR, LF),
+probabilities in (0, 1] of mass 1, and finite, non-negative,
+one-dimensional traces of one length, each bad key named in a ValueError.
+Trace length against T is checked where a horizon is known.
 """
 
 from __future__ import annotations
@@ -155,15 +156,19 @@ def _check_block(kind: str, scenarios, traces: tuple[str, ...]) -> list[str]:
         finite = np.array([np.all(np.isfinite(trace)) for trace in flat], dtype=bool)
     first: dict = {}  # each label's first index
     duplicate = np.array([first.setdefault(s.label, i) != i for i, s in enumerate(scenarios)])
+    # a label is written unquoted into the output CSVs
+    unsafe = np.array([any(c in s.label for c in ',"\r\n') for s in scenarios])
     probabilities = np.array([s.probability for s in scenarios], dtype=float)
     outside = ~((probabilities > 0.0) & (probabilities <= 1.0))
     flagged = (bent | negative | ~finite).reshape(len(scenarios), len(traces)).any(axis=1)
     lengths = sorted({shape[0] for shape in shapes if len(shape) == 1})
     problems = [f"{where}: traces have mixed lengths {lengths}"] if len(lengths) > 1 else []
-    for i in np.flatnonzero(duplicate | outside | flagged).tolist():
+    for i in np.flatnonzero(duplicate | unsafe | outside | flagged).tolist():
         s, entry = scenarios[i], f"{where}[{i}]"
         if duplicate[i]:
             problems.append(f"{entry}.label: duplicate scenario label {s.label!r}")
+        if unsafe[i]:
+            problems.append(f"{entry}.label: label {s.label!r} holds a comma, quote or line break")
         if outside[i]:
             problems.append(f"{entry}.probability: {tag}{s.label}: probability "
                             f"{s.probability} outside (0, 1]")

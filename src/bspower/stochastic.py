@@ -117,12 +117,6 @@ class PolicyTable:
     physical_discharge: bool = False
     nonanticipative: bool = False
 
-    def scenario_index(self, label: str) -> int:
-        try:
-            return self.scenario_labels.index(label)
-        except ValueError:
-            raise KeyError(f"scenario label {label!r} not in policy") from None
-
 
 def _retention(storage: StorageConfig, physical_discharge: bool) -> float:
     return 1.0 - storage.self_discharge if physical_discharge else 1.0

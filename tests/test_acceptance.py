@@ -33,7 +33,6 @@ from bspower.calibration import (
 )
 from bspower.cli import main
 from bspower.evaluate import (
-    RealizedDay,
     baseline_policy,
     monthly_cost,
     sweep_arrival_rate,
@@ -183,11 +182,7 @@ def _paper_scale_run():
     space = cal.scenario_space(seed=0)
     policy = solve_policy(cal.horizon, cal.storage, space)
     adaptive = monthly_cost(policy.expected_cost)
-    baseline_daily = sum(
-        s.probability * baseline_policy(cal.horizon, cal.storage,
-                                        RealizedDay.from_scenario(s))
-        for s in space.scenarios)
-    baseline = monthly_cost(baseline_daily)
+    baseline = monthly_cost(baseline_policy(cal.storage, space))
     elapsed = time.perf_counter() - start
     saving = 100.0 * (baseline - adaptive) / baseline
     return dict(policy=policy, space=space, adaptive=adaptive,

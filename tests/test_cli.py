@@ -174,6 +174,20 @@ def test_zero_price_probability_is_refused_once_by_key(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_label_with_a_csv_delimiter_is_refused_by_key(tmp_path, capsys):
+    # labels are written unquoted into policy.csv and simulate.csv
+    doc = json.loads(json.dumps(TWO_DAY_SCENARIOS))
+    doc["price"]["scenarios"][0]["label"] = "peak,hi"
+    path = write_json(tmp_path / "comma.json", doc)
+    out = tmp_path / "o"
+    assert main(["solve", "--scenarios", path, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert ("price.scenarios[0].label: label 'peak,hi' holds a comma, quote or line break"
+            in captured.err)
+    assert captured.out == ""
+    assert not (out / "policy.csv").exists()
+
+
 TRAFFIC_BLOCK = {"scenarios": [
     {"label": "busy", "probability": 1.0,
      "new_rate": [0.7, 1.4, 1.4, 0.7], "handoff_rate": [0.3, 0.6, 0.6, 0.3]},
@@ -300,8 +314,9 @@ def test_traffic_profile_with_an_overflowing_rate_is_a_usage_error(tmp_path, cap
      "traffic.scenarios[0].mean_holding_min"),
     (("traffic", "scenarios", 0, "mean_holding_min"), -2.5,
      "traffic.scenarios[0].mean_holding_min"),
+    (("traffic", "scenarios", 0, "label"), "busy\nday", "traffic.scenarios[0].label"),
 ], ids=("zero-probability", "negative-probability", "negative-rate", "short-rate",
-        "zero-holding", "negative-holding"))
+        "zero-holding", "negative-holding", "line-break-label"))
 def test_bad_traffic_profile_is_refused_by_key_before_any_simulation(
         tmp_path, capsys, monkeypatch, path, value, key):
     def no_simulation(*args, **kwargs):

@@ -28,7 +28,6 @@ from bspower.evaluate import (
     DAYS_PER_MONTH,
     _scaled_renewable,
     ExperimentReport,
-    RealizedDay,
     ReplayError,
     baseline_policy,
     evaluate_policy,
@@ -80,23 +79,40 @@ def test_replay_reproduces_solver_cost_per_scenario():
     for _ in range(10):
         horizon, storage, space = random_instance(rng)
         policy = solve_policy(horizon, storage, space)
-        total = 0.0
-        for scen in space.scenarios:
-            result = evaluate_policy(policy, RealizedDay.from_scenario(scen))
-            total += scen.probability * result.cost_cents
-        assert total == pytest.approx(policy.expected_cost, rel=1e-9, abs=1e-9)
+        costs = evaluate_policy(policy, space)
+        assert costs.shape == (len(space),)
+        assert space.probabilities @ costs == pytest.approx(
+            policy.expected_cost, rel=1e-9, abs=1e-9)
 
 
-def test_replay_battery_path_matches_policy():
+@pytest.mark.parametrize("physical", [False, True])
+def test_replay_costs_equal_each_scenarios_own_sum(physical):
+    # bit for bit: the stacked product sums each row as its own x @ price
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        horizon, storage, space = random_instance(rng)
+        policy = solve_policy(horizon, storage, space, physical_discharge=physical)
+        keep = 1.0 - storage.self_discharge if physical else 1.0
+        price = space.trace_matrix("price")
+        costs = evaluate_policy(policy, space)
+        for w, scen in enumerate(space.scenarios):
+            x, y = policy.purchase[w], policy.excess[w]
+            path = np.empty(horizon.T)
+            path[0] = storage.initial
+            for t in range(horizon.T - 1):
+                path[t + 1] = (keep * path[t] + x[t] + scen.renewable[t]
+                               - scen.consumption[t] - y[t])
+            np.testing.assert_allclose(path, policy.battery[w], rtol=0, atol=1e-6)
+            assert costs[w] == x @ price[w] / 1000.0 + storage.loss_cost_coeff * path.sum()
+
+
+def test_replay_cost_of_a_hand_solved_day():
     horizon = Horizon(T=3)
     storage = StorageConfig(capacity=1000.0, initial=0.0, terminal=0.0)
     space = single_scenario([10.0, 30.0, 99.0], [0.0, 0.0, 0.0],
                             [100.0, 300.0, 0.0])
     policy = solve_policy(horizon, storage, space)
-    result = evaluate_policy(policy, RealizedDay.from_scenario(space.scenarios[0]))
-    np.testing.assert_allclose(result.battery, policy.battery[0], atol=1e-7)
-    np.testing.assert_allclose(result.purchase, policy.purchase[0], atol=1e-12)
-    assert result.cost_cents == pytest.approx(4.0, abs=1e-9)
+    assert evaluate_policy(policy, space) == pytest.approx([4.0], abs=1e-9)
 
 
 def test_replay_rejects_unknown_day_and_wrong_length():
@@ -104,11 +120,15 @@ def test_replay_rejects_unknown_day_and_wrong_length():
     storage = StorageConfig(capacity=100.0, initial=0.0, terminal=0.0)
     space = single_scenario([1.0, 1.0], [0.0, 0.0], [10.0, 0.0], label="w")
     policy = solve_policy(horizon, storage, space)
-    with pytest.raises(KeyError):
-        evaluate_policy(policy, RealizedDay("other", [1.0, 1.0], [0.0, 0.0],
-                                            [10.0, 0.0]))
-    with pytest.raises(ValueError):
-        evaluate_policy(policy, RealizedDay("w", [1.0], [0.0], [10.0]))
+    with pytest.raises(ValueError, match="labels"):
+        evaluate_policy(policy, single_scenario([1.0, 1.0], [0.0, 0.0], [10.0, 0.0],
+                                                label="other"))
+    with pytest.raises(ValueError, match="periods"):
+        evaluate_policy(policy, single_scenario([1.0], [0.0], [10.0], label="w"))
+    two = ScenarioSpace(tuple(replace(space.scenarios[0], label=label, probability=0.5)
+                              for label in ("w", "v")))
+    with pytest.raises(ValueError, match="labels"):
+        evaluate_policy(policy, two)
 
 
 def test_replay_flags_infeasible_schedules():
@@ -121,21 +141,31 @@ def test_replay_flags_infeasible_schedules():
     extra = policy.purchase.copy()
     extra[0, 0] += 600.0  # overcharges past capacity
     with pytest.raises(ReplayError, match="leaves"):
-        evaluate_policy(replace(policy, purchase=extra),
-                        RealizedDay.from_scenario(space.scenarios[0]))
+        evaluate_policy(replace(policy, purchase=extra), space)
 
     skipped = policy.purchase.copy()
     skipped[0, :] = 0.0  # battery drains below zero
     with pytest.raises(ReplayError):
-        evaluate_policy(replace(policy, purchase=skipped),
-                        RealizedDay.from_scenario(space.scenarios[0]))
+        evaluate_policy(replace(policy, purchase=skipped), space)
+
+    late = policy.purchase.copy()
+    late[0, 1] += 50.0  # ends above the terminal level, within capacity
+    with pytest.raises(ReplayError, match="terminal level 150.000000 != 100.0"):
+        evaluate_policy(replace(policy, purchase=late), space)
 
 
-def test_realized_day_validation():
-    with pytest.raises(ValueError):
-        RealizedDay("d", [1.0, -1.0], [0.0, 0.0], [1.0, 1.0])
-    with pytest.raises(ValueError):
-        RealizedDay("d", [1.0, 1.0], [0.0], [1.0, 1.0])
+def test_replay_error_names_the_first_failing_scenario():
+    horizon = Horizon(T=3)
+    storage = StorageConfig(capacity=400.0, initial=100.0, terminal=100.0)
+    day = ([10.0, 10.0, 10.0], [0.0, 0.0, 0.0], [50.0, 50.0, 0.0])
+    space = ScenarioSpace(tuple(CompositeScenario(label, p, *day) for label, p
+                                in (("w0", 0.25), ("w1", 0.5), ("w2", 0.25))))
+    policy = solve_policy(horizon, storage, space)
+    extra = policy.purchase.copy()
+    extra[1, 0] += 600.0  # scenario 1 leaves [0, capacity]
+    extra[2, 1] += 50.0   # scenario 2 misses the terminal level
+    with pytest.raises(ReplayError, match="leaves .* on day 'w1'"):
+        evaluate_policy(replace(policy, purchase=extra), space)
 
 
 def test_zero_consumption_day_with_matched_endpoints_is_free():
@@ -143,10 +173,8 @@ def test_zero_consumption_day_with_matched_endpoints_is_free():
     storage = StorageConfig(capacity=1500.0, initial=900.0, terminal=900.0)
     space = single_scenario(np.full(8, 14.0), np.zeros(8), np.zeros(8))
     policy = solve_policy(horizon, storage, space)
-    day = RealizedDay.from_scenario(space.scenarios[0])
-    result = evaluate_policy(policy, day)
-    assert result.cost_cents == pytest.approx(0.0, abs=1e-9)
-    assert baseline_policy(horizon, storage, day, hold_level=900.0) == 0.0
+    assert evaluate_policy(policy, space) == pytest.approx([0.0], abs=1e-9)
+    assert baseline_policy(storage, space, hold_level=900.0) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -154,33 +182,33 @@ def test_zero_consumption_day_with_matched_endpoints_is_free():
 # ---------------------------------------------------------------------------
 
 def test_baseline_buys_only_the_shortfall():
-    horizon = Horizon(T=3)
     storage = StorageConfig(capacity=2000.0, initial=500.0, terminal=500.0)
-    day = RealizedDay("d", price=[10.0, 20.0, 10.0],
-                      renewable=[50.0, 0.0, 400.0],
-                      consumption=[150.0, 100.0, 100.0])
-    cost = baseline_policy(horizon, storage, day)
+    space = single_scenario(price=[10.0, 20.0, 10.0], renewable=[50.0, 0.0, 400.0],
+                            consumption=[150.0, 100.0, 100.0])
+    cost = baseline_policy(storage, space)
     # shortfalls: 100 @ 10, 100 @ 20, 0 -> 1.0 + 2.0 cents; no holding cost
     assert cost == pytest.approx(3.0, abs=1e-12)
 
 
 def test_baseline_holding_cost_uses_clamped_level():
-    horizon = Horizon(T=4)
     coeff = 1e-3
     storage = StorageConfig(capacity=800.0, initial=0.0, terminal=0.0,
                             loss_cost_coeff=coeff)
-    day = RealizedDay("d", price=np.full(4, 10.0), renewable=np.full(4, 50.0),
-                      consumption=np.full(4, 50.0))
+    space = single_scenario(price=np.full(4, 10.0), renewable=np.full(4, 50.0),
+                            consumption=np.full(4, 50.0))
     # the constant hold level defaults to 1000 Wh but cannot exceed capacity
-    assert baseline_policy(horizon, storage, day) == pytest.approx(
-        coeff * 800.0 * 4, abs=1e-12)
+    assert baseline_policy(storage, space) == pytest.approx(coeff * 800.0 * 4, abs=1e-12)
 
 
-def test_baseline_rejects_wrong_day_length():
-    storage = StorageConfig(capacity=800.0, initial=0.0, terminal=0.0)
-    day = RealizedDay("d", [10.0], [0.0], [50.0])
-    with pytest.raises(ValueError):
-        baseline_policy(Horizon(T=4), storage, day)
+def test_baseline_is_the_probability_weighted_cost():
+    storage = StorageConfig(capacity=2000.0, initial=500.0, terminal=500.0,
+                            loss_cost_coeff=1e-4)
+    space = ScenarioSpace((
+        CompositeScenario("dry", 0.25, [10.0, 20.0], [0.0, 0.0], [100.0, 100.0]),
+        CompositeScenario("wet", 0.75, [10.0, 20.0], [100.0, 0.0], [100.0, 100.0])))
+    # per scenario: 3.0 and 2.0 cents to buy, plus 1e-4 * 1000 Wh * 2 periods
+    assert baseline_policy(storage, space) == pytest.approx(
+        0.25 * 3.2 + 0.75 * 2.2, abs=1e-12)
 
 
 def test_adaptive_schedule_never_loses_to_constant_hold():
@@ -190,11 +218,7 @@ def test_adaptive_schedule_never_loses_to_constant_hold():
     cal = replace(cal, storage=replace(cal.storage, initial=1000.0, terminal=1000.0))
     space = cal.scenario_space(seed=0)
     policy = per_scenario_decomposition(cal.horizon, cal.storage, space)
-    base = sum(
-        scen.probability * baseline_policy(cal.horizon, cal.storage,
-                                           RealizedDay.from_scenario(scen),
-                                           hold_level=1000.0)
-        for scen in space.scenarios)
+    base = baseline_policy(cal.storage, space, hold_level=1000.0)
     assert policy.expected_cost <= base + 1e-6
 
 
@@ -272,12 +296,12 @@ def test_report_validates_shape_and_order():
         ExperimentReport("k", ("a", "b"), ((1.0,),))
     with pytest.raises(ValueError, match="non-decreasing"):
         ExperimentReport("k", ("a", "b"), ((2.0, 0.0), (1.0, 0.0)))
-    report = ExperimentReport("k", ("a", "b"), ((1.0, 5.0), (2.0, None)))
-    assert column(report, "b") == [5.0, None]
+    report = ExperimentReport("k", ("a", "b"), ((1.0, 5.0), (2.0, float("nan"))))
+    np.testing.assert_array_equal(column(report, "b"), [5.0, np.nan])
 
 
 def test_report_csv_formatting():
-    report = ExperimentReport("k", ("n", "v"), ((1, 0.5), (2, None)))
+    report = ExperimentReport("k", ("n", "v"), ((1, 0.5), (2, float("nan"))))
     assert report.csv_text() == "n,v\n1,0.500000\n2,nan\n"
 
 

@@ -132,6 +132,17 @@ def test_marginal_space_diagnostics():
         "price.scenarios[0].values: price/a: trace length 3 != T=4"]
 
 
+@pytest.mark.parametrize("label", ("peak,hi", 'say "hi"', "a\rb", "a\nb"),
+                         ids=("comma", "quote", "cr", "lf"))
+def test_a_label_must_not_hold_csv_delimiters(label):
+    one = np.ones(3)
+    assert marginal_refused("price", (MarginalScenario("a", 0.5, one),
+                                      MarginalScenario(label, 0.5, one))) == [
+        f"price.scenarios[1].label: label {label!r} holds a comma, quote or line break"]
+    assert space_refused(CompositeScenario(label, 1.0, one, one, one)) == [
+        f"scenarios[0].label: label {label!r} holds a comma, quote or line break"]
+
+
 @pytest.mark.parametrize("bent", (5.0, np.ones((3, 2))), ids=("0-d", "2-d"))
 def test_a_trace_must_be_one_dimensional(solver_calls, bent):
     shape = np.shape(bent)

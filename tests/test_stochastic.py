@@ -856,12 +856,3 @@ def test_policy_csv_layout():
     assert lines[1] == "only,1,200.000000,500.000000,0.000000"
     assert lines[2] == "only,2,0.000000,500.000000,0.000000"
 
-
-def test_scenario_index_lookup():
-    horizon = Horizon(T=2)
-    storage = StorageConfig(capacity=100.0, initial=0.0, terminal=0.0)
-    space = single_scenario([1.0, 1.0], [0.0, 0.0], [10.0, 0.0], label="w")
-    policy = solve_policy(horizon, storage, space)
-    assert policy.scenario_index("w") == 0
-    with pytest.raises(KeyError):
-        policy.scenario_index("missing")
