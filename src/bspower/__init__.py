@@ -18,8 +18,8 @@ from .scenarios import (CompositeScenario, MarginalScenario, MarginalSpace,
                         RateProfile, ScenarioDocument, ScenarioFileError,
                         ScenarioSpace, compose, estimate_probabilities,
                         load_scenario_file)
-from .stochastic import (InfeasibleProgramError, PolicyTable, StorageConfig,
-                         VariableMap, build_deterministic_equivalent,
+from .stochastic import (PolicyTable, StorageConfig, VariableMap,
+                         build_deterministic_equivalent,
                          per_scenario_decomposition, policy_csv_text,
                          solve_policies, solve_policy, verify_policy)
 from .traffic import (CacConfig, QosStats, TrafficSpec, simulate_replicated,
@@ -30,9 +30,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BaseStationParams", "CacConfig", "Calibration", "CompositeScenario",
-    "ExperimentReport", "Horizon", "InfeasibleProgramError",
-    "LinearProgram", "MarginalScenario", "MarginalSpace", "PolicyTable",
-    "QosStats", "RateProfile", "ReplayError",
+    "ExperimentReport", "Horizon", "LinearProgram", "MarginalScenario",
+    "MarginalSpace", "PolicyTable", "QosStats", "RateProfile", "ReplayError",
     "ScenarioDocument", "ScenarioFileError", "ScenarioSpace", "StorageConfig",
     "TrafficSpec", "VariableMap", "baseline_policy",
     "build_deterministic_equivalent", "compose", "consumption_trace",

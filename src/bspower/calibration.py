@@ -221,6 +221,14 @@ class Calibration:
         return compose(self.price, self.renewable, self.consumption_space(seed))
 
 
+def _keyed(block: str, make, **fields):
+    """make(**fields), its refusal re-raised led by the config block's key."""
+    try:
+        return make(**fields)
+    except ValueError as exc:
+        raise ValueError(f"config.{block}: {exc}") from exc
+
+
 def calibration_from_config(cfg: dict, scenarios: ScenarioDocument | None = None,
                             periods: int = 24) -> Calibration:
     """The calibration a config document describes.
@@ -259,23 +267,22 @@ def calibration_from_config(cfg: dict, scenarios: ScenarioDocument | None = None
         # a price space checks its traces when built, so a bad trace is
         # named as such rather than as the coefficient derived from it
         loss_coeff = derived_loss_cost(price, float(bat["self_discharge"]))
-    storage = StorageConfig(
-        capacity=float(bat["capacity_wh"]),
-        initial=float(bat["initial_wh"]),
-        terminal=float(bat["terminal_wh"]),
-        self_discharge=float(bat["self_discharge"]),
-        loss_cost_coeff=float(loss_coeff),
-    )
+    storage = _keyed("battery", StorageConfig,
+                     capacity=float(bat["capacity_wh"]),
+                     initial=float(bat["initial_wh"]),
+                     terminal=float(bat["terminal_wh"]),
+                     self_discharge=float(bat["self_discharge"]),
+                     loss_cost_coeff=float(loss_coeff))
     bs = cfg["base_station"]
     return Calibration(
         horizon=horizon,
-        params=BaseStationParams(
-            e_static_w=float(bs["static_w"]),
-            e_dynamic_w=float(bs["dynamic_w"]),
-            max_connections=int(bs["max_connections"])),
+        params=_keyed("base_station", BaseStationParams,
+                      e_static_w=float(bs["static_w"]),
+                      e_dynamic_w=float(bs["dynamic_w"]),
+                      max_connections=int(bs["max_connections"])),
         storage=storage,
-        cac=CacConfig(channels=int(cfg["cac"]["channels"]),
-                      threshold=int(cfg["cac"]["threshold"])),
+        cac=_keyed("cac", CacConfig, channels=int(cfg["cac"]["channels"]),
+                   threshold=int(cfg["cac"]["threshold"])),
         price=price,
         renewable=renewable,
         traffic_profiles=profiles,

@@ -4,10 +4,11 @@ Subcommands: solve, simulate, sweep {battery,cac,arrival}, estimate-probs.
 Shared flags: --config, --scenarios, --out, --seed; solve and simulate
 also take --nonanticipative and --physical-discharge. Exit codes: 0
 success, 2 usage error (including a bad value in a scenario file, named
-by key), 3 infeasible program, 4 I/O or file-format error (a decode
-error, an unknown or missing key, a non-finite number or a value of the
-wrong JSON type), 5 solver failure (including a non-finite optimal cost
-or an overflowed tableau).
+by key), 4 I/O or file-format error (a decode error, an unknown or
+missing key, a non-finite number or a value of the wrong JSON type), 5
+solver failure (a block without a finite optimum, such as a non-finite
+optimal cost or an overflowed tableau: every program the model builds
+is feasible and bounded, see stochastic.solve_policies).
 
 Every input file goes through scenarios.read_document. The config file is
 JSON with schema "bspower-config-1", its layout read off DEFAULT_CONFIG:
@@ -39,7 +40,7 @@ from .evaluate import (evaluate_policy, manifest_text, monthly_cost,
 from .scenarios import (ScenarioDocument, ScenarioFileError, check_document,
                         estimate_probabilities, load_scenario_file, read_document,
                         read_json, scenario_document_dict)
-from .stochastic import InfeasibleProgramError, policy_csv_text, solve_policy
+from .stochastic import policy_csv_text, solve_policy
 from .traffic import uniform_traffic
 
 
@@ -271,9 +272,6 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except InfeasibleProgramError as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return 3
     except RuntimeError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 5

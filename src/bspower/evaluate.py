@@ -29,8 +29,7 @@ import numpy as np
 from .calibration import Calibration
 from .power_model import consumption_trace
 from .scenarios import MarginalScenario, MarginalSpace, ScenarioSpace, compose
-from .stochastic import (BALANCE_TOL, InfeasibleProgramError, PolicyTable, _retention,
-                         solve_policies)
+from .stochastic import BALANCE_TOL, PolicyTable, _retention, solve_policies
 from .traffic import CacConfig, TrafficSpec, simulate_replicated, uniform_traffic
 
 DAYS_PER_MONTH = 30
@@ -100,7 +99,6 @@ def monthly_cost(expected_daily_cost: float) -> float:
 
 @dataclass(frozen=True)
 class ExperimentReport:
-    kind: str
     columns: tuple[str, ...]
     rows: tuple[tuple, ...]
 
@@ -165,19 +163,16 @@ def _solve_traces(cal: Calibration, traces) -> list[PolicyTable]:
     spaces = [compose(cal.price, cal.renewable,
                       _single_consumption(consumption_trace(cal.params, trace, cal.horizon)))
               for trace in traces]
-    policies = solve_policies(cal.horizon, [(cal.storage, space) for space in spaces])
-    for policy in policies:
-        if isinstance(policy, InfeasibleProgramError):
-            raise policy
-    return policies
+    return solve_policies(cal.horizon, [(cal.storage, space) for space in spaces])
 
 
 def sweep_battery(capacities, renewable_scalings, cal: Calibration,
                   seed: int = 0) -> ExperimentReport:
     """Expected monthly cost over a (capacity, renewable scale) grid.
 
-    Initial/terminal levels are clamped to the capacity under test.
-    Infeasible cells are reported as NaN rather than aborting the sweep.
+    Initial/terminal levels are clamped to the capacity under test, so
+    every cell is feasible; a cell without a finite optimum fails the
+    sweep with the RuntimeError of solve_policies.
     """
     if not len(capacities) or not len(renewable_scalings):
         raise ValueError("sweep grids must be non-empty")
@@ -192,11 +187,9 @@ def sweep_battery(capacities, renewable_scalings, cal: Calibration,
         (replace(cal.storage, capacity=cap, initial=min(cal.storage.initial, cap),
                  terminal=min(cal.storage.terminal, cap)), spaces[scale])
         for cap, scale in grid])
-    rows = [(cap, float(scale), float("nan") if isinstance(policy, InfeasibleProgramError)
-             else monthly_cost(policy.expected_cost))
+    rows = [(cap, float(scale), monthly_cost(policy.expected_cost))
             for (cap, scale), policy in zip(grid, policies)]
     return ExperimentReport(
-        kind="battery",
         columns=("capacity_wh", "renewable_scale", "monthly_cost_usd"),
         rows=tuple(rows))
 
@@ -232,7 +225,6 @@ def sweep_cac(thresholds, spec: TrafficSpec, cal: Calibration,
         rows.append((tau, stats.new_blocking_prob, stats.handoff_dropping_prob,
                      saving))
     return ExperimentReport(
-        kind="cac",
         columns=("threshold", "blocking", "dropping", "cost_saving_pct"),
         rows=tuple(rows))
 
@@ -259,6 +251,5 @@ def sweep_arrival_rate(rates, cal: Calibration, seed: int = 0) -> ExperimentRepo
         avg_battery = float(probs @ policy.battery.mean(axis=1))
         rows.append((rate, avg_purchase, avg_battery))
     return ExperimentReport(
-        kind="arrival",
         columns=("arrival_rate_per_min", "avg_purchase_wh", "avg_battery_wh"),
         rows=tuple(rows))

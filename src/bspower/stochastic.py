@@ -56,10 +56,6 @@ from .units import Horizon
 BALANCE_TOL = 1e-6
 
 
-class InfeasibleProgramError(RuntimeError):
-    """Raised when the purchase/storage program has no feasible policy."""
-
-
 @dataclass(frozen=True)
 class StorageConfig:
     """Battery parameters; levels in Wh, self_discharge as fraction/period,
@@ -313,13 +309,9 @@ def solve_policy(
 ) -> PolicyTable:
     """The policy of one cell: solve_policies over [(storage, space)].
 
-    Raises InfeasibleProgramError when a block has no optimum, and
-    RuntimeError when a block's optimal cost is not finite or its solve
-    broke down numerically.
+    Raises RuntimeError when a block has no finite optimum.
     """
     policy, = solve_policies(horizon, [(storage, space)], nonanticipative, physical_discharge)
-    if isinstance(policy, InfeasibleProgramError):
-        raise policy
     return policy
 
 
@@ -328,7 +320,7 @@ def solve_policies(
     cells,
     nonanticipative: bool = False,
     physical_discharge: bool = False,
-) -> list:
+) -> list[PolicyTable]:
     """Solve the program of every (storage, space) cell one block at a time.
 
     Every scenario is first solved alone (the wait-and-see solve); without
@@ -349,10 +341,16 @@ def solve_policies(
     the optimum of build_deterministic_equivalent over the whole space,
     because no constraint spans two groups.
 
-    Returns one PolicyTable per cell; a cell with a block that has no
-    optimum gets the InfeasibleProgramError that names that block instead.
-    Raises RuntimeError at the first cell whose first failing block has an
-    optimal cost that is not finite or the status numerical.
+    Every block is feasible and bounded: each balance row has its own
+    purchase and excess columns, with no upper bound, so the grid covers
+    any shortfall and takes any surplus; StorageConfig keeps both endpoint
+    levels in [0, capacity]; the coupling rows only equate first-period
+    purchases, which are free; and costs are non-negative. So a block
+    without a finite optimum is a numerical breakdown.
+
+    Returns one PolicyTable per cell. Raises RuntimeError at the first
+    cell's first block whose status is not optimal or whose optimal cost
+    is not finite, naming that block's first scenario.
     """
     cells = list(cells)
     traces = {}
@@ -390,21 +388,15 @@ def solve_policies(
 
 
 def _policy(storage, space, cube, blocks, nonanticipative, physical_discharge):
-    """A cell's PolicyTable, or the InfeasibleProgramError of its first
-    block without an optimum."""
+    """A cell's PolicyTable; RuntimeError at its first block without a
+    finite optimum."""
     lead, masses, statuses, costs = blocks
     order = np.nonzero(lead)[0]
     failing = (statuses[order] != "optimal") | ~np.isfinite(costs[order])
     if failing.any():
         first = order[failing.argmax()]
         label = space.scenarios[first].label
-        if statuses[first] in ("infeasible", "unbounded"):
-            return InfeasibleProgramError(
-                f"stochastic program is {statuses[first]} for the scenario group "
-                f"of {label!r}; check battery endpoint "
-                f"levels (initial={storage.initial}, terminal={storage.terminal}) "
-                f"against capacity {storage.capacity}")
-        # an overflowed block has no cost to show; an optimal one shows its inf
+        # a block without an optimum has no cost to show; an optimal one shows its inf
         cost = f" with cost {costs[first]}" if statuses[first] == "optimal" else ""
         raise RuntimeError(f"the scenario group of {label!r} solved {statuses[first]}"
                            f"{cost}; trace values too large for the solver")

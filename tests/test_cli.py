@@ -13,6 +13,7 @@ import pytest
 from bspower import scenarios as scenarios_mod
 from bspower.calibration import DEFAULT_CONFIG
 from bspower.cli import main
+from bspower.lp import LpResult
 from bspower.scenarios import MarginalSpace, ScenarioDocument, ScenarioSpace
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -381,12 +382,27 @@ def test_replication_count_past_the_event_budget_is_a_usage_error(tmp_path, caps
 
 
 def test_solver_failure_exits_with_code_5(tiny, tmp_path, capsys, monkeypatch):
+    # a solver that raises, and one whose every block ends not optimal: a
+    # block without a finite optimum is a solver failure, named by its
+    # first scenario, whichever command solves it
     def broken(program, *tables):
         raise RuntimeError("simplex iteration cap exceeded")
 
-    monkeypatch.setattr("bspower.stochastic.lp_mod.solve_batch", broken)
-    assert main(["solve", "--scenarios", tiny, "--out", str(tmp_path / "o")]) == 5
-    assert "solver failure: simplex iteration cap exceeded" in capsys.readouterr().err
+    def all_infeasible(program, c, b_eq, upper, rows):
+        K = len(rows)
+        return LpResult(np.full(K, "infeasible"), np.full((K, program.n_vars), np.nan),
+                        np.full(K, np.nan), np.zeros(K, int), np.zeros(K, bool))
+
+    for stub, message in (
+            (broken, "solver failure: simplex iteration cap exceeded"),
+            (all_infeasible, "solver failure: the scenario group of 'flat|none|steady' "
+                             "solved infeasible")):
+        monkeypatch.setattr("bspower.stochastic.lp_mod.solve_batch", stub)
+        for command in (["solve"], ["sweep", "battery"]):
+            out = tmp_path / stub.__name__ / command[-1]
+            assert main([*command, "--scenarios", tiny, "--out", str(out)]) == 5, command
+            assert message in capsys.readouterr().err, command
+            assert not out.exists(), command
 
 
 def test_nonanticipative_flag_accepted(tiny, tmp_path, capsys):
@@ -689,6 +705,25 @@ def test_config_seed_flag_overrides_file(tiny, tmp_path, capsys):
                  "--out", str(out), "--seed", "9"]) == 0
     capsys.readouterr()
     assert "seed: 9" in (out / "manifest.txt").read_text()
+
+
+@pytest.mark.parametrize("override, message", [
+    ({"battery": {"initial_wh": 3000.0}},
+     "config.battery: initial level 3000.0 outside [0, capacity=2000.0]"),
+    ({"battery": {"self_discharge": 1.0}},
+     "config.battery: self_discharge must be in [0, 1), got 1.0"),
+    ({"cac": {"channels": 25, "threshold": 30}},
+     "config.cac: threshold must lie in [1, 25], got 30"),
+    ({"cac": {"channels": 0}}, "config.cac: channels must be >= 1, got 0"),
+    ({"base_station": {"static_w": -1.0}},
+     "config.base_station: power coefficients must be non-negative"),
+], ids=("initial", "self-discharge", "threshold", "channels", "static"))
+def test_config_block_refusal_names_its_block(tiny, tmp_path, capsys, override, message):
+    cfg = write_json(tmp_path / "cfg.json", {"schema": "bspower-config-1", **override})
+    out = tmp_path / "o"
+    assert main(["solve", "--scenarios", tiny, "--config", cfg, "--out", str(out)]) == 2
+    assert f"usage error: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_bad_battery_values_are_usage_errors(tiny, tmp_path, capsys):

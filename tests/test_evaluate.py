@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 import bspower
-import bspower.lp as lp_mod
 from bspower.calibration import (
     DEFAULT_ARRIVAL_RATES,
     DEFAULT_CAC_THRESHOLDS,
@@ -45,7 +44,6 @@ from bspower.scenarios import (
     ScenarioSpace,
 )
 from bspower.stochastic import (
-    InfeasibleProgramError,
     StorageConfig,
     per_scenario_decomposition,
     solve_policy,
@@ -293,15 +291,15 @@ def test_calibration_scenario_space_is_product_of_marginals():
 
 def test_report_validates_shape_and_order():
     with pytest.raises(ValueError):
-        ExperimentReport("k", ("a", "b"), ((1.0,),))
+        ExperimentReport(("a", "b"), ((1.0,),))
     with pytest.raises(ValueError, match="non-decreasing"):
-        ExperimentReport("k", ("a", "b"), ((2.0, 0.0), (1.0, 0.0)))
-    report = ExperimentReport("k", ("a", "b"), ((1.0, 5.0), (2.0, float("nan"))))
+        ExperimentReport(("a", "b"), ((2.0, 0.0), (1.0, 0.0)))
+    report = ExperimentReport(("a", "b"), ((1.0, 5.0), (2.0, float("nan"))))
     np.testing.assert_array_equal(column(report, "b"), [5.0, np.nan])
 
 
 def test_report_csv_formatting():
-    report = ExperimentReport("k", ("n", "v"), ((1, 0.5), (2, float("nan"))))
+    report = ExperimentReport(("n", "v"), ((1, 0.5), (2, float("nan"))))
     assert report.csv_text() == "n,v\n1,0.500000\n2,nan\n"
 
 
@@ -352,22 +350,13 @@ def test_battery_sweep_clamps_endpoints_to_small_capacities():
     assert costs[1] <= costs[0] + 1e-9
 
 
-def test_merged_battery_sweep_equals_its_cells_solved_alone(monkeypatch, solver_calls):
+def test_merged_battery_sweep_equals_its_cells_solved_alone(solver_calls):
     # capacity 0 fixes every battery level and 300 Wh clamps the 500 Wh
     # endpoints, so each fixes other values than the other capacities and
-    # gets a solve_batch call of its own; the spy makes the 1500 Wh programs
-    # infeasible. The one sweep must write what each cell's own solve_policy
-    # gives, the NaN rows included
+    # gets a solve_batch call of its own. The one sweep must write what each
+    # cell's own solve_policy gives
     cal = cheap_calibration()
     T = cal.horizon.T
-    real = lp_mod.solve_batch
-
-    def infeasible_at_1500(program, c, b_eq, upper, rows):
-        result = real(program, c, b_eq, upper, rows)
-        result.status[upper[rows[:, 2], T + 1] == 1500.0] = "infeasible"
-        return result
-
-    monkeypatch.setattr(lp_mod, "solve_batch", infeasible_at_1500)
     capacities, scalings = [0.0, 300.0, 1000.0, 1500.0], [1.0, 1.5]
     report = sweep_battery(capacities, scalings, cal, seed=0)
     calls = [call.program.lower[T] for call in solver_calls.batches]
@@ -380,13 +369,9 @@ def test_merged_battery_sweep_equals_its_cells_solved_alone(monkeypatch, solver_
                           terminal=min(cal.storage.terminal, cap))
         for scale in scalings:
             space = compose(cal.price, _scaled_renewable(cal.renewable, scale), consumption)
-            try:
-                cost = monthly_cost(solve_policy(cal.horizon, storage, space).expected_cost)
-            except InfeasibleProgramError:
-                cost = float("nan")
+            cost = monthly_cost(solve_policy(cal.horizon, storage, space).expected_cost)
             alone.append((cap, scale, cost))
-    assert [np.isnan(row[2]) for row in alone] == [False] * 6 + [True] * 2
-    assert report.csv_text() == ExperimentReport("battery", report.columns, alone).csv_text()
+    assert report.csv_text() == ExperimentReport(report.columns, alone).csv_text()
 
 
 def test_sweeps_solve_in_one_call_and_full_stacks(solver_calls):
