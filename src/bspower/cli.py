@@ -33,19 +33,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .calibration import (CONFIG_SCHEMA, DEFAULT_CONFIG, Calibration,
+from .calibration import (CONFIG_SCHEMA, DEFAULT_CONFIG, Calibration, _keyed,
                           calibration_from_config)
-from .evaluate import (evaluate_policy, manifest_text, monthly_cost,
+from .evaluate import (_uniform_load, evaluate_policy, manifest_text, monthly_cost,
                        sweep_arrival_rate, sweep_battery, sweep_cac)
 from .scenarios import (ScenarioDocument, ScenarioFileError, check_document,
                         estimate_probabilities, load_scenario_file, read_document,
                         read_json, scenario_document_dict)
 from .stochastic import policy_csv_text, solve_policy
-from .traffic import uniform_traffic
-
-
-class UsageError(ValueError):
-    """Bad invocation or unusable parameter values; exits with code 2."""
 
 
 def _override_spec(default):
@@ -111,7 +106,7 @@ def _check_ranges(cfg: dict) -> None:
             ("cac.channels", cfg["cac"]["channels"], cfg["cac"]["channels"] <= connections,
              f"be at most config.base_station.max_connections ({connections})")):
         if not ok:
-            raise UsageError(f"config.{key} must {rule}, got {value}")
+            raise ValueError(f"config.{key} must {rule}, got {value}")
 
 
 def _build_run_config(args) -> RunConfig:
@@ -194,8 +189,8 @@ def cmd_sweep(rc: RunConfig, kind: str) -> int:
         report = sweep_battery(grids["capacities_wh"], grids["renewable_scalings"],
                                cal, rc.seed)
     elif kind == "cac":
-        spec = uniform_traffic(float(grids["load_per_min"]), cal.handoff_fraction,
-                               cal.horizon.T, cal.mean_holding)
+        spec = _keyed("sweeps.cac.load_per_min", _uniform_load, cal=cal,
+                      rate=float(grids["load_per_min"]))
         report = sweep_cac(grids["thresholds"], spec, cal, rc.seed)
     else:
         report = sweep_arrival_rate(grids["rates_per_min"], cal, rc.seed)
@@ -209,14 +204,10 @@ def cmd_estimate_probs(counts_path: str) -> int:
     if not isinstance(doc, dict):
         doc = {"counts": doc}
     elif "counts" not in doc:
-        raise UsageError("counts file must hold a JSON array "
+        raise ValueError("counts file must hold a JSON array "
                          "(or an object with a 'counts' array)")
     counts = check_document(doc, {"counts": [float]})["counts"]
-    try:
-        probs = estimate_probabilities(counts)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    print(" ".join(f"{p:g}" for p in probs))
+    print(" ".join(f"{p:g}" for p in estimate_probabilities(counts)))
     return 0
 
 
@@ -269,9 +260,6 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             return cmd_simulate(rc)
         return cmd_sweep(rc, args.kind)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
     except RuntimeError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 5

@@ -15,9 +15,12 @@ scenario space.
 
 Sweeps re-solve the program across parameter grids and return fixed-schema
 reports. Each sweep hands all its grid cells to one solve_policies call,
-which solves them in lockstep batches; simulation-driven sweeps share one
-seed across grid points so traffic realizations are coupled and the
-documented monotone trends hold exactly per run, not just in expectation.
+which solves them in lockstep batches; traffic sweeps solve each distinct
+occupancy trace once. Simulation-driven sweeps share one seed across grid
+points so traffic realizations are coupled and the documented monotone
+trends hold exactly per run, not just in expectation. A grid value the
+model cannot use is refused with its config key,
+config.sweeps.<kind>.<key>[i], i its place in the grid as given.
 """
 
 from __future__ import annotations
@@ -26,11 +29,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .calibration import Calibration
+from .calibration import Calibration, _keyed
 from .power_model import consumption_trace
 from .scenarios import MarginalScenario, MarginalSpace, ScenarioSpace, compose
 from .stochastic import BALANCE_TOL, PolicyTable, _retention, solve_policies
-from .traffic import CacConfig, TrafficSpec, simulate_replicated, uniform_traffic
+from .traffic import (CacConfig, TrafficSpec, _check_events, simulate_replicated,
+                      uniform_traffic)
 
 DAYS_PER_MONTH = 30
 
@@ -145,11 +149,32 @@ def manifest_text(config_hash: str, seed: int) -> str:
 # ---------------------------------------------------------------------------
 
 def _scaled_renewable(space: MarginalSpace, factor: float) -> MarginalSpace:
+    if factor < 0:
+        raise ValueError(f"renewable scale must be non-negative, got {factor}")
     # a trace that overflows is refused by key when the scaled space is built
     with np.errstate(over="ignore"):
         return MarginalSpace(kind="renewable", scenarios=tuple(
             MarginalScenario(s.label, s.probability, s.values * factor)
             for s in space.scenarios))
+
+
+def _with_capacity(storage, capacity: float):
+    """storage at capacity, its initial and terminal levels clamped to it."""
+    return replace(storage, capacity=capacity, initial=min(storage.initial, capacity),
+                   terminal=min(storage.terminal, capacity))
+
+
+def _uniform_load(cal: Calibration, rate: float) -> TrafficSpec:
+    """The calibration's uniform traffic at rate arrivals per minute,
+    refused when one replication of it alone passes the event budget."""
+    spec = uniform_traffic(rate, cal.handoff_fraction, cal.horizon.T, cal.mean_holding)
+    _check_events([(spec, cal.cac)], cal.horizon, 1)
+    return spec
+
+
+def _grid(key: str, values, make) -> list:
+    """make(value) of each grid value, a refusal led by its config key."""
+    return [_keyed(f"sweeps.{key}[{i}]", make, value=value) for i, value in enumerate(values)]
 
 
 def _single_consumption(values: np.ndarray) -> MarginalSpace:
@@ -159,11 +184,16 @@ def _single_consumption(values: np.ndarray) -> MarginalSpace:
 
 def _solve_traces(cal: Calibration, traces) -> list[PolicyTable]:
     """The policy under the calibration's battery for the consumption of
-    each occupancy trace, all solved in one solve_policies call."""
-    spaces = [compose(cal.price, cal.renewable,
-                      _single_consumption(consumption_trace(cal.params, trace, cal.horizon)))
-              for trace in traces]
-    return solve_policies(cal.horizon, [(cal.storage, space) for space in spaces])
+    each occupancy trace. Each distinct trace, by its bytes, is composed
+    and solved once, all in one solve_policies call, and its policy serves
+    every trace equal to it."""
+    distinct = {trace.tobytes(): trace for trace in traces}
+    policies = solve_policies(cal.horizon, [
+        (cal.storage, compose(cal.price, cal.renewable, _single_consumption(
+            consumption_trace(cal.params, trace, cal.horizon))))
+        for trace in distinct.values()])
+    solved = dict(zip(distinct, policies))
+    return [solved[trace.tobytes()] for trace in traces]
 
 
 def sweep_battery(capacities, renewable_scalings, cal: Calibration,
@@ -176,19 +206,18 @@ def sweep_battery(capacities, renewable_scalings, cal: Calibration,
     """
     if not len(capacities) or not len(renewable_scalings):
         raise ValueError("sweep grids must be non-empty")
-    capacities = sorted(float(c) for c in capacities)
+    storages = sorted(_grid("battery.capacities_wh", capacities,
+                            lambda value: _with_capacity(cal.storage, float(value))),
+                      key=lambda storage: storage.capacity)
+    scaled = _grid("battery.renewable_scalings", renewable_scalings,
+                   lambda value: _scaled_renewable(cal.renewable, value))
     consumption = cal.consumption_space(seed)
-    spaces = {
-        scale: compose(cal.price, _scaled_renewable(cal.renewable, scale), consumption)
-        for scale in renewable_scalings
-    }
-    grid = [(cap, scale) for cap in capacities for scale in renewable_scalings]
-    policies = solve_policies(cal.horizon, [
-        (replace(cal.storage, capacity=cap, initial=min(cal.storage.initial, cap),
-                 terminal=min(cal.storage.terminal, cap)), spaces[scale])
-        for cap, scale in grid])
-    rows = [(cap, float(scale), monthly_cost(policy.expected_cost))
-            for (cap, scale), policy in zip(grid, policies)]
+    spaces = {scale: compose(cal.price, renewable, consumption)
+              for scale, renewable in zip(renewable_scalings, scaled)}
+    grid = [(storage, scale) for storage in storages for scale in renewable_scalings]
+    policies = solve_policies(cal.horizon, [(storage, spaces[scale]) for storage, scale in grid])
+    rows = [(storage.capacity, float(scale), monthly_cost(policy.expected_cost))
+            for (storage, scale), policy in zip(grid, policies)]
     return ExperimentReport(
         columns=("capacity_wh", "renewable_scale", "monthly_cost_usd"),
         rows=tuple(rows))
@@ -201,14 +230,15 @@ def sweep_cac(thresholds, spec: TrafficSpec, cal: Calibration,
     All thresholds share the seed, so blocking is non-increasing and
     dropping non-decreasing along the grid by construction. Saving is
     relative to no admission reservation (threshold = channels). Each
-    distinct threshold, that baseline included, is simulated and solved once.
+    distinct threshold, that baseline included, is simulated once, and each
+    distinct trace among theirs is solved once.
     """
     if not len(thresholds):
         raise ValueError("threshold grid must be non-empty")
-    thresholds = sorted(int(t) for t in thresholds)
     channels = cal.cac.channels
-    if thresholds[0] < 1 or thresholds[-1] > channels:
-        raise ValueError(f"thresholds must lie in [1, {channels}]")
+    _grid("cac.thresholds", thresholds,
+          lambda value: CacConfig(channels=channels, threshold=int(value)))
+    thresholds = sorted(int(t) for t in thresholds)
 
     distinct = list(dict.fromkeys([*thresholds, channels]))
     runs = simulate_replicated(
@@ -237,15 +267,13 @@ def sweep_arrival_rate(rates, cal: Calibration, seed: int = 0) -> ExperimentRepo
     """
     if not len(rates):
         raise ValueError("rate grid must be non-empty")
-    rates = sorted(float(r) for r in rates)
-    if rates[0] < 0:
-        raise ValueError("arrival rates must be non-negative")
-    specs = [uniform_traffic(rate, cal.handoff_fraction, cal.horizon.T, cal.mean_holding)
-             for rate in rates]
-    traces = simulate_replicated([(spec, cal.cac) for spec in specs], cal.horizon,
+    specs = _grid("arrival.rates_per_min", rates, lambda value: _uniform_load(cal, float(value)))
+    order = sorted(range(len(rates)), key=lambda i: float(rates[i]))
+    traces = simulate_replicated([(specs[i], cal.cac) for i in order], cal.horizon,
                                  cal.replications, seed).traces
     rows = []
-    for rate, policy in zip(rates, _solve_traces(cal, traces)):
+    for i, policy in zip(order, _solve_traces(cal, traces)):
+        rate = float(rates[i])
         probs = policy.probabilities
         avg_purchase = float(probs @ policy.purchase.mean(axis=1))
         avg_battery = float(probs @ policy.battery.mean(axis=1))

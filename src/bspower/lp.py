@@ -41,14 +41,14 @@ every program runs phase 2 in its stack.
 solve_batch solves a batch of programs that share a_eq and the lower
 bounds. A batch comes as row tables, cost rows, rhs rows and upper-bound
 rows, and one (cost, rhs, bound) index triple per program; every bound
-row must fix the same variables. Programs equal in content, their three
-rows the same bytes wherever the tables hold them, are solved once and
-share their result. Preprocessing runs once on the shared matrix and the
-tables;
-the tableaux are stacked as (programs, rows + 1, cols) and step in
-lockstep. Each program keeps its own upper bounds, pricing rule, ratio
-test, stall counter, iteration cap and verdict, so it takes exactly the
-steps it would take alone and its result is the same bit for bit.
+row must fix the same variables. Every triple is solved, a repeated one
+too: callers that make repeated programs share them before the call.
+Preprocessing runs once on the shared matrix and the tables, in one copy
+of the matrix's free columns; the tableaux are stacked as (programs,
+rows + 1, cols) and step in lockstep. Each program keeps its own upper
+bounds, pricing rule, ratio test, stall counter, iteration cap and
+verdict, so it takes exactly the steps it would take alone and its
+result is the same bit for bit.
 Programs that finish are masked out and stay in the stack. A pivot's
 rank-1 update touches only the (program, row) pairs with a nonzero
 pivot-column entry. Artificial variables are not stored: they are never
@@ -145,33 +145,20 @@ def _normalize_bound(v, n, default):
 
 
 # ---------------------------------------------------------------------------
-# Shared preprocessing: fix and shift
+# Shared preprocessing: fix, shift and equilibrate
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _Prepared:
-    free: np.ndarray          # original indices of free variables
-    fixed: np.ndarray
-    fixed_values: np.ndarray
-    lo: np.ndarray            # lower bounds of free variables (the shift)
-    up: np.ndarray            # (bound rows, free) shifted upper bounds, may be inf
-    a_eq: np.ndarray
-    b_eq: np.ndarray          # (rhs rows, rows)
-
-    def assemble(self, x_shift: np.ndarray, n_vars: int) -> np.ndarray:
-        """Full solutions (programs, n_vars) from shifted free-variable values."""
-        x = np.empty((x_shift.shape[0], n_vars))
-        x[:, self.fixed] = self.fixed_values
-        x[:, self.free] = self.lo + x_shift
-        return x
-
-
-def _prepare(lp: LinearProgram, b_eq: np.ndarray, upper: np.ndarray) -> _Prepared:
-    """Substitute fixed variables and shift to 0 <= x <= up.
+def _prepare(lp: LinearProgram, b_eq: np.ndarray, upper: np.ndarray):
+    """Substitute fixed variables, shift to 0 <= x <= up and equilibrate.
 
     b_eq and upper are row tables. Every bound row must fix the same
     variables (upper == lp.lower), so the shifts are vectors shared by
-    every rhs row, subtracted elementwise.
+    every rhs row, subtracted elementwise. Rows are scaled to unit max-abs
+    and zero rows dropped. Returns (free, body, rhs, ok, up): the free
+    variables' indices, the shared scaled rows, the rhs table, ok per rhs
+    row (False where a zero row has a nonzero rhs; with every variable
+    fixed, every row is zero and ok is the verdict) and, per bound row,
+    the upper bound of every basis index, inf for the artificials.
     """
     if np.any(lp.lower > upper):
         k, bad = np.argwhere(lp.lower > upper)[0]
@@ -179,31 +166,25 @@ def _prepare(lp: LinearProgram, b_eq: np.ndarray, upper: np.ndarray) -> _Prepare
     fixed_rows = lp.lower == upper
     if np.any(fixed_rows != fixed_rows[:1]):
         raise ValueError("every bound row must fix the same variables")
-    fixed_mask = fixed_rows.any(axis=0)
-    fixed = np.nonzero(fixed_mask)[0]
-    free = np.nonzero(~fixed_mask)[0]
-    fixed_values = lp.lower[fixed]
+    fixed = fixed_rows.any(axis=0)
+    free = np.nonzero(~fixed)[0]
     lo = lp.lower[free]
 
-    b_eq = b_eq - lp.a_eq[:, fixed] @ fixed_values
-    a_eq = lp.a_eq[:, free]
+    # a fancy index copies, so dividing body in place leaves lp.a_eq as it was
+    body = lp.a_eq[:, free]
+    rhs = b_eq - lp.a_eq[:, fixed] @ lp.lower[fixed]
     if free.size:
-        b_eq = b_eq - a_eq @ lo
-    return _Prepared(free, fixed, fixed_values, lo, upper[:, free] - lo, a_eq, b_eq)
-
-
-def _equilibrate(a, b):
-    """Scale rows to unit max-abs; drop zero rows.
-
-    a is shared and b is stacked (programs, rows). Returns (a, b, ok); ok
-    is False for the programs whose zero row has a nonzero rhs. With every
-    variable fixed, every row is zero, so ok is the programs' verdict.
-    """
-    scale = np.abs(a).max(axis=1, initial=0.0)
+        rhs = rhs - body @ lo
+    scale = np.abs(body).max(axis=1, initial=0.0)
     zero = scale <= 0.0
     keep = ~zero
-    ok = ~(np.abs(b[:, zero]) > FEAS_TOL).any(axis=1)
-    return a[keep] / scale[keep, None], b[:, keep] / scale[keep], ok
+    ok = ~(np.abs(rhs[:, zero]) > FEAS_TOL).any(axis=1)
+    if zero.any():
+        body = body[keep]
+    body /= scale[keep, None]
+    up = np.full((len(upper), free.size + body.shape[0]), np.inf)
+    up[:, :free.size] = upper[:, free] - lo
+    return free, body, rhs[:, keep] / scale[keep], ok, up
 
 
 # ---------------------------------------------------------------------------
@@ -222,10 +203,9 @@ def solve_batch(lp: LinearProgram, c, b_eq, upper, rows) -> LpResult:
     n_vars) are row tables, and row k of rows (programs, 3) names the cost,
     rhs and bound rows that replace lp.c, lp.b_eq and lp.upper for program
     k. Every program shares lp's a_eq and lower bounds, and every bound row
-    must fix the same variables. Programs equal in content, each of their
-    three rows the same bytes wherever the tables hold them, are solved
-    once and share their result. Entry k of the result equals, bit for
-    bit, what program k would get if solved alone.
+    must fix the same variables. Every triple is solved, and entry k of
+    the result equals, bit for bit, what program k would get if solved
+    alone.
     """
     c = np.asarray(c, dtype=float)
     b_eq = np.asarray(b_eq, dtype=float)
@@ -239,21 +219,12 @@ def solve_batch(lp: LinearProgram, c, b_eq, upper, rows) -> LpResult:
     if rows.ndim != 2 or rows.shape[1] != 3 or not (
             (rows >= 0) & (rows < [len(c), len(b_eq), len(upper)])).all():
         raise ValueError("rows must hold one (cost, rhs, bound) row triple per program")
-    prep = _prepare(lp, b_eq, upper)
-    n = prep.free.size
-    body, rhs, ok = _equilibrate(prep.a_eq, prep.b_eq)
+    free, body, rhs, ok, up = _prepare(lp, b_eq, upper)
+    n = free.size
     m = body.shape[0]
-    # upper bound per basis index: free variables, then artificials
-    up = np.concatenate([prep.up, np.full((len(upper), m), np.inf)], axis=1)
     crash = _crash(body, up) if n else None
 
     K = len(rows)
-    # each program's first program equal in content, which solves for both
-    content = np.stack([_first_equal(table)[index]
-                        for table, index in zip((c, b_eq, upper), rows.T)], axis=1)
-    _, first, inverse = np.unique(content, axis=0, return_index=True, return_inverse=True)
-    source = first[inverse.reshape(-1)]
-    own = source == np.arange(K)
     # a zero row with a nonzero rhs is infeasible before any stack runs
     consistent = ok[rows[:, 1]]
     status = np.where(consistent, "optimal", "infeasible")
@@ -262,7 +233,7 @@ def solve_batch(lp: LinearProgram, c, b_eq, upper, rows) -> LpResult:
     iterations = np.zeros(K, dtype=int)
     bland = np.zeros(K, dtype=bool)
 
-    programs = np.nonzero(own & consistent)[0]
+    programs = np.nonzero(consistent)[0]
     per_stack = max(1, _BATCH_BYTES // (8 * (m + 1) * (n + 1)))
     stacks = -(-programs.size // per_stack)
     for stack in np.array_split(programs, stacks) if stacks else ():
@@ -272,23 +243,15 @@ def solve_batch(lp: LinearProgram, c, b_eq, upper, rows) -> LpResult:
         # with every variable fixed, consistent is the verdict and no simplex runs
         if n:
             status[stack], values, iterations[stack], bland[stack] = _solve_stack(
-                body, rhs[rhs_row], c_stack[:, prep.free], up[bound], crash[bound])
-        x_stack = prep.assemble(np.maximum(values, 0.0), n_vars)
+                body, rhs[rhs_row], c_stack[:, free], up[bound], crash[bound])
+        # every variable sits at its lower bound, the shift, plus its value
+        x_stack = np.tile(lp.lower, (stack.size, 1))
+        x_stack[:, free] += np.maximum(values, 0.0)
         x_stack[status[stack] != "optimal"] = np.nan
         x[stack] = x_stack
         # one dot product per program, the call a lone solve makes
         objective[stack] = (c_stack[:, None] @ x_stack[:, :, None])[:, 0, 0]
-    copies = np.nonzero(~own)[0]
-    for field in (status, x, objective, iterations, bland):
-        field[copies] = field[source[copies]]
     return LpResult(status, x, objective, iterations, bland)
-
-
-def _first_equal(table):
-    """Each row's index of the first row of table with the same bytes."""
-    first: dict[bytes, int] = {}
-    return np.array([first.setdefault(row.tobytes(), k) for k, row in enumerate(table)],
-                    dtype=np.intp)
 
 
 def _crash(body, up):

@@ -338,6 +338,20 @@ def _simulate_group(runs: list[tuple[TrafficSpec, CacConfig]], horizon: Horizon,
     return traces / replications, counts
 
 
+def _check_events(runs: list[tuple[TrafficSpec, CacConfig]], horizon: Horizon,
+                  replications: int) -> None:
+    """Refuse runs that together would draw more than _MAX_EVENTS events."""
+    rate_sum = 0.0
+    for spec, cac in runs:
+        rate_sum += _dominating(spec) + cac.channels * (1.0 / spec.mean_holding)
+    expected_events = rate_sum * (horizon.T * horizon.period_minutes) * replications
+    if not expected_events <= _MAX_EVENTS:
+        raise ValueError(
+            f"{len(runs)} traffic run(s) x {replications} replication(s) would need "
+            f"about {expected_events:.3g} events, more than {_MAX_EVENTS:.0e}; check "
+            "the arrival rates, the mean holding time and the replication count")
+
+
 def simulate_replicated(runs: Iterable[tuple[TrafficSpec, CacConfig]], horizon: Horizon,
                         replications: int, seed: int) -> TrafficRuns:
     """Each run's mean occupancy trace and QoS counts pooled over replications.
@@ -354,19 +368,10 @@ def simulate_replicated(runs: Iterable[tuple[TrafficSpec, CacConfig]], horizon: 
         _check_lengths(spec, horizon)
     if replications < 1:
         raise ValueError(f"replications must be >= 1, got {replications}")
-    total_min = horizon.T * horizon.period_minutes
+    _check_events(runs, horizon, replications)
     groups: dict[tuple, list[int]] = {}
-    rate_sum = 0.0
     for r, (spec, cac) in enumerate(runs):
-        dominating = _dominating(spec)
-        rate_sum += dominating + cac.channels * (1.0 / spec.mean_holding)
-        groups.setdefault((dominating, cac.channels, spec.mean_holding), []).append(r)
-    expected_events = rate_sum * total_min * replications
-    if not expected_events <= _MAX_EVENTS:
-        raise ValueError(
-            f"{len(runs)} traffic run(s) x {replications} replication(s) would need "
-            f"about {expected_events:.3g} events, more than {_MAX_EVENTS:.0e}; check "
-            "the arrival rates, the mean holding time and the replication count")
+        groups.setdefault((_dominating(spec), cac.channels, spec.mean_holding), []).append(r)
 
     traces = np.zeros((len(runs), horizon.T))
     counts = np.zeros((len(runs), 4), dtype=np.int64)

@@ -268,6 +268,34 @@ def test_sweep_whose_scaled_renewable_overflows_is_refused_by_key(tmp_path, caps
     assert solver_calls.batches == [] and not out.exists()
 
 
+@pytest.mark.parametrize("kind, grids, message", [
+    ("battery", {"capacities_wh": [500.0, -1.0]},
+     "config.sweeps.battery.capacities_wh[1]: capacity must be >= 0, got -1.0"),
+    ("battery", {"renewable_scalings": [-1.0]},
+     "config.sweeps.battery.renewable_scalings[0]: renewable scale must be non-negative"),
+    ("cac", {"thresholds": [0]},
+     "config.sweeps.cac.thresholds[0]: threshold must lie in [1, 25], got 0"),
+    ("cac", {"thresholds": [5, 99]},
+     "config.sweeps.cac.thresholds[1]: threshold must lie in [1, 25], got 99"),
+    ("cac", {"load_per_min": -1.0},
+     "config.sweeps.cac.load_per_min: total_rate must be non-negative, got -1.0"),
+    ("arrival", {"rates_per_min": [-0.5]},
+     "config.sweeps.arrival.rates_per_min[0]: total_rate must be non-negative, got -0.5"),
+    ("arrival", {"rates_per_min": [0.5, 1e9]},
+     "config.sweeps.arrival.rates_per_min[1]: 1 traffic run(s) x 1 replication(s) would "
+     "need about"),
+], ids=("capacity", "scaling", "threshold-low", "threshold-high", "load", "rate",
+        "rate-past-budget"))
+def test_bad_sweep_grid_value_is_refused_by_key(tmp_path, capsys, solver_calls, kind, grids,
+                                                message):
+    cfg = write_json(tmp_path / "cfg.json", {"schema": "bspower-config-1",
+                                             "sweeps": {kind: grids}})
+    out = tmp_path / "o"
+    assert main(["sweep", kind, "--config", cfg, "--out", str(out)]) == 2
+    assert f"usage error: {message}" in capsys.readouterr().err
+    assert solver_calls.batches == [] and not out.exists()
+
+
 def test_non_finite_optimal_cost_is_a_solver_failure(tmp_path):
     # every number is finite, but buying 1e300 Wh at 1e305 cents/Wh costs
     # more than a float holds. The CLI runs in its own process, as a user

@@ -26,6 +26,8 @@ from bspower.calibration import (
 from bspower.evaluate import (
     DAYS_PER_MONTH,
     _scaled_renewable,
+    _single_consumption,
+    _solve_traces,
     ExperimentReport,
     ReplayError,
     baseline_policy,
@@ -43,6 +45,7 @@ from bspower.scenarios import (
     MarginalSpace,
     ScenarioSpace,
 )
+from bspower.power_model import consumption_trace
 from bspower.stochastic import (
     StorageConfig,
     per_scenario_decomposition,
@@ -374,11 +377,29 @@ def test_merged_battery_sweep_equals_its_cells_solved_alone(solver_calls):
     assert report.csv_text() == ExperimentReport(report.columns, alone).csv_text()
 
 
+def test_equal_traces_share_one_policy_and_a_one_bit_change_does_not(solver_calls):
+    cal = default_calibration()
+    trace = np.linspace(2.0, 12.0, cal.horizon.T)
+    nudged = trace.copy()
+    nudged[5] = np.nextafter(nudged[5], np.inf)
+    policies = _solve_traces(cal, np.array([trace, nudged, trace]))
+    # four price x renewable scenarios for each of the two distinct traces
+    assert [len(call.rows) for call in solver_calls.batches] == [2 * 4]
+    assert policies[2] is policies[0] and policies[1] is not policies[0]
+    for got, occupancy in zip(policies, (trace, nudged)):
+        alone = solve_policy(cal.horizon, cal.storage, compose(
+            cal.price, cal.renewable,
+            _single_consumption(consumption_trace(cal.params, occupancy, cal.horizon))))
+        for field in ("purchase", "battery", "excess"):
+            assert np.array_equal(getattr(got, field), getattr(alone, field))
+        assert got.expected_cost == alone.expected_cost
+
+
 def test_sweeps_solve_in_one_call_and_full_stacks(solver_calls):
     # 16 cells of 80 scenarios are 1280 programs: one solve_batch call whose
     # stacks are all as full as the budget allows, not 16 calls of two half
     # stacks. The default cac sweep's 21 thresholds repeat 12 distinct
-    # traces, so its 84 programs are 48 distinct ones, each solved once
+    # traces, so it composes 12 spaces and solves their 48 programs once
     stacks = solver_calls.stacks
     rng = np.random.default_rng(5)
     T = 24
@@ -405,7 +426,7 @@ def test_sweeps_solve_in_one_call_and_full_stacks(solver_calls):
                            cal.mean_holding)
     sweep_cac(cac["thresholds"], spec, cal, seed=0)
     batches = [len(call.rows) for call in solver_calls.batches]
-    assert batches == [21 * 4]
+    assert batches == [12 * 4]
     assert sum(k for k, _ in stacks) == 12 * 4
 
 

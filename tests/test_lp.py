@@ -402,9 +402,10 @@ def test_bound_flip_wins_a_tie_with_a_row():
 def test_upper_bounds_stay_out_of_the_rows():
     lp = LinearProgram(c=[1.0, 1.0, 1.0], a_eq=[[1.0, 1.0, 1.0]], b_eq=[2.0],
                        lower=[0.0, 1.0, 0.0], upper=[4.0, 3.0, np.inf])
-    prep = lp_mod._prepare(lp, lp.b_eq[None], lp.upper[None])
-    assert prep.a_eq.shape == (1, 3)
-    np.testing.assert_array_equal(prep.up, [[4.0, 2.0, np.inf]])
+    free, body, _, _, up = lp_mod._prepare(lp, lp.b_eq[None], lp.upper[None])
+    assert body.shape == (1, 3) and free.tolist() == [0, 1, 2]
+    # the three variables, then the one row's artificial
+    np.testing.assert_array_equal(up, [[4.0, 2.0, np.inf, np.inf]])
 
 
 def test_crash_basis_starts_from_columns_of_one_row():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
 import scalar_lp  # noqa: E402
+from bspower import lp as lp_mod  # noqa: E402
 from bspower.lp import LinearProgram, solve, solve_batch  # noqa: E402
 from brute_force_lp import row_triples, stack_with_slacks, with_slacks  # noqa: E402
 
@@ -119,16 +120,31 @@ def repeated_row_tables(draw):
 
 @settings(SETTINGS, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(batch=repeated_row_tables())
-def test_programs_equal_in_content_are_solved_once(solver_calls, batch):
+def test_each_triple_of_repeated_tables_equals_its_lone_solve(solver_calls, batch):
     lp, c, b_eq, upper, rows, first_copy = batch
     solver_calls.clear()
     got = solve_batch(lp, c, b_eq, upper, rows)
-    stacked = sum(k for k, _ in solver_calls.stacks)
-    distinct = {(c[cost].tobytes(), b_eq[rhs].tobytes(), upper[bound].tobytes())
-                for cost, rhs, bound in rows}
-    assert stacked <= len(distinct)
-    # which copy of a row a triple names does not change what is solved
-    solver_calls.clear()
-    solve_batch(lp, c, b_eq, upper, first_copy)
+    # every triple that passes the zero-row check is stacked, repeats too;
+    # with every variable fixed, no stack runs
+    free, _, _, ok, _ = lp_mod._prepare(lp, b_eq, upper)
+    stacked = ok[rows[:, 1]].sum() if free.size else 0
     assert sum(k for k, _ in solver_calls.stacks) == stacked
+    # which copy of a row a triple names does not change its result
+    again = solve_batch(lp, c, b_eq, upper, first_copy)
+    for field in ("status", "iterations", "bland"):
+        assert np.array_equal(getattr(got, field), getattr(again, field))
+    for field in ("x", "objective"):
+        assert np.array_equal(getattr(got, field), getattr(again, field), equal_nan=True)
     assert_each_triple_equals_its_lone_solve(got, lp, c, b_eq, upper, rows)
+
+
+@SETTINGS
+@given(batch=row_tables())
+def test_solve_batch_leaves_its_inputs_unchanged(batch):
+    # preparation divides its copy of the free columns in place
+    lp, c, b_eq, upper, rows = batch
+    inputs = (lp.a_eq, lp.b_eq, lp.lower, lp.upper, c, b_eq, upper)
+    before = [a.copy() for a in inputs]
+    solve_batch(lp, c, b_eq, upper, rows)
+    for now, then in zip(inputs, before):
+        assert np.array_equal(now, then)

@@ -9,8 +9,8 @@ import pytest
 
 import scalar_lp
 from bspower import lp as lp_mod
-from bspower.calibration import default_calibration
-from bspower.scenarios import CompositeScenario, ScenarioSpace
+from bspower.calibration import DEFAULT_CONFIG, calibration_from_config, default_calibration
+from bspower.scenarios import CompositeScenario, ScenarioSpace, parse_scenario_document
 from bspower.stochastic import (
     PolicyTable,
     StorageConfig,
@@ -20,11 +20,13 @@ from bspower.stochastic import (
     build_deterministic_equivalent,
     per_scenario_decomposition,
     policy_csv_text,
+    solve_policies,
     solve_policy,
     verify_policy,
 )
 from bspower.units import Horizon
 from brute_force_lp import brute_force_solve
+from test_reference_digests import WORKLOADS
 
 
 def single_scenario(price, renewable, consumption, label="only"):
@@ -751,6 +753,37 @@ def test_cost_scales_linearly_with_price():
     base = solve_policy(Horizon(T=T), storage, space).expected_cost
     threx = solve_policy(Horizon(T=T), storage, tripled).expected_cost
     assert threx == pytest.approx(3.0 * base, rel=1e-10)
+
+
+@lru_cache(maxsize=None)
+def planner_instance(name):
+    """The horizon, battery and seed-0 space of the default calibration or
+    of the benchmark's seed-0 80-scenario file."""
+    cal = (default_calibration() if name == "default" else calibration_from_config(
+        DEFAULT_CONFIG, parse_scenario_document(WORKLOADS.storage_document(0))))
+    return cal.horizon, cal.storage, cal.scenario_space(0)
+
+
+@pytest.mark.parametrize("physical_discharge", [False, True], ids=("book", "physical"))
+@pytest.mark.parametrize("nonanticipative", [False, True], ids=("free", "nonanticipative"))
+@pytest.mark.parametrize("instance", ["default", "storage-80"])
+def test_scaling_prices_by_a_power_of_two_scales_only_the_cost(instance, nonanticipative,
+                                                               physical_discharge):
+    # 2^k times a float is exact, so every cost and every reduced cost
+    # priced from them scales exactly; the schedules may not move at all
+    horizon, storage, space = planner_instance(instance)
+    factors = [2.0 ** k for k in (-3, -1, 1, 4)]
+    cells = [(replace(storage, loss_cost_coeff=f * storage.loss_cost_coeff),
+              ScenarioSpace(tuple(CompositeScenario(s.label, s.probability, f * s.price,
+                                                    s.renewable, s.consumption)
+                                  for s in space.scenarios)))
+             for f in [1.0, *factors]]
+    base, *scaled = solve_policies(horizon, cells, nonanticipative=nonanticipative,
+                                   physical_discharge=physical_discharge)
+    for f, policy in zip(factors, scaled):
+        for field in ("purchase", "battery", "excess"):
+            assert np.array_equal(getattr(policy, field), getattr(base, field)), (f, field)
+        assert policy.expected_cost == f * base.expected_cost, f
 
 
 # ---------------------------------------------------------------------------
