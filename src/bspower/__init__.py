@@ -12,7 +12,7 @@ from .calibration import Calibration, default_calibration
 from .evaluate import (ExperimentReport, ReplayError, baseline_policy,
                        evaluate_policy, monthly_cost, sweep_arrival_rate,
                        sweep_battery, sweep_cac)
-from .lp import LinearProgram, solve
+from .lp import LinearProgram
 from .power_model import BaseStationParams, consumption_trace
 from .scenarios import (CompositeScenario, MarginalScenario, MarginalSpace,
                         RateProfile, ScenarioDocument, ScenarioFileError,
@@ -38,7 +38,7 @@ __all__ = [
     "default_calibration", "estimate_probabilities",
     "evaluate_policy", "load_scenario_file", "monthly_cost",
     "per_scenario_decomposition", "policy_csv_text", "simulate_replicated",
-    "solve", "solve_policies", "solve_policy",
+    "solve_policies", "solve_policy",
     "sweep_arrival_rate", "sweep_battery", "sweep_cac", "uniform_traffic",
     "verify_policy",
 ]

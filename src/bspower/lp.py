@@ -39,9 +39,9 @@ redundant and is set to exactly 0, its artificial basic at level 0, so
 every program runs phase 2 in its stack.
 
 solve_batch solves a batch of programs that share a_eq and the lower
-bounds. A batch comes as row tables, cost rows, rhs rows and upper-bound
-rows, and one (cost, rhs, bound) index triple per program; every bound
-row must fix the same variables. Every triple is solved, a repeated one
+bounds, given as arrays, with row tables of costs, rhs and upper bounds
+and one (cost, rhs, bound) index triple per program; every bound row
+must fix the same variables. Every triple is solved, a repeated one
 too: callers that make repeated programs share them before the call.
 Preprocessing runs once on the shared matrix and the tables, in one copy
 of the matrix's free columns; the tableaux are stacked as (programs,
@@ -60,7 +60,7 @@ and written into the result before the next is built. A program whose
 final reduced-cost row or rhs column holds inf or NaN (an overflow) gets
 the status numerical. The results come back as one LpResult record of
 arrays with one entry per program, x and the objective NaN where a
-program is not optimal; solve(lp) is the batch of one.
+program is not optimal; solve(lp) is the batch of one LinearProgram.
 """
 
 from __future__ import annotations
@@ -148,31 +148,31 @@ def _normalize_bound(v, n, default):
 # Shared preprocessing: fix, shift and equilibrate
 # ---------------------------------------------------------------------------
 
-def _prepare(lp: LinearProgram, b_eq: np.ndarray, upper: np.ndarray):
+def _prepare(a_eq: np.ndarray, lower: np.ndarray, b_eq: np.ndarray, upper: np.ndarray):
     """Substitute fixed variables, shift to 0 <= x <= up and equilibrate.
 
-    b_eq and upper are row tables. Every bound row must fix the same
-    variables (upper == lp.lower), so the shifts are vectors shared by
-    every rhs row, subtracted elementwise. Rows are scaled to unit max-abs
-    and zero rows dropped. Returns (free, body, rhs, ok, up): the free
+    a_eq and lower are shared; b_eq and upper are row tables. Every bound
+    row must fix the same variables (upper == lower), so the shifts are
+    vectors shared by every rhs row, subtracted elementwise. Rows are
+    scaled to unit max-abs and zero rows dropped. Returns (free, body, rhs, ok, up): the free
     variables' indices, the shared scaled rows, the rhs table, ok per rhs
     row (False where a zero row has a nonzero rhs; with every variable
     fixed, every row is zero and ok is the verdict) and, per bound row,
     the upper bound of every basis index, inf for the artificials.
     """
-    if np.any(lp.lower > upper):
-        k, bad = np.argwhere(lp.lower > upper)[0]
+    if np.any(lower > upper):
+        k, bad = np.argwhere(lower > upper)[0]
         raise ValueError(f"bound row {k}, variable {bad}: lower bound exceeds upper bound")
-    fixed_rows = lp.lower == upper
+    fixed_rows = lower == upper
     if np.any(fixed_rows != fixed_rows[:1]):
         raise ValueError("every bound row must fix the same variables")
     fixed = fixed_rows.any(axis=0)
     free = np.nonzero(~fixed)[0]
-    lo = lp.lower[free]
+    lo = lower[free]
 
-    # a fancy index copies, so dividing body in place leaves lp.a_eq as it was
-    body = lp.a_eq[:, free]
-    rhs = b_eq - lp.a_eq[:, fixed] @ lp.lower[fixed]
+    # a fancy index copies, so dividing body in place leaves a_eq as it was
+    body = a_eq[:, free]
+    rhs = b_eq - a_eq[:, fixed] @ lower[fixed]
     if free.size:
         rhs = rhs - body @ lo
     scale = np.abs(body).max(axis=1, initial=0.0)
@@ -193,24 +193,30 @@ def _prepare(lp: LinearProgram, b_eq: np.ndarray, upper: np.ndarray):
 
 def solve(lp: LinearProgram) -> LpResult:
     """Two-phase simplex; returns status optimal, infeasible, unbounded or numerical."""
-    return solve_batch(lp, lp.c[None], lp.b_eq[None], lp.upper[None], [(0, 0, 0)])
+    return solve_batch(lp.a_eq, lp.lower, lp.c[None], lp.b_eq[None], lp.upper[None], [(0, 0, 0)])
 
 
-def solve_batch(lp: LinearProgram, c, b_eq, upper, rows) -> LpResult:
+def solve_batch(a_eq, lower, c, b_eq, upper, rows) -> LpResult:
     """Solve one program per index triple, all in lockstep.
 
-    c (cost rows, n_vars), b_eq (rhs rows, eq rows) and upper (bound rows,
-    n_vars) are row tables, and row k of rows (programs, 3) names the cost,
-    rhs and bound rows that replace lp.c, lp.b_eq and lp.upper for program
-    k. Every program shares lp's a_eq and lower bounds, and every bound row
-    must fix the same variables. Every triple is solved, and entry k of
-    the result equals, bit for bit, what program k would get if solved
-    alone.
+    Every program shares the constraint matrix a_eq (eq rows, n_vars) and
+    the lower bounds lower (n_vars), which must be finite. c (cost rows,
+    n_vars), b_eq (rhs rows, eq rows) and upper (bound rows, n_vars) are
+    row tables, and row k of rows (programs, 3) names program k's cost, rhs
+    and bound rows; every bound row must fix the same variables. Every
+    triple is solved, and entry k of the result equals, bit for bit, what
+    program k would get if solved alone.
     """
+    a_eq = np.asarray(a_eq, dtype=float)
+    lower = np.asarray(lower, dtype=float)
     c = np.asarray(c, dtype=float)
     b_eq = np.asarray(b_eq, dtype=float)
     upper = np.asarray(upper, dtype=float)
-    n_vars, n_rows = lp.n_vars, lp.b_eq.size
+    if not (a_eq.ndim == 2 and lower.ndim == 1 and a_eq.shape[1] == lower.size):
+        raise ValueError(f"a_eq {a_eq.shape} needs one column per lower bound ({lower.size})")
+    if not np.isfinite(lower).all():
+        raise ValueError("lower bounds must be finite")
+    n_vars, n_rows = lower.size, len(a_eq)
     if not (c.ndim == b_eq.ndim == upper.ndim == 2 and c.shape[1] == upper.shape[1] == n_vars
             and b_eq.shape[1] == n_rows):
         raise ValueError(f"c {c.shape}, b_eq {b_eq.shape} and upper {upper.shape} must stack "
@@ -219,7 +225,7 @@ def solve_batch(lp: LinearProgram, c, b_eq, upper, rows) -> LpResult:
     if rows.ndim != 2 or rows.shape[1] != 3 or not (
             (rows >= 0) & (rows < [len(c), len(b_eq), len(upper)])).all():
         raise ValueError("rows must hold one (cost, rhs, bound) row triple per program")
-    free, body, rhs, ok, up = _prepare(lp, b_eq, upper)
+    free, body, rhs, ok, up = _prepare(a_eq, lower, b_eq, upper)
     n = free.size
     m = body.shape[0]
     crash = _crash(body, up) if n else None
@@ -239,14 +245,13 @@ def solve_batch(lp: LinearProgram, c, b_eq, upper, rows) -> LpResult:
     for stack in np.array_split(programs, stacks) if stacks else ():
         cost, rhs_row, bound = rows[stack].T
         c_stack = c[cost]
-        values = np.zeros((stack.size, n))
+        # every variable sits at its lower bound, the shift, plus its value;
         # with every variable fixed, consistent is the verdict and no simplex runs
+        x_stack = np.tile(lower, (stack.size, 1))
         if n:
             status[stack], values, iterations[stack], bland[stack] = _solve_stack(
                 body, rhs[rhs_row], c_stack[:, free], up[bound], crash[bound])
-        # every variable sits at its lower bound, the shift, plus its value
-        x_stack = np.tile(lp.lower, (stack.size, 1))
-        x_stack[:, free] += np.maximum(values, 0.0)
+            x_stack[:, free] += np.maximum(values, 0.0)
         x_stack[status[stack] != "optimal"] = np.nan
         x[stack] = x_stack
         # one dot product per program, the call a lone solve makes
@@ -338,11 +343,11 @@ def _price(tableau, basis, cost, complemented, up):
     complemented variable x = u - x' costs -c and adds c u to the
     objective; the rhs entry of row m is minus the objective. Each
     program's basic costs meet its rows in one vector-matrix product, the
-    call a lone solve makes.
+    call a lone solve makes. cost is overwritten: its complemented entries
+    change sign.
     """
     K, _, width = tableau.shape
     n = complemented.shape[1]
-    cost = cost.copy()
     shift = (cost[:, :n] * np.where(complemented, up[:, :n], 0.0)).sum(axis=1)
     cost[:, :n] = np.where(complemented, -cost[:, :n], cost[:, :n])
     basic_cost = cost[np.arange(K)[:, None], basis]
@@ -411,7 +416,6 @@ def _run_simplex(tableau, basis, complemented, up, running):
     rounds = 0
     act = np.nonzero(running)[0]
     while act.size:
-        at = np.arange(act.size)
         z = tableau[act, m, :n]
         j = z.argmin(axis=1)
         if bland.any():
@@ -424,8 +428,7 @@ def _run_simplex(tableau, basis, complemented, up, running):
         bound = np.where(col > 0.0, 0.0, row_up[act])
         ratios = np.divide(tableau[act, :, -1] - bound, col, out=np.full(col.shape, np.inf),
                            where=np.abs(col) > PIVOT_TOL)
-        r = ratios.argmin(axis=1)
-        rmin = ratios[at, r]
+        rmin = ratios.min(axis=1)
         uj = up[act, j]
         stop = optimal | (np.minimum(rmin, uj) == np.inf)
         if stop.any():
@@ -433,8 +436,7 @@ def _run_simplex(tableau, basis, complemented, up, running):
             running[act[stop]] = False
             iterations[act[stop]] = rounds
             go = ~stop
-            act, j, col, ratios, r, rmin, uj = (act[go], j[go], col[go], ratios[go], r[go],
-                                                rmin[go], uj[go])
+            act, j, col, ratios, rmin, uj = (act[go], j[go], col[go], ratios[go], rmin[go], uj[go])
             if not act.size:
                 break
 
@@ -449,7 +451,7 @@ def _run_simplex(tableau, basis, complemented, up, running):
             tableau[f, :, jf] = -cf
             complemented[f, jf] ^= True
             go = ~flip
-            step, j, col, ratios, r, reach = step[go], j[go], col[go], ratios[go], r[go], reach[go]
+            step, j, col, ratios, reach = step[go], j[go], col[go], ratios[go], reach[go]
         if step.size:
             # of the rows tied with the minimum ratio, the lowest basis index leaves
             ties = ratios[:, :m] <= reach[:, None]

@@ -65,10 +65,6 @@ class MarginalSpace:
         _refuse("invalid marginal space",
                 kind + _check_block(self.kind, self.scenarios, ("values",)))
 
-    @property
-    def probabilities(self) -> np.ndarray:
-        return np.array([s.probability for s in self.scenarios])
-
 
 @dataclass(frozen=True)
 class CompositeScenario:

@@ -37,7 +37,7 @@ the tests solve as the oracle for solve_policy. solve_policies hands the
 blocks of all its cells to lp.solve_batch as row tables, one call per
 block size, retention and fixed-variable pattern (the endpoint levels,
 and whether the capacity is 0), each space's cost and right-hand side
-rows made once; lp.solve_batch solves programs equal in content once, in
+rows made once; lp.solve_batch solves every program it is given, in
 lockstep within its per-stack memory budget. A ScenarioSpace is valid
 once built, so build_deterministic_equivalent and solve_policies only
 compare its trace length with T.
@@ -229,9 +229,7 @@ class _Batch:
     triples kept as lists of blocks until run()."""
 
     def __init__(self, a_eq, lower):
-        # c, b_eq and upper are placeholders: every program's come from the tables
-        self.program = lp_mod.LinearProgram(c=np.zeros(lower.size), a_eq=a_eq,
-                                            b_eq=np.zeros(len(a_eq)), lower=lower)
+        self.a_eq, self.lower = a_eq, lower
         self.costs, self.rhs, self.bounds, self.index = [], [], [], []
         # the row ids of the cost and rhs rows added so far, by the space,
         # groups (and loss cost) they were made from
@@ -246,7 +244,7 @@ class _Batch:
         return self.seen[source]
 
     def run(self) -> lp_mod.LpResult:
-        return lp_mod.solve_batch(self.program, *map(np.concatenate, (
+        return lp_mod.solve_batch(self.a_eq, self.lower, *map(np.concatenate, (
             self.costs, self.rhs, self.bounds, self.index)))
 
 

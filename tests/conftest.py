@@ -10,9 +10,11 @@ import bspower.lp as lp_mod
 
 @dataclass
 class BatchCall:
-    """One lp.solve_batch call: its program, row tables and index triples."""
+    """One lp.solve_batch call: its shared matrix and lower bounds, row
+    tables and index triples."""
 
-    program: lp_mod.LinearProgram
+    a_eq: np.ndarray
+    lower: np.ndarray
     c: np.ndarray
     b_eq: np.ndarray
     upper: np.ndarray
@@ -31,7 +33,7 @@ class SolverCalls:
 
     def shapes(self) -> list[tuple[int, int]]:
         """(variables per program, programs) of every solve_batch call."""
-        return [(call.program.n_vars, len(call.rows)) for call in self.batches]
+        return [(call.lower.size, len(call.rows)) for call in self.batches]
 
     def clear(self):
         self.batches.clear()
@@ -46,9 +48,9 @@ def solver_calls(monkeypatch) -> SolverCalls:
     calls = SolverCalls()
     real_batch, real_stack, real_run = lp_mod.solve_batch, lp_mod._solve_stack, lp_mod._run_simplex
 
-    def batch(program, c, b_eq, upper, rows):
-        calls.batches.append(BatchCall(program, *map(np.asarray, (c, b_eq, upper, rows))))
-        return real_batch(program, c, b_eq, upper, rows)
+    def batch(a_eq, lower, c, b_eq, upper, rows):
+        calls.batches.append(BatchCall(*map(np.asarray, (a_eq, lower, c, b_eq, upper, rows))))
+        return real_batch(a_eq, lower, c, b_eq, upper, rows)
 
     def stack(body, rhs, c, up, crash):
         tableau_bytes = 8 * (rhs.shape[1] + 1) * (c.shape[1] + 1)

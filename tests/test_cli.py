@@ -413,12 +413,12 @@ def test_solver_failure_exits_with_code_5(tiny, tmp_path, capsys, monkeypatch):
     # a solver that raises, and one whose every block ends not optimal: a
     # block without a finite optimum is a solver failure, named by its
     # first scenario, whichever command solves it
-    def broken(program, *tables):
+    def broken(a_eq, lower, *tables):
         raise RuntimeError("simplex iteration cap exceeded")
 
-    def all_infeasible(program, c, b_eq, upper, rows):
+    def all_infeasible(a_eq, lower, c, b_eq, upper, rows):
         K = len(rows)
-        return LpResult(np.full(K, "infeasible"), np.full((K, program.n_vars), np.nan),
+        return LpResult(np.full(K, "infeasible"), np.full((K, lower.size), np.nan),
                         np.full(K, np.nan), np.zeros(K, int), np.zeros(K, bool))
 
     for stub, message in (

@@ -258,8 +258,8 @@ def test_stepped_profile_window():
 def test_default_spaces_are_valid_and_normalized():
     price = default_price_space()
     renewable = default_renewable_space()
-    assert price.probabilities.sum() == pytest.approx(1.0)
-    assert renewable.probabilities.sum() == pytest.approx(1.0)
+    assert sum(s.probability for s in price.scenarios) == pytest.approx(1.0)
+    assert sum(s.probability for s in renewable.scenarios) == pytest.approx(1.0)
     traffic = DEFAULT_CONFIG["traffic"]
     profiles = default_traffic_profiles(traffic["handoff_fraction"],
                                         traffic["mean_holding_min"], 24)
@@ -362,7 +362,7 @@ def test_merged_battery_sweep_equals_its_cells_solved_alone(solver_calls):
     T = cal.horizon.T
     capacities, scalings = [0.0, 300.0, 1000.0, 1500.0], [1.0, 1.5]
     report = sweep_battery(capacities, scalings, cal, seed=0)
-    calls = [call.program.lower[T] for call in solver_calls.batches]
+    calls = [call.lower[T] for call in solver_calls.batches]
     assert sorted(calls) == [0.0, 300.0, 500.0]
 
     consumption = cal.consumption_space(0)

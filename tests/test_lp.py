@@ -268,7 +268,7 @@ def assert_same_solution(got, want):
 
 
 def assert_batch_matches_oracle(lp, c, b_eq):
-    got = solve_batch(lp, c, b_eq, lp.upper[None], row_triples(len(c)))
+    got = solve_batch(lp.a_eq, lp.lower, c, b_eq, lp.upper[None], row_triples(len(c)))
     assert_same_solution(got, oracle_batch(lp, c, b_eq))
     return got.status.tolist()
 
@@ -322,9 +322,10 @@ def test_batch_results_do_not_depend_on_the_stack_budget(monkeypatch):
     b_eq = lp.b_eq + rng.uniform(-1, 1, size=(9, lp.b_eq.size))
     lp = with_slacks(lp, a_ub, b_ub)
     c, b_eq = stack_with_slacks(c, b_eq, b_ub)
-    whole = solve_batch(lp, c, b_eq, lp.upper[None], row_triples(len(c)))
+    tables = (lp.a_eq, lp.lower, c, b_eq, lp.upper[None], row_triples(len(c)))
+    whole = solve_batch(*tables)
     monkeypatch.setattr(lp_mod, "_BATCH_BYTES", 1)  # one program per stack
-    assert_same_solution(solve_batch(lp, c, b_eq, lp.upper[None], row_triples(len(c))), whole)
+    assert_same_solution(solve_batch(*tables), whole)
 
 
 def test_random_batches_match_the_oracle_per_program():
@@ -378,7 +379,7 @@ def test_batch_takes_bound_flips_and_leaves_at_upper_bounds(monkeypatch):
     monkeypatch.setattr(lp_mod, "_pivot", counting_pivot)
     c, b_eq = stack_with_slacks(np.array([[0.0, 0.0, -1.0], [0.0, -1.0, 0.0]]),
                                 np.zeros((2, 1)), [10.0])
-    result = solve_batch(lp, c, b_eq, lp.upper[None], row_triples(2))
+    result = solve_batch(lp.a_eq, lp.lower, c, b_eq, lp.upper[None], row_triples(2))
     np.testing.assert_array_equal(result.x[0, :3], [0.0, 0.0, 3.0])
     np.testing.assert_array_equal(result.x[1, :3], [2.0, 2.0, 0.0])
     # one phase-1 pivot each; then a flip for program 0 and a pivot for 1
@@ -402,7 +403,7 @@ def test_bound_flip_wins_a_tie_with_a_row():
 def test_upper_bounds_stay_out_of_the_rows():
     lp = LinearProgram(c=[1.0, 1.0, 1.0], a_eq=[[1.0, 1.0, 1.0]], b_eq=[2.0],
                        lower=[0.0, 1.0, 0.0], upper=[4.0, 3.0, np.inf])
-    free, body, _, _, up = lp_mod._prepare(lp, lp.b_eq[None], lp.upper[None])
+    free, body, _, _, up = lp_mod._prepare(lp.a_eq, lp.lower, lp.b_eq[None], lp.upper[None])
     assert body.shape == (1, 3) and free.tolist() == [0, 1, 2]
     # the three variables, then the one row's artificial
     np.testing.assert_array_equal(up, [[4.0, 2.0, np.inf, np.inf]])
@@ -445,22 +446,27 @@ def test_an_overflowed_tableau_is_numerical_not_optimal():
 
 def test_solve_batch_checks_the_stacked_shapes():
     lp = LinearProgram(c=[1.0, 1.0], a_eq=[[1.0, 1.0]], b_eq=[1.0])
-    upper, one = lp.upper[None], [[0, 0, 0]]
+    a_eq, lower, upper, one = lp.a_eq, lp.lower, lp.upper[None], [[0, 0, 0]]
     with pytest.raises(ValueError, match="stack"):
-        solve_batch(lp, np.ones((2, 3)), np.ones((2, 1)), upper, one)
+        solve_batch(a_eq, lower, np.ones((2, 3)), np.ones((2, 1)), upper, one)
     with pytest.raises(ValueError, match="stack"):
-        solve_batch(lp, np.ones((2, 2)), np.ones((3, 1)), np.ones((1, 3)), one)
+        solve_batch(a_eq, lower, np.ones((2, 2)), np.ones((3, 1)), np.ones((1, 3)), one)
     with pytest.raises(ValueError, match="stack"):
-        solve_batch(lp, np.ones(2), np.ones(1), upper, one)
+        solve_batch(a_eq, lower, np.ones(2), np.ones(1), upper, one)
     with pytest.raises(ValueError, match="triple"):
-        solve_batch(lp, np.ones((2, 2)), np.ones((1, 1)), upper, [[1, 1, 0]])
+        solve_batch(a_eq, lower, np.ones((2, 2)), np.ones((1, 1)), upper, [[1, 1, 0]])
     with pytest.raises(ValueError, match="triple"):
-        solve_batch(lp, np.ones((2, 2)), np.ones((1, 1)), upper, [[1, 0]])
+        solve_batch(a_eq, lower, np.ones((2, 2)), np.ones((1, 1)), upper, [[1, 0]])
     with pytest.raises(ValueError, match="fix the same"):
-        solve_batch(lp, np.ones((1, 2)), np.ones((1, 1)), np.array([[0.0, 1.0], [1.0, 1.0]]),
-                    [[0, 0, 0], [0, 0, 1]])
+        solve_batch(a_eq, lower, np.ones((1, 2)), np.ones((1, 1)),
+                    np.array([[0.0, 1.0], [1.0, 1.0]]), [[0, 0, 0], [0, 0, 1]])
     with pytest.raises(ValueError, match="lower bound exceeds"):
-        solve_batch(lp, np.ones((1, 2)), np.ones((1, 1)), np.array([[1.0, -1.0]]), one)
+        solve_batch(a_eq, lower, np.ones((1, 2)), np.ones((1, 1)), np.array([[1.0, -1.0]]), one)
+    with pytest.raises(ValueError, match="one column per lower bound"):
+        solve_batch(np.ones((1, 3)), lower, np.ones((1, 2)), np.ones((1, 1)), upper, one)
+    with pytest.raises(ValueError, match="lower bounds must be finite"):
+        solve_batch(a_eq, np.array([0.0, -np.inf]), np.ones((1, 2)), np.ones((1, 1)),
+                    upper, one)
 
 
 # ---------------------------------------------------------------------------

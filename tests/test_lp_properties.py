@@ -41,7 +41,7 @@ def batches(draw):
 @given(batch=batches())
 def test_each_program_of_a_batch_equals_its_lone_solve(batch):
     lp, c, b_eq = batch
-    got = solve_batch(lp, c, b_eq, lp.upper[None], row_triples(len(c)))
+    got = solve_batch(lp.a_eq, lp.lower, c, b_eq, lp.upper[None], row_triples(len(c)))
     for k in range(len(c)):
         want = scalar_lp.scalar_solve(LinearProgram(
             c=c[k], a_eq=lp.a_eq, b_eq=b_eq[k], lower=lp.lower, upper=lp.upper))
@@ -102,7 +102,7 @@ def assert_each_triple_equals_its_lone_solve(got, lp, c, b_eq, upper, rows):
 @given(batch=row_tables())
 def test_each_triple_of_mixed_bound_tables_equals_its_lone_solve(batch):
     lp, c, b_eq, upper, rows = batch
-    got = solve_batch(lp, c, b_eq, upper, rows)
+    got = solve_batch(lp.a_eq, lp.lower, c, b_eq, upper, rows)
     assert_each_triple_equals_its_lone_solve(got, lp, c, b_eq, upper, rows)
 
 
@@ -123,14 +123,14 @@ def repeated_row_tables(draw):
 def test_each_triple_of_repeated_tables_equals_its_lone_solve(solver_calls, batch):
     lp, c, b_eq, upper, rows, first_copy = batch
     solver_calls.clear()
-    got = solve_batch(lp, c, b_eq, upper, rows)
+    got = solve_batch(lp.a_eq, lp.lower, c, b_eq, upper, rows)
     # every triple that passes the zero-row check is stacked, repeats too;
     # with every variable fixed, no stack runs
-    free, _, _, ok, _ = lp_mod._prepare(lp, b_eq, upper)
+    free, _, _, ok, _ = lp_mod._prepare(lp.a_eq, lp.lower, b_eq, upper)
     stacked = ok[rows[:, 1]].sum() if free.size else 0
     assert sum(k for k, _ in solver_calls.stacks) == stacked
     # which copy of a row a triple names does not change its result
-    again = solve_batch(lp, c, b_eq, upper, first_copy)
+    again = solve_batch(lp.a_eq, lp.lower, c, b_eq, upper, first_copy)
     for field in ("status", "iterations", "bland"):
         assert np.array_equal(getattr(got, field), getattr(again, field))
     for field in ("x", "objective"):
@@ -145,6 +145,6 @@ def test_solve_batch_leaves_its_inputs_unchanged(batch):
     lp, c, b_eq, upper, rows = batch
     inputs = (lp.a_eq, lp.b_eq, lp.lower, lp.upper, c, b_eq, upper)
     before = [a.copy() for a in inputs]
-    solve_batch(lp, c, b_eq, upper, rows)
+    solve_batch(lp.a_eq, lp.lower, c, b_eq, upper, rows)
     for now, then in zip(inputs, before):
         assert np.array_equal(now, then)

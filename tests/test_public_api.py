@@ -8,7 +8,6 @@ import bspower
 # the names in bspower.__all__ that no module of the package references,
 # each with the reason it stays public
 UNREFERENCED = {
-    "solve": "benchmarks/ looks it up by name",
     "per_scenario_decomposition": "benchmarks/ looks it up by name",
     "build_deterministic_equivalent": "benchmarks/gate.py imports it",
     "verify_policy": "benchmarks/gate.py imports it",

@@ -105,7 +105,7 @@ def test_probabilities_reject_bad_counts():
 def test_valid_marginal_space_has_no_diagnostics():
     space = _marginal("price", [("a", 0.25), ("b", 0.75)])
     assert [s.label for s in space.scenarios] == ["a", "b"]
-    np.testing.assert_array_equal(space.probabilities, [0.25, 0.75])
+    assert [s.probability for s in space.scenarios] == [0.25, 0.75]
 
 
 def test_marginal_space_diagnostics():

@@ -610,7 +610,7 @@ def test_batched_programs_are_the_groups_own_programs_byte_for_byte(solver_calls
                                                                     nonanticipative):
     horizon, storage, space = mixed_instance()
     solve_policy(horizon, storage, space, nonanticipative=nonanticipative)
-    calls = [(call.program, call.c[call.rows[:, 0]], call.b_eq[call.rows[:, 1]],
+    calls = [(call.a_eq, call.lower, call.c[call.rows[:, 0]], call.b_eq[call.rows[:, 1]],
               call.upper[call.rows[:, 2]]) for call in solver_calls.batches]
     # the wait-and-see batch of singletons, then the one group that binds
     expected = [[[w] for w in range(len(space))]]
@@ -618,12 +618,12 @@ def test_batched_programs_are_the_groups_own_programs_byte_for_byte(solver_calls
         expected.append([[space.labels.index("split-spike"),
                           space.labels.index("split-dip")]])
     assert len(calls) == len(expected)
-    for (program, c, b_eq, upper), groups in zip(calls, expected):
+    for (a_eq, lower, c, b_eq, upper), groups in zip(calls, expected):
         assert len(c) == len(b_eq) == len(upper) == len(groups)
         for k, members in enumerate(groups):
             own, _ = build_deterministic_equivalent(
                 horizon, storage, group_space(space, members)[1], nonanticipative)
-            for got, want in ((program.a_eq, own.a_eq), (program.lower, own.lower),
+            for got, want in ((a_eq, own.a_eq), (lower, own.lower),
                               (upper[k], own.upper), (c[k], own.c),
                               (b_eq[k], own.b_eq)):
                 assert got.dtype == want.dtype and got.shape == want.shape, members
@@ -654,9 +654,9 @@ def test_non_optimal_singleton_sends_its_group_to_the_coupled_solve(monkeypatch,
     spied = lp_mod.solve_batch
     flat_b = space.labels.index("flat-b")
 
-    def flat_b_alone_not_optimal(program, *tables):
-        result = spied(program, *tables)
-        if program.n_vars == 3 * horizon.T:
+    def flat_b_alone_not_optimal(a_eq, lower, *tables):
+        result = spied(a_eq, lower, *tables)
+        if lower.size == 3 * horizon.T:
             result.status[flat_b] = "unbounded"
         return result
 
@@ -676,9 +676,9 @@ def test_infeasible_group_names_its_first_scenario(monkeypatch):
         CompositeScenario(label, 0.5, np.array([10.0, later, later]), np.zeros(3),
                           np.array([0.0, 200.0, 0.0]))
         for label, later in (("spike", 40.0), ("dip", 5.0))))
-    def all_infeasible(program, c, b_eq, upper, rows):
+    def all_infeasible(a_eq, lower, c, b_eq, upper, rows):
         K = len(rows)
-        return lp_mod.LpResult(np.full(K, "infeasible"), np.full((K, program.n_vars), np.nan),
+        return lp_mod.LpResult(np.full(K, "infeasible"), np.full((K, lower.size), np.nan),
                                np.full(K, np.nan), np.zeros(K, int), np.zeros(K, bool))
 
     monkeypatch.setattr(lp_mod, "solve_batch", all_infeasible)
@@ -784,6 +784,53 @@ def test_scaling_prices_by_a_power_of_two_scales_only_the_cost(instance, nonanti
         for field in ("purchase", "battery", "excess"):
             assert np.array_equal(getattr(policy, field), getattr(base, field)), (f, field)
         assert policy.expected_cost == f * base.expected_cost, f
+
+
+@pytest.mark.parametrize("physical_discharge", [False, True], ids=("book", "physical"))
+@pytest.mark.parametrize("nonanticipative", [False, True], ids=("free", "nonanticipative"))
+@pytest.mark.parametrize("instance", ["default", "storage-80"])
+def test_cost_is_non_increasing_and_convex_in_capacity_and_renewable(instance, nonanticipative,
+                                                                     physical_discharge):
+    # capacity is an upper bound and renewable enters only the rhs, with
+    # the excess free, so each only widens the feasible set; an LP's value
+    # is convex in its bounds and rhs. At or above the endpoint levels
+    # every capacity is feasible
+    horizon, storage, space = planner_instance(instance)
+    capacities = np.linspace(max(storage.initial, storage.terminal), 1.5 * storage.capacity, 9)
+    scalings = np.linspace(0.5, 2.5, 5)
+    cells = [(replace(storage, capacity=cap),
+              ScenarioSpace(tuple(CompositeScenario(s.label, s.probability, s.price,
+                                                    k * s.renewable, s.consumption)
+                                  for s in space.scenarios)))
+             for cap in capacities for k in scalings]
+    policies = solve_policies(horizon, cells, nonanticipative=nonanticipative,
+                              physical_discharge=physical_discharge)
+    cost = np.array([p.expected_cost for p in policies]).reshape(capacities.size, scalings.size)
+    tol = 1e-9 * np.abs(cost).max()
+    for axis, name in ((0, "capacity"), (1, "renewable")):
+        # both grids are evenly spaced, so convexity is a nonnegative second difference
+        assert (np.diff(cost, axis=axis) <= tol).all(), name
+        assert (np.diff(cost, 2, axis=axis) >= -tol).all(), name
+
+
+@pytest.mark.parametrize("physical_discharge", [False, True], ids=("book", "physical"))
+@pytest.mark.parametrize("nonanticipative", [False, True], ids=("free", "nonanticipative"))
+@pytest.mark.parametrize("instance", ["default", "storage-80"])
+def test_permuting_the_scenarios_permutes_every_schedule(instance, nonanticipative,
+                                                         physical_discharge):
+    # each scenario's (or group's) program does not depend on where its
+    # scenarios sit in the space; only the expected cost, summed in
+    # scenario order, may round differently
+    horizon, storage, space = planner_instance(instance)
+    order = np.random.default_rng(0).permutation(len(space))
+    shuffled = ScenarioSpace(tuple(space.scenarios[w] for w in order))
+    base, permuted = solve_policies(horizon, [(storage, space), (storage, shuffled)],
+                                    nonanticipative=nonanticipative,
+                                    physical_discharge=physical_discharge)
+    assert permuted.scenario_labels == tuple(base.scenario_labels[w] for w in order)
+    for field in ("purchase", "battery", "excess"):
+        assert np.array_equal(getattr(permuted, field), getattr(base, field)[order]), field
+    assert abs(permuted.expected_cost - base.expected_cost) <= 1e-15 * abs(base.expected_cost)
 
 
 # ---------------------------------------------------------------------------
