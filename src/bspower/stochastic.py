@@ -34,11 +34,17 @@ and bounds that the blocks of one size and battery share, and _costs and
 _rhs give each block's own rows. build_deterministic_equivalent puts them
 together once over the whole space: the dense monolithic program, which
 the tests solve as the oracle for solve_policy. solve_policies hands the
-blocks of all its cells to lp.solve_batch as row tables, one call per
+blocks of all its cells to lp.solve_batch as row tables, one batch per
 block size, retention and fixed-variable pattern (the endpoint levels,
 and whether the capacity is 0), each space's cost and right-hand side
 rows made once; lp.solve_batch solves every program it is given, in
-lockstep within its per-stack memory budget. A ScenarioSpace is valid
+lockstep within its per-stack memory budget. Programs of one batch that
+share their cost and rhs rows (one scenario of one space under several
+capacities, say) differ only in their upper bounds, so the batch solves
+the loosest of them first; a tighter one whose bounds that optimum fits
+takes it as its own, which is exact because a basis stays optimal while
+it stays primal feasible, and only the rest go to a second call (see
+_Batch). A ScenarioSpace is valid
 once built, so build_deterministic_equivalent and solve_policies only
 compare its trace length with T.
 """
@@ -223,10 +229,28 @@ def build_deterministic_equivalent(
 
 
 class _Batch:
-    """The programs of one lp.solve_batch call: a shared constraint matrix
-    and lower bounds, tables of cost, right-hand side and upper-bound rows,
-    and one (cost, rhs, bound) row triple per program, the tables and
-    triples kept as lists of blocks until run()."""
+    """Programs that share a constraint matrix and lower bounds: tables of
+    cost, right-hand side and upper-bound rows, and one (cost, rhs, bound)
+    row triple per program, the tables and triples kept as lists of blocks
+    until run().
+
+    run() solves them in at most two lp.solve_batch calls. A family is the
+    programs that share a cost row and an rhs row, so they differ only in
+    their upper bounds. Its lead is the member with the lexicographically
+    greatest bound row, the first in index order among equals; that row is
+    at least every member's, entry by entry, whenever some member's is. The
+    first call solves each family's lead, in index order, and when every
+    family has one member it is the only call. A member takes its lead's
+    status, x and objective, with 0 iterations and no Bland switch, when
+    its bound row is at most the lead's, the lead is optimal and the lead's
+    x is within the member's bounds. This is exact: the rows and costs are
+    the same and reduced costs do not depend on bounds, a variable the
+    lead holds at a bound the member lacks fails the x check, so the lead's
+    final basis is an optimal basis of the member's own program and x is
+    its solution (a basis stays optimal while it stays primal feasible:
+    Bertsimas & Tsitsiklis, Introduction to Linear Optimization, sec.
+    5.1). Every other member goes to the second call.
+    """
 
     def __init__(self, a_eq, lower):
         self.a_eq, self.lower = a_eq, lower
@@ -244,8 +268,50 @@ class _Batch:
         return self.seen[source]
 
     def run(self) -> lp_mod.LpResult:
-        return lp_mod.solve_batch(self.a_eq, self.lower, *map(np.concatenate, (
-            self.costs, self.rhs, self.bounds, self.index)))
+        """Every program's result, each family's lead solved first."""
+        c, b_eq, upper, index = map(np.concatenate, (self.costs, self.rhs, self.bounds,
+                                                     self.index))
+
+        def solve(rows):
+            return lp_mod.solve_batch(self.a_eq, self.lower, c, b_eq, upper, rows)
+
+        # bound rows ranked from the lexicographically greatest down, equal
+        # rows in index order, so a family's first member in order is its lead
+        rank = np.empty(len(upper), dtype=np.intp)
+        rank[np.lexsort(-upper.T[::-1])] = np.arange(len(upper))
+        order = np.lexsort((rank[index[:, 2]], index[:, 1], index[:, 0]))
+        starts = np.ones(len(order), dtype=bool)
+        starts[1:] = (index[order[1:], :2] != index[order[:-1], :2]).any(axis=1)
+        if starts.all():
+            return solve(index)
+        lead = np.empty(len(index), dtype=np.intp)
+        lead[order] = order[starts][np.cumsum(starts) - 1]
+        leads = lead == np.arange(len(index))
+        first = solve(index[leads])
+        row = (np.cumsum(leads) - 1)[lead]  # each program's lead's entry in first
+
+        # one bound row at a time, so no temporary spans every program
+        members = np.flatnonzero(~leads)
+        fits = np.zeros(len(index), dtype=bool)
+        for bound, own in enumerate(upper):
+            mine = members[index[members, 2] == bound]
+            if mine.size:
+                fits[mine] = ((own <= upper[index[lead[mine], 2]]).all(axis=1)
+                              & (first.status[row[mine]] == "optimal")
+                              & (first.x[row[mine]] <= own).all(axis=1))
+
+        again = np.flatnonzero(~leads & ~fits)
+        # solved before the full result is gathered, so that its stacks do
+        # not run beside a (programs, vars) table
+        second = solve(index[again]) if again.size else None
+        status, x, objective = first.status[row], first.x[row], first.objective[row]
+        iterations = np.zeros(len(index), dtype=first.iterations.dtype)
+        bland = np.zeros(len(index), dtype=bool)
+        iterations[leads], bland[leads] = first.iterations, first.bland
+        if second is not None:
+            status[again], x[again], objective[again] = second.status, second.x, second.objective
+            iterations[again], bland[again] = second.iterations, second.bland
+        return lp_mod.LpResult(status, x, objective, iterations, bland)
 
 
 def _solve_groups(cells, traces, segments, T, physical_discharge):
@@ -259,10 +325,12 @@ def _solve_groups(cells, traces, segments, T, physical_discharge):
     costs and solution rows (groups, 3 T size), NaN where a program is not
     optimal. Segments whose programs share the constraint matrix and fix the
     same variables at the same values (one group size, one retention and
-    one pair of endpoint levels) go to one lp.solve_batch call, their costs,
-    right-hand sides and upper bounds as row tables, each space's and
-    group set's rows made once; each segment's results are one slice of
-    its call's.
+    one pair of endpoint levels) go to one _Batch, their costs, right-hand
+    sides and upper bounds as row tables, each space's and group set's rows
+    made once; each segment's results are one slice of its batch's. A
+    batch solves the loosest-bounded program of each cost and rhs row pair
+    first and re-solves a tighter one only where that optimum breaks its
+    bounds.
     """
     batches: dict[tuple, _Batch] = {}
     placed = []
@@ -330,8 +398,12 @@ def solve_policies(
     solved as its own deterministic equivalent with the probabilities
     renormalised inside the group; its schedules overwrite its members'
     wait-and-see ones in the cell's (S, 3, T) cube. Each of the two stages
-    solves the blocks of every cell together, one lp.solve_batch call per
-    block size and fixed-variable pattern. Each distinct space has its
+    solves the blocks of every cell together, one batch per block size and
+    fixed-variable pattern. Cells that share a space and differ only in
+    capacity, as in a battery sweep, share each block's cost and rhs rows:
+    the block is solved at the largest such capacity, and a smaller one
+    keeps that optimum when the optimum fits it, which is exact (see
+    _Batch); only the others are solved again. Each distinct space has its
     trace length compared with T and is turned into trace matrices once.
 
     A cell's expected cost sums its block optima weighted by block

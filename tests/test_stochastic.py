@@ -834,6 +834,86 @@ def test_permuting_the_scenarios_permutes_every_schedule(instance, nonanticipati
 
 
 # ---------------------------------------------------------------------------
+# capacities that share a scenario's program, solved from the largest
+# ---------------------------------------------------------------------------
+
+def capacities(call, T):
+    """The battery capacity of each single-scenario program of a solve_batch
+    call, in program order."""
+    return call.upper[call.rows[:, 2], T + 1].tolist()
+
+
+def assert_cells_equal_their_own_solves(horizon, cells, policies):
+    for (storage, space), policy in zip(cells, policies):
+        alone = solve_policy(horizon, storage, space)
+        for field in ("purchase", "battery", "excess"):
+            assert np.array_equal(getattr(policy, field), getattr(alone, field)), (
+                storage.capacity, field)
+        assert policy.expected_cost == alone.expected_cost, storage.capacity
+
+
+@pytest.mark.parametrize("instance", ["default", "storage-80"])
+def test_capacity_grid_cells_equal_their_own_solves_bit_for_bit(solver_calls, instance):
+    # each scenario at each scaling is solved at 4000 Wh; a smaller capacity
+    # that holds that schedule takes it, and that must be what its own solve gives
+    horizon, storage, space = planner_instance(instance)
+    scaled = [ScenarioSpace(tuple(CompositeScenario(s.label, s.probability, s.price,
+                                                    k * s.renewable, s.consumption)
+                                  for s in space.scenarios))
+              for k in DEFAULT_CONFIG["sweeps"]["battery"]["renewable_scalings"]]
+    grid = DEFAULT_CONFIG["sweeps"]["battery"]["capacities_wh"]
+    cells = [(replace(storage, capacity=cap), k_space) for cap in grid for k_space in scaled]
+    policies = solve_policies(horizon, cells)
+    leads, again = solver_calls.batches
+    S = len(space)
+    assert capacities(leads, horizon.T) == [max(grid)] * 2 * S
+    assert 0 < len(again.rows) < (len(grid) - 1) * 2 * S
+    assert max(grid) not in capacities(again, horizon.T)
+    assert_cells_equal_their_own_solves(horizon, cells, policies)
+
+
+def test_capacities_the_largest_schedule_overflows_are_solved_again(solver_calls):
+    # energy is cheap for the first half day and dear after, and the dear
+    # half needs more than any battery holds, so the 4000 Wh schedule fills
+    # the battery and no smaller capacity can take it
+    horizon = Horizon(T=24)
+    price = np.where(np.arange(24) < 12, 2.0, 50.0)
+    space = single_scenario(price, np.zeros(24), np.full(24, 1000.0))
+    grid = DEFAULT_CONFIG["sweeps"]["battery"]["capacities_wh"]
+    cells = [(StorageConfig(capacity=cap, initial=500.0, terminal=500.0), space)
+             for cap in grid]
+    policies = solve_policies(horizon, cells)
+    assert [capacities(call, horizon.T) for call in solver_calls.batches] == [
+        [max(grid)], sorted(grid)[:-1]]
+    assert policies[-1].battery.max() == max(grid)
+    assert_cells_equal_their_own_solves(horizon, cells, policies)
+
+
+def test_a_lead_that_is_not_optimal_sends_its_family_to_the_second_call(monkeypatch,
+                                                                        solver_calls):
+    rng = np.random.default_rng(21)
+    horizon, storage, space = random_instance(rng)
+    spied = lp_mod.solve_batch
+
+    def first_lead_numerical(*args):
+        result = spied(*args)
+        if len(solver_calls.batches) == 1:
+            result.status[0], result.x[0], result.objective[0] = "numerical", np.nan, np.nan
+        return result
+
+    monkeypatch.setattr(lp_mod, "solve_batch", first_lead_numerical)
+    grid = [storage.capacity * f for f in (1.0, 1.5, 2.0)]
+    cells = [(replace(storage, capacity=cap), space) for cap in grid]
+    with pytest.raises(RuntimeError, match=r"group of 'w0' solved numerical"):
+        solve_policies(horizon, cells)
+    leads, again = solver_calls.batches
+    assert capacities(leads, horizon.T) == [grid[2]] * len(space)
+    # w0's rhs row is the first made
+    assert sorted(cap for cap, rhs in zip(capacities(again, horizon.T), again.rows[:, 1])
+                  if rhs == 0) == grid[:2]
+
+
+# ---------------------------------------------------------------------------
 # verification and export
 # ---------------------------------------------------------------------------
 

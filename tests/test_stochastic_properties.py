@@ -1,5 +1,7 @@
 """Invariants of solved policies on random scenario spaces, in both modes."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from bspower.scenarios import CompositeScenario, ScenarioSpace  # noqa: E402
 from bspower.stochastic import (  # noqa: E402
     StorageConfig,
     _nonanticipativity_groups,
+    solve_policies,
     solve_policy,
     verify_policy,
 )
@@ -119,3 +122,22 @@ def test_agreeing_wait_and_see_plan_is_the_nonanticipative_plan(instance, physic
         assert np.array_equal(na.battery, ws.battery)
         assert np.array_equal(na.excess, ws.excess)
         assert na.expected_cost == ws.expected_cost
+
+
+@SETTINGS
+@given(instance=instances(), grid=st.lists(st.integers(0, 3000), min_size=2, max_size=5),
+       nonanticipative=st.booleans(), physical=st.booleans())
+def test_capacity_grid_cells_match_their_own_solves(instance, grid, nonanticipative,
+                                                    physical):
+    # the cells share one space, so a cell whose capacity holds the largest
+    # capacity's schedule takes it instead of its own solve; endpoints are
+    # clamped as the battery sweep clamps them
+    horizon, storage, space = instance
+    cells = [(replace(storage, capacity=float(cap), initial=min(storage.initial, cap),
+                      terminal=min(storage.terminal, cap)), space) for cap in grid]
+    policies = solve_policies(horizon, cells, nonanticipative, physical)
+    for (cell, _), policy in zip(cells, policies):
+        assert verify_policy(policy, horizon, space) == []
+        alone = solve_policy(horizon, cell, space, nonanticipative, physical)
+        assert abs(policy.expected_cost - alone.expected_cost) <= 1e-12 * abs(
+            alone.expected_cost)
