@@ -15,17 +15,13 @@ scenario space.
 
 Sweeps re-solve the program across parameter grids and return fixed-schema
 reports. Each sweep hands all its grid cells to one solve_policies call,
-which solves them in lockstep batches; traffic sweeps solve each distinct
-occupancy trace once. In the battery sweep each scenario's program at one
-renewable scaling differs across capacities only in its bounds, so it is
-solved at the largest capacity first, and a smaller capacity is solved
-again only where that schedule holds more than it can store: an optimum
-that is feasible for the tighter program is optimal there too.
-Simulation-driven sweeps share one seed across grid
-points so traffic realizations are coupled and the documented monotone
-trends hold exactly per run, not just in expectation. A grid value the
-model cannot use is refused with its config key,
-config.sweeps.<kind>.<key>[i], i its place in the grid as given.
+whose one storage recursion solves every scenario of every cell together;
+traffic sweeps solve each distinct occupancy trace once. Simulation-driven
+sweeps share one seed across grid points so traffic realizations are
+coupled and the documented monotone trends hold exactly per run, not just
+in expectation. A grid value the model cannot use is refused with its
+config key, config.sweeps.<kind>.<key>[i], i its place in the grid as
+given.
 """
 
 from __future__ import annotations
@@ -207,12 +203,9 @@ def sweep_battery(capacities, renewable_scalings, cal: Calibration,
 
     Initial/terminal levels are clamped to the capacity under test, so
     every cell is feasible; a cell without a finite optimum fails the
-    sweep with the RuntimeError of solve_policies. Capacities that clamp
-    the same endpoint levels share one batch, in which each scenario at
-    each scaling is solved at the largest of them first; a smaller
-    capacity takes that schedule when its battery never exceeds the
-    smaller capacity, and only the others are solved again (see
-    stochastic._Batch).
+    sweep with the RuntimeError of solve_policies. Every cell is solved
+    in full, all in one solve_policies call; a capacity repeated in the
+    grid is solved once.
     """
     if not len(capacities) or not len(renewable_scalings):
         raise ValueError("sweep grids must be non-empty")

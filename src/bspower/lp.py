@@ -1,5 +1,10 @@
 """Dense linear programming with a lockstep batched bounded-variable simplex.
 
+No policy is solved with it: bspower.stochastic solves every program the
+package plans by its storage recursion. This module is the oracle that the
+tests and the benchmark's gate solve build_deterministic_equivalent with,
+and the LinearProgram type that function returns.
+
 Problem form:
 
     minimize    c @ x
@@ -77,8 +82,7 @@ _STALL_EPS = 1e-12
 # more programs but raises peak memory: a stack's working set peaks at
 # about 1.7 times its tableau, during the rank-1 update of a pivot
 # (tracemalloc, 75-76 storage programs of 24 x 71: 1.6 MiB for 0.98 MiB of
-# tableau). 1 MiB holds 76 such programs, so the 1280 programs of the
-# 80-scenario, 16-cell storage sweep run as 17 stacks.
+# tableau). 1 MiB holds 76 such programs.
 _BATCH_BYTES = 1 << 20
 _NO_BASIS = np.iinfo(np.intp).max  # above every basis index in a tie-break
 

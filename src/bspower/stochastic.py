@@ -1,4 +1,4 @@
-"""Scenario-based purchase/storage program and its LP solution.
+"""Scenario-based purchase/storage program and its solution.
 
 Decision variables per period t and scenario w: grid purchase x (Wh),
 battery level s (Wh), dumped excess y (Wh). The objective is expected
@@ -18,35 +18,26 @@ balance instead of only pricing it in the objective.
 
 Scenarios share constraints only inside a nonanticipativity group (every
 scenario is its own group without the nonanticipative mode), so the
-program is block-diagonal by group. solve_policies is the one solve path:
-it takes a sequence of (storage, space) cells, such as the cells of a
-sweep, and returns one PolicyTable per cell; solve_policy is its batch of
-one. It solves every scenario alone first (the wait-and-see solve). Under
-the nonanticipative mode a group is certified when all its members'
-programs are optimal and their first-period purchases are exactly equal,
-with no tolerance: the wait-and-see cost bounds the coupled cost from
-below, so such a plan is optimal for the coupled group as well (Madansky
-1960; Birge & Louveaux, ch. 4). Only the other groups are solved as
-coupled programs.
+program is block-diagonal by group. Each scenario's program is one battery
+on a line of periods, whose optimal policy is a base-stock rule
+(Secomandi, Management Science 56(3), 2010), and a group couples only
+through its common first purchase. So solve_policies, the one solve path,
+needs no LP solver: it takes a sequence of (storage, space) cells, such as
+the cells of a sweep, runs one backward recursion over every scenario of
+every cell and one forward pass (_storage_recursion), and returns one
+PolicyTable per cell; solve_policy is its batch of one. Under the
+nonanticipative mode each group's first-period level is the exact
+minimiser of its members' merged costs, found in the same call; both
+modes take this one path. Among tied optima the recursion always takes the
+lowest next battery level.
 
-One assembly writes every program: _structure gives the constraint matrix
-and bounds that the blocks of one size and battery share, and _costs and
-_rhs give each block's own rows. build_deterministic_equivalent puts them
-together once over the whole space: the dense monolithic program, which
-the tests solve as the oracle for solve_policy. solve_policies hands the
-blocks of all its cells to lp.solve_batch as row tables, one batch per
-block size, retention and fixed-variable pattern (the endpoint levels,
-and whether the capacity is 0), each space's cost and right-hand side
-rows made once; lp.solve_batch solves every program it is given, in
-lockstep within its per-stack memory budget. Programs of one batch that
-share their cost and rhs rows (one scenario of one space under several
-capacities, say) differ only in their upper bounds, so the batch solves
-the loosest of them first; a tighter one whose bounds that optimum fits
-takes it as its own, which is exact because a basis stays optimal while
-it stays primal feasible, and only the rest go to a second call (see
-_Batch). A ScenarioSpace is valid
-once built, so build_deterministic_equivalent and solve_policies only
-compare its trace length with T.
+One assembly writes the dense program: _structure gives the constraint
+matrix and bounds of a block, and _costs and _rhs give its rows.
+build_deterministic_equivalent puts them together over the whole space.
+It is the oracle: the tests and the benchmark's gate solve it with
+bspower.lp or HiGHS to check the recursion; the CLI never builds it. A
+ScenarioSpace is valid once built, so build_deterministic_equivalent and
+solve_policies only compare its trace length with T.
 """
 
 from __future__ import annotations
@@ -215,8 +206,8 @@ def build_deterministic_equivalent(
 
     This dense monolithic program is kept only as the documented oracle:
     the HiGHS check in benchmarks/gate.py and the tests solve it to check
-    solve_policy. The CLI never calls it; solve_policies builds its blocks
-    from the same _structure, _costs and _rhs.
+    solve_policy. The CLI never calls it; solve_policies solves the same
+    program by the storage recursion.
     """
     probabilities, price, net_load = _traces(space, horizon)
     a_eq, lower, upper = _structure(storage, len(space), horizon.T,
@@ -228,142 +219,96 @@ def build_deterministic_equivalent(
     return program, VariableMap(T=horizon.T, scenario_labels=tuple(space.labels))
 
 
-class _Batch:
-    """Programs that share a constraint matrix and lower bounds: tables of
-    cost, right-hand side and upper-bound rows, and one (cost, rhs, bound)
-    row triple per program, the tables and triples kept as lists of blocks
-    until run().
+def _storage_recursion(price, net_load, keep, loss, capacity, initial, terminal,
+                       probabilities, groups):
+    """Optimal purchase, battery and excess schedules, each (P, T), of P
+    one-battery programs given as (P, T) price and net-load (consumption
+    minus renewable) rows and (P,) retention, loss cost, capacity, endpoint
+    levels and probabilities. groups lists index arrays of two or more
+    programs that share their first purchase.
 
-    run() solves them in at most two lp.solve_batch calls. A family is the
-    programs that share a cost row and an rhs row, so they differ only in
-    their upper bounds. Its lead is the member with the lexicographically
-    greatest bound row, the first in index order among equals; that row is
-    at least every member's, entry by entry, whenever some member's is. The
-    first call solves each family's lead, in index order, and when every
-    family has one member it is the only call. A member takes its lead's
-    status, x and objective, with 0 iterations and no Bland switch, when
-    its bound row is at most the lead's, the lead is optimal and the lead's
-    x is within the member's bounds. This is exact: the rows and costs are
-    the same and reduced costs do not depend on bounds, a variable the
-    lead holds at a bound the member lacks fails the x check, so the lead's
-    final basis is an optimal basis of the member's own program and x is
-    its solution (a basis stays optimal while it stays primal feasible:
-    Bertsimas & Tsitsiklis, Introduction to Linear Optimization, sec.
-    5.1). Every other member goes to the second call.
+    Let c_t = price_t / 1000 and d_t the net load. W_t, the optimal cost
+    from period t on as a function of the level s_t, is convex and
+    piecewise linear; it is held as ascending knots and the slope right of
+    each knot, inf at the last knot, both padded with inf on the right. No
+    values are needed. W_{T-1} is the one knot terminal. Going back, U_t is
+    the first knot of W_{t+1} with slope >= 0, its smallest minimiser, and
+    L_t the first with slope >= -c_t, below which buying a Wh more pays.
+    From level s the period leaves z = keep s - d_t before any purchase or
+    dump, and the best next level is clip(z, L_t, U_t); the cost from there
+    on, F_t(z), has slope -c_t below L_t, W_{t+1}'s slope between and 0
+    above U_t. So W_t(s) = loss s + F_t(keep s - d_t) on [0, capacity] has
+    the knots 0, capacity (when > 0) and the images (k + d_t) / keep of
+    W_{t+1}'s knots k from L_t to U_t that lie strictly between, each with
+    right slope loss + keep F_t'.
+
+    The forward pass buys up to Y = max(z, L_t) and dumps down to U_t.
+    Among tied optima it takes the lowest next level, because L_t and U_t
+    are the first knots that qualify. A group's members share c_0, d_0 and
+    s_0, so z too, and their common Y minimises c_0 (Y - z) sum p_w + sum
+    p_w W_1w(min(Y, U_0w)) over Y >= max(0, z). That is convex and
+    piecewise linear, so Y is the smallest of that bound and the members'
+    W_1 knots at which the slope sum_w p_w (c_0 + min(g_w(Y), 0)) is >= 0,
+    g_w(Y) the slope of W_1w right of Y, -inf below its first knot (a
+    one-dimensional master problem, solved exactly: the L-shaped method of
+    Van Slyke & Wets 1969). Written per member, a term is exactly 0 where
+    that member is tied, so members that agree alone keep their level. Each
+    member then buys Y - z and dumps what lies above its own U_0.
     """
+    P, T = price.shape
+    c = price / 1000.0
+    rows, room = np.arange(P), capacity > 0.0
+    below, above = np.empty((T - 1, P)), np.empty((T - 1, P))  # L_t and U_t
+    knots, slopes = terminal[:, None].copy(), np.full((P, 1), np.inf)
+    for t in range(T - 2, -1, -1):
+        up = (slopes >= 0.0).argmax(axis=1)
+        buy = (slopes >= -c[:, t, None]).argmax(axis=1)
+        below[t], above[t] = knots[rows, buy], knots[rows, up]
+        if t == 0:
+            break
+        j = np.arange(knots.shape[1])
+        image = (knots + net_load[:, t, None]) / keep[:, None]
+        inside = ((j >= buy[:, None]) & (j <= up[:, None])
+                  & (image > 0.0) & (image < capacity[:, None]))
+        count = inside.sum(axis=1)
+        f = np.where(j < up[:, None], slopes, 0.0)  # F_t' right of each knot from L_t on
+        z0 = -net_load[:, t]  # what level 0 leaves
+        held = np.maximum((knots <= z0[:, None]).sum(axis=1) - 1, 0)
+        span = np.arange(int(count.max()) + 1)  # the new knots after 0
+        src = np.minimum(inside.argmax(axis=1)[:, None] + span, knots.shape[1] - 1)
+        take = span < count[:, None]
+        knots = np.full((P, span.size + 1), np.inf)
+        slopes = knots.copy()
+        knots[:, 0] = 0.0
+        slopes[:, 0] = np.where(room, loss + keep * np.where(
+            z0 < below[t], -c[:, t], f[rows, held]), np.inf)
+        knots[:, 1:] = np.where(take, image[rows[:, None], src], np.inf)
+        slopes[:, 1:] = np.where(take, loss[:, None] + keep[:, None] * f[rows[:, None], src],
+                                 np.inf)
+        knots[room, 1 + count[room]] = capacity[room]
 
-    def __init__(self, a_eq, lower):
-        self.a_eq, self.lower = a_eq, lower
-        self.costs, self.rhs, self.bounds, self.index = [], [], [], []
-        # the row ids of the cost and rhs rows added so far, by the space,
-        # groups (and loss cost) they were made from
-        self.seen: dict[tuple, np.ndarray] = {}
+    for members in groups:
+        lead = members[0]
+        bound = max(0.0, keep[lead] * initial[lead] - net_load[lead, 0])
+        own = knots[members]
+        candidates = np.concatenate(([bound], own[(own > bound) & (own < np.inf)]))
+        # each member's slope right of a level, -inf below its first knot
+        right = np.concatenate((np.full((len(members), 1), -np.inf), slopes[members]), axis=1)
+        slope = 0.0
+        for k, w in enumerate(members):
+            g = right[k, np.searchsorted(own[k], candidates, side="right")]
+            slope = slope + probabilities[w] * (c[lead, 0] + np.minimum(g, 0.0))
+        below[0, members] = np.min(candidates, where=slope >= 0.0, initial=np.inf)
 
-    def rows(self, table: list, source: tuple, make) -> np.ndarray:
-        """Row ids in table of the rows make() returns, made once per source."""
-        if source not in self.seen:
-            start = sum(map(len, table))
-            table.append(make())
-            self.seen[source] = np.arange(start, start + len(table[-1]))
-        return self.seen[source]
-
-    def run(self) -> lp_mod.LpResult:
-        """Every program's result, each family's lead solved first."""
-        c, b_eq, upper, index = map(np.concatenate, (self.costs, self.rhs, self.bounds,
-                                                     self.index))
-
-        def solve(rows):
-            return lp_mod.solve_batch(self.a_eq, self.lower, c, b_eq, upper, rows)
-
-        # bound rows ranked from the lexicographically greatest down, equal
-        # rows in index order, so a family's first member in order is its lead
-        rank = np.empty(len(upper), dtype=np.intp)
-        rank[np.lexsort(-upper.T[::-1])] = np.arange(len(upper))
-        order = np.lexsort((rank[index[:, 2]], index[:, 1], index[:, 0]))
-        starts = np.ones(len(order), dtype=bool)
-        starts[1:] = (index[order[1:], :2] != index[order[:-1], :2]).any(axis=1)
-        if starts.all():
-            return solve(index)
-        lead = np.empty(len(index), dtype=np.intp)
-        lead[order] = order[starts][np.cumsum(starts) - 1]
-        leads = lead == np.arange(len(index))
-        first = solve(index[leads])
-        row = (np.cumsum(leads) - 1)[lead]  # each program's lead's entry in first
-
-        # one bound row at a time, so no temporary spans every program
-        members = np.flatnonzero(~leads)
-        fits = np.zeros(len(index), dtype=bool)
-        for bound, own in enumerate(upper):
-            mine = members[index[members, 2] == bound]
-            if mine.size:
-                fits[mine] = ((own <= upper[index[lead[mine], 2]]).all(axis=1)
-                              & (first.status[row[mine]] == "optimal")
-                              & (first.x[row[mine]] <= own).all(axis=1))
-
-        again = np.flatnonzero(~leads & ~fits)
-        # solved before the full result is gathered, so that its stacks do
-        # not run beside a (programs, vars) table
-        second = solve(index[again]) if again.size else None
-        status, x, objective = first.status[row], first.x[row], first.objective[row]
-        iterations = np.zeros(len(index), dtype=first.iterations.dtype)
-        bland = np.zeros(len(index), dtype=bool)
-        iterations[leads], bland[leads] = first.iterations, first.bland
-        if second is not None:
-            status[again], x[again], objective[again] = second.status, second.x, second.objective
-            iterations[again], bland[again] = second.iterations, second.bland
-        return lp_mod.LpResult(status, x, objective, iterations, bland)
-
-
-def _solve_groups(cells, traces, segments, T, physical_discharge):
-    """Solve the program of every group, all its members coupled in period 1.
-
-    A segment (cell, members) holds same-size groups of one cell, members
-    (groups, size) indexing the scenarios of that cell's space; traces
-    maps id(space) to the space's probabilities, price matrix and net
-    load (consumption minus renewable) matrix. Returns,
-    for each segment, the groups' probability masses, statuses, optimal
-    costs and solution rows (groups, 3 T size), NaN where a program is not
-    optimal. Segments whose programs share the constraint matrix and fix the
-    same variables at the same values (one group size, one retention and
-    one pair of endpoint levels) go to one _Batch, their costs, right-hand
-    sides and upper bounds as row tables, each space's and group set's rows
-    made once; each segment's results are one slice of its batch's. A
-    batch solves the loosest-bounded program of each cost and rhs row pair
-    first and re-solves a tighter one only where that optimum breaks its
-    bounds.
-    """
-    batches: dict[tuple, _Batch] = {}
-    placed = []
-    for cell, members in segments:
-        storage, space = cells[cell]
-        p, prices, net_load = traces[id(space)]
-        # the left fold of Python's sum, one group per entry
-        mass = p[members[:, 0]]
-        for j in range(1, members.shape[1]):
-            mass = mass + p[members[:, j]]
-        size = members.shape[1]
-        keep = _retention(storage, physical_discharge)
-        a_eq, lower, upper = _structure(storage, size, T, keep, [range(size)])
-        key = (size, keep, lower.tobytes(), (lower == upper).tobytes())
-        if key not in batches:
-            batches[key] = _Batch(a_eq, lower)
-        batch = batches[key]
-        groups = (id(space), members.tobytes())
-        index = np.empty((len(members), 3), dtype=np.intp)
-        index[:, 0] = batch.rows(batch.costs, (*groups, storage.loss_cost_coeff),
-                                 lambda: _costs(storage, p[members] / mass[:, None],
-                                                prices[members]))
-        index[:, 1] = batch.rows(batch.rhs, groups,
-                                 lambda: _rhs(net_load[members], len(a_eq)))
-        index[:, 2] = len(batch.bounds)
-        batch.bounds.append(upper[None])
-        start = sum(map(len, batch.index))
-        batch.index.append(index)
-        placed.append((key, slice(start, start + len(members)), mass))
-
-    results = {key: batch.run() for key, batch in batches.items()}
-    return [(mass, results[key].status[at], results[key].objective[at], results[key].x[at])
-            for key, at, mass in placed]
+    purchase, battery, excess = np.zeros((P, T)), np.empty((P, T)), np.zeros((P, T))
+    battery[:, 0] = initial
+    for t in range(T - 1):
+        z = keep * battery[:, t] - net_load[:, t]
+        level = np.maximum(z, below[t])
+        battery[:, t + 1] = np.minimum(level, above[t])
+        purchase[:, t] = level - z
+        excess[:, t] = level - battery[:, t + 1]
+    return purchase, battery, excess
 
 
 def solve_policy(
@@ -387,93 +332,89 @@ def solve_policies(
     nonanticipative: bool = False,
     physical_discharge: bool = False,
 ) -> list[PolicyTable]:
-    """Solve the program of every (storage, space) cell one block at a time.
+    """Solve the program of every (storage, space) cell in one recursion.
 
-    Every scenario is first solved alone (the wait-and-see solve); without
-    nonanticipative that is the whole program. With it, a
-    nonanticipativity group whose members are all optimal with exactly
-    equal first-period purchases is certified and keeps their schedules
-    and costs: the wait-and-see cost bounds the coupled cost from below, so
-    they are optimal for the group too. Each other group is one block,
-    solved as its own deterministic equivalent with the probabilities
-    renormalised inside the group; its schedules overwrite its members'
-    wait-and-see ones in the cell's (S, 3, T) cube. Each of the two stages
-    solves the blocks of every cell together, one batch per block size and
-    fixed-variable pattern. Cells that share a space and differ only in
-    capacity, as in a battery sweep, share each block's cost and rhs rows:
-    the block is solved at the largest such capacity, and a smaller one
-    keeps that optimum when the optimum fits it, which is exact (see
-    _Batch); only the others are solved again. Each distinct space has its
-    trace length compared with T and is turned into trace matrices once.
+    Every scenario of every distinct cell is one program of
+    _storage_recursion: one backward pass over all of them and one forward
+    pass, with nonanticipative each group of two or more members merged at
+    period 1. Both modes take this one path, and among tied optima it
+    takes the lowest next battery level. A repeated cell (an equal storage
+    over the same space object) is solved once and its PolicyTable
+    returned for each. Each distinct space has its trace length compared
+    with T and is turned into trace matrices once.
 
-    A cell's expected cost sums its block optima weighted by block
-    probability mass, in order of each block's first scenario. It equals
-    the optimum of build_deterministic_equivalent over the whole space,
-    because no constraint spans two groups.
-
-    Every block is feasible and bounded: each balance row has its own
-    purchase and excess columns, with no upper bound, so the grid covers
-    any shortfall and takes any surplus; StorageConfig keeps both endpoint
-    levels in [0, capacity]; the coupling rows only equate first-period
-    purchases, which are free; and costs are non-negative. So a block
-    without a finite optimum is a numerical breakdown.
+    The result is the optimum of build_deterministic_equivalent over the
+    whole space. Every block of that program is feasible and bounded: the
+    grid covers any shortfall and takes any surplus, StorageConfig keeps
+    both endpoint levels in [0, capacity] and costs are non-negative. So a
+    block without a finite optimum is one whose numbers overflow.
 
     Returns one PolicyTable per cell. Raises RuntimeError at the first
-    cell's first block whose status is not optimal or whose optimal cost
-    is not finite, naming that block's first scenario.
+    cell holding a scenario whose cost or schedule is not finite, naming
+    the first scenario of that scenario's block.
     """
     cells = list(cells)
-    traces = {}
-    for _, space in cells:
+    if not cells:
+        return []
+    traces, distinct = {}, {}
+    for storage, space in cells:
         if id(space) not in traces:
             traces[id(space)] = _traces(space, horizon)
-    # each cell's blocks, indexed by their first scenario: whether a block
-    # starts there, and its mass, status and optimal cost
-    blocks = []
-    cubes = []
-    singles = [(cell, np.arange(len(space))[:, None]) for cell, (_, space) in enumerate(cells)]
-    for mass, status, cost, x in _solve_groups(cells, traces, singles, horizon.T,
-                                               physical_discharge):
-        blocks.append((np.ones(len(mass), dtype=bool), mass, status.copy(), cost.copy()))
-        cubes.append(x.reshape(len(mass), 3, horizon.T))
-    if nonanticipative:
-        coupled = []
-        for cell, (_, space) in enumerate(cells):
-            cube, optimal = cubes[cell], blocks[cell][2] == "optimal"
-            by_size: dict[int, list[list[int]]] = {}
-            for members in _nonanticipativity_groups(space, True):
-                if not (optimal[members].all()
-                        and (cube[members, 0, 0] == cube[members[0], 0, 0]).all()):
-                    by_size.setdefault(len(members), []).append(members)
-            coupled.extend((cell, np.array(groups)) for groups in by_size.values())
-        for (cell, members), (mass, status, cost, x) in zip(
-                coupled, _solve_groups(cells, traces, coupled, horizon.T, physical_discharge)):
-            cubes[cell][members] = x.reshape(members.shape + cubes[cell].shape[1:])
-            lead, masses, statuses, costs = blocks[cell]
-            lead[members] = False
-            leads = members[:, 0]
-            lead[leads], masses[leads], statuses[leads], costs[leads] = True, mass, status, cost
-    return [_policy(storage, space, cube, block, nonanticipative, physical_discharge)
-            for (storage, space), cube, block in zip(cells, cubes, blocks)]
+        distinct.setdefault((storage, id(space)), (storage, space))
+    solved = list(distinct.values())
+    groups = [_nonanticipativity_groups(space, nonanticipative) for _, space in solved]
+    sizes = [len(space) for _, space in solved]
+    starts = np.cumsum([0, *sizes])
+
+    def each(value):
+        """value(storage) of each distinct cell, once per scenario."""
+        return np.repeat([float(value(storage)) for storage, _ in solved], sizes)
+
+    probabilities, price, net_load = map(np.concatenate,
+                                         zip(*(traces[id(space)] for _, space in solved)))
+    # an overflow shows as a cost or schedule that is not finite, which _policy refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        schedules = _storage_recursion(
+            price, net_load, each(lambda s: _retention(s, physical_discharge)),
+            each(lambda s: s.loss_cost_coeff), each(lambda s: s.capacity),
+            each(lambda s: s.initial), each(lambda s: s.terminal), probabilities,
+            [start + np.array(members) for start, cell in zip(starts, groups)
+             for members in cell if len(members) > 1])
+        policies = [_policy(storage, space, traces[id(space)], cell_groups,
+                            [part[start:end] for part in schedules],
+                            nonanticipative, physical_discharge)
+                    for (storage, space), cell_groups, start, end
+                    in zip(solved, groups, starts, starts[1:])]
+    by_cell = dict(zip(distinct, policies))
+    return [by_cell[storage, id(space)] for storage, space in cells]
 
 
-def _policy(storage, space, cube, blocks, nonanticipative, physical_discharge):
-    """A cell's PolicyTable; RuntimeError at its first block without a
-    finite optimum."""
-    lead, masses, statuses, costs = blocks
-    order = np.nonzero(lead)[0]
-    failing = (statuses[order] != "optimal") | ~np.isfinite(costs[order])
-    if failing.any():
-        first = order[failing.argmax()]
-        label = space.scenarios[first].label
-        # a block without an optimum has no cost to show; an optimal one shows its inf
-        cost = f" with cost {costs[first]}" if statuses[first] == "optimal" else ""
-        raise RuntimeError(f"the scenario group of {label!r} solved {statuses[first]}"
-                           f"{cost}; trace values too large for the solver")
+def _policy(storage, space, traces, groups, schedules, nonanticipative, physical_discharge):
+    """A cell's PolicyTable from its (purchase, battery, excess) schedules.
+
+    Each scenario's cost is its purchases at price / 1000 cents per Wh plus
+    the loss cost of its battery levels, and the expected cost is the left
+    fold of probability times cost in scenario order. Raises RuntimeError
+    naming the first scenario of the first block (its nonanticipativity
+    group, or the scenario alone) that holds a scenario whose cost or
+    schedule is not finite.
+    """
+    probabilities, price, _ = traces
+    purchase, battery, excess = schedules
+    costs = ((purchase[:, None, :] @ (price / 1000.0)[:, :, None])[:, 0, 0]
+             + storage.loss_cost_coeff * battery.sum(axis=1))
+    finite = (np.isfinite(costs) & np.isfinite(purchase).all(axis=1)
+              & np.isfinite(battery).all(axis=1) & np.isfinite(excess).all(axis=1))
+    if not finite.all():
+        lead = np.empty(len(space), dtype=int)
+        for members in groups:
+            lead[members] = members[0]
+        label = space.labels[lead[~finite].min()]
+        raise RuntimeError(f"the scenario group of {label!r} has no finite optimum; "
+                           "trace values too large for the solver")
     expected = 0.0
-    for mass, cost in zip(masses[order].tolist(), costs[order].tolist()):
-        expected += mass * cost
-    purchase, battery, excess = cube.transpose(1, 0, 2)
+    for p, cost in zip(probabilities.tolist(), costs.tolist()):
+        expected += p * cost
     return PolicyTable(
         scenario_labels=tuple(space.labels),
         probabilities=space.probabilities,
@@ -493,7 +434,7 @@ def per_scenario_decomposition(
     space: ScenarioSpace,
     physical_discharge: bool = False,
 ) -> PolicyTable:
-    """solve_policy without nonanticipativity: one small LP per scenario."""
+    """solve_policy without nonanticipativity: each scenario a program of its own."""
     return solve_policy(horizon, storage, space, nonanticipative=False,
                         physical_discharge=physical_discharge)
 

@@ -13,7 +13,6 @@ import pytest
 from bspower import scenarios as scenarios_mod
 from bspower.calibration import DEFAULT_CONFIG
 from bspower.cli import main
-from bspower.lp import LpResult
 from bspower.scenarios import MarginalSpace, ScenarioDocument, ScenarioSpace
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -256,7 +255,7 @@ def test_file_value_of_the_wrong_json_type_is_refused_by_key(tmp_path, capsys,
 
 
 def test_sweep_whose_scaled_renewable_overflows_is_refused_by_key(tmp_path, capsys,
-                                                                  solver_calls):
+                                                                  recursion_calls):
     cfg = write_json(tmp_path / "cfg.json", {
         "schema": "bspower-config-1",
         "sweeps": {"battery": {"renewable_scalings": [1e308]}}})
@@ -265,7 +264,7 @@ def test_sweep_whose_scaled_renewable_overflows_is_refused_by_key(tmp_path, caps
     err = capsys.readouterr().err
     assert "renewable.scenarios[0].values: renewable/" in err
     assert "non-finite trace values" in err
-    assert solver_calls.batches == [] and not out.exists()
+    assert recursion_calls == [] and not out.exists()
 
 
 @pytest.mark.parametrize("kind, grids, message", [
@@ -286,28 +285,30 @@ def test_sweep_whose_scaled_renewable_overflows_is_refused_by_key(tmp_path, caps
      "need about"),
 ], ids=("capacity", "scaling", "threshold-low", "threshold-high", "load", "rate",
         "rate-past-budget"))
-def test_bad_sweep_grid_value_is_refused_by_key(tmp_path, capsys, solver_calls, kind, grids,
+def test_bad_sweep_grid_value_is_refused_by_key(tmp_path, capsys, recursion_calls, kind, grids,
                                                 message):
     cfg = write_json(tmp_path / "cfg.json", {"schema": "bspower-config-1",
                                              "sweeps": {kind: grids}})
     out = tmp_path / "o"
     assert main(["sweep", kind, "--config", cfg, "--out", str(out)]) == 2
     assert f"usage error: {message}" in capsys.readouterr().err
-    assert solver_calls.batches == [] and not out.exists()
+    assert recursion_calls == [] and not out.exists()
+
+
+# every number is finite, but buying 1e300 Wh at 1e305 cents/Wh costs more
+# than a float holds
+OVERFLOWING_SCENARIOS = {
+    "schema": "bspower-scenarios-1", "horizon": {"T": 2},
+    "price": {"scenarios": [{"label": "p", "probability": 1.0, "values": [1e308, 1e307]}]},
+    "renewable": {"scenarios": [{"label": "r", "probability": 1.0, "values": [0.0, 0.0]}]},
+    "consumption": {"scenarios": [{"label": "c", "probability": 1.0,
+                                   "values": [1e300, 1e300]}]}}
 
 
 def test_non_finite_optimal_cost_is_a_solver_failure(tmp_path):
-    # every number is finite, but buying 1e300 Wh at 1e305 cents/Wh costs
-    # more than a float holds. The CLI runs in its own process, as a user
-    # runs it, where numpy prints its overflow warnings instead of raising
-    doc = {"schema": "bspower-scenarios-1", "horizon": {"T": 2},
-           "price": {"scenarios": [{"label": "p", "probability": 1.0,
-                                    "values": [1e308, 1e307]}]},
-           "renewable": {"scenarios": [{"label": "r", "probability": 1.0,
-                                        "values": [0.0, 0.0]}]},
-           "consumption": {"scenarios": [{"label": "c", "probability": 1.0,
-                                          "values": [1e300, 1e300]}]}}
-    path = write_json(tmp_path / "huge.json", doc)
+    # the CLI runs in its own process, as a user runs it, without the test
+    # suite's filter that turns numpy warnings into errors
+    path = write_json(tmp_path / "huge.json", OVERFLOWING_SCENARIOS)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     run = subprocess.run([sys.executable, "-m", "bspower.cli", "solve", "--scenarios", path,
@@ -409,28 +410,19 @@ def test_replication_count_past_the_event_budget_is_a_usage_error(tmp_path, caps
     assert not (tmp_path / "o" / "policy.csv").exists()
 
 
-def test_solver_failure_exits_with_code_5(tiny, tmp_path, capsys, monkeypatch):
-    # a solver that raises, and one whose every block ends not optimal: a
-    # block without a finite optimum is a solver failure, named by its
-    # first scenario, whichever command solves it
-    def broken(a_eq, lower, *tables):
-        raise RuntimeError("simplex iteration cap exceeded")
-
-    def all_infeasible(a_eq, lower, c, b_eq, upper, rows):
-        K = len(rows)
-        return LpResult(np.full(K, "infeasible"), np.full((K, lower.size), np.nan),
-                        np.full(K, np.nan), np.zeros(K, int), np.zeros(K, bool))
-
-    for stub, message in (
-            (broken, "solver failure: simplex iteration cap exceeded"),
-            (all_infeasible, "solver failure: the scenario group of 'flat|none|steady' "
-                             "solved infeasible")):
-        monkeypatch.setattr("bspower.stochastic.lp_mod.solve_batch", stub)
-        for command in (["solve"], ["sweep", "battery"]):
-            out = tmp_path / stub.__name__ / command[-1]
-            assert main([*command, "--scenarios", tiny, "--out", str(out)]) == 5, command
-            assert message in capsys.readouterr().err, command
-            assert not out.exists(), command
+def test_solver_failure_exits_with_code_5(tmp_path, capsys):
+    # finite traces whose optimum overflows: a block without a finite
+    # optimum is a solver failure, named by its first scenario, whichever
+    # command solves it
+    path = write_json(tmp_path / "huge.json", OVERFLOWING_SCENARIOS)
+    for command in (["solve"], ["solve", "--nonanticipative"], ["sweep", "battery"]):
+        out = tmp_path / "-".join(command)
+        assert main([*command, "--scenarios", path, "--out", str(out)]) == 5, command
+        captured = capsys.readouterr()
+        assert ("solver failure: the scenario group of 'p|r|c' has no finite optimum"
+                in captured.err), command
+        assert "nan" not in captured.err and captured.out == "", command
+        assert not out.exists(), command
 
 
 def test_nonanticipative_flag_accepted(tiny, tmp_path, capsys):

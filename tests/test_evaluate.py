@@ -49,7 +49,6 @@ from bspower.power_model import consumption_trace
 from bspower.stochastic import (
     StorageConfig,
     per_scenario_decomposition,
-    solve_policies,
     solve_policy,
 )
 from bspower.traffic import simulate_replicated, uniform_traffic
@@ -354,22 +353,18 @@ def test_battery_sweep_clamps_endpoints_to_small_capacities():
     assert costs[1] <= costs[0] + 1e-9
 
 
-def test_merged_battery_sweep_equals_its_cells_solved_alone(solver_calls):
+def test_merged_battery_sweep_equals_its_cells_solved_alone(recursion_calls):
     # capacity 0 fixes every battery level and 300 Wh clamps the 500 Wh
-    # endpoints, so each fixes other values than the other capacities and
-    # gets a batch of its own. The 500 Wh endpoint batch solves each program
-    # at 1500 Wh first, then at 1000 Wh only those whose 1500 Wh schedule
-    # stores more than 1000 Wh. The one sweep must write what each cell's
-    # own solve_policy gives
+    # endpoints, and still every cell's scenarios are programs of the one
+    # recursion. The one sweep must write what each cell's own solve_policy
+    # gives
     cal = cheap_calibration()
-    T = cal.horizon.T
     capacities, scalings = [0.0, 300.0, 1000.0, 1500.0], [1.0, 1.5]
     report = sweep_battery(capacities, scalings, cal, seed=0)
-    calls = [(call.lower[T], call.upper[call.rows[:, 2], T + 1].tolist())
-             for call in solver_calls.batches]
+    programs = [len(call.price) for call in recursion_calls]
 
     consumption = cal.consumption_space(0)
-    alone, overflows = [], 0
+    alone = []
     for cap in capacities:
         storage = replace(cal.storage, capacity=cap, initial=min(cal.storage.initial, cap),
                           terminal=min(cal.storage.terminal, cap))
@@ -377,31 +372,26 @@ def test_merged_battery_sweep_equals_its_cells_solved_alone(solver_calls):
             space = compose(cal.price, _scaled_renewable(cal.renewable, scale), consumption)
             policy = solve_policy(cal.horizon, storage, space)
             alone.append((cap, scale, monthly_cost(policy.expected_cost)))
-            if cap == 1500.0:
-                overflows += int((policy.battery > 1000.0).any(axis=1).sum())
-    programs = len(scalings) * len(space)
-    assert 0 < overflows < programs
-    assert calls == [(0.0, [0.0] * programs), (300.0, [300.0] * programs),
-                     (500.0, [1500.0] * programs), (500.0, [1000.0] * overflows)]
+    assert programs == [len(capacities) * len(scalings) * len(space)]
     assert report.csv_text() == ExperimentReport(report.columns, alone).csv_text()
 
 
-def test_repeated_grid_values_solve_each_scenario_once(solver_calls):
+def test_repeated_grid_values_solve_each_scenario_once(recursion_calls):
     cal = cheap_calibration()
     report = sweep_battery([1000.0, 1000.0], [1.0, 1.0], cal, seed=0)
     space = compose(cal.price, cal.renewable, cal.consumption_space(0))
-    assert solver_calls.shapes() == [(3 * cal.horizon.T, len(space))]
+    assert [len(call.price) for call in recursion_calls] == [len(space)]
     assert len(set(report.rows)) == 1 and len(report.rows) == 4
 
 
-def test_equal_traces_share_one_policy_and_a_one_bit_change_does_not(solver_calls):
+def test_equal_traces_share_one_policy_and_a_one_bit_change_does_not(recursion_calls):
     cal = default_calibration()
     trace = np.linspace(2.0, 12.0, cal.horizon.T)
     nudged = trace.copy()
     nudged[5] = np.nextafter(nudged[5], np.inf)
     policies = _solve_traces(cal, np.array([trace, nudged, trace]))
     # four price x renewable scenarios for each of the two distinct traces
-    assert [len(call.rows) for call in solver_calls.batches] == [2 * 4]
+    assert [len(call.price) for call in recursion_calls] == [2 * 4]
     assert policies[2] is policies[0] and policies[1] is not policies[0]
     for got, occupancy in zip(policies, (trace, nudged)):
         alone = solve_policy(cal.horizon, cal.storage, compose(
@@ -412,15 +402,10 @@ def test_equal_traces_share_one_policy_and_a_one_bit_change_does_not(solver_call
         assert got.expected_cost == alone.expected_cost
 
 
-def test_sweeps_solve_in_one_call_and_full_stacks(solver_calls):
-    # 16 cells of 80 scenarios are 1280 programs, and the 8 capacities of a
-    # scenario at one scaling share its costs and rhs: one call solves the
-    # 160 programs at 4000 Wh, and a second solves exactly those at a smaller
-    # capacity that the 4000 Wh schedule overfills. Each call's stacks are
-    # as full as the budget allows. The default cac sweep's 21 thresholds
-    # repeat 12 distinct traces, so it composes 12 spaces and solves their
-    # 48 programs once, in one call
-    stacks = solver_calls.stacks
+def test_sweeps_solve_in_one_call(recursion_calls):
+    # 16 cells of 80 scenarios are 1280 programs of one recursion. The
+    # default cac sweep's 21 thresholds repeat 12 distinct traces, so it
+    # composes 12 spaces and solves their 48 programs once, in one call
     rng = np.random.default_rng(5)
     T = 24
 
@@ -429,50 +414,21 @@ def test_sweeps_solve_in_one_call_and_full_stacks(solver_calls):
             MarginalScenario(f"{kind}{i}", 1.0 / count, rng.uniform(low, high, T))
             for i in range(count)))
 
-    def full_stacks(calls):
-        sizes = iter(stacks)
-        for call in calls:
-            taken = []
-            while sum(k for k, _ in taken) < len(call.rows):
-                taken.append(next(sizes))
-            assert sum(k for k, _ in taken) == len(call.rows)
-            assert len(taken) == -(-len(call.rows) // taken[0][1])
-        assert next(sizes, None) is None
-
     cal = replace(default_calibration(), price=marginal("price", 4, 8.0, 20.0),
                   renewable=marginal("renewable", 4, 0.0, 300.0),
                   consumption=marginal("consumption", 5, 250.0, 650.0))
-    grid = DEFAULT_CONFIG["sweeps"]["battery"]["capacities_wh"]
-    scalings = DEFAULT_CONFIG["sweeps"]["battery"]["renewable_scalings"]
-    spaces = [compose(cal.price, _scaled_renewable(cal.renewable, scale),
-                      cal.consumption_space(0)) for scale in scalings]
-    top = solve_policies(cal.horizon, [(replace(cal.storage, capacity=max(grid)), space)
-                                       for space in spaces])
-    # in program order: capacity, then scaling, then scenario
-    overfilled = [(cap, spaces[j].trace_matrix("consumption")[w, :T - 1]
-                   - spaces[j].trace_matrix("renewable")[w, :T - 1])
-                  for cap in sorted(grid)[:-1] for j, policy in enumerate(top)
-                  for w in np.flatnonzero(policy.battery.max(axis=1) > cap)]
-    solver_calls.clear()
-    report = sweep_battery(grid, scalings, cal)
-    leads, again = solver_calls.batches
+    report = sweep_battery(DEFAULT_CONFIG["sweeps"]["battery"]["capacities_wh"],
+                           DEFAULT_CONFIG["sweeps"]["battery"]["renewable_scalings"], cal)
     assert len(report.rows) == 16
-    assert leads.upper[leads.rows[:, 2], T + 1].tolist() == [max(grid)] * 160
-    assert len(again.rows) == len(overfilled) < 1120
-    for (cap, net_load), (_, rhs, bound) in zip(overfilled, again.rows):
-        assert again.upper[bound, T + 1] == cap
-        assert np.array_equal(again.b_eq[rhs], net_load)
-    full_stacks([leads, again])
+    assert [len(call.price) for call in recursion_calls] == [1280]
 
-    solver_calls.clear()
+    recursion_calls.clear()
     cal = default_calibration()
     cac = DEFAULT_CONFIG["sweeps"]["cac"]
     spec = uniform_traffic(cac["load_per_min"], cal.handoff_fraction, cal.horizon.T,
                            cal.mean_holding)
     sweep_cac(cac["thresholds"], spec, cal, seed=0)
-    batches = [len(call.rows) for call in solver_calls.batches]
-    assert batches == [12 * 4]
-    full_stacks(solver_calls.batches)
+    assert [len(call.price) for call in recursion_calls] == [12 * 4]
 
 
 def test_battery_sweep_rejects_empty_grid():

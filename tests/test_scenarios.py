@@ -144,7 +144,7 @@ def test_a_label_must_not_hold_csv_delimiters(label):
 
 
 @pytest.mark.parametrize("bent", (5.0, np.ones((3, 2))), ids=("0-d", "2-d"))
-def test_a_trace_must_be_one_dimensional(solver_calls, bent):
+def test_a_trace_must_be_one_dimensional(recursion_calls, bent):
     shape = np.shape(bent)
     assert marginal_refused("price", (MarginalScenario("a", 0.5, np.ones(3)),
                                       MarginalScenario("b", 0.5, bent))) == [
@@ -156,7 +156,7 @@ def test_a_trace_must_be_one_dimensional(solver_calls, bent):
     assert space_refused(CompositeScenario("w", 1.0, bent, bent, -bent)) == [
         f"scenarios[0].{name}: w: trace must be one-dimensional, got shape {shape}"
         for name in MARGINAL_KINDS] + ["scenarios[0].consumption: w: negative trace values"]
-    assert solver_calls.batches == []
+    assert recursion_calls == []
 
 
 def test_compose_builds_the_product_space():

@@ -7,7 +7,6 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-import scalar_lp
 from bspower import lp as lp_mod
 from bspower.calibration import DEFAULT_CONFIG, calibration_from_config, default_calibration
 from bspower.scenarios import CompositeScenario, ScenarioSpace, parse_scenario_document
@@ -92,7 +91,7 @@ def grouped_instance(rng, S, T, max_group=4):
     """S scenarios in nonanticipativity groups of random sizes 1-max_group.
 
     Members of a group share period-1 data, and several groups have the
-    same size, so the grouped solve batches them.
+    same size.
     """
     storage = StorageConfig(capacity=float(rng.uniform(300, 3000)), initial=100.0,
                             terminal=100.0, self_discharge=float(rng.uniform(0, 0.005)),
@@ -116,39 +115,6 @@ def group_space(space, members):
     return mass, ScenarioSpace(tuple(
         replace(space.scenarios[w], probability=space.scenarios[w].probability / mass)
         for w in members))
-
-
-def per_group_oracle(horizon, storage, space, nonanticipative, physical_discharge):
-    """Each block's program built on its own and solved by the scalar oracle.
-
-    Blocks are single scenarios, except that a nonanticipativity group whose
-    members' own optima are not all optimal with one exact first-period
-    purchase is solved as one coupled program. Costs add up in order of
-    each block's first scenario.
-    """
-    def solve(members):
-        mass, group = group_space(space, members)
-        program, vmap = build_deterministic_equivalent(
-            horizon, storage, group, nonanticipative, physical_discharge)
-        return mass, scalar_lp.scalar_solve(program), vmap
-
-    singles = {w: solve([w]) for w in range(len(space))}
-    blocks = []
-    for members in _nonanticipativity_groups(space, nonanticipative):
-        own = [singles[w][1] for w in members]
-        if (all(s.status[0] == "optimal" for s in own)
-                and all(s.x[0, 0] == own[0].x[0, 0] for s in own)):
-            blocks.extend([w] for w in members)
-        else:
-            blocks.append(members)
-    schedules = np.zeros((3, len(space), horizon.T))
-    expected = 0.0
-    for members in sorted(blocks):
-        mass, solution, vmap = singles[members[0]] if len(members) == 1 else solve(members)
-        assert solution.status[0] == "optimal"
-        schedules[:, members] = vmap.unpack(solution.x)
-        expected += mass * solution.objective[0]
-    return schedules, expected
 
 
 def monolithic_cost(horizon, storage, space, **modes):
@@ -233,7 +199,7 @@ def test_program_dimensions():
     assert program.lower[s1] == program.upper[s1] == 10.0
 
 
-def test_invalid_space_is_rejected_up_front(solver_calls):
+def test_invalid_space_is_rejected_up_front(recursion_calls):
     # a space checks itself when built; the program compares its trace
     # length with T before any solve
     horizon = Horizon(T=3)
@@ -248,7 +214,7 @@ def test_invalid_space_is_rejected_up_front(solver_calls):
     for solve in (solve_policy, per_scenario_decomposition, build_deterministic_equivalent):
         with pytest.raises(ValueError, match=re.escape("scenarios: trace length 2 != T=3")):
             solve(horizon, storage, short)
-    assert solver_calls.batches == []
+    assert recursion_calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -456,6 +422,10 @@ def test_grouped_solve_matches_full_program_when_coupling_binds():
 
 
 def test_batched_groups_equal_per_group_solves_bit_for_bit():
+    # each block of a space's one recursion is its group's program: solved
+    # alone, with probabilities renormalised inside the group, it gives the
+    # same schedules bit for bit. The expected cost, a sum in scenario
+    # order, is the dense program's optimum up to rounding
     rng = np.random.default_rng(99)
     for k in range(16):
         if k % 4 == 0:
@@ -469,12 +439,15 @@ def test_batched_groups_equal_per_group_solves_bit_for_bit():
                                                        max_group=int(rng.integers(2, 13)))
         nonanticipative, physical = bool(k % 2), bool(rng.integers(0, 2))
         policy = solve_policy(horizon, storage, space, nonanticipative, physical)
-        schedules, expected = per_group_oracle(horizon, storage, space,
-                                               nonanticipative, physical)
-        assert np.array_equal(policy.purchase, schedules[0]), k
-        assert np.array_equal(policy.battery, schedules[1]), k
-        assert np.array_equal(policy.excess, schedules[2]), k
-        assert policy.expected_cost == expected, k
+        for members in _nonanticipativity_groups(space, nonanticipative):
+            alone = solve_policy(horizon, storage, group_space(space, members)[1],
+                                 nonanticipative, physical)
+            for field in ("purchase", "battery", "excess"):
+                assert np.array_equal(getattr(policy, field)[members],
+                                      getattr(alone, field)), (k, members, field)
+        full = monolithic_cost(horizon, storage, space, nonanticipative=nonanticipative,
+                               physical_discharge=physical)
+        assert abs(policy.expected_cost - full) <= 1e-12 * abs(full), k
 
 
 @pytest.mark.parametrize("S", [20, 45, 80])
@@ -558,10 +531,11 @@ def test_every_block_has_full_row_rank_on_its_free_columns(capacity, keep):
             assert np.linalg.matrix_rank(a_eq[:, lower != upper]) == len(a_eq), (size, coupled)
 
 
-def test_default_nonanticipative_plan_is_certified_from_one_batch(solver_calls):
+def test_default_nonanticipative_plan_is_certified_from_one_batch(recursion_calls):
+    # at seed 0 every group's members agree alone, so the merge keeps their plan
     horizon, storage, space = default_program()
     na = solve_policy(horizon, storage, space, nonanticipative=True)
-    assert solver_calls.shapes() == [(3 * horizon.T, 20)]
+    assert [len(call.price) for call in recursion_calls] == [20]
     ws = solve_policy(horizon, storage, space)
     assert np.array_equal(na.purchase, ws.purchase)
     assert np.array_equal(na.battery, ws.battery)
@@ -571,31 +545,34 @@ def test_default_nonanticipative_plan_is_certified_from_one_batch(solver_calls):
     assert verify_policy(na, horizon, space) == []
 
 
-def test_coupled_solve_runs_only_for_groups_that_bind(solver_calls):
+def test_coupled_solve_runs_only_for_groups_that_bind(recursion_calls):
+    # one recursion over the 7 scenarios merges the groups of 2 and 4, whose
+    # members disagree alone; the lone scenario keeps its own plan
     rng = np.random.default_rng(2718)
     for k in range(10):
         horizon, storage, space = coupled_instance(rng)
-        solver_calls.clear()
-        solve_policy(horizon, storage, space, nonanticipative=True)
-        n = 3 * horizon.T
-        assert solver_calls.shapes()[0] == (n, 7), k
-        assert sorted(solver_calls.shapes()[1:]) == [(2 * n, 1), (4 * n, 1)], k
+        recursion_calls.clear()
+        na = solve_policy(horizon, storage, space, nonanticipative=True)
+        call, = recursion_calls
+        assert len(call.price) == 7, k
+        assert sorted(len(members) for members in call.groups) == [2, 4], k
+        ws = solve_policy(horizon, storage, space)
+        lone = space.labels.index("g0k0")
+        for field in ("purchase", "battery", "excess"):
+            assert np.array_equal(getattr(na, field)[lone], getattr(ws, field)[lone]), k
+        for members in call.groups:
+            assert len(set(ws.purchase[members, 0])) > 1, k
+            assert len(set(na.purchase[members, 0])) == 1, k
 
 
-def test_certified_and_binding_groups_in_one_space(solver_calls):
+def test_certified_and_binding_groups_in_one_space():
     horizon, storage, space = mixed_instance()
     na = solve_policy(horizon, storage, space, nonanticipative=True)
-    n = 3 * horizon.T
-    assert solver_calls.shapes() == [(n, 5), (2 * n, 1)]
-    schedules, expected = per_group_oracle(horizon, storage, space, True, False)
-    assert np.array_equal(na.purchase, schedules[0])
-    assert np.array_equal(na.battery, schedules[1])
-    assert np.array_equal(na.excess, schedules[2])
-    assert na.expected_cost == expected
     ws = solve_policy(horizon, storage, space)
     for label in ("flat-a", "flat-b", "lone"):
         w = space.labels.index(label)
-        assert np.array_equal(na.purchase[w], ws.purchase[w]), label
+        for field in ("purchase", "battery", "excess"):
+            assert np.array_equal(getattr(na, field)[w], getattr(ws, field)[w]), label
     spike, dip = space.labels.index("split-spike"), space.labels.index("split-dip")
     assert ws.purchase[spike, 0] != ws.purchase[dip, 0]
     assert abs(na.purchase[spike, 0] - na.purchase[dip, 0]) < 1e-7
@@ -606,33 +583,37 @@ def test_certified_and_binding_groups_in_one_space(solver_calls):
 
 
 @pytest.mark.parametrize("nonanticipative", [False, True])
-def test_batched_programs_are_the_groups_own_programs_byte_for_byte(solver_calls,
+def test_batched_programs_are_the_groups_own_programs_byte_for_byte(recursion_calls,
                                                                     nonanticipative):
+    # the rows the recursion is given are the costs, right-hand sides and
+    # bounds of each scenario's own deterministic equivalent, and its groups
+    # are the coupling rows of the space's
     horizon, storage, space = mixed_instance()
     solve_policy(horizon, storage, space, nonanticipative=nonanticipative)
-    calls = [(call.a_eq, call.lower, call.c[call.rows[:, 0]], call.b_eq[call.rows[:, 1]],
-              call.upper[call.rows[:, 2]]) for call in solver_calls.batches]
-    # the wait-and-see batch of singletons, then the one group that binds
-    expected = [[[w] for w in range(len(space))]]
-    if nonanticipative:
-        expected.append([[space.labels.index("split-spike"),
-                          space.labels.index("split-dip")]])
-    assert len(calls) == len(expected)
-    for (a_eq, lower, c, b_eq, upper), groups in zip(calls, expected):
-        assert len(c) == len(b_eq) == len(upper) == len(groups)
-        for k, members in enumerate(groups):
-            own, _ = build_deterministic_equivalent(
-                horizon, storage, group_space(space, members)[1], nonanticipative)
-            for got, want in ((a_eq, own.a_eq), (lower, own.lower),
-                              (upper[k], own.upper), (c[k], own.c),
-                              (b_eq[k], own.b_eq)):
-                assert got.dtype == want.dtype and got.shape == want.shape, members
-                assert got.tobytes() == want.tobytes(), members
+    call, = recursion_calls
+    T = horizon.T
+    assert len(call.price) == len(space)
+    for w in range(len(space)):
+        own, _ = build_deterministic_equivalent(horizon, storage, group_space(space, [w])[1])
+        lower, upper = own.lower.reshape(3, T), own.upper.reshape(3, T)
+        for got, want in (((call.price[w] / 1000.0), own.c[:T]),
+                          (call.net_load[w, :T - 1], own.b_eq),
+                          (np.full(T, call.loss[w]), own.c[T:2 * T]),
+                          (call.keep[w], own.a_eq[0, T]),
+                          (call.capacity[w], upper[1, 1]),
+                          (call.initial[w], lower[1, 0]),
+                          (call.terminal[w], lower[1, T - 1])):
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), w
+    assert call.probabilities.tobytes() == space.probabilities.tobytes()
+    coupled = [members for members in _nonanticipativity_groups(space, nonanticipative)
+               if len(members) > 1]
+    assert [list(members) for members in call.groups] == coupled
+    assert len(coupled) == (2 if nonanticipative else 0)
 
 
-def test_first_purchases_a_hair_apart_are_not_certified(solver_calls):
+def test_first_purchases_a_hair_apart_are_not_certified():
     # the dear future buys its 1e-7 Wh ahead, the cheap one does not; the
-    # certificate compares exactly, so the group still goes to the coupled solve
+    # merge still makes the group's first purchases exactly equal
     horizon = Horizon(T=3)
     storage = StorageConfig(capacity=500.0, initial=0.0, terminal=0.0)
     consumption = np.array([0.0, 1e-7, 0.0])
@@ -642,48 +623,26 @@ def test_first_purchases_a_hair_apart_are_not_certified(solver_calls):
         for label, later in (("spike", 40.0), ("dip", 5.0))))
     ws = solve_policy(horizon, storage, space)
     assert 0 < ws.purchase[0, 0] - ws.purchase[1, 0] < 1e-6
-    solver_calls.clear()
     na = solve_policy(horizon, storage, space, nonanticipative=True)
-    assert solver_calls.shapes() == [(9, 2), (18, 1)]
     assert na.purchase[0, 0] == na.purchase[1, 0]
-
-
-def test_non_optimal_singleton_sends_its_group_to_the_coupled_solve(monkeypatch,
-                                                                   solver_calls):
-    horizon, storage, space = mixed_instance()
-    spied = lp_mod.solve_batch
-    flat_b = space.labels.index("flat-b")
-
-    def flat_b_alone_not_optimal(a_eq, lower, *tables):
-        result = spied(a_eq, lower, *tables)
-        if lower.size == 3 * horizon.T:
-            result.status[flat_b] = "unbounded"
-        return result
-
-    monkeypatch.setattr(lp_mod, "solve_batch", flat_b_alone_not_optimal)
-    na = solve_policy(horizon, storage, space, nonanticipative=True)
-    n = 3 * horizon.T
-    assert solver_calls.shapes() == [(n, 5), (2 * n, 2)]
     full = monolithic_cost(horizon, storage, space, nonanticipative=True)
-    assert na.expected_cost == pytest.approx(full, rel=1e-9)
+    assert na.expected_cost == pytest.approx(full, rel=1e-12)
     assert verify_policy(na, horizon, space) == []
 
 
-def test_infeasible_group_names_its_first_scenario(monkeypatch):
+def test_infeasible_group_names_its_first_scenario():
+    # only the second member's traces overflow, but the group shares one
+    # first purchase, so the failure names the group by its first scenario
     horizon = Horizon(T=3)
     storage = StorageConfig(capacity=500.0, initial=0.0, terminal=0.0)
     space = ScenarioSpace(tuple(
         CompositeScenario(label, 0.5, np.array([10.0, later, later]), np.zeros(3),
-                          np.array([0.0, 200.0, 0.0]))
-        for label, later in (("spike", 40.0), ("dip", 5.0))))
-    def all_infeasible(a_eq, lower, c, b_eq, upper, rows):
-        K = len(rows)
-        return lp_mod.LpResult(np.full(K, "infeasible"), np.full((K, lower.size), np.nan),
-                               np.full(K, np.nan), np.zeros(K, int), np.zeros(K, bool))
-
-    monkeypatch.setattr(lp_mod, "solve_batch", all_infeasible)
-    with pytest.raises(RuntimeError, match=r"group of 'spike' solved infeasible"):
+                          np.array([0.0, demand, 0.0]))
+        for label, later, demand in (("spike", 40.0, 200.0), ("dip", 1e308, 1e300))))
+    with pytest.raises(RuntimeError, match=r"group of 'spike' has no finite optimum"):
         solve_policy(horizon, storage, space, nonanticipative=True)
+    with pytest.raises(RuntimeError, match=r"group of 'dip' has no finite optimum"):
+        solve_policy(horizon, storage, space)
 
 
 def test_nonanticipativity_only_binds_identical_period_one_data():
@@ -834,14 +793,8 @@ def test_permuting_the_scenarios_permutes_every_schedule(instance, nonanticipati
 
 
 # ---------------------------------------------------------------------------
-# capacities that share a scenario's program, solved from the largest
+# the cells of a capacity grid, solved in one recursion
 # ---------------------------------------------------------------------------
-
-def capacities(call, T):
-    """The battery capacity of each single-scenario program of a solve_batch
-    call, in program order."""
-    return call.upper[call.rows[:, 2], T + 1].tolist()
-
 
 def assert_cells_equal_their_own_solves(horizon, cells, policies):
     for (storage, space), policy in zip(cells, policies):
@@ -853,9 +806,9 @@ def assert_cells_equal_their_own_solves(horizon, cells, policies):
 
 
 @pytest.mark.parametrize("instance", ["default", "storage-80"])
-def test_capacity_grid_cells_equal_their_own_solves_bit_for_bit(solver_calls, instance):
-    # each scenario at each scaling is solved at 4000 Wh; a smaller capacity
-    # that holds that schedule takes it, and that must be what its own solve gives
+def test_capacity_grid_cells_equal_their_own_solves_bit_for_bit(recursion_calls, instance):
+    # every scenario of every cell is one program of a single recursion,
+    # and each cell must be what its own solve gives
     horizon, storage, space = planner_instance(instance)
     scaled = [ScenarioSpace(tuple(CompositeScenario(s.label, s.probability, s.price,
                                                     k * s.renewable, s.consumption)
@@ -864,18 +817,14 @@ def test_capacity_grid_cells_equal_their_own_solves_bit_for_bit(solver_calls, in
     grid = DEFAULT_CONFIG["sweeps"]["battery"]["capacities_wh"]
     cells = [(replace(storage, capacity=cap), k_space) for cap in grid for k_space in scaled]
     policies = solve_policies(horizon, cells)
-    leads, again = solver_calls.batches
-    S = len(space)
-    assert capacities(leads, horizon.T) == [max(grid)] * 2 * S
-    assert 0 < len(again.rows) < (len(grid) - 1) * 2 * S
-    assert max(grid) not in capacities(again, horizon.T)
+    assert [len(call.price) for call in recursion_calls] == [len(grid) * 2 * len(space)]
     assert_cells_equal_their_own_solves(horizon, cells, policies)
 
 
-def test_capacities_the_largest_schedule_overflows_are_solved_again(solver_calls):
+def test_capacities_the_largest_schedule_overflows_equal_their_own_solves(recursion_calls):
     # energy is cheap for the first half day and dear after, and the dear
     # half needs more than any battery holds, so the 4000 Wh schedule fills
-    # the battery and no smaller capacity can take it
+    # the battery and no smaller capacity could take it
     horizon = Horizon(T=24)
     price = np.where(np.arange(24) < 12, 2.0, 50.0)
     space = single_scenario(price, np.zeros(24), np.full(24, 1000.0))
@@ -883,34 +832,10 @@ def test_capacities_the_largest_schedule_overflows_are_solved_again(solver_calls
     cells = [(StorageConfig(capacity=cap, initial=500.0, terminal=500.0), space)
              for cap in grid]
     policies = solve_policies(horizon, cells)
-    assert [capacities(call, horizon.T) for call in solver_calls.batches] == [
-        [max(grid)], sorted(grid)[:-1]]
-    assert policies[-1].battery.max() == max(grid)
+    assert [len(call.price) for call in recursion_calls] == [len(grid)]
+    for policy, cap in zip(policies, grid):
+        assert policy.battery.max() == cap
     assert_cells_equal_their_own_solves(horizon, cells, policies)
-
-
-def test_a_lead_that_is_not_optimal_sends_its_family_to_the_second_call(monkeypatch,
-                                                                        solver_calls):
-    rng = np.random.default_rng(21)
-    horizon, storage, space = random_instance(rng)
-    spied = lp_mod.solve_batch
-
-    def first_lead_numerical(*args):
-        result = spied(*args)
-        if len(solver_calls.batches) == 1:
-            result.status[0], result.x[0], result.objective[0] = "numerical", np.nan, np.nan
-        return result
-
-    monkeypatch.setattr(lp_mod, "solve_batch", first_lead_numerical)
-    grid = [storage.capacity * f for f in (1.0, 1.5, 2.0)]
-    cells = [(replace(storage, capacity=cap), space) for cap in grid]
-    with pytest.raises(RuntimeError, match=r"group of 'w0' solved numerical"):
-        solve_policies(horizon, cells)
-    leads, again = solver_calls.batches
-    assert capacities(leads, horizon.T) == [grid[2]] * len(space)
-    # w0's rhs row is the first made
-    assert sorted(cap for cap, rhs in zip(capacities(again, horizon.T), again.rows[:, 1])
-                  if rhs == 0) == grid[:2]
 
 
 # ---------------------------------------------------------------------------

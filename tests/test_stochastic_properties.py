@@ -106,7 +106,7 @@ def test_nonanticipative_cost_is_at_least_wait_and_see(instance, physical):
     horizon, storage, space = instance
     ws = solve_policy(horizon, storage, space, physical_discharge=physical)
     na = solve_policy(horizon, storage, space, True, physical)
-    # equal costs differ only by rounding when a coupled program is solved
+    # equal costs differ only by rounding when a group is merged
     assert na.expected_cost >= ws.expected_cost - 1e-9 * max(1.0, ws.expected_cost)
 
 
@@ -129,9 +129,8 @@ def test_agreeing_wait_and_see_plan_is_the_nonanticipative_plan(instance, physic
        nonanticipative=st.booleans(), physical=st.booleans())
 def test_capacity_grid_cells_match_their_own_solves(instance, grid, nonanticipative,
                                                     physical):
-    # the cells share one space, so a cell whose capacity holds the largest
-    # capacity's schedule takes it instead of its own solve; endpoints are
-    # clamped as the battery sweep clamps them
+    # the cells share one space and are solved in one recursion; endpoints
+    # are clamped as the battery sweep clamps them
     horizon, storage, space = instance
     cells = [(replace(storage, capacity=float(cap), initial=min(storage.initial, cap),
                       terminal=min(storage.terminal, cap)), space) for cap in grid]

@@ -1,0 +1,221 @@
+"""The storage recursion that solves every policy, against LP oracles.
+
+Every program the package builds is one battery on a line of periods, and
+a nonanticipativity group couples only through its first purchase, so
+``solve_policies`` solves them all by one backward recursion and a
+one-dimensional merge per group. These tests hold it to the dense
+deterministic equivalent solved by ``bspower.lp`` and by HiGHS, and pin
+its rule for tied optima: the lowest next battery level.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from bspower import lp as lp_mod  # noqa: E402
+from bspower.calibration import DEFAULT_CONFIG, calibration_from_config  # noqa: E402
+from bspower.scenarios import (  # noqa: E402
+    CompositeScenario,
+    ScenarioSpace,
+    parse_scenario_document,
+)
+from bspower.stochastic import (  # noqa: E402
+    StorageConfig,
+    _nonanticipativity_groups,
+    build_deterministic_equivalent,
+    solve_policy,
+    verify_policy,
+)
+from bspower.units import Horizon  # noqa: E402
+
+# the recursion's cost and the simplex's agree to rounding: the largest gap
+# seen on random programs was 4.6e-15 relative
+REL = 1e-12
+
+
+def lp_cost(horizon, storage, space, **modes):
+    program, _ = build_deterministic_equivalent(horizon, storage, space, **modes)
+    solution = lp_mod.solve(program)
+    assert solution.status[0] == "optimal"
+    return solution.objective[0]
+
+
+def space_of(*scenarios):
+    """A space of (label, probability, price, renewable, consumption) rows."""
+    return ScenarioSpace(tuple(
+        CompositeScenario(label, p, *(np.asarray(trace, dtype=float) for trace in traces))
+        for label, p, *traces in scenarios))
+
+
+# ---------------------------------------------------------------------------
+# ties: the lowest next level
+# ---------------------------------------------------------------------------
+
+def test_buying_now_or_later_at_one_price_buys_later():
+    # storing 100 Wh bought in period 1 costs what buying it in period 2 does
+    horizon = Horizon(T=3)
+    storage = StorageConfig(capacity=1000.0, initial=0.0, terminal=0.0)
+    space = space_of(("only", 1.0, [10, 10, 10], [0, 0, 0], [0, 100, 0]))
+    policy = solve_policy(horizon, storage, space)
+    assert policy.purchase[0].tolist() == [0.0, 100.0, 0.0]
+    assert policy.battery[0].tolist() == [0.0, 0.0, 0.0]
+    assert policy.expected_cost == 1.0
+
+
+def test_storing_a_surplus_or_buying_it_back_free_dumps_it():
+    # the surplus of period 1 can be stored, or dumped and bought back at
+    # price 0; both cost nothing
+    horizon = Horizon(T=3)
+    storage = StorageConfig(capacity=1000.0, initial=0.0, terminal=0.0)
+    space = space_of(("only", 1.0, [10, 0, 0], [100, 0, 0], [0, 100, 0]))
+    policy = solve_policy(horizon, storage, space)
+    assert policy.battery[0].tolist() == [0.0, 0.0, 0.0]
+    assert policy.excess[0].tolist() == [100.0, 0.0, 0.0]
+    assert policy.purchase[0].tolist() == [0.0, 100.0, 0.0]
+
+
+def test_a_group_whose_members_all_tie_keeps_the_lowest_level():
+    # both members may buy in period 1 or 2 at one price. Summed as c_0
+    # times the group mass plus the members' terms, the merged slope at
+    # level 0 reads -8.7e-19 or -1.7e-18 with these probabilities, by the
+    # order of the sum; summed per member as p_w (c_0 + min(g_w, 0)) it is
+    # exactly 0, so the group keeps what each member does alone
+    horizon = Horizon(T=3)
+    storage = StorageConfig(capacity=1000.0, initial=0.0, terminal=0.0)
+    space = space_of(("a", 0.9, [10, 10, 10], [0, 0, 0], [0, 100, 0]),
+                     ("b", 0.1, [10, 10, 10], [0, 0, 0], [0, 50, 0]))
+    ws = solve_policy(horizon, storage, space)
+    na = solve_policy(horizon, storage, space, nonanticipative=True)
+    assert ws.purchase[:, 0].tolist() == [0.0, 0.0]
+    for field in ("purchase", "battery", "excess"):
+        assert np.array_equal(getattr(na, field), getattr(ws, field)), field
+
+
+# ---------------------------------------------------------------------------
+# random programs against the simplex on the dense program
+# ---------------------------------------------------------------------------
+
+# whole-number prices, 0 included, make tied optima common
+prices = st.integers(0, 40).map(float)
+supplies = st.integers(0, 300).map(float)
+demands = st.integers(0, 400).map(float)
+
+
+@st.composite
+def programs(draw):
+    """Horizon, storage and a space of 1-3 scenarios that may share period 1.
+
+    Capacity may be 0 or below the drawn endpoint levels, which are then
+    clamped to it as the battery sweep clamps them; the loss cost is 0 half
+    of the time, so ties are not broken by holding costs.
+    """
+    T = draw(st.integers(2, 8))
+    capacity = float(draw(st.one_of(st.just(0), st.integers(1, 3000))))
+    initial, terminal = (min(float(draw(st.integers(0, 3000))), capacity) for _ in "it")
+    storage = StorageConfig(
+        capacity=capacity, initial=initial, terminal=terminal,
+        self_discharge=draw(st.floats(0.0, 0.1)),
+        loss_cost_coeff=draw(st.one_of(st.just(0.0), st.floats(0.0, 1e-4))))
+    first = draw(st.tuples(prices, supplies, demands))
+    rows = []
+    for w in range(draw(st.integers(1, 3))):
+        later = [draw(st.lists(kind, min_size=T - 1, max_size=T - 1))
+                 for kind in (prices, supplies, demands)]
+        start = first if draw(st.booleans()) else draw(st.tuples(prices, supplies, demands))
+        rows.append([[v, *rest] for v, rest in zip(start, later)])
+    weights = np.array(draw(st.lists(st.integers(1, 9), min_size=len(rows),
+                                     max_size=len(rows))), dtype=float)
+    space = space_of(*((f"w{w}", float(p), *traces)
+                       for w, (p, traces) in enumerate(zip(weights / weights.sum(), rows))))
+    return Horizon(T=T), storage, space
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(program=programs(), nonanticipative=st.booleans(), physical=st.booleans())
+def test_random_programs_match_the_simplex(program, nonanticipative, physical):
+    horizon, storage, space = program
+    modes = {"nonanticipative": nonanticipative, "physical_discharge": physical}
+    policy = solve_policy(horizon, storage, space, **modes)
+    assert verify_policy(policy, horizon, space) == []
+    want = lp_cost(horizon, storage, space, **modes)
+    assert abs(policy.expected_cost - want) <= REL * max(1.0, abs(want))
+
+
+# ---------------------------------------------------------------------------
+# one large group: the coupled program the dense LP could not afford
+# ---------------------------------------------------------------------------
+
+def cliff_instance(*sizes):
+    """The benchmark's generated scenario file at seed 3 with every
+    marginal's period-1 value made its first scenario's and the period-1
+    price 1.0, so the whole space is one nonanticipativity group."""
+    from test_reference_digests import WORKLOADS
+
+    doc = WORKLOADS.storage_document(3, *sizes)
+    for kind in ("price", "renewable", "consumption"):
+        for scenario in doc[kind]["scenarios"]:
+            scenario["values"][0] = doc[kind]["scenarios"][0]["values"][0]
+    for scenario in doc["price"]["scenarios"]:
+        scenario["values"][0] = 1.0
+    cal = calibration_from_config(DEFAULT_CONFIG, parse_scenario_document(doc))
+    return cal.horizon, cal.storage, cal.scenario_space(0)
+
+
+def highs_cost(horizon, storage, space, physical):
+    """The group's coupled program solved by HiGHS, assembled sparse from
+    each scenario's own deterministic equivalent, weighted by its
+    probability, plus one row per member after the first equating its
+    first purchase with the first member's."""
+    from scipy.optimize import linprog
+    from scipy.sparse import block_diag, coo_array, csr_array, vstack
+
+    blocks = [build_deterministic_equivalent(
+        horizon, storage, space_of((label, 1.0, s.price, s.renewable, s.consumption)),
+        physical_discharge=physical)[0]
+        for label, s in zip(space.labels, space.scenarios)]
+    n, S = blocks[0].n_vars, len(blocks)
+    coupling = coo_array((np.r_[np.ones(S - 1), -np.ones(S - 1)],
+                          (np.r_[np.arange(S - 1), np.arange(S - 1)],
+                           np.r_[np.zeros(S - 1, dtype=int), n * np.arange(1, S)])),
+                         shape=(S - 1, n * S))
+    a_eq = vstack([block_diag([csr_array(b.a_eq) for b in blocks]), coupling]).tocsr()
+    c = np.concatenate([p * b.c for p, b in zip(space.probabilities, blocks)])
+    scale = 1.0 / np.abs(c).max()
+    res = linprog(c * scale, A_eq=a_eq,
+                  b_eq=np.concatenate([*(b.b_eq for b in blocks), np.zeros(S - 1)]),
+                  bounds=np.column_stack([np.concatenate([b.lower for b in blocks]),
+                                          np.concatenate([b.upper for b in blocks])]),
+                  method="highs", options={"dual_feasibility_tolerance": 1e-10,
+                                           "primal_feasibility_tolerance": 1e-10})
+    assert res.status == 0, res.message
+    return res.fun / scale
+
+
+@pytest.mark.parametrize("physical", [False, True], ids=("book", "physical"))
+@pytest.mark.parametrize("sizes, book_cost", [((2, 2, 5), 58.1130207983152),
+                                               ((5, 4, 5), 61.78647713143645)],
+                         ids=("S20", "S100"))
+def test_one_group_of_the_whole_space_matches_highs(sizes, book_cost, physical):
+    pytest.importorskip("scipy")
+    horizon, storage, space = cliff_instance(*sizes)
+    assert len(space) == np.prod(sizes)
+    assert len(_nonanticipativity_groups(space, True)) == 1
+    tracemalloc.start()
+    try:
+        policy = solve_policy(horizon, storage, space, True, physical)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the dense coupled program of S=100 took 457 MB
+    assert peak < 4 * 2**20
+    assert verify_policy(policy, horizon, space) == []
+    assert len(set(policy.purchase[:, 0])) == 1
+    want = highs_cost(horizon, storage, space, physical)
+    assert policy.expected_cost == pytest.approx(want, rel=1e-9)
+    if not physical:
+        assert policy.expected_cost == pytest.approx(book_cost, rel=REL)
