@@ -2,8 +2,9 @@
 
 Plans day-ahead grid purchases and battery storage against price,
 renewable-generation, and traffic uncertainty, modeled as a finite
-scenario space and solved as a linear program. Includes a
-connection-level traffic simulator with guard-channel admission control,
+scenario space. The resulting linear program is solved exactly by a
+backward recursion over battery levels. Includes a connection-level
+traffic simulator with guard-channel admission control,
 policy evaluation against a constant-level baseline, and reproducible
 experiment sweeps.
 """

@@ -6,8 +6,8 @@ also take --nonanticipative and --physical-discharge. Exit codes: 0
 success, 2 usage error (including a bad value in a scenario file, named
 by key), 4 I/O or file-format error (a decode error, an unknown or
 missing key, a non-finite number or a value of the wrong JSON type), 5
-solver failure (a block without a finite optimum, such as a non-finite
-optimal cost or an overflowed tableau: every program the model builds
+solver failure (a block without a finite optimum, such as trace values
+so large that its optimal cost overflows: every program the model builds
 is feasible and bounded, see stochastic.solve_policies).
 
 Every input file goes through scenarios.read_document. The config file is
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import functools
 import hashlib
 import json
 import sys
@@ -211,7 +212,9 @@ def cmd_estimate_probs(counts_path: str) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it unchanged."""
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--config", help="JSON config file (schema bspower-config-1)")
     shared.add_argument("--scenarios",

@@ -34,9 +34,9 @@ lowest next battery level.
 One assembly writes the dense program: _structure gives the constraint
 matrix and bounds of a block, and _costs and _rhs give its rows.
 build_deterministic_equivalent puts them together over the whole space.
-It is the oracle: the tests and the benchmark's gate solve it with
-bspower.lp or HiGHS to check the recursion; the CLI never builds it. A
-ScenarioSpace is valid once built, so build_deterministic_equivalent and
+It is the oracle: the tests solve it with bspower.lp and HiGHS, and the
+benchmark's gate with HiGHS, to check the recursion; the CLI never builds
+it. A ScenarioSpace is valid once built, so build_deterministic_equivalent and
 solve_policies only compare its trace length with T.
 """
 

@@ -1,15 +1,15 @@
 """Brute-force LP oracle: enumerate every basic solution.
 
 Exponential in problem size, so small instances only. Besides the
-solvers' equality rows and bounds, brute_force_solve takes inequality rows
+solver's equality rows and bounds, brute_force_solve takes inequality rows
 a_ub @ x <= b_ub as an input of its own, so it stays independent of the
-solvers and never enumerates slack variables; with_slacks writes the same
-program in the solvers' equality form. It takes the scalar oracle's fix
-and shift, applies them to the inequality rows too, and writes every
-finite upper bound as an explicit inequality row, where the solvers
-handle bounds in the ratio test; it shares the equality-row equilibration
-and then minimises over all active-set choices. Unboundedness is decided
-by enumerating the vertices of the normalized recession cone.
+solver and never enumerates slack variables; with_slacks writes the same
+program in the solver's equality form. It takes bspower.lp's fix, shift
+and equilibration of the equality rows, applies the fix and shift to the
+inequality rows too, and writes every finite upper bound as an explicit
+inequality row, where the solver handles bounds in the ratio test; then
+it minimises over all active-set choices. Unboundedness is decided by
+enumerating the vertices of the normalized recession cone.
 """
 
 import itertools
@@ -17,9 +17,7 @@ from math import comb
 
 import numpy as np
 
-from bspower.lp import FEAS_TOL, LinearProgram, LpResult
-from scalar_lp import equilibrate, record
-from scalar_lp import prepare as scalar_prepare
+from bspower.lp import FEAS_TOL, LinearProgram, LpResult, _prepare
 
 _MAX_BRUTE_COMBOS = 5_000_000
 
@@ -36,22 +34,6 @@ def with_slacks(lp: LinearProgram, a_ub, b_ub) -> LinearProgram:
                          upper=np.append(lp.upper, np.full(m, np.inf)))
 
 
-def stack_with_slacks(c, b_eq, b_ub):
-    """Stacked costs and rhs of with_slacks programs: every program's slacks
-    cost 0 and every program's rows gain the same b_ub."""
-    K, b_ub = len(c), np.asarray(b_ub, dtype=float)
-    return (np.hstack([c, np.zeros((K, b_ub.size))]),
-            np.hstack([b_eq, np.tile(b_ub, (K, 1))]))
-
-
-def row_triples(K):
-    """solve_batch's index triples of K programs that take row k of the
-    cost and rhs tables and share bound row 0."""
-    rows = np.zeros((K, 3), dtype=np.intp)
-    rows[:, 0] = rows[:, 1] = np.arange(K)
-    return rows
-
-
 def _equilibrate_ub(a, b):
     """Scale rows a @ x <= b to unit max-abs; drop zero rows.
 
@@ -61,6 +43,12 @@ def _equilibrate_ub(a, b):
     keep = scale > 0.0
     ok = not np.any(b[~keep] < -FEAS_TOL)
     return a[keep] / scale[keep, None], b[keep] / scale[keep], ok
+
+
+def _result(lp: LinearProgram, status: str, x=None) -> LpResult:
+    """lp.solve's record of a verdict; x is given only when optimal."""
+    x = np.full(lp.n_vars, np.nan) if x is None else x
+    return LpResult(status, x, float(lp.c @ x), 0, False)
 
 
 def brute_force_solve(lp: LinearProgram, a_ub=None, b_ub=None,
@@ -74,33 +62,33 @@ def brute_force_solve(lp: LinearProgram, a_ub=None, b_ub=None,
     """
     if lp.n_vars > max_vars:
         raise ValueError(f"{lp.n_vars} variables exceeds brute-force limit {max_vars}")
-    prep = scalar_prepare(lp)
+    free, a_eq, b_eq, up, ok = _prepare(lp)
     if a_ub is None:
         a_ub, b_ub = np.zeros((0, lp.n_vars)), np.zeros(0)
     a_ub = np.atleast_2d(np.asarray(a_ub, dtype=float))
-    b_ub = (np.asarray(b_ub, dtype=float) - a_ub[:, prep.fixed] @ prep.fixed_values
-            - a_ub[:, prep.free] @ lp.lower[prep.free])
-    a_ub = a_ub[:, prep.free]
-    if prep.status == "optimal" and np.all(b_ub >= -FEAS_TOL):
-        x = prep.assemble(np.zeros(0), lp)
-        return record(lp, "optimal", x)
-    if prep.status is not None:
-        return record(lp, "infeasible")
+    b_ub = np.asarray(b_ub, dtype=float) - a_ub @ lp.lower
+    a_ub = a_ub[:, free]
+    if not ok:
+        return _result(lp, "infeasible")
+    if not free.size:
+        if np.all(b_ub >= -FEAS_TOL):
+            return _result(lp, "optimal", lp.lower.copy())
+        return _result(lp, "infeasible")
 
     # one row x <= u per finite upper bound
-    finite = np.nonzero(np.isfinite(prep.up))[0]
-    bound_rows = np.zeros((finite.size, prep.up.size))
+    finite = np.nonzero(np.isfinite(up))[0]
+    bound_rows = np.zeros((finite.size, up.size))
     bound_rows[np.arange(finite.size), finite] = 1.0
-    a_eq, b_eq, ok_eq = equilibrate(prep.a_eq, prep.b_eq)
     a_ub, b_ub, ok_ub = _equilibrate_ub(np.vstack([a_ub, bound_rows]),
-                                        np.concatenate([b_ub, prep.up[finite]]))
-    if not (ok_eq and ok_ub):
-        return record(lp, "infeasible")
+                                        np.concatenate([b_ub, up[finite]]))
+    if not ok_ub:
+        return _result(lp, "infeasible")
 
-    n = prep.c.size
+    n = free.size
+    c = lp.c[free]
     red_a, red_b, consistent = _row_reduce(a_eq, b_eq)
     if not consistent:
-        return record(lp, "infeasible")
+        return _result(lp, "infeasible")
 
     pool = np.vstack([a_ub, -np.eye(n)])
     pool_rhs = np.concatenate([b_ub, np.zeros(n)])
@@ -114,17 +102,17 @@ def brute_force_solve(lp: LinearProgram, a_ub=None, b_ub=None,
         ok &= np.all(points >= -FEAS_TOL, axis=1)
         return ok
 
-    found, best_obj, best_x = _best_vertex(red_a, red_b, pool, pool_rhs,
-                                           prep.c, feasible_mask)
+    found, best_obj, best_x = _best_vertex(red_a, red_b, pool, pool_rhs, c, feasible_mask)
     if not found:
-        return record(lp, "infeasible")
+        return _result(lp, "infeasible")
 
-    if np.any(prep.c < 0) and finite.size < n:
-        if _has_descent_ray(red_a, pool, a_eq, a_ub, prep.c):
-            return record(lp, "unbounded")
+    if np.any(c < 0) and finite.size < n:
+        if _has_descent_ray(red_a, pool, a_eq, a_ub, c):
+            return _result(lp, "unbounded")
 
-    x = prep.assemble(np.maximum(best_x, 0.0), lp)
-    return record(lp, "optimal", x)
+    x = lp.lower.copy()
+    x[free] += np.maximum(best_x, 0.0)
+    return _result(lp, "optimal", x)
 
 
 def _best_vertex(red_a, red_b, pool, pool_rhs, c, feasible_mask):

@@ -147,10 +147,10 @@ def _monolithic_policy(horizon, storage, space, physical_discharge):
     program, vmap = build_deterministic_equivalent(
         horizon, storage, space, physical_discharge=physical_discharge)
     solution = solve(program)
-    assert solution.status[0] == "optimal", solution.status[0]
+    assert solution.status == "optimal", solution.status
     purchase, battery, excess = vmap.unpack(solution.x)
     return PolicyTable(tuple(space.labels), space.probabilities, purchase,
-                       battery, excess, float(solution.objective[0]),
+                       battery, excess, solution.objective,
                        storage, physical_discharge)
 
 
@@ -211,13 +211,13 @@ def test_criterion_1_lp_oracle_equivalence():
         lp, a_ub, b_ub = _random_lp(rng)
         fast = solve(with_slacks(lp, a_ub, b_ub))
         slow = brute_force_solve(lp, a_ub, b_ub)
-        if fast.status[0] != slow.status[0]:
+        if fast.status != slow.status:
             mismatches += 1
             continue
-        counts[fast.status[0]] += 1
-        if fast.status[0] == "optimal":
+        counts[fast.status] += 1
+        if fast.status == "optimal":
             max_gap = max(max_gap,
-                          abs(fast.objective[0] - slow.objective[0]))
+                          abs(fast.objective - slow.objective))
     elapsed = time.perf_counter() - start
     ok = mismatches == 0 and max_gap <= 1e-8 and elapsed < 30.0
     _report(1, ok,

@@ -12,7 +12,7 @@ import pytest
 
 from bspower import scenarios as scenarios_mod
 from bspower.calibration import DEFAULT_CONFIG
-from bspower.cli import main
+from bspower.cli import build_parser, main
 from bspower.scenarios import MarginalSpace, ScenarioDocument, ScenarioSpace
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -431,6 +431,18 @@ def test_nonanticipative_flag_accepted(tiny, tmp_path, capsys):
                  "--nonanticipative"]) == 0
     capsys.readouterr()
     assert (out / "policy.csv").exists()
+
+
+def test_one_parser_serves_every_call_of_a_process():
+    # main builds its parser once; a parse leaves nothing behind that
+    # changes the next
+    parser = build_parser()
+    first = parser.parse_args(["solve", "--seed", "3"])
+    assert vars(parser.parse_args(["sweep", "battery", "--out", "x"]))["kind"] == "battery"
+    assert build_parser() is parser
+    assert parser.parse_args(["solve", "--seed", "3"]) == first
+    assert vars(first) == {"command": "solve", "config": None, "scenarios": None, "out": "out",
+                           "seed": 3, "nonanticipative": False, "physical_discharge": False}
 
 
 # ---------------------------------------------------------------------------

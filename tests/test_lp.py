@@ -1,26 +1,16 @@
-"""Two-phase simplex solver checked against brute-force vertex enumeration
-and, program by program, against the one-tableau scalar oracle."""
-
-from dataclasses import fields
+"""Two-phase simplex solver checked against hand-computed optima and
+brute-force vertex enumeration."""
 
 import numpy as np
 import pytest
 
 import bspower.lp as lp_mod
-import scalar_lp
 from bspower.calibration import default_calibration
-from bspower.lp import (
-    FEAS_TOL,
-    LinearProgram,
-    LpResult,
-    _run_simplex,
-    solve,
-    solve_batch,
-)
+from bspower.lp import FEAS_TOL, LinearProgram, _price, _run_simplex, solve
 from bspower.scenarios import CompositeScenario, ScenarioSpace
 from bspower.stochastic import build_deterministic_equivalent
 from bspower.units import Horizon
-from brute_force_lp import brute_force_solve, row_triples, stack_with_slacks, with_slacks
+from brute_force_lp import brute_force_solve, with_slacks
 
 
 def _assert_feasible(lp, x, a_ub, b_ub, tol=1e-6):
@@ -41,17 +31,17 @@ def _assert_feasible(lp, x, a_ub, b_ub, tol=1e-6):
 def test_single_variable_floor():
     # min x subject to x >= 3, expressed as -x <= -3
     sol = solve(with_slacks(LinearProgram(c=[1.0]), [[-1.0]], [-3.0]))
-    assert sol.status[0] == "optimal"
-    assert sol.objective[0] == pytest.approx(3.0, abs=1e-9)
-    np.testing.assert_allclose(sol.x[0, :1], [3.0], atol=1e-9)
+    assert sol.status == "optimal"
+    assert sol.objective == pytest.approx(3.0, abs=1e-9)
+    np.testing.assert_allclose(sol.x[:1], [3.0], atol=1e-9)
 
 
 def test_two_variable_vertex():
     # steeper reward on x pulls the optimum to the (1, 0) corner
     sol = solve(with_slacks(LinearProgram(c=[-1.0, -0.5]), [[1.0, 1.0]], [1.0]))
-    assert sol.status[0] == "optimal"
-    np.testing.assert_allclose(sol.x[0, :2], [1.0, 0.0], atol=1e-9)
-    assert sol.objective[0] == pytest.approx(-1.0, abs=1e-9)
+    assert sol.status == "optimal"
+    np.testing.assert_allclose(sol.x[:2], [1.0, 0.0], atol=1e-9)
+    assert sol.objective == pytest.approx(-1.0, abs=1e-9)
 
 
 def test_equality_with_bounds():
@@ -59,35 +49,35 @@ def test_equality_with_bounds():
     lp = LinearProgram(c=[2.0, 1.0], a_eq=[[1.0, 1.0]], b_eq=[4.0],
                        upper=[1.5, np.inf])
     sol = solve(lp)
-    assert sol.status[0] == "optimal"
-    np.testing.assert_allclose(sol.x[0], [0.0, 4.0], atol=1e-9)
-    assert sol.objective[0] == pytest.approx(4.0, abs=1e-9)
+    assert sol.status == "optimal"
+    np.testing.assert_allclose(sol.x, [0.0, 4.0], atol=1e-9)
+    assert sol.objective == pytest.approx(4.0, abs=1e-9)
 
 
 def test_infeasible_sign_conflict():
     # x <= -1 contradicts x >= 0
     lp = LinearProgram(c=[1.0])
-    assert solve(with_slacks(lp, [[1.0]], [-1.0])).status[0] == "infeasible"
-    assert brute_force_solve(lp, [[1.0]], [-1.0]).status[0] == "infeasible"
+    assert solve(with_slacks(lp, [[1.0]], [-1.0])).status == "infeasible"
+    assert brute_force_solve(lp, [[1.0]], [-1.0]).status == "infeasible"
 
 
 def test_zero_row_inconsistency():
     lp = LinearProgram(c=[1.0, 1.0], a_eq=[[0.0, 0.0]], b_eq=[1.0])
-    assert solve(lp).status[0] == "infeasible"
-    assert brute_force_solve(lp).status[0] == "infeasible"
+    assert solve(lp).status == "infeasible"
+    assert brute_force_solve(lp).status == "infeasible"
 
 
 def test_unbounded_direction():
     lp = LinearProgram(c=[-1.0, 0.0])
-    assert solve(with_slacks(lp, [[0.0, 1.0]], [5.0])).status[0] == "unbounded"
-    assert brute_force_solve(lp, [[0.0, 1.0]], [5.0]).status[0] == "unbounded"
+    assert solve(with_slacks(lp, [[0.0, 1.0]], [5.0])).status == "unbounded"
+    assert brute_force_solve(lp, [[0.0, 1.0]], [5.0]).status == "unbounded"
 
 
 def test_upper_bound_caps_unbounded_direction():
     lp = LinearProgram(c=[-1.0], upper=[10.0])
     sol = solve(lp)
-    assert sol.status[0] == "optimal"
-    np.testing.assert_allclose(sol.x[0], [10.0], atol=1e-9)
+    assert sol.status == "optimal"
+    np.testing.assert_allclose(sol.x, [10.0], atol=1e-9)
 
 
 def test_fixed_variables_are_presolved():
@@ -95,16 +85,16 @@ def test_fixed_variables_are_presolved():
     lp = LinearProgram(c=[5.0, 1.0], a_eq=[[1.0, 1.0]], b_eq=[3.0],
                        lower=[2.0, 0.0], upper=[2.0, np.inf])
     sol = solve(lp)
-    assert sol.status[0] == "optimal"
-    np.testing.assert_allclose(sol.x[0], [2.0, 1.0], atol=1e-9)
-    assert sol.objective[0] == pytest.approx(11.0, abs=1e-9)
+    assert sol.status == "optimal"
+    np.testing.assert_allclose(sol.x, [2.0, 1.0], atol=1e-9)
+    assert sol.objective == pytest.approx(11.0, abs=1e-9)
 
 
 def test_fixed_variables_can_make_rows_infeasible():
     lp = LinearProgram(c=[1.0], a_eq=[[1.0]], b_eq=[7.0],
                        lower=[2.0], upper=[2.0])
-    assert solve(lp).status[0] == "infeasible"
-    assert brute_force_solve(lp).status[0] == "infeasible"
+    assert solve(lp).status == "infeasible"
+    assert brute_force_solve(lp).status == "infeasible"
 
 
 def test_degenerate_ties_still_terminate():
@@ -114,8 +104,8 @@ def test_degenerate_ties_still_terminate():
         [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [2.0, 2.0], [1.0, 1.0]],
         [1.0, 1.0, 2.0, 4.0, 2.0])
     sol = solve(lp)
-    assert sol.status[0] == "optimal"
-    assert sol.objective[0] == pytest.approx(-2.0, abs=1e-9)
+    assert sol.status == "optimal"
+    assert sol.objective == pytest.approx(-2.0, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -169,12 +159,12 @@ def test_simplex_agrees_with_vertex_enumeration():
         lp, a_ub, b_ub = random_lp(rng)
         got = solve(with_slacks(lp, a_ub, b_ub))
         want = brute_force_solve(lp, a_ub, b_ub)
-        assert got.status[0] == want.status[0], f"case {k}: {got.status[0]} != {want.status[0]}"
-        statuses[got.status[0]] += 1
-        if got.status[0] == "optimal":
-            assert got.objective[0] == pytest.approx(
-                want.objective[0], abs=1e-8), f"case {k}"
-            _assert_feasible(lp, got.x[0, :lp.n_vars], a_ub, b_ub)
+        assert got.status == want.status, f"case {k}: {got.status} != {want.status}"
+        statuses[got.status] += 1
+        if got.status == "optimal":
+            assert got.objective == pytest.approx(
+                want.objective, abs=1e-8), f"case {k}"
+            _assert_feasible(lp, got.x[:lp.n_vars], a_ub, b_ub)
     # the generator must actually exercise all three outcomes
     assert min(statuses.values()) > 0, statuses
 
@@ -182,18 +172,22 @@ def test_simplex_agrees_with_vertex_enumeration():
 def test_solver_is_deterministic():
     rng = np.random.default_rng(99)
     lp = with_slacks(*random_lp(rng))
+    inputs = [lp.c.copy(), lp.a_eq.copy(), lp.b_eq.copy(), lp.lower.copy(), lp.upper.copy()]
     first = solve(lp)
     second = solve(lp)
-    assert first.status[0] == second.status[0]
+    assert first.status == second.status
     np.testing.assert_array_equal(first.x, second.x)
-    assert first.iterations[0] == second.iterations[0]
+    assert first.iterations == second.iterations
+    # the solve works on copies: the program is left as it was
+    for now, then in zip((lp.c, lp.a_eq, lp.b_eq, lp.lower, lp.upper), inputs):
+        np.testing.assert_array_equal(now, then)
 
 
 def test_objective_scaling():
     lp = with_slacks(LinearProgram(c=[-1.0, -0.5]), [[1.0, 1.0]], [1.0])
     scaled = with_slacks(LinearProgram(c=[-7.0, -3.5]), [[1.0, 1.0]], [1.0])
-    assert solve(scaled).objective[0] == pytest.approx(
-        7.0 * solve(lp).objective[0], rel=1e-12)
+    assert solve(scaled).objective == pytest.approx(
+        7.0 * solve(lp).objective, rel=1e-12)
 
 
 def test_optimum_never_beaten_by_known_feasible_points():
@@ -206,8 +200,8 @@ def test_optimum_never_beaten_by_known_feasible_points():
         x0 = rng.uniform(0, 2, size=n)
         lp = LinearProgram(c=rng.uniform(-3, 3, size=n), upper=np.full(n, 10.0))
         sol = solve(with_slacks(lp, a_ub, a_ub @ x0 + rng.uniform(0.1, 2, size=m)))
-        assert sol.status[0] == "optimal"
-        assert sol.objective[0] <= lp.c @ x0 + 1e-7
+        assert sol.status == "optimal"
+        assert sol.objective <= lp.c @ x0 + 1e-7
         checked += 1
     assert checked == 60
 
@@ -243,149 +237,126 @@ def test_feasibility_tolerance_is_tight():
 
 
 # ---------------------------------------------------------------------------
-# lockstep batches against the scalar oracle
+# one solver rule per program
 # ---------------------------------------------------------------------------
 
-def alone(lp, c, b_eq):
-    """Program k of a batch as a program of its own."""
-    return LinearProgram(c=c, a_eq=lp.a_eq, b_eq=b_eq, lower=lp.lower, upper=lp.upper)
+def with_cost(lp, c, b_eq=None):
+    """lp with another cost row and, if given, another rhs."""
+    return LinearProgram(c=c, a_eq=lp.a_eq, b_eq=lp.b_eq if b_eq is None else b_eq,
+                         lower=lp.lower, upper=lp.upper)
 
 
-def oracle_batch(lp, c, b_eq):
-    """The scalar oracle's records of every program alone, stacked as one."""
-    ones = [scalar_lp.scalar_solve(alone(lp, c[k], b_eq[k])) for k in range(len(c))]
-    return LpResult(*(np.concatenate([getattr(one, field.name) for one in ones])
-                      for field in fields(LpResult)))
+def assert_matches_brute_force(lp):
+    """lp.solve and the brute-force oracle agree on lp's status and optimum;
+    returns the status."""
+    got, want = solve(lp), brute_force_solve(lp)
+    assert got.status == want.status
+    if got.status == "optimal":
+        assert got.objective == pytest.approx(want.objective, abs=1e-9)
+    else:
+        assert np.isnan(got.x).all() and np.isnan(got.objective)
+    return got.status
 
 
-def assert_same_solution(got, want):
-    """Two records agree bit for bit, program by program; x and the
-    objective are NaN in the same places."""
-    assert (got.status.tolist(), got.iterations.tolist(), got.bland.tolist()) == (
-        want.status.tolist(), want.iterations.tolist(), want.bland.tolist())
-    assert np.array_equal(got.objective, want.objective, equal_nan=True)
-    assert np.array_equal(got.x, want.x, equal_nan=True)
-
-
-def assert_batch_matches_oracle(lp, c, b_eq):
-    got = solve_batch(lp.a_eq, lp.lower, c, b_eq, lp.upper[None], row_triples(len(c)))
-    assert_same_solution(got, oracle_batch(lp, c, b_eq))
-    return got.status.tolist()
-
-
-def test_batch_mixing_verdicts_matches_the_oracle_per_program():
+def test_mixed_verdicts_match_brute_force():
     # the equality rows are one row twice: consistent right-hand sides leave
     # a redundant row after phase 1, inconsistent ones are infeasible, and a
     # negative cost on x2 (free upwards) is unbounded
     lp = LinearProgram(c=[1.0, 2.0, 0.0], a_eq=[[1.0, 1.0, 0.0], [2.0, 2.0, 0.0]],
                        b_eq=[1.0, 2.0], upper=[4.0, np.inf, np.inf])
-    lp = with_slacks(lp, [[1.0, 0.0, -1.0]], [3.0])
-    c = np.array([[1.0, 2.0, 0.0], [1.0, 2.0, 0.0], [1.0, 2.0, -1.0],
-                  [-1.0, 1.0, 0.0], [0.0, 0.0, 0.0], [2.0, 1.0, 0.5]])
-    b_eq = np.array([[1.0, 2.0], [1.0, 3.0], [1.0, 2.0], [2.0, 4.0], [0.0, 0.0], [-1.0, -2.0]])
-    statuses = assert_batch_matches_oracle(lp, *stack_with_slacks(c, b_eq, [3.0]))
+    c = [[1.0, 2.0, 0.0], [1.0, 2.0, 0.0], [1.0, 2.0, -1.0],
+         [-1.0, 1.0, 0.0], [0.0, 0.0, 0.0], [2.0, 1.0, 0.5]]
+    b_eq = [[1.0, 2.0], [1.0, 3.0], [1.0, 2.0], [2.0, 4.0], [0.0, 0.0], [-1.0, -2.0]]
+    statuses = [assert_matches_brute_force(with_slacks(with_cost(lp, ck, bk), [[1.0, 0.0, -1.0]],
+                                                       [3.0]))
+                for ck, bk in zip(c, b_eq)]
     assert statuses == ["optimal", "infeasible", "unbounded", "optimal", "optimal", "infeasible"]
 
 
-def test_programs_with_a_redundant_row_finish_in_their_stack(solver_calls):
-    # the rows of the mixing-verdicts batch: after phase 1 every feasible
-    # program has one redundant row, zeroed in place, and runs phase 2 with
-    # the rest of its stack, so the stack makes one call per phase
-    lp = with_slacks(LinearProgram(c=[1.0, 2.0, 0.0], a_eq=[[1.0, 1.0, 0.0], [2.0, 2.0, 0.0]],
-                                   b_eq=[1.0, 2.0], upper=[4.0, np.inf, np.inf]),
+def test_a_redundant_row_is_zeroed_and_kept_through_phase_2(monkeypatch):
+    # both rows need an artificial; after phase 1 the second is redundant,
+    # set to exactly 0 with its artificial basic, and phase 2 runs over it
+    lp = with_slacks(LinearProgram(c=[2.0, 1.0, 0.5], a_eq=[[1.0, 1.0, 0.0], [2.0, 2.0, 0.0]],
+                                   b_eq=[-1.0, -2.0], upper=[4.0, np.inf, np.inf]),
                      [[1.0, 0.0, -1.0]], [3.0])
-    c = np.array([[1.0, 2.0, 0.0], [1.0, 2.0, -1.0], [-1.0, 1.0, 0.0], [2.0, 1.0, 0.5]])
-    b_eq = np.array([[1.0, 2.0], [1.0, 2.0], [2.0, 4.0], [-1.0, -2.0]])
-    c, b_eq = stack_with_slacks(c, b_eq, [3.0])
-    statuses = assert_batch_matches_oracle(lp, c, b_eq)
-    assert [k for k, _ in solver_calls.stacks] == [4]
-    assert solver_calls.simplex_runs == [2]
-    assert statuses == [brute_force_solve(alone(lp, c[k], b_eq[k])).status[0]
-                        for k in range(len(c))]
-    assert statuses == ["optimal", "unbounded", "optimal", "infeasible"]
+    dropped = []
+    drop = lp_mod._drop_artificials
+
+    def recording_drop(tableau, basis):
+        drop(tableau, basis)
+        dropped.append((tableau.copy(), basis.copy()))
+
+    monkeypatch.setattr(lp_mod, "_drop_artificials", recording_drop)
+    feasible = with_cost(lp, [1.0, 2.0, 0.0, 0.0], [1.0, 2.0, 3.0])
+    assert assert_matches_brute_force(feasible) == "optimal"
+    (tableau, basis), = dropped
+    zero = ~tableau[:-1].any(axis=1)
+    assert zero.sum() == 1 and basis[zero][0] >= tableau.shape[1] - 1
+    assert assert_matches_brute_force(with_cost(feasible, [1.0, 2.0, -1.0, 0.0])) == "unbounded"
+    assert assert_matches_brute_force(with_cost(feasible, [-1.0, 1.0, 0.0, 0.0],
+                                                [2.0, 4.0, 3.0])) == "optimal"
+    assert assert_matches_brute_force(lp) == "infeasible"
 
 
-def test_batch_of_all_fixed_programs_matches_the_oracle():
+def test_all_fixed_programs_take_the_zero_row_verdict():
+    # every variable is fixed, so every row is zero once they are
+    # substituted, and its rhs decides; no simplex step is taken
     lp = LinearProgram(c=[1.0, 1.0], a_eq=[[1.0, 1.0]], b_eq=[3.0],
                        lower=[1.0, 2.0], upper=[1.0, 2.0])
-    c = np.array([[1.0, 1.0], [2.0, -1.0], [1.0, 1.0]])
-    b_eq = np.array([[3.0], [3.0], [4.0]])
-    assert assert_batch_matches_oracle(lp, c, b_eq) == ["optimal", "optimal", "infeasible"]
+    for c, b_eq, status in (([1.0, 1.0], [3.0], "optimal"), ([2.0, -1.0], [3.0], "optimal"),
+                            ([1.0, 1.0], [4.0], "infeasible")):
+        program = with_cost(lp, c, b_eq)
+        assert assert_matches_brute_force(program) == status
+        assert solve(program).iterations == 0
+    np.testing.assert_array_equal(solve(lp).x, [1.0, 2.0])
+    assert solve(with_cost(lp, [2.0, -1.0])).objective == 0.0
 
 
-def test_batch_results_do_not_depend_on_the_stack_budget(monkeypatch):
-    rng = np.random.default_rng(31)
-    lp, a_ub, b_ub = random_lp(rng)
-    while lp.b_eq.size == 0:
-        lp, a_ub, b_ub = random_lp(rng)
-    c = lp.c + rng.uniform(-2, 2, size=(9, lp.n_vars))
-    b_eq = lp.b_eq + rng.uniform(-1, 1, size=(9, lp.b_eq.size))
-    lp = with_slacks(lp, a_ub, b_ub)
-    c, b_eq = stack_with_slacks(c, b_eq, b_ub)
-    tables = (lp.a_eq, lp.lower, c, b_eq, lp.upper[None], row_triples(len(c)))
-    whole = solve_batch(*tables)
-    monkeypatch.setattr(lp_mod, "_BATCH_BYTES", 1)  # one program per stack
-    assert_same_solution(solve_batch(*tables), whole)
-
-
-def test_random_batches_match_the_oracle_per_program():
-    rng = np.random.default_rng(8128)
-    seen = set()
-    for _ in range(120):
-        lp, a_ub, b_ub = random_lp(rng)
-        K = int(rng.integers(1, 7))
-        c = lp.c + rng.uniform(-3, 3, size=(K, lp.n_vars)) * (rng.random((K, 1)) < 0.7)
-        b_eq = lp.b_eq + rng.uniform(-2, 2, size=(K, lp.b_eq.size)) * (rng.random((K, 1)) < 0.7)
-        seen.update(assert_batch_matches_oracle(with_slacks(lp, a_ub, b_ub),
-                                                *stack_with_slacks(c, b_eq, b_ub)))
-    assert seen == {"optimal", "infeasible", "unbounded"}
-
-
-def test_bounds_only_programs_solve_alone_and_in_a_batch():
+def test_bounds_only_programs():
     # no rows at all: every step is a bound flip or the unbounded verdict
     lp = LinearProgram(c=[-1.0, 2.0, -3.0], lower=[1.0, 0.0, 0.0],
                        upper=[10.0, np.inf, 4.0])
     sol = solve(lp)
-    assert sol.status[0] == "optimal"
-    np.testing.assert_array_equal(sol.x[0], [10.0, 0.0, 4.0])
-    assert sol.objective[0] == -22.0 and sol.iterations[0] == 2
+    assert sol.status == "optimal"
+    np.testing.assert_array_equal(sol.x, [10.0, 0.0, 4.0])
+    assert sol.objective == -22.0 and sol.iterations == 2
     ray = LinearProgram(c=[-1.0, -1.0], upper=[5.0, np.inf])
-    assert solve(ray).status[0] == "unbounded"
-    assert brute_force_solve(ray).status[0] == "unbounded"
+    assert assert_matches_brute_force(ray) == "unbounded"
 
-    c = np.array([[-1.0, 2.0, -3.0], [1.0, 1.0, 1.0], [0.0, -1.0, 0.0], [0.0, 0.0, 0.0]])
-    statuses = assert_batch_matches_oracle(lp, c, np.zeros((4, 0)))
+    statuses = [assert_matches_brute_force(with_cost(lp, c))
+                for c in ([-1.0, 2.0, -3.0], [1.0, 1.0, 1.0], [0.0, -1.0, 0.0], [0.0, 0.0, 0.0])]
     assert statuses == ["optimal", "optimal", "unbounded", "optimal"]
     fixed_and_free = LinearProgram(c=[1.0, -1.0], lower=[2.0, 0.0], upper=[2.0, 3.0])
-    assert assert_batch_matches_oracle(fixed_and_free, np.array([[1.0, -1.0], [1.0, 1.0]]),
-                                       np.zeros((2, 0))) == ["optimal", "optimal"]
+    for c in ([1.0, -1.0], [1.0, 1.0]):
+        assert assert_matches_brute_force(with_cost(fixed_and_free, c)) == "optimal"
 
 
-def test_batch_takes_bound_flips_and_leaves_at_upper_bounds(monkeypatch):
-    # x1 - x2 = 0, x2 + x3 <= 10, x1 <= 2, x3 <= 3. Program 0 raises x3,
-    # which hits its own bound before the row: a bound flip, no pivot.
-    # Program 1 raises x2, which drags the basic x1 up to its bound: x1
-    # leaves at its upper bound
+def test_bound_flips_and_leaving_at_an_upper_bound(monkeypatch):
+    # x1 - x2 = 0, x2 + x3 <= 10, x1 <= 2, x3 <= 3. Raising x3 hits its own
+    # bound before the row: a bound flip, no pivot. Raising x2 drags the
+    # basic x1 up to its bound: x1 leaves at its upper bound
     lp = LinearProgram(c=[0.0, 0.0, 0.0], a_eq=[[1.0, -1.0, 0.0]], b_eq=[0.0],
                        upper=[2.0, np.inf, 3.0])
-    lp = with_slacks(lp, [[0.0, 1.0, 1.0]], [10.0])
-    pivots = np.zeros(2, dtype=int)
+    pivots = []
     pivot = lp_mod._pivot
 
-    def counting_pivot(tableau, basis, k, r, j, col):
-        np.add.at(pivots, k, 1)
-        pivot(tableau, basis, k, r, j, col)
+    def counting_pivot(tableau, basis, r, j):
+        pivots[-1] += 1
+        pivot(tableau, basis, r, j)
 
     monkeypatch.setattr(lp_mod, "_pivot", counting_pivot)
-    c, b_eq = stack_with_slacks(np.array([[0.0, 0.0, -1.0], [0.0, -1.0, 0.0]]),
-                                np.zeros((2, 1)), [10.0])
-    result = solve_batch(lp.a_eq, lp.lower, c, b_eq, lp.upper[None], row_triples(2))
-    np.testing.assert_array_equal(result.x[0, :3], [0.0, 0.0, 3.0])
-    np.testing.assert_array_equal(result.x[1, :3], [2.0, 2.0, 0.0])
-    # one phase-1 pivot each; then a flip for program 0 and a pivot for 1
-    assert result.iterations.tolist() == [2, 2]
-    assert pivots.tolist() == [1, 2]
-    assert assert_batch_matches_oracle(lp, c, b_eq) == ["optimal", "optimal"]
+    programs = [with_slacks(with_cost(lp, c), [[0.0, 1.0, 1.0]], [10.0])
+                for c in ([0.0, 0.0, -1.0], [0.0, -1.0, 0.0])]
+    results = []
+    for program in programs:
+        pivots.append(0)
+        results.append(solve(program))
+    np.testing.assert_array_equal(results[0].x[:3], [0.0, 0.0, 3.0])
+    np.testing.assert_array_equal(results[1].x[:3], [2.0, 2.0, 0.0])
+    # one phase-1 pivot each; then a flip for the first and a pivot for the second
+    assert [r.iterations for r in results] == [2, 2]
+    assert pivots == [1, 2]
+    assert [assert_matches_brute_force(program) for program in programs] == ["optimal"] * 2
 
 
 def test_bound_flip_wins_a_tie_with_a_row():
@@ -395,18 +366,18 @@ def test_bound_flip_wins_a_tie_with_a_row():
     lp = with_slacks(LinearProgram(c=[0.0, -3.0], upper=[1.0, 2.0]),
                      [[-1.0, 1.0], [2.0, 1.0]], [2.0, 3.0])
     sol = solve(lp)
-    assert (sol.status[0], sol.iterations[0]) == ("optimal", 1)
-    np.testing.assert_array_equal(sol.x[0, :2], [0.0, 2.0])
-    assert_same_solution(sol, scalar_lp.scalar_solve(lp))
+    assert (sol.status, sol.iterations) == ("optimal", 1)
+    np.testing.assert_array_equal(sol.x[:2], [0.0, 2.0])
+    assert assert_matches_brute_force(lp) == "optimal"
 
 
 def test_upper_bounds_stay_out_of_the_rows():
     lp = LinearProgram(c=[1.0, 1.0, 1.0], a_eq=[[1.0, 1.0, 1.0]], b_eq=[2.0],
                        lower=[0.0, 1.0, 0.0], upper=[4.0, 3.0, np.inf])
-    free, body, _, _, up = lp_mod._prepare(lp.a_eq, lp.lower, lp.b_eq[None], lp.upper[None])
-    assert body.shape == (1, 3) and free.tolist() == [0, 1, 2]
-    # the three variables, then the one row's artificial
-    np.testing.assert_array_equal(up, [[4.0, 2.0, np.inf, np.inf]])
+    free, body, rhs, up, ok = lp_mod._prepare(lp)
+    assert body.shape == (1, 3) and free.tolist() == [0, 1, 2] and ok
+    np.testing.assert_array_equal(rhs, [1.0])
+    np.testing.assert_array_equal(up, [4.0, 2.0, np.inf])
 
 
 def test_crash_basis_starts_from_columns_of_one_row():
@@ -416,18 +387,19 @@ def test_crash_basis_starts_from_columns_of_one_row():
     a_eq = [[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, -1.0, -1.0]]
     lp = LinearProgram(c=[1.0, 1.0, 3.0, 1.0], a_eq=a_eq, b_eq=[3.0, -1.0])
     sol = solve(lp)
-    assert (sol.status[0], sol.iterations[0]) == ("optimal", 0)
-    np.testing.assert_array_equal(sol.x[0], [3.0, 0.0, 0.0, 1.0])
+    assert (sol.status, sol.iterations) == ("optimal", 0)
+    np.testing.assert_array_equal(sol.x, [3.0, 0.0, 0.0, 1.0])
     # with an upper bound on y, row 1 has no such column: phase 1 pivots
     bounded = LinearProgram(c=lp.c, a_eq=a_eq, b_eq=lp.b_eq, upper=[np.inf] * 3 + [5.0])
     sol = solve(bounded)
-    assert sol.status[0] == "optimal" and sol.iterations[0] > 0
-    np.testing.assert_array_equal(sol.x[0], [3.0, 0.0, 0.0, 1.0])
-    c = np.array([[1.0, 1.0, 3.0, 1.0], [1.0, 1.0, 1.0, 1.0], [0.0, -1.0, 0.0, 0.0]])
-    b_eq = np.array([[3.0, -1.0], [3.0, 2.0], [1.0, 1.0]])
+    assert sol.status == "optimal" and sol.iterations > 0
+    np.testing.assert_array_equal(sol.x, [3.0, 0.0, 0.0, 1.0])
     # x1 = 1 + x2 + y grows without end unless y is bounded
-    assert assert_batch_matches_oracle(lp, c, b_eq) == ["optimal", "optimal", "unbounded"]
-    assert assert_batch_matches_oracle(bounded, c, b_eq) == ["optimal", "optimal", "optimal"]
+    for program, statuses in ((lp, ["optimal", "optimal", "unbounded"]),
+                              (bounded, ["optimal", "optimal", "optimal"])):
+        assert [assert_matches_brute_force(with_cost(program, c, b_eq)) for c, b_eq in (
+            ([1.0, 1.0, 3.0, 1.0], [3.0, -1.0]), ([1.0, 1.0, 1.0, 1.0], [3.0, 2.0]),
+            ([0.0, -1.0, 0.0, 0.0], [1.0, 1.0]))] == statuses
 
 
 def test_an_overflowed_tableau_is_numerical_not_optimal():
@@ -440,33 +412,8 @@ def test_an_overflowed_tableau_is_numerical_not_optimal():
                                                 space)
     with np.errstate(over="ignore", invalid="ignore"):
         sol = solve(program)
-    assert sol.status.tolist() == ["numerical"]
-    assert np.isnan(sol.x).all() and np.isnan(sol.objective).all()
-
-
-def test_solve_batch_checks_the_stacked_shapes():
-    lp = LinearProgram(c=[1.0, 1.0], a_eq=[[1.0, 1.0]], b_eq=[1.0])
-    a_eq, lower, upper, one = lp.a_eq, lp.lower, lp.upper[None], [[0, 0, 0]]
-    with pytest.raises(ValueError, match="stack"):
-        solve_batch(a_eq, lower, np.ones((2, 3)), np.ones((2, 1)), upper, one)
-    with pytest.raises(ValueError, match="stack"):
-        solve_batch(a_eq, lower, np.ones((2, 2)), np.ones((3, 1)), np.ones((1, 3)), one)
-    with pytest.raises(ValueError, match="stack"):
-        solve_batch(a_eq, lower, np.ones(2), np.ones(1), upper, one)
-    with pytest.raises(ValueError, match="triple"):
-        solve_batch(a_eq, lower, np.ones((2, 2)), np.ones((1, 1)), upper, [[1, 1, 0]])
-    with pytest.raises(ValueError, match="triple"):
-        solve_batch(a_eq, lower, np.ones((2, 2)), np.ones((1, 1)), upper, [[1, 0]])
-    with pytest.raises(ValueError, match="fix the same"):
-        solve_batch(a_eq, lower, np.ones((1, 2)), np.ones((1, 1)),
-                    np.array([[0.0, 1.0], [1.0, 1.0]]), [[0, 0, 0], [0, 0, 1]])
-    with pytest.raises(ValueError, match="lower bound exceeds"):
-        solve_batch(a_eq, lower, np.ones((1, 2)), np.ones((1, 1)), np.array([[1.0, -1.0]]), one)
-    with pytest.raises(ValueError, match="one column per lower bound"):
-        solve_batch(np.ones((1, 3)), lower, np.ones((1, 2)), np.ones((1, 1)), upper, one)
-    with pytest.raises(ValueError, match="lower bounds must be finite"):
-        solve_batch(a_eq, np.array([0.0, -np.inf]), np.ones((1, 2)), np.ones((1, 1)),
-                    upper, one)
+    assert sol.status == "numerical"
+    assert np.isnan(sol.x).all() and np.isnan(sol.objective)
 
 
 # ---------------------------------------------------------------------------
@@ -488,76 +435,38 @@ def klee_minty(n):
     return np.hstack([a, np.eye(n), b[:, None]]), n + np.arange(n), cost
 
 
-def chvatal_cycle(c=(-10.0, 57.0, 9.0, 24.0)):
+def chvatal_cycle():
     """Slack-basis tableau of Chvatal's degenerate example.
 
     Dantzig's rule with the lowest-index tie-break cycles on it for ever.
     """
     a = np.array([[0.5, -5.5, -2.5, 9.0], [0.5, -1.5, -0.5, 1.0], [1.0, 0.0, 0.0, 0.0]])
     b = np.array([0.0, 0.0, 1.0])
-    return np.hstack([a, np.eye(3), b[:, None]]), np.arange(4, 7), np.concatenate([c, np.zeros(3)])
-
-
-def with_cost_row(tableau, basis, cost):
-    """The tableau with the reduced-cost row of cost in its basis appended,
-    as the core carries it; every variable is uncomplemented and unbounded."""
-    out = np.vstack([tableau, np.zeros(tableau.shape[1])])
-    scalar_lp._price(out, basis, cost, np.zeros(0, bool), np.full(cost.size, np.inf))
-    return out
+    cost = np.array([-10.0, 57.0, 9.0, 24.0, 0.0, 0.0, 0.0])
+    return np.hstack([a, np.eye(3), b[:, None]]), np.arange(4, 7), cost
 
 
 def run_core(tableau, basis, cost):
-    """The batched core on a stack of one; returns (unbounded, iterations, bland)."""
-    unbounded, iterations, bland = _run_simplex(
-        tableau[None], basis[None], np.zeros((1, 0), bool), np.full((1, cost.size), np.inf),
-        np.ones(1, bool))
-    return unbounded[0], iterations[0], bland[0]
-
-
-def run_oracle_core(tableau, basis, cost):
-    return scalar_lp._run_simplex(tableau, basis, np.zeros(0, bool),
-                                  np.full(cost.size, np.inf))
+    """The core on tableau with the reduced-cost row of cost in its basis
+    appended, every variable uncomplemented and unbounded; returns
+    (unbounded, iterations, bland) and the final tableau."""
+    tableau = np.vstack([tableau, np.zeros(tableau.shape[1])])
+    up = np.full(cost.size, np.inf)
+    complemented = np.zeros(tableau.shape[1] - 1, bool)
+    _price(tableau, basis, cost.copy(), complemented, up)
+    return _run_simplex(tableau, basis, complemented, up), tableau
 
 
 def test_stall_counter_counts_only_pivots_that_do_not_improve():
     # 255 improving pivots, far above 2 (m + n) = 48: Dantzig's rule must
     # stay in charge all the way
     tableau, basis, cost = klee_minty(8)
-    tableau = with_cost_row(tableau, basis, cost)
-    assert tableau.shape == (9, 17)  # m = 8 rows, n = 16 columns and the rhs
-    assert run_core(tableau.copy(), basis.copy(), cost) == (False, 2**8 - 1, False)
-    assert run_oracle_core(tableau.copy(), basis.copy(), cost) == ("optimal", 255, False)
+    assert tableau.shape == (8, 17)  # m = 8 rows, n = 16 columns and the rhs
+    assert run_core(tableau, basis, cost)[0] == (False, 2**8 - 1, False)
 
     # a degenerate cycle improves nothing, so Bland's rule takes over
     # after 2 (3 + 7) + 1 pivots and ends it
     tableau, basis, cost = chvatal_cycle()
-    stack, stack_basis = with_cost_row(tableau, basis, cost)[None], basis[None].copy()
-    unbounded, iterations, bland = _run_simplex(stack, stack_basis, np.zeros((1, 0), bool),
-                                                np.full((1, 7), np.inf), np.ones(1, bool))
-    assert not unbounded[0] and bland[0] and iterations[0] > 21
-    assert cost[stack_basis[0]] @ stack[0, :3, -1] == -1.0
-
-
-def test_stacked_simplex_core_matches_the_oracle_per_program():
-    # one stack holds the cycling program (Bland's rule switches on), a copy
-    # that is already finished, an unbounded one and random same-shape ones
-    rng = np.random.default_rng(44)
-    programs = [chvatal_cycle(), chvatal_cycle((1.0, 1.0, 1.0, 1.0)),
-                chvatal_cycle((-1.0, -1.0, 0.0, 0.0))]
-    for _ in range(5):
-        tableau, basis, _ = chvatal_cycle()
-        tableau[:, :4] = rng.integers(-4, 5, size=(3, 4)) / 2.0
-        tableau[:, -1] = rng.integers(0, 3, size=3)
-        programs.append((tableau, basis, rng.uniform(-5, 5, size=7)))
-    programs = [(with_cost_row(*p), p[1], p[2]) for p in programs]
-    stack = np.stack([p[0] for p in programs])
-    stack_basis = np.stack([p[1] for p in programs])
-    unbounded, iterations, bland = _run_simplex(
-        stack, stack_basis, np.zeros((len(programs), 0), bool),
-        np.full((len(programs), 7), np.inf), np.ones(len(programs), bool))
-    assert bland[0] and unbounded[2] and iterations[1] == 0
-    for k, (tableau, basis, cost) in enumerate(programs):
-        tableau, basis = tableau.copy(), basis.copy()
-        status, its, switched = run_oracle_core(tableau, basis, cost)
-        assert (status == "unbounded", its, switched) == (unbounded[k], iterations[k], bland[k])
-        assert np.array_equal(stack[k], tableau) and np.array_equal(stack_basis[k], basis)
+    (unbounded, iterations, bland), final = run_core(tableau, basis, cost)
+    assert not unbounded and bland and iterations > 21
+    assert cost[basis] @ final[:3, -1] == -1.0

@@ -1,6 +1,7 @@
 """The public names of bspower are used by the package or kept for a reason."""
 
 import ast
+import sys
 from pathlib import Path
 
 import bspower
@@ -35,3 +36,16 @@ def referenced_names() -> set[str]:
 
 def test_public_names_no_module_references_are_the_allowlist():
     assert sorted(set(bspower.__all__) - referenced_names()) == sorted(UNREFERENCED)
+
+
+def test_the_package_imports_only_numpy_and_the_standard_library():
+    # scipy, hypothesis and the LP oracles are for tests only
+    allowed = sys.stdlib_module_names | {"numpy"}
+    imported = set()
+    for path in Path(bspower.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert imported and sorted(imported - allowed) == []

@@ -121,8 +121,8 @@ def monolithic_cost(horizon, storage, space, **modes):
     """The oracle: one LP over all scenarios, solved without decomposition."""
     program, _ = build_deterministic_equivalent(horizon, storage, space, **modes)
     solution = lp_mod.solve(program)
-    assert solution.status[0] == "optimal"
-    return solution.objective[0]
+    assert solution.status == "optimal"
+    return solution.objective
 
 
 def mixed_instance():
@@ -372,8 +372,8 @@ def test_small_programs_match_vertex_enumeration():
         program, _ = build_deterministic_equivalent(Horizon(T=T), storage, space)
         fast = lp_mod.solve(program)
         slow = brute_force_solve(program)
-        assert fast.status[0] == slow.status[0] == "optimal"
-        assert fast.objective[0] == pytest.approx(slow.objective[0], abs=1e-8)
+        assert fast.status == slow.status == "optimal"
+        assert fast.objective == pytest.approx(slow.objective, abs=1e-8)
 
 
 def test_decomposition_matches_full_program():
@@ -399,7 +399,7 @@ def test_decomposition_of_single_scenario_is_the_plain_solve():
     full = lp_mod.solve(program)
     purchase, battery, excess = vmap.unpack(full.x)
     split = solve_policy(horizon, storage, space)
-    assert split.expected_cost == pytest.approx(full.objective[0], rel=1e-10)
+    assert split.expected_cost == pytest.approx(full.objective, rel=1e-10)
     np.testing.assert_allclose(split.purchase, purchase, atol=1e-6)
     np.testing.assert_allclose(split.battery, battery, atol=1e-6)
     np.testing.assert_allclose(split.excess, excess, atol=1e-6)

@@ -41,8 +41,8 @@ REL = 1e-12
 def lp_cost(horizon, storage, space, **modes):
     program, _ = build_deterministic_equivalent(horizon, storage, space, **modes)
     solution = lp_mod.solve(program)
-    assert solution.status[0] == "optimal"
-    return solution.objective[0]
+    assert solution.status == "optimal"
+    return solution.objective
 
 
 def space_of(*scenarios):
