@@ -65,12 +65,17 @@ def evaluate_policy(policy: PolicyTable, space: ScenarioSpace) -> np.ndarray:
     s[:, 0] = storage.initial
     for t in range(T - 1):
         s[:, t + 1] = keep * s[:, t] + x[:, t] + renewable[:, t] - consumption[:, t] - y[:, t]
+    # a NaN passes every bound check, and the last period's purchase is priced
+    # without entering the path
+    non_finite = ~(np.isfinite(x).all(axis=1) & np.isfinite(y).all(axis=1))
     leaves = np.any(s < -BALANCE_TOL, axis=1) | np.any(s > storage.capacity + BALANCE_TOL, axis=1)
     missed = np.abs(s[:, T - 1] - storage.terminal) > BALANCE_TOL
-    failed = np.flatnonzero(leaves | missed)
+    failed = np.flatnonzero(non_finite | leaves | missed)
     if failed.size:
         w = failed[0]
         label, path = policy.scenario_labels[w], s[w]
+        if non_finite[w]:
+            raise ReplayError(f"non-finite purchase or excess on day {label!r}")
         if leaves[w]:
             raise ReplayError(
                 f"battery path leaves [0, {storage.capacity}] on day {label!r} "

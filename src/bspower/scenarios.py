@@ -386,8 +386,9 @@ def _scenario_document(doc: dict) -> ScenarioDocument:
     if "consumption" in doc and "traffic" in doc:
         raise ScenarioFileError("document: 'consumption' and 'traffic' are exclusive")
     return ScenarioDocument(
-        horizon=Horizon(T=doc["horizon"]["T"],
-                        period_hours=float(doc["horizon"].get("period_hours", 1.0))),
+        # Horizon's own default period length applies when the key is absent
+        horizon=Horizon(T=doc["horizon"]["T"], **{key: float(value) for key, value
+                                                   in doc["horizon"].items() if key != "T"}),
         price=_marginal(doc, "price"),
         renewable=_marginal(doc, "renewable"),
         consumption=_marginal(doc, "consumption") if "consumption" in doc else None,

@@ -31,13 +31,13 @@ minimiser of its members' merged costs, found in the same call; both
 modes take this one path. Among tied optima the recursion always takes the
 lowest next battery level.
 
-One assembly writes the dense program: _structure gives the constraint
-matrix and bounds of a block, and _costs and _rhs give its rows.
-build_deterministic_equivalent puts them together over the whole space.
-It is the oracle: the tests solve it with bspower.lp and HiGHS, and the
-benchmark's gate with HiGHS, to check the recursion; the CLI never builds
-it. A ScenarioSpace is valid once built, so build_deterministic_equivalent and
-solve_policies only compare its trace length with T.
+build_deterministic_equivalent writes the dense program over the whole
+space in one function: every scenario's balance rows, then the coupling
+rows of each group. It is the oracle: the tests solve it with bspower.lp
+and HiGHS, and the benchmark's gate with HiGHS, to check the recursion;
+the CLI never builds it. A ScenarioSpace is valid once built, so
+build_deterministic_equivalent and solve_policies only compare its trace
+length with T.
 """
 
 from __future__ import annotations
@@ -142,59 +142,6 @@ def _nonanticipativity_groups(space: ScenarioSpace,
     return list(groups.values())
 
 
-def _structure(storage: StorageConfig, size: int, T: int, keep: float, coupled
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Constraint matrix and bounds of a block of size scenarios.
-
-    coupled lists the index lists, within the block, of scenarios whose
-    first-period purchases are made equal: each member after the first
-    gets a row equating its purchase with the first's. Rows are every
-    scenario's balance rows, scenario-major, then the coupling rows;
-    columns follow VariableMap. Returns (a_eq, lower, upper); every block
-    of this size and storage shares them and brings its own _costs and
-    _rhs rows.
-    """
-    n = 3 * T * size
-    leads = [members[0] for members in coupled for _ in members[1:]]
-    others = [w for members in coupled for w in members[1:]]
-    n_balance = size * (T - 1)
-    a_eq = np.zeros((n_balance + len(others), n))
-    balance = a_eq[:n_balance].reshape(size, T - 1, size, 3, T)
-    w, t = np.arange(size)[:, None], np.arange(T - 1)
-    balance[w, t, w, 0, t] = 1.0
-    balance[w, t, w, 1, t] = keep
-    balance[w, t, w, 1, t + 1] = -1.0
-    balance[w, t, w, 2, t] = -1.0
-    coupling = n_balance + np.arange(len(others))
-    a_eq[coupling, 3 * T * np.array(leads, dtype=int)] = 1.0
-    a_eq[coupling, 3 * T * np.array(others, dtype=int)] = -1.0
-    lower = np.zeros((size, 3, T))
-    upper = np.full((size, 3, T), np.inf)
-    upper[:, 1] = storage.capacity
-    lower[:, 1, 0] = upper[:, 1, 0] = storage.initial
-    lower[:, 1, T - 1] = upper[:, 1, T - 1] = storage.terminal
-    return a_eq, lower.ravel(), upper.ravel()
-
-
-def _costs(storage: StorageConfig, probs: np.ndarray, prices: np.ndarray) -> np.ndarray:
-    """Cost rows (blocks, 3 T size) of blocks with probabilities probs
-    (blocks, size) and prices (blocks, size, T)."""
-    blocks, size, T = prices.shape
-    c = np.zeros((blocks, size, 3, T))
-    c[:, :, 0] = probs[:, :, None] * prices / 1000.0
-    c[:, :, 1] = probs[:, :, None] * storage.loss_cost_coeff
-    return c.reshape(blocks, 3 * T * size)
-
-
-def _rhs(net_load: np.ndarray, rows: int) -> np.ndarray:
-    """Right-hand sides (blocks, rows) of blocks with net load (consumption
-    minus renewable) (blocks, size, T); the coupling rows' are 0."""
-    blocks, size, T = net_load.shape
-    b_eq = np.zeros((blocks, rows))
-    b_eq[:, :size * (T - 1)] = net_load[:, :, :T - 1].reshape(blocks, -1)
-    return b_eq
-
-
 def build_deterministic_equivalent(
     horizon: Horizon,
     storage: StorageConfig,
@@ -204,19 +151,45 @@ def build_deterministic_equivalent(
 ) -> tuple[lp_mod.LinearProgram, VariableMap]:
     """Assemble the full LP over all scenarios and the column map.
 
+    Rows are every scenario's T-1 balance rows, scenario-major, then one
+    coupling row per member after the first of each nonanticipativity
+    group, equating its first purchase with the first member's; columns
+    follow VariableMap.
+
     This dense monolithic program is kept only as the documented oracle:
     the HiGHS check in benchmarks/gate.py and the tests solve it to check
     solve_policy. The CLI never calls it; solve_policies solves the same
     program by the storage recursion.
     """
     probabilities, price, net_load = _traces(space, horizon)
-    a_eq, lower, upper = _structure(storage, len(space), horizon.T,
-                                    _retention(storage, physical_discharge),
-                                    _nonanticipativity_groups(space, nonanticipative))
-    program = lp_mod.LinearProgram(
-        c=_costs(storage, probabilities[None], price[None])[0],
-        a_eq=a_eq, b_eq=_rhs(net_load[None], len(a_eq))[0], lower=lower, upper=upper)
-    return program, VariableMap(T=horizon.T, scenario_labels=tuple(space.labels))
+    S, T = price.shape
+    groups = _nonanticipativity_groups(space, nonanticipative)
+    leads = [members[0] for members in groups for _ in members[1:]]
+    others = [w for members in groups for w in members[1:]]
+    n_balance = S * (T - 1)
+    a_eq = np.zeros((n_balance + len(others), 3 * T * S))
+    balance = a_eq[:n_balance].reshape(S, T - 1, S, 3, T)
+    w, t = np.arange(S)[:, None], np.arange(T - 1)
+    balance[w, t, w, 0, t] = 1.0
+    balance[w, t, w, 1, t] = _retention(storage, physical_discharge)
+    balance[w, t, w, 1, t + 1] = -1.0
+    balance[w, t, w, 2, t] = -1.0
+    coupling = n_balance + np.arange(len(others))
+    a_eq[coupling, 3 * T * np.array(leads, dtype=int)] = 1.0
+    a_eq[coupling, 3 * T * np.array(others, dtype=int)] = -1.0
+    b_eq = np.zeros(len(a_eq))
+    b_eq[:n_balance] = net_load[:, :T - 1].ravel()
+    c = np.zeros((S, 3, T))
+    c[:, 0] = probabilities[:, None] * price / 1000.0
+    c[:, 1] = probabilities[:, None] * storage.loss_cost_coeff
+    lower = np.zeros((S, 3, T))
+    upper = np.full((S, 3, T), np.inf)
+    upper[:, 1] = storage.capacity
+    lower[:, 1, 0] = upper[:, 1, 0] = storage.initial
+    lower[:, 1, T - 1] = upper[:, 1, T - 1] = storage.terminal
+    program = lp_mod.LinearProgram(c=c.ravel(), a_eq=a_eq, b_eq=b_eq,
+                                   lower=lower.ravel(), upper=upper.ravel())
+    return program, VariableMap(T=T, scenario_labels=tuple(space.labels))
 
 
 def _storage_recursion(price, net_load, keep, loss, capacity, initial, terminal,
@@ -349,9 +322,15 @@ def solve_policies(
     both endpoint levels in [0, capacity] and costs are non-negative. So a
     block without a finite optimum is one whose numbers overflow.
 
+    Each scenario's cost is its purchases at price / 1000 cents per Wh plus
+    the loss cost of its battery levels, priced for all programs at once,
+    and a cell's expected cost is the left fold of probability times cost
+    in scenario order.
+
     Returns one PolicyTable per cell. Raises RuntimeError at the first
     cell holding a scenario whose cost or schedule is not finite, naming
-    the first scenario of that scenario's block.
+    the first scenario of the first block (its nonanticipativity group, or
+    the scenario alone) of that cell that holds one.
     """
     cells = list(cells)
     if not cells:
@@ -362,9 +341,11 @@ def solve_policies(
             traces[id(space)] = _traces(space, horizon)
         distinct.setdefault((storage, id(space)), (storage, space))
     solved = list(distinct.values())
-    groups = [_nonanticipativity_groups(space, nonanticipative) for _, space in solved]
     sizes = [len(space) for _, space in solved]
     starts = np.cumsum([0, *sizes])
+    merged = [start + np.array(members) for start, (_, space) in zip(starts, solved)
+              for members in _nonanticipativity_groups(space, nonanticipative)
+              if len(members) > 1]
 
     def each(value):
         """value(storage) of each distinct cell, once per scenario."""
@@ -372,60 +353,45 @@ def solve_policies(
 
     probabilities, price, net_load = map(np.concatenate,
                                          zip(*(traces[id(space)] for _, space in solved)))
-    # an overflow shows as a cost or schedule that is not finite, which _policy refuses
+    loss = each(lambda s: s.loss_cost_coeff)
+    # an overflow shows as a cost or schedule that is not finite, refused below
     with np.errstate(over="ignore", invalid="ignore"):
-        schedules = _storage_recursion(
-            price, net_load, each(lambda s: _retention(s, physical_discharge)),
-            each(lambda s: s.loss_cost_coeff), each(lambda s: s.capacity),
-            each(lambda s: s.initial), each(lambda s: s.terminal), probabilities,
-            [start + np.array(members) for start, cell in zip(starts, groups)
-             for members in cell if len(members) > 1])
-        policies = [_policy(storage, space, traces[id(space)], cell_groups,
-                            [part[start:end] for part in schedules],
-                            nonanticipative, physical_discharge)
-                    for (storage, space), cell_groups, start, end
-                    in zip(solved, groups, starts, starts[1:])]
-    by_cell = dict(zip(distinct, policies))
-    return [by_cell[storage, id(space)] for storage, space in cells]
-
-
-def _policy(storage, space, traces, groups, schedules, nonanticipative, physical_discharge):
-    """A cell's PolicyTable from its (purchase, battery, excess) schedules.
-
-    Each scenario's cost is its purchases at price / 1000 cents per Wh plus
-    the loss cost of its battery levels, and the expected cost is the left
-    fold of probability times cost in scenario order. Raises RuntimeError
-    naming the first scenario of the first block (its nonanticipativity
-    group, or the scenario alone) that holds a scenario whose cost or
-    schedule is not finite.
-    """
-    probabilities, price, _ = traces
-    purchase, battery, excess = schedules
-    costs = ((purchase[:, None, :] @ (price / 1000.0)[:, :, None])[:, 0, 0]
-             + storage.loss_cost_coeff * battery.sum(axis=1))
+        purchase, battery, excess = _storage_recursion(
+            price, net_load, each(lambda s: _retention(s, physical_discharge)), loss,
+            each(lambda s: s.capacity), each(lambda s: s.initial),
+            each(lambda s: s.terminal), probabilities, merged)
+        costs = ((purchase[:, None, :] @ (price / 1000.0)[:, :, None])[:, 0, 0]
+                 + loss * battery.sum(axis=1))
     finite = (np.isfinite(costs) & np.isfinite(purchase).all(axis=1)
               & np.isfinite(battery).all(axis=1) & np.isfinite(excess).all(axis=1))
     if not finite.all():
-        lead = np.empty(len(space), dtype=int)
-        for members in groups:
+        lead = np.arange(len(costs))
+        for members in merged:
             lead[members] = members[0]
-        label = space.labels[lead[~finite].min()]
+        failed = np.flatnonzero(~finite)
+        k = int(np.searchsorted(starts, failed[0], side="right")) - 1
+        label = solved[k][1].labels[lead[failed[failed < starts[k + 1]]].min() - starts[k]]
         raise RuntimeError(f"the scenario group of {label!r} has no finite optimum; "
                            "trace values too large for the solver")
-    expected = 0.0
-    for p, cost in zip(probabilities.tolist(), costs.tolist()):
-        expected += p * cost
-    return PolicyTable(
-        scenario_labels=tuple(space.labels),
-        probabilities=space.probabilities,
-        purchase=purchase,
-        battery=battery,
-        excess=excess,
-        expected_cost=expected,
-        storage=storage,
-        physical_discharge=physical_discharge,
-        nonanticipative=nonanticipative,
-    )
+    probabilities, costs = probabilities.tolist(), costs.tolist()
+    policies = []
+    for (storage, space), start, end in zip(solved, starts, starts[1:]):
+        expected = 0.0
+        for p, cost in zip(probabilities[start:end], costs[start:end]):
+            expected += p * cost
+        policies.append(PolicyTable(
+            scenario_labels=tuple(space.labels),
+            probabilities=space.probabilities,
+            purchase=purchase[start:end],
+            battery=battery[start:end],
+            excess=excess[start:end],
+            expected_cost=expected,
+            storage=storage,
+            physical_discharge=physical_discharge,
+            nonanticipative=nonanticipative,
+        ))
+    by_cell = dict(zip(distinct, policies))
+    return [by_cell[storage, id(space)] for storage, space in cells]
 
 
 def per_scenario_decomposition(
@@ -461,6 +427,10 @@ def verify_policy(policy: PolicyTable, horizon: Horizon, space: ScenarioSpace,
     consumption = space.trace_matrix("consumption")
     for name, arr in (("purchase", policy.purchase), ("battery", policy.battery),
                       ("excess", policy.excess)):
+        # every comparison below is false for NaN
+        non_finite = np.count_nonzero(~np.isfinite(arr))
+        if non_finite:
+            problems.append(f"non-finite {name} entries ({non_finite} of {arr.size})")
         if np.any(arr < -tol):
             problems.append(f"negative {name} entries (min {arr.min():.3e})")
     if np.any(policy.battery > policy.storage.capacity + tol):

@@ -169,6 +169,21 @@ def test_replay_error_names_the_first_failing_scenario():
         evaluate_policy(replace(policy, purchase=extra), space)
 
 
+@pytest.mark.parametrize("field, t", [("purchase", 0), ("purchase", 2), ("excess", 1)])
+def test_replay_refuses_a_non_finite_schedule(field, t):
+    # NaN passes every bound check, and the last period's purchase is
+    # priced without entering the battery path
+    horizon = Horizon(T=3)
+    storage = StorageConfig(capacity=400.0, initial=100.0, terminal=100.0)
+    day = ([10.0, 10.0, 10.0], [0.0, 0.0, 0.0], [50.0, 50.0, 0.0])
+    space = ScenarioSpace(tuple(CompositeScenario(label, 0.5, *day) for label in ("w0", "w1")))
+    policy = solve_policy(horizon, storage, space)
+    schedule = getattr(policy, field).copy()
+    schedule[1, t] = np.nan
+    with pytest.raises(ReplayError, match="non-finite purchase or excess on day 'w1'"):
+        evaluate_policy(replace(policy, **{field: schedule}), space)
+
+
 def test_zero_consumption_day_with_matched_endpoints_is_free():
     horizon = Horizon(T=8)
     storage = StorageConfig(capacity=1500.0, initial=900.0, terminal=900.0)

@@ -60,7 +60,7 @@ def highs(lp):
     return HIGHS_STATUS[res.status], (res.fun / scale if res.status == 0 else None)
 
 
-@settings(max_examples=80, deadline=None, database=None)
+@settings(max_examples=80, deadline=None, database=None, print_blob=True)
 @given(lp=programs())
 def test_solve_agrees_with_highs(lp):
     got = solve(lp)

@@ -17,7 +17,7 @@ from bspower.scenarios import (  # noqa: E402
     compose,
 )
 
-SETTINGS = settings(max_examples=100, deadline=None, database=None)
+SETTINGS = settings(max_examples=100, deadline=None, database=None, print_blob=True)
 # short labels over an alphabet with the '|' of composite labels, so joined
 # labels can collide; weights down to 1e-200, so products can underflow
 labels = st.text(alphabet="a|", min_size=1, max_size=2)

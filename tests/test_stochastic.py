@@ -15,7 +15,6 @@ from bspower.stochastic import (
     StorageConfig,
     VariableMap,
     _nonanticipativity_groups,
-    _structure,
     build_deterministic_equivalent,
     per_scenario_decomposition,
     policy_csv_text,
@@ -522,13 +521,25 @@ def test_nonanticipativity_couples_first_period_purchase():
 @pytest.mark.parametrize("keep", [1.0, 0.999])
 def test_every_block_has_full_row_rank_on_its_free_columns(capacity, keep):
     # every balance row has its own excess column and the coupling rows hold
-    # only first-period purchases, none of them fixed, so the simplex never
-    # meets a redundant row in a program the package builds
-    storage = StorageConfig(capacity=capacity, initial=capacity / 2, terminal=capacity / 4)
+    # only first-period purchases, none of them fixed, so the oracle program
+    # has no redundant row for an LP solver to meet, with its scenarios
+    # uncoupled or all in one nonanticipativity group
+    storage = StorageConfig(capacity=capacity, initial=capacity / 2, terminal=capacity / 4,
+                            self_discharge=1.0 - keep)
+    rng = np.random.default_rng(11)
     for size in (1, 2, 4, 12):
-        for coupled in ([[w] for w in range(size)], [range(size)]):
-            a_eq, lower, upper = _structure(storage, size, 24, keep, coupled)
-            assert np.linalg.matrix_rank(a_eq[:, lower != upper]) == len(a_eq), (size, coupled)
+        space = ScenarioSpace(tuple(
+            CompositeScenario(f"w{w}", 1.0 / size, *(np.concatenate([[first], rng.uniform(
+                0.0, 300.0, 23)]) for first in (10.0, 50.0, 200.0)))
+            for w in range(size)))
+        for nonanticipative in (False, True):
+            program, _ = build_deterministic_equivalent(Horizon(T=24), storage, space,
+                                                        nonanticipative, physical_discharge=True)
+            assert program.a_eq[0, 24] == pytest.approx(keep)  # s_1's balance entry
+            free = program.lower != program.upper
+            rows = size * 23 + (size - 1 if nonanticipative else 0)
+            assert program.a_eq.shape == (rows, 3 * 24 * size), (size, nonanticipative)
+            assert np.linalg.matrix_rank(program.a_eq[:, free]) == rows, (size, nonanticipative)
 
 
 def test_default_nonanticipative_plan_is_certified_from_one_batch(recursion_calls):
@@ -630,6 +641,29 @@ def test_first_purchases_a_hair_apart_are_not_certified():
     assert verify_policy(na, horizon, space) == []
 
 
+def test_equal_first_purchases_at_different_levels_merge_to_one_level():
+    # alone, the flat future buys its terminal 2.0e-197 Wh in period 2 and
+    # the dear one in period 1; both first purchases round to 1.0, but the
+    # period-1 levels differ, and the merge puts both members at the
+    # terminal level: a tie of equal cost, not the wait-and-see plan
+    horizon = Horizon(T=3)
+    terminal = 2.005323933780573e-197
+    storage = StorageConfig(capacity=1.0, initial=0.0, terminal=terminal)
+    space = ScenarioSpace(tuple(
+        CompositeScenario(label, 0.5, np.array(price), np.zeros(3), np.array([1.0, 0.0, 0.0]))
+        for label, price in (("flat", [1.0, 1.0, 1.0]), ("dear", [1.0, 2.0, 1.0]))))
+    ws = solve_policy(horizon, storage, space)
+    assert ws.purchase[:, 0].tolist() == [1.0, 1.0]
+    assert ws.battery[:, 1].tolist() == [0.0, terminal]
+    na = solve_policy(horizon, storage, space, nonanticipative=True)
+    assert na.purchase.tolist() == [[1.0, 0.0, 0.0]] * 2
+    assert na.battery.tolist() == [[0.0, terminal, terminal]] * 2
+    assert not na.excess.any()
+    assert na.expected_cost == ws.expected_cost == 0.001
+    assert verify_policy(ws, horizon, space) == []
+    assert verify_policy(na, horizon, space) == []
+
+
 def test_infeasible_group_names_its_first_scenario():
     # only the second member's traces overflow, but the group shares one
     # first purchase, so the failure names the group by its first scenario
@@ -643,6 +677,32 @@ def test_infeasible_group_names_its_first_scenario():
         solve_policy(horizon, storage, space, nonanticipative=True)
     with pytest.raises(RuntimeError, match=r"group of 'dip' has no finite optimum"):
         solve_policy(horizon, storage, space)
+
+
+def test_a_later_cell_without_a_finite_optimum_is_named_by_its_own_block():
+    # the cells before it are finite; the failing program is found among all
+    # of the call's programs and named by the first scenario of its block in
+    # its own cell
+    horizon = Horizon(T=3)
+    consumption = np.array([0.0, 200.0, 0.0])
+    space = ScenarioSpace(tuple(
+        CompositeScenario(label, 0.5, np.array([10.0, later, later]), np.zeros(3), consumption)
+        for label, later in (("spike", 40.0), ("dip", 5.0))))
+    storage = StorageConfig(capacity=500.0, initial=250.0, terminal=250.0)
+    fine = [(replace(storage, loss_cost_coeff=loss), space) for loss in (0.0, 1e-5)]
+    assert all(np.isfinite(policy.expected_cost) for policy in solve_policies(horizon, fine))
+    overflowing = replace(storage, loss_cost_coeff=1e308)  # 1e308 * 500 Wh
+    with pytest.raises(RuntimeError, match=r"group of 'spike' has no finite optimum"):
+        solve_policies(horizon, [*fine, (overflowing, space)])
+    # only the later cell's second scenario overflows: alone it names
+    # itself, in its group the group's first scenario
+    dear = ScenarioSpace(tuple(
+        CompositeScenario(label, 0.5, np.array([10.0, later, later]), np.zeros(3),
+                          np.array([0.0, demand, 0.0]))
+        for label, later, demand in (("low", 40.0, 200.0), ("high", 1e308, 1e300))))
+    for nonanticipative, label in ((False, "high"), (True, "low")):
+        with pytest.raises(RuntimeError, match=rf"group of '{label}' has no finite optimum"):
+            solve_policies(horizon, [*fine, (storage, dear)], nonanticipative)
 
 
 def test_nonanticipativity_only_binds_identical_period_one_data():
@@ -926,6 +986,18 @@ def test_verify_policy_reports_every_violation_in_a_fixed_order():
         "split-dip: balance residual 1.500e+00 at period 1",
         "split-spike: first-period purchases of its group spread 5.000e-01",
     ]
+
+
+@pytest.mark.parametrize("field", ["purchase", "battery", "excess"])
+def test_verify_policy_reports_a_non_finite_schedule(field):
+    # NaN fails every comparison, so no bound, endpoint or balance check
+    # can see it
+    horizon, storage, space = default_program()
+    policy = solve_policy(horizon, storage, space)
+    schedule = getattr(policy, field).copy()
+    schedule[3, 5] = np.nan
+    assert verify_policy(replace(policy, **{field: schedule}), horizon, space) == [
+        f"non-finite {field} entries (1 of 480)"]
 
 
 def test_policy_csv_layout():

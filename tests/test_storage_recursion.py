@@ -135,7 +135,7 @@ def programs(draw):
     return Horizon(T=T), storage, space
 
 
-@settings(max_examples=150, deadline=None, database=None)
+@settings(max_examples=150, deadline=None, database=None, print_blob=True)
 @given(program=programs(), nonanticipative=st.booleans(), physical=st.booleans())
 def test_random_programs_match_the_simplex(program, nonanticipative, physical):
     horizon, storage, space = program

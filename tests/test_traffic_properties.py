@@ -15,7 +15,7 @@ from bspower.units import Horizon  # noqa: E402
 from scalar_traffic import scalar_replicated  # noqa: E402
 
 HORIZON = Horizon(T=12)
-SETTINGS = settings(max_examples=30, deadline=None, database=None)
+SETTINGS = settings(max_examples=30, deadline=None, database=None, print_blob=True)
 seeds = st.integers(0, 2**32 - 1)
 fractions = st.floats(0.0, 1.0)
 
@@ -73,7 +73,7 @@ def batches(draw):
     return Horizon(T=periods, period_hours=period_hours), runs
 
 
-@settings(max_examples=25, deadline=None, database=None)
+@settings(max_examples=25, deadline=None, database=None, print_blob=True)
 @given(batch=batches(), replications=st.integers(1, 2), seed=seeds)
 def test_random_batches_match_scalar_oracle_run_by_run(batch, replications, seed):
     horizon, runs = batch
