@@ -26,6 +26,7 @@ given.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -135,19 +136,27 @@ def _format_cell(v) -> str:
     return f"{float(v):.6f}"
 
 
-def manifest_text(config_hash: str, seed: int) -> str:
-    """Run provenance: config digest, seed, package version. No timestamps,
-    so reruns of the same configuration are byte-identical."""
+@functools.cache
+def _version() -> str:
+    """The installed bspower version, "unknown" when it runs uninstalled.
+
+    Read once per process: each metadata lookup leaves a reference cycle
+    that only a full garbage collection frees."""
     # imported here: it is ~15% of `import bspower`, and only this line needs it
     from importlib import metadata
 
     try:
-        version = metadata.version("bspower")
+        return metadata.version("bspower")
     except metadata.PackageNotFoundError:
-        version = "unknown"
+        return "unknown"
+
+
+def manifest_text(config_hash: str, seed: int) -> str:
+    """Run provenance: config digest, seed, package version. No timestamps,
+    so reruns of the same configuration are byte-identical."""
     return (f"config_sha256: {config_hash}\n"
             f"seed: {seed}\n"
-            f"package: bspower {version}\n")
+            f"package: bspower {_version()}\n")
 
 
 # ---------------------------------------------------------------------------

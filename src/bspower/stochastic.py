@@ -192,6 +192,73 @@ def build_deterministic_equivalent(
     return program, VariableMap(T=T, scenario_labels=tuple(space.labels))
 
 
+def _gathered(source, flat, first):
+    """A (len(flat) + 2, P) array: the row first, the entries of source
+    ravelled at the (len(flat), P) flat indices, then an all-inf row."""
+    out = np.empty((len(flat) + 2, flat.shape[1]))
+    out[0], out[-1] = first, np.inf
+    # in range by construction, so mode="clip" only spares take a buffered copy
+    source.ravel().take(flat, out=out[1:-1], mode="clip")
+    return out
+
+
+def _levels(price, net_load, keep, loss, capacity, initial, terminal, probabilities, groups):
+    """The backward pass and group merge of _storage_recursion: L_t and U_t,
+    each (T - 1, P). Its working arrays are freed when it returns, before
+    the schedules are allocated."""
+    P, T = price.shape
+    rows, room = np.arange(P), capacity > 0.0
+    roomy, limit = rows[room], capacity[room]  # the programs with room, their capacity
+    below, above = np.empty((T - 1, P)), np.empty((T - 1, P))  # L_t and U_t
+    knots, slopes = np.full((2, P), np.inf), np.full((2, P), np.inf)  # one knot, the sentinel
+    knots[0] = terminal
+    for t in range(T - 2, -1, -1):
+        minus_c = -(price[:, t] / 1000.0)
+        up = (slopes >= 0.0).argmax(axis=0)
+        buy = (slopes >= minus_c).argmax(axis=0)
+        below[t], above[t] = knots.ravel().take(buy * P + rows), knots.ravel().take(up * P + rows)
+        if t == 0:
+            break
+        last = knots.shape[0] - 1  # the sentinel row
+        j = np.arange(last + 1)[:, None]
+        z0 = -net_load[:, t]  # what level 0 leaves
+        held = np.maximum((knots <= z0).sum(axis=0) - 1, 0)
+        # W_{t+1}'s knots become their images (k + d_t) / keep, its slopes F_t', in place
+        np.divide(np.add(knots, net_load[:, t], out=knots), keep, out=knots)
+        knots[last] = np.inf
+        slopes.ravel()[up * P + rows] = 0.0  # F_t' is 0 from U_t on; no new knot lies past U_t
+        inside = (j >= buy) & (j <= up) & (knots > 0.0) & (knots < capacity)
+        count = inside.sum(axis=0)
+        span = np.arange(int(count.max()) + 1)[:, None]  # the new knots after 0
+        # flat index of each new knot's source; an untaken slot reads the sentinel
+        flat = inside.argmax(axis=0) * P + rows + span * P
+        np.copyto(flat, last * P + rows, where=span >= count)
+        first = np.where(room, loss + keep * np.where(
+            z0 < below[t], minus_c,
+            np.where(held < up, slopes.ravel().take(held * P + rows), 0.0)), np.inf)
+        # each of W_{t+1}'s arrays is freed once gathered from: a lower peak
+        knots = _gathered(knots, flat, 0.0)
+        knots.ravel()[(1 + count[room]) * P + roomy] = limit
+        slopes = _gathered(slopes, flat, first)
+        np.add(loss, np.multiply(keep, slopes[1:-1], out=slopes[1:-1]),
+               out=slopes[1:-1])  # loss + keep F_t'
+
+    for members in groups:
+        lead = members[0]
+        bound = max(0.0, keep[lead] * initial[lead] - net_load[lead, 0])
+        own = knots[:, members].T
+        candidates = np.concatenate(([bound], own[(own > bound) & (own < np.inf)]))
+        # each member's slope right of a level, -inf below its first knot
+        right = np.concatenate((np.full((len(members), 1), -np.inf), slopes[:, members].T),
+                               axis=1)
+        slope = 0.0
+        for k, w in enumerate(members):
+            g = right[k, np.searchsorted(own[k], candidates, side="right")]
+            slope = slope + probabilities[w] * (price[lead, 0] / 1000.0 + np.minimum(g, 0.0))
+        below[0, members] = np.min(candidates, where=slope >= 0.0, initial=np.inf)
+    return below, above
+
+
 def _storage_recursion(price, net_load, keep, loss, capacity, initial, terminal,
                        probabilities, groups):
     """Optimal purchase, battery and excess schedules, each (P, T), of P
@@ -203,10 +270,10 @@ def _storage_recursion(price, net_load, keep, loss, capacity, initial, terminal,
     Let c_t = price_t / 1000 and d_t the net load. W_t, the optimal cost
     from period t on as a function of the level s_t, is convex and
     piecewise linear; it is held as ascending knots and the slope right of
-    each knot, inf at the last knot, both padded with inf on the right. No
-    values are needed. W_{T-1} is the one knot terminal. Going back, U_t is
-    the first knot of W_{t+1} with slope >= 0, its smallest minimiser, and
-    L_t the first with slope >= -c_t, below which buying a Wh more pays.
+    each knot, inf at the last knot. No values are needed. W_{T-1} is the
+    one knot terminal. Going back, U_t is the first knot of W_{t+1} with
+    slope >= 0, its smallest minimiser, and L_t the first with slope >=
+    -c_t, below which buying a Wh more pays.
     From level s the period leaves z = keep s - d_t before any purchase or
     dump, and the best next level is clip(z, L_t, U_t); the cost from there
     on, F_t(z), has slope -c_t below L_t, W_{t+1}'s slope between and 0
@@ -214,6 +281,15 @@ def _storage_recursion(price, net_load, keep, loss, capacity, initial, terminal,
     the knots 0, capacity (when > 0) and the images (k + d_t) / keep of
     W_{t+1}'s knots k from L_t to U_t that lie strictly between, each with
     right slope loss + keep F_t'.
+
+    The layout is column-major: knots and slopes are (width, P) arrays, one
+    column per program, each column padded with inf below its last knot,
+    and the last row is all inf, a sentinel. So per-program vectors
+    broadcast along rows and counts reduce along axis 0. Each period
+    overwrites W_{t+1}'s arrays with the images and F_t' and gathers every
+    new knot and slope from their ravelled form at flat index row * P +
+    program; a slot past a column's new knots gathers the sentinel row,
+    which pads it with inf with no mask.
 
     The forward pass buys up to Y = max(z, L_t) and dumps down to U_t.
     Among tied optima it takes the lowest next level, because L_t and U_t
@@ -229,50 +305,8 @@ def _storage_recursion(price, net_load, keep, loss, capacity, initial, terminal,
     member then buys Y - z and dumps what lies above its own U_0.
     """
     P, T = price.shape
-    c = price / 1000.0
-    rows, room = np.arange(P), capacity > 0.0
-    below, above = np.empty((T - 1, P)), np.empty((T - 1, P))  # L_t and U_t
-    knots, slopes = terminal[:, None].copy(), np.full((P, 1), np.inf)
-    for t in range(T - 2, -1, -1):
-        up = (slopes >= 0.0).argmax(axis=1)
-        buy = (slopes >= -c[:, t, None]).argmax(axis=1)
-        below[t], above[t] = knots[rows, buy], knots[rows, up]
-        if t == 0:
-            break
-        j = np.arange(knots.shape[1])
-        image = (knots + net_load[:, t, None]) / keep[:, None]
-        inside = ((j >= buy[:, None]) & (j <= up[:, None])
-                  & (image > 0.0) & (image < capacity[:, None]))
-        count = inside.sum(axis=1)
-        f = np.where(j < up[:, None], slopes, 0.0)  # F_t' right of each knot from L_t on
-        z0 = -net_load[:, t]  # what level 0 leaves
-        held = np.maximum((knots <= z0[:, None]).sum(axis=1) - 1, 0)
-        span = np.arange(int(count.max()) + 1)  # the new knots after 0
-        src = np.minimum(inside.argmax(axis=1)[:, None] + span, knots.shape[1] - 1)
-        take = span < count[:, None]
-        knots = np.full((P, span.size + 1), np.inf)
-        slopes = knots.copy()
-        knots[:, 0] = 0.0
-        slopes[:, 0] = np.where(room, loss + keep * np.where(
-            z0 < below[t], -c[:, t], f[rows, held]), np.inf)
-        knots[:, 1:] = np.where(take, image[rows[:, None], src], np.inf)
-        slopes[:, 1:] = np.where(take, loss[:, None] + keep[:, None] * f[rows[:, None], src],
-                                 np.inf)
-        knots[room, 1 + count[room]] = capacity[room]
-
-    for members in groups:
-        lead = members[0]
-        bound = max(0.0, keep[lead] * initial[lead] - net_load[lead, 0])
-        own = knots[members]
-        candidates = np.concatenate(([bound], own[(own > bound) & (own < np.inf)]))
-        # each member's slope right of a level, -inf below its first knot
-        right = np.concatenate((np.full((len(members), 1), -np.inf), slopes[members]), axis=1)
-        slope = 0.0
-        for k, w in enumerate(members):
-            g = right[k, np.searchsorted(own[k], candidates, side="right")]
-            slope = slope + probabilities[w] * (c[lead, 0] + np.minimum(g, 0.0))
-        below[0, members] = np.min(candidates, where=slope >= 0.0, initial=np.inf)
-
+    below, above = _levels(price, net_load, keep, loss, capacity, initial, terminal,
+                           probabilities, groups)
     purchase, battery, excess = np.zeros((P, T)), np.empty((P, T)), np.zeros((P, T))
     battery[:, 0] = initial
     for t in range(T - 1):

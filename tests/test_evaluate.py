@@ -1,5 +1,6 @@
 """Policy replay, the no-scheduling baseline, reports, and sweeps."""
 
+import gc
 import os
 import subprocess
 import sys
@@ -328,6 +329,22 @@ def test_manifest_is_stable_and_labelled():
     assert "config_sha256: deadbeef" in a
     assert "seed: 7" in a
     assert "bspower" in a
+
+
+def test_repeated_manifests_leave_no_garbage_cycles():
+    # each package-metadata lookup leaves a reference cycle; the version is
+    # read once per process, so later manifests leave nothing to collect
+    manifest_text("deadbeef", 7)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        for seed in range(10):
+            manifest_text("deadbeef", seed)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_importing_the_package_leaves_importlib_metadata_unloaded():

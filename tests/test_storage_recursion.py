@@ -5,9 +5,14 @@ a nonanticipativity group couples only through its first purchase, so
 ``solve_policies`` solves them all by one backward recursion and a
 one-dimensional merge per group. These tests hold it to the dense
 deterministic equivalent solved by ``bspower.lp`` and by HiGHS, and pin
-its rule for tied optima: the lowest next battery level.
+its rule for tied optima: the lowest next battery level, and hold its
+column-major layout to the row-major form kept in
+``tests/row_major_recursion.py``, byte for byte.
 """
 
+import contextlib
+import dataclasses
+import io
 import tracemalloc
 
 import numpy as np
@@ -16,9 +21,12 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
+from hypothesis.extra import numpy as hnp  # noqa: E402
+from row_major_recursion import _storage_recursion as row_major  # noqa: E402
 
 from bspower import lp as lp_mod  # noqa: E402
 from bspower.calibration import DEFAULT_CONFIG, calibration_from_config  # noqa: E402
+from bspower.cli import main  # noqa: E402
 from bspower.scenarios import (  # noqa: E402
     CompositeScenario,
     ScenarioSpace,
@@ -27,6 +35,7 @@ from bspower.scenarios import (  # noqa: E402
 from bspower.stochastic import (  # noqa: E402
     StorageConfig,
     _nonanticipativity_groups,
+    _storage_recursion,
     build_deterministic_equivalent,
     solve_policy,
     verify_policy,
@@ -219,3 +228,89 @@ def test_one_group_of_the_whole_space_matches_highs(sizes, book_cost, physical):
     assert policy.expected_cost == pytest.approx(want, rel=1e-9)
     if not physical:
         assert policy.expected_cost == pytest.approx(book_cost, rel=REL)
+
+
+# ---------------------------------------------------------------------------
+# the column-major layout against the row-major form
+# ---------------------------------------------------------------------------
+
+def assert_same_schedules(*args):
+    """The shipped recursion and the row-major form return byte-equal
+    purchase, battery and excess schedules for one call's arguments."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        want, got = row_major(*args), _storage_recursion(*args)
+    for name, a, b in zip(("purchase", "battery", "excess"), want, got):
+        assert a.tobytes() == b.tobytes(), name
+
+
+@st.composite
+def batches(draw):
+    """The arguments of one recursion call: 1-40 programs of 2-14 periods.
+
+    Whole-number prices and net loads make tied optima common; capacity 0
+    may sit beside 1e300 in one call, so columns hold very different knot
+    counts; retention may be below 1. Some rows may be scaled so that
+    their net loads reach 1.6e308 and the images of their knots overflow,
+    and one group of two or more programs may share its first period and
+    its battery.
+    """
+    P, T = draw(st.integers(1, 40)), draw(st.integers(2, 14))
+
+    def matrix(lo, hi):
+        return draw(hnp.arrays(float, (P, T), elements=st.integers(lo, hi).map(float)))
+
+    def vector(elements):
+        return draw(hnp.arrays(float, P, elements=elements))
+
+    price, net_load = matrix(0, 40), matrix(-400, 400)
+    capacity = vector(st.sampled_from([0.0, 1.0, 300.0, 1000.0, 3000.0, 1e300]))
+    keep = vector(st.sampled_from([0.5, 0.999, 1.0]))
+    loss = vector(st.sampled_from([0.0, 1e-5, 1e-3]))
+    initial, terminal = (np.minimum(vector(st.integers(0, 3000).map(float)), capacity)
+                         for _ in "it")
+    probabilities = vector(st.integers(1, 9).map(float))
+    probabilities /= probabilities.sum()
+    scaled = draw(hnp.arrays(bool, P))
+    scale = draw(st.sampled_from([1e100, 1e300, 4e305]))
+    price[scaled] *= scale
+    net_load[scaled] *= scale
+    groups = []
+    if P > 1 and draw(st.booleans()):
+        members = np.array(sorted(draw(st.sets(st.integers(0, P - 1), min_size=2))))
+        lead = members[0]
+        price[members, 0], net_load[members, 0] = price[lead, 0], net_load[lead, 0]
+        for shared in (keep, loss, capacity, initial, terminal):
+            shared[members] = shared[lead]
+        groups = [members]
+    return (price, net_load, keep, loss, capacity, initial, terminal, probabilities,
+            groups)
+
+
+@settings(max_examples=150, deadline=None, database=None, print_blob=True)
+@given(args=batches())
+def test_random_batches_match_the_row_major_form(args):
+    assert_same_schedules(*args)
+
+
+def test_the_storage_sweep_call_matches_the_row_major_form(tmp_path, recursion_calls):
+    # the benchmark's storage sweep at seed 1: 80 scenarios x 16 cells
+    from test_reference_digests import WORKLOADS
+
+    storage = WORKLOADS.write_storage_file(tmp_path, 1)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["sweep", "battery", "--scenarios", str(storage), "--seed", "1",
+                     "--out", str(tmp_path / "out")]) == 0
+    call, = recursion_calls
+    assert len(call.price) == 80 * 16
+    args = [getattr(call, field.name) for field in dataclasses.fields(call)]
+    assert_same_schedules(*args)
+    # and it holds no more memory at once than the row-major form
+    peaks = []
+    for recursion in (row_major, _storage_recursion):
+        tracemalloc.start()
+        try:
+            recursion(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0]
