@@ -4,9 +4,11 @@ evaluate_policy replays a solved schedule against a scenario space with
 the policy's labels: each scenario's purchase and dump decisions are
 applied as-is, and its battery trajectory is recomputed forward from the
 initial level via the balance equation, then certified against capacity
-and the terminal condition. The result is one cost per scenario.
-Replaying the space used at solve time therefore reproduces the
-optimizer's own trajectories and costs.
+and the terminal condition. The result is one cost per scenario, priced
+by stochastic._costs exactly as the solve prices its schedules. Replaying
+the space used at solve time therefore reproduces the optimizer's own
+trajectories and costs. The baseline's expectation and the arrival
+sweep's averages are stochastic._expected, the solve's own fold.
 
 The baseline scheme never schedules the battery: it holds a constant
 level, buys whatever consumption exceeds renewable supply each period,
@@ -34,7 +36,8 @@ import numpy as np
 from .calibration import Calibration, _keyed
 from .power_model import consumption_trace
 from .scenarios import MarginalScenario, MarginalSpace, ScenarioSpace, compose
-from .stochastic import BALANCE_TOL, PolicyTable, _retention, solve_policies
+from .stochastic import (BALANCE_TOL, PolicyTable, _costs, _expected, _retention,
+                         solve_policies)
 from .traffic import (CacConfig, TrafficSpec, _check_events, simulate_replicated,
                       uniform_traffic)
 
@@ -43,11 +46,6 @@ DAYS_PER_MONTH = 30
 
 class ReplayError(RuntimeError):
     """A replayed schedule violated storage bounds or the terminal level."""
-
-
-def _energy_cost(purchase: np.ndarray, price: np.ndarray) -> np.ndarray:
-    """Each row's purchase cost in cents, summed as the row's own x @ price."""
-    return (purchase[:, None, :] @ price[:, :, None])[:, 0, 0] / 1000.0
 
 
 def evaluate_policy(policy: PolicyTable, space: ScenarioSpace) -> np.ndarray:
@@ -83,7 +81,7 @@ def evaluate_policy(policy: PolicyTable, space: ScenarioSpace) -> np.ndarray:
                 f"(range {path.min():.6f}..{path.max():.6f})")
         raise ReplayError(
             f"terminal level {path[T - 1]:.6f} != {storage.terminal} on day {label!r}")
-    return _energy_cost(x, space.trace_matrix("price")) + storage.loss_cost_coeff * s.sum(axis=1)
+    return _costs(x, space.trace_matrix("price"), storage.loss_cost_coeff, s.sum(axis=1))
 
 
 def baseline_policy(storage, space: ScenarioSpace, hold_level: float = 1000.0) -> float:
@@ -92,9 +90,9 @@ def baseline_policy(storage, space: ScenarioSpace, hold_level: float = 1000.0) -
     level = min(hold_level, storage.capacity)
     purchase = np.maximum(0.0, space.trace_matrix("consumption")
                           - space.trace_matrix("renewable"))
-    per_scenario = (_energy_cost(purchase, space.trace_matrix("price"))
-                    + storage.loss_cost_coeff * level * purchase.shape[1])
-    return float(space.probabilities @ per_scenario)
+    per_scenario = _costs(purchase, space.trace_matrix("price"), storage.loss_cost_coeff,
+                          level * purchase.shape[1])
+    return _expected(space.probabilities, per_scenario)
 
 
 def monthly_cost(expected_daily_cost: float) -> float:
@@ -291,10 +289,8 @@ def sweep_arrival_rate(rates, cal: Calibration, seed: int = 0) -> ExperimentRepo
     rows = []
     for i, policy in zip(order, _solve_traces(cal, traces)):
         rate = float(rates[i])
-        probs = policy.probabilities
-        avg_purchase = float(probs @ policy.purchase.mean(axis=1))
-        avg_battery = float(probs @ policy.battery.mean(axis=1))
-        rows.append((rate, avg_purchase, avg_battery))
+        rows.append((rate, _expected(policy.probabilities, policy.purchase.mean(axis=1)),
+                     _expected(policy.probabilities, policy.battery.mean(axis=1))))
     return ExperimentReport(
         columns=("arrival_rate_per_min", "avg_purchase_wh", "avg_battery_wh"),
         rows=tuple(rows))

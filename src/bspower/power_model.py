@@ -30,9 +30,10 @@ class BaseStationParams:
     max_connections: int
 
     def __post_init__(self):
-        if self.e_static_w < 0 or self.e_dynamic_w < 0:
+        # each rule is written to be false for NaN and for inf
+        if not (0.0 <= self.e_static_w < np.inf and 0.0 <= self.e_dynamic_w < np.inf):
             raise ValueError("power coefficients must be non-negative")
-        if self.max_connections < 1:
+        if not 1 <= self.max_connections < np.inf:
             raise ValueError(f"max_connections must be >= 1, got {self.max_connections}")
 
 

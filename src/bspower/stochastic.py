@@ -65,17 +65,19 @@ class StorageConfig:
     loss_cost_coeff: float = 0.0
 
     def __post_init__(self):
-        if self.capacity < 0:
+        # each rule is false for NaN; an infinite capacity solves to a
+        # finite plan, but the levels and the loss cost must be finite
+        if not self.capacity >= 0:
             raise ValueError(f"capacity must be >= 0, got {self.capacity}")
         for name in ("initial", "terminal"):
             level = getattr(self, name)
-            if not 0.0 <= level <= self.capacity:
+            if not (0.0 <= level <= self.capacity and level < np.inf):
                 raise ValueError(
                     f"{name} level {level} outside [0, capacity={self.capacity}]"
                 )
         if not 0.0 <= self.self_discharge < 1.0:
             raise ValueError(f"self_discharge must be in [0, 1), got {self.self_discharge}")
-        if self.loss_cost_coeff < 0:
+        if not 0.0 <= self.loss_cost_coeff < np.inf:
             raise ValueError(f"loss_cost_coeff must be >= 0, got {self.loss_cost_coeff}")
 
 
@@ -123,6 +125,25 @@ def _traces(space: ScenarioSpace, horizon: Horizon):
         raise ValueError(f"scenarios: trace length {price.shape[1]} != T={horizon.T}")
     return (space.probabilities, price,
             space.trace_matrix("consumption") - space.trace_matrix("renewable"))
+
+
+def _costs(purchase, price, loss, stored_wh):
+    """Each program's cost in cents: its purchases at price / 1000 cents per
+    Wh, added period by period from 0 in period order, plus loss times its
+    stored Wh. Written out, so the bits do not depend on the BLAS loaded."""
+    total = np.zeros(len(purchase))
+    for t in range(purchase.shape[1]):
+        total += purchase[:, t] * (price[:, t] / 1000.0)
+    return total + loss * stored_wh
+
+
+def _expected(probabilities, values) -> float:
+    """The expectation of values: the left fold of probability times value
+    in scenario order, in Python floats."""
+    total = 0.0
+    for p, value in zip(probabilities.tolist(), values.tolist()):
+        total += p * value
+    return total
 
 
 def _nonanticipativity_groups(space: ScenarioSpace,
@@ -356,10 +377,12 @@ def solve_policies(
     both endpoint levels in [0, capacity] and costs are non-negative. So a
     block without a finite optimum is one whose numbers overflow.
 
-    Each scenario's cost is its purchases at price / 1000 cents per Wh plus
-    the loss cost of its battery levels, priced for all programs at once,
-    and a cell's expected cost is the left fold of probability times cost
-    in scenario order.
+    Each scenario's cost is its purchases at price / 1000 cents per Wh,
+    added period by period, plus the loss cost of its battery levels
+    (_costs), and a cell's expected cost is the left fold of probability
+    times cost in scenario order (_expected). Replay, the baseline and the
+    sweeps price and average with the same two functions, so every figure
+    has the same bits whatever BLAS kernel or thread count is loaded.
 
     Returns one PolicyTable per cell. Raises RuntimeError at the first
     cell holding a scenario whose cost or schedule is not finite, naming
@@ -394,8 +417,7 @@ def solve_policies(
             price, net_load, each(lambda s: _retention(s, physical_discharge)), loss,
             each(lambda s: s.capacity), each(lambda s: s.initial),
             each(lambda s: s.terminal), probabilities, merged)
-        costs = ((purchase[:, None, :] @ (price / 1000.0)[:, :, None])[:, 0, 0]
-                 + loss * battery.sum(axis=1))
+        costs = _costs(purchase, price, loss, battery.sum(axis=1))
     finite = (np.isfinite(costs) & np.isfinite(purchase).all(axis=1)
               & np.isfinite(battery).all(axis=1) & np.isfinite(excess).all(axis=1))
     if not finite.all():
@@ -407,19 +429,15 @@ def solve_policies(
         label = solved[k][1].labels[lead[failed[failed < starts[k + 1]]].min() - starts[k]]
         raise RuntimeError(f"the scenario group of {label!r} has no finite optimum; "
                            "trace values too large for the solver")
-    probabilities, costs = probabilities.tolist(), costs.tolist()
     policies = []
     for (storage, space), start, end in zip(solved, starts, starts[1:]):
-        expected = 0.0
-        for p, cost in zip(probabilities[start:end], costs[start:end]):
-            expected += p * cost
         policies.append(PolicyTable(
             scenario_labels=tuple(space.labels),
             probabilities=space.probabilities,
             purchase=purchase[start:end],
             battery=battery[start:end],
             excess=excess[start:end],
-            expected_cost=expected,
+            expected_cost=_expected(probabilities[start:end], costs[start:end]),
             storage=storage,
             physical_discharge=physical_discharge,
             nonanticipative=nonanticipative,

@@ -15,6 +15,7 @@ battery holds 2000 Wh).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -26,9 +27,10 @@ class Horizon:
     period_hours: float = 1.0
 
     def __post_init__(self):
-        if self.T < 2:
+        # each rule is written to be false for NaN and for inf
+        if not 2 <= self.T < math.inf:
             raise ValueError(f"horizon needs at least 2 periods, got T={self.T}")
-        if self.period_hours <= 0:
+        if not 0.0 < self.period_hours < math.inf:
             raise ValueError(f"period_hours must be positive, got {self.period_hours}")
 
     @property

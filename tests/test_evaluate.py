@@ -89,13 +89,12 @@ def test_replay_reproduces_solver_cost_per_scenario():
 
 @pytest.mark.parametrize("physical", [False, True])
 def test_replay_costs_equal_each_scenarios_own_sum(physical):
-    # bit for bit: the stacked product sums each row as its own x @ price
+    # bit for bit: each row's purchases are priced period by period in order
     rng = np.random.default_rng(3)
     for _ in range(5):
         horizon, storage, space = random_instance(rng)
         policy = solve_policy(horizon, storage, space, physical_discharge=physical)
         keep = 1.0 - storage.self_discharge if physical else 1.0
-        price = space.trace_matrix("price")
         costs = evaluate_policy(policy, space)
         for w, scen in enumerate(space.scenarios):
             x, y = policy.purchase[w], policy.excess[w]
@@ -105,7 +104,10 @@ def test_replay_costs_equal_each_scenarios_own_sum(physical):
                 path[t + 1] = (keep * path[t] + x[t] + scen.renewable[t]
                                - scen.consumption[t] - y[t])
             np.testing.assert_allclose(path, policy.battery[w], rtol=0, atol=1e-6)
-            assert costs[w] == x @ price[w] / 1000.0 + storage.loss_cost_coeff * path.sum()
+            c = 0.0
+            for t in range(horizon.T):
+                c += x[t] * (scen.price[t] / 1000.0)
+            assert costs[w] == c + storage.loss_cost_coeff * path.sum()
 
 
 def test_replay_cost_of_a_hand_solved_day():

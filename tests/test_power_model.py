@@ -1,5 +1,7 @@
 """Affine base-station power model: static draw plus per-connection draw."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -77,3 +79,14 @@ def test_params_validation():
         BaseStationParams(e_static_w=194.25, e_dynamic_w=-24.0, max_connections=25)
     with pytest.raises(ValueError):
         BaseStationParams(e_static_w=194.25, e_dynamic_w=24.0, max_connections=0)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("e_static_w", np.nan, "power coefficients must be non-negative"),
+    ("e_dynamic_w", np.inf, "power coefficients must be non-negative"),
+    ("max_connections", np.inf, "max_connections must be >= 1, got inf"),
+])
+def test_params_refuse_non_finite_values(field, value, message):
+    fields = dict(e_static_w=194.25, e_dynamic_w=24.0, max_connections=25)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        BaseStationParams(**{**fields, field: value})

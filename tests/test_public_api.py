@@ -49,3 +49,22 @@ def test_the_package_imports_only_numpy_and_the_standard_library():
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 imported.add(node.module.split(".")[0])
     assert imported and sorted(imported - allowed) == []
+
+
+def test_no_module_but_lp_multiplies_matrices():
+    # costs and expectations are summed in written order, never by a BLAS
+    # product whose order depends on the kernel loaded; lp.py, the simplex
+    # the tests check the storage recursion with, is the one exception
+    products = {"dot", "vdot", "inner", "matmul", "tensordot", "einsum"}
+    found = []
+    for path in Path(bspower.__file__).parent.glob("*.py"):
+        if path.name == "lp.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = (node.attr if isinstance(node, ast.Attribute)
+                    else node.id if isinstance(node, ast.Name) else None)
+            matmult = (isinstance(node, (ast.BinOp, ast.AugAssign))
+                       and isinstance(node.op, ast.MatMult))
+            if matmult or name in products:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

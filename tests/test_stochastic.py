@@ -171,6 +171,29 @@ def test_storage_config_validation():
         StorageConfig(capacity=100.0, initial=0.0, terminal=0.0, loss_cost_coeff=-1.0)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("capacity", np.nan, "capacity must be >= 0, got nan"),
+    ("initial", np.inf, "initial level inf outside [0, capacity=inf]"),
+    ("terminal", np.nan, "terminal level nan outside [0, capacity=inf]"),
+    ("self_discharge", np.nan, "self_discharge must be in [0, 1), got nan"),
+    ("loss_cost_coeff", np.nan, "loss_cost_coeff must be >= 0, got nan"),
+])
+def test_storage_config_refuses_non_finite_values(field, value, message):
+    # the capacity is inf, which is accepted, so only the field under test fails
+    fields = dict(capacity=np.inf, initial=500.0, terminal=500.0)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        StorageConfig(**{**fields, field: value})
+
+
+def test_an_infinite_capacity_solves_to_a_finite_plan():
+    storage = StorageConfig(capacity=np.inf, initial=500.0, terminal=500.0,
+                            loss_cost_coeff=1e-5)
+    space = single_scenario([10.0, 30.0, 20.0], [0.0, 100.0, 0.0], [300.0, 0.0, 200.0])
+    policy = solve_policy(Horizon(T=3), storage, space)
+    assert np.isfinite(policy.expected_cost)
+    assert verify_policy(policy, Horizon(T=3), space) == []
+
+
 def test_variable_map_roundtrip():
     vmap = VariableMap(T=4, scenario_labels=("a", "b", "c"))
     n = 3 * 3 * 4

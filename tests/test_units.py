@@ -1,5 +1,8 @@
 """The horizon clock."""
 
+import math
+import re
+
 import pytest
 
 import bspower
@@ -23,6 +26,16 @@ def test_horizon_validation():
         Horizon(T=24, period_hours=-1.0)
     # 2 periods is the smallest horizon with a balance constraint
     assert Horizon(T=2).T == 2
+
+
+@pytest.mark.parametrize("fields, message", [
+    (dict(T=math.inf), "horizon needs at least 2 periods, got T=inf"),
+    (dict(T=24, period_hours=math.nan), "period_hours must be positive, got nan"),
+    (dict(T=24, period_hours=math.inf), "period_hours must be positive, got inf"),
+])
+def test_horizon_refuses_non_finite_values(fields, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Horizon(**fields)
 
 
 def test_horizon_subhourly_periods():
