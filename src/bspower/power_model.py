@@ -31,7 +31,11 @@ class BaseStationParams:
 
     def __post_init__(self):
         # each rule is written to be false for NaN and for inf
-        if not (0.0 <= self.e_static_w < np.inf and 0.0 <= self.e_dynamic_w < np.inf):
+        for name in ("e_static_w", "e_dynamic_w"):
+            value = getattr(self, name)
+            if not -np.inf < value < np.inf:
+                raise ValueError(f"{name} must be finite, got {value}")
+        if not (self.e_static_w >= 0.0 and self.e_dynamic_w >= 0.0):
             raise ValueError("power coefficients must be non-negative")
         if not 1 <= self.max_connections < np.inf:
             raise ValueError(f"max_connections must be >= 1, got {self.max_connections}")

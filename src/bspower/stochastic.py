@@ -223,40 +223,54 @@ def _gathered(source, flat, first):
     return out
 
 
+def _count(mask):
+    """The number of True entries in each column of mask, as intp. numpy
+    sums a bool array about twice as fast into int32 as into int64."""
+    return mask.sum(axis=0, dtype=np.int32).astype(np.intp)
+
+
 def _levels(price, net_load, keep, loss, capacity, initial, terminal, probabilities, groups):
     """The backward pass and group merge of _storage_recursion: L_t and U_t,
     each (T - 1, P). Its working arrays are freed when it returns, before
-    the schedules are allocated."""
+    the schedules are allocated.
+
+    The slopes of W_t right of the images of W_{t+1}'s knots at or past
+    U_t are exact only in sign. F_t' is 0 there, so the exact slope is
+    loss; the pass keeps loss + keep times W_{t+1}'s slope, which is also
+    >= 0. Only that sign reaches a decision: the counts for L_t and U_t and
+    the merge's min(g, 0)."""
     P, T = price.shape
     rows, room = np.arange(P), capacity > 0.0
     roomy, limit = rows[room], capacity[room]  # the programs with room, their capacity
     below, above = np.empty((T - 1, P)), np.empty((T - 1, P))  # L_t and U_t
-    knots, slopes = np.full((2, P), np.inf), np.full((2, P), np.inf)  # one knot, the sentinel
+    knots, slopes = np.full((2, P), np.inf), np.full((2, P), np.inf)  # one knot, the inf row
     knots[0] = terminal
     for t in range(T - 2, -1, -1):
         minus_c = -(price[:, t] / 1000.0)
-        up = (slopes >= 0.0).argmax(axis=0)
-        buy = (slopes >= minus_c).argmax(axis=0)
+        # each column's slopes ascend, so the first that qualifies is a count
+        up = _count(slopes < 0.0)
+        buy = _count(slopes < minus_c)
         below[t], above[t] = knots.ravel().take(buy * P + rows), knots.ravel().take(up * P + rows)
         if t == 0:
             break
-        last = knots.shape[0] - 1  # the sentinel row
-        j = np.arange(last + 1)[:, None]
         z0 = -net_load[:, t]  # what level 0 leaves
-        held = np.maximum((knots <= z0).sum(axis=0) - 1, 0)
-        # W_{t+1}'s knots become their images (k + d_t) / keep, its slopes F_t', in place
-        np.divide(np.add(knots, net_load[:, t], out=knots), keep, out=knots)
-        knots[last] = np.inf
-        slopes.ravel()[up * P + rows] = 0.0  # F_t' is 0 from U_t on; no new knot lies past U_t
-        inside = (j >= buy) & (j <= up) & (knots > 0.0) & (knots < capacity)
-        count = inside.sum(axis=0)
-        span = np.arange(int(count.max()) + 1)[:, None]  # the new knots after 0
-        # flat index of each new knot's source; an untaken slot reads the sentinel
-        flat = inside.argmax(axis=0) * P + rows + span * P
-        np.copyto(flat, last * P + rows, where=span >= count)
+        low = _count(knots <= z0)  # the knots whose images are <= 0
+        # W_t's slope right of 0: -c_t below L_t, else W_{t+1}'s at z0
         first = np.where(room, loss + keep * np.where(
-            z0 < below[t], minus_c,
-            np.where(held < up, slopes.ravel().take(held * P + rows), 0.0)), np.inf)
+            z0 < below[t], minus_c, slopes.ravel().take(np.maximum(low - 1, 0) * P + rows)),
+            np.inf)
+        # W_{t+1}'s knots become their images (k + d_t) / keep, in place
+        np.divide(np.add(knots, net_load[:, t], out=knots), keep, out=knots)
+        # the run of new knots: rows lo to end - 1, from L_t to U_t, in (0, capacity)
+        lo = np.maximum(buy, low)
+        end = np.maximum(np.minimum(up + 1, _count(knots < capacity)), lo)
+        count = end - lo
+        stop = end * P + rows
+        knots.ravel()[stop] = slopes.ravel()[stop] = np.inf
+        span = np.arange(int(count.max()) + 1)[:, None]  # the new knots after 0
+        # flat index of each new knot's source; an untaken slot reads row end
+        flat = lo * P + rows + span * P
+        np.minimum(flat, stop, out=flat)  # in place: a lower peak
         # each of W_{t+1}'s arrays is freed once gathered from: a lower peak
         knots = _gathered(knots, flat, 0.0)
         knots.ravel()[(1 + count[room]) * P + roomy] = limit
@@ -305,12 +319,21 @@ def _storage_recursion(price, net_load, keep, loss, capacity, initial, terminal,
 
     The layout is column-major: knots and slopes are (width, P) arrays, one
     column per program, each column padded with inf below its last knot,
-    and the last row is all inf, a sentinel. So per-program vectors
-    broadcast along rows and counts reduce along axis 0. Each period
-    overwrites W_{t+1}'s arrays with the images and F_t' and gathers every
-    new knot and slope from their ravelled form at flat index row * P +
-    program; a slot past a column's new knots gathers the sentinel row,
-    which pads it with inf with no mask.
+    and the last row is all inf. So per-program vectors broadcast along
+    rows and counts reduce along axis 0. Each column's knots and slopes
+    ascend (W_t is convex, rounding is monotone and the padding is inf), so
+    each search is a count: U_t is the knot at row (slopes < 0).sum() and
+    L_t the one at row (slopes < -c_t).sum(). The images that enter W_t form
+    one run of rows, lo to end - 1. lo is the larger of L_t's row and the
+    number of knots k <= -d_t, whose images are <= 0: k + d_t rounds to 0
+    only when it is 0, and rounding keeps the sign. end is the smaller of
+    U_t's row + 1 and the number of images below capacity, and at least lo.
+    Each period overwrites W_{t+1}'s knots with their images, writes inf
+    into row end of both arrays, and gathers every new knot and slope from
+    their ravelled form at flat index row * P + program; a slot past a
+    column's run gathers its row end, which pads it with inf with no mask.
+    U_t's row is above the all-inf last row, and lo is at most that row,
+    so row end is always in range.
 
     The forward pass buys up to Y = max(z, L_t) and dumps down to U_t.
     Among tied optima it takes the lowest next level, because L_t and U_t

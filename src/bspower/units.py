@@ -16,6 +16,7 @@ battery holds 2000 Wh).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 
@@ -30,6 +31,8 @@ class Horizon:
         # each rule is written to be false for NaN and for inf
         if not 2 <= self.T < math.inf:
             raise ValueError(f"horizon needs at least 2 periods, got T={self.T}")
+        if not isinstance(self.T, numbers.Integral):
+            raise ValueError(f"horizon needs a whole number of periods, got T={self.T}")
         if not 0.0 < self.period_hours < math.inf:
             raise ValueError(f"period_hours must be positive, got {self.period_hours}")
 

@@ -82,8 +82,9 @@ def test_params_validation():
 
 
 @pytest.mark.parametrize("field, value, message", [
-    ("e_static_w", np.nan, "power coefficients must be non-negative"),
-    ("e_dynamic_w", np.inf, "power coefficients must be non-negative"),
+    ("e_static_w", np.nan, "e_static_w must be finite, got nan"),
+    ("e_dynamic_w", np.inf, "e_dynamic_w must be finite, got inf"),
+    ("e_dynamic_w", -np.inf, "e_dynamic_w must be finite, got -inf"),
     ("max_connections", np.inf, "max_connections must be >= 1, got inf"),
 ])
 def test_params_refuse_non_finite_values(field, value, message):

@@ -314,3 +314,69 @@ def test_the_storage_sweep_call_matches_the_row_major_form(tmp_path, recursion_c
         finally:
             tracemalloc.stop()
     assert peaks[1] <= peaks[0]
+
+
+# ---------------------------------------------------------------------------
+# edge cases of each period's run of new knots, against the row-major form
+# ---------------------------------------------------------------------------
+
+def call(price, net_load, capacity, initial, terminal, keep, loss=0.0, groups=()):
+    """The arguments of one recursion call: one program per row of price and
+    net load; every other argument is one value for all programs or one per
+    program; equal probabilities."""
+    price, net_load = np.array(price, dtype=float), np.array(net_load, dtype=float)
+    P = len(price)
+
+    def each(value):
+        return np.broadcast_to(np.asarray(value, dtype=float), (P,)).copy()
+
+    return (price, net_load, each(keep), each(loss), each(capacity), each(initial),
+            each(terminal), np.full(P, 1.0 / P), [np.array(g) for g in groups])
+
+
+def surplus_fills_the_battery(keep):
+    # the period-2 surplus leaves the image of every knot of W_3 at or below
+    # 0: z0 equals capacity, exceeds it, or (last row, a non-empty run)
+    # falls just short. Period 1 then builds W_1 from that W_2
+    return call([[10, 28, 20, 30, 40]] * 3,
+                [[100, 257, -300, 100, 100], [100, 257, -500, 100, 100],
+                 [100, 257, -299, 100, 100]],
+                300.0, 0.0, 0.0, keep, loss=1e-5)
+
+
+def capacity_cuts_the_run(keep):
+    # falling prices make every stored Wh worth holding, so U_1 is the
+    # highest knot; its image lies past capacity, the lower images do not.
+    # The last program's period-0 surplus would fill the battery past
+    # capacity if U_0 were that image
+    return call([[50, 30, 20, 10, 10]] * 3,
+                [[400] * 5, [250, 400, 400, 400, 400], [-1500, 400, 400, 400, 400]],
+                1000.0, 0.0, 0.0, keep)
+
+
+def prices_tie(keep):
+    # price_{t+1} = price_t / keep, so keep c_{t+1} equals c_t to the bit and
+    # a slope of W_{t+1} ties -c_t; zero prices tie as well, and the first two
+    # programs form a group
+    rising = [10.0 / keep**t for t in range(6)]
+    return call([rising, rising, [0.0] * 6, [0, 10, 0, 10, 0, 10]],
+                [[100, 200, -50, 300, 0, 0], [100, -150, 400, 250, 0, 0],
+                 [100, 200, -50, 300, 0, 0], [-200, 300, -100, 200, 50, 0]],
+                1000.0, 200.0, 100.0, keep, groups=[[0, 1]])
+
+
+def no_room_beside_no_bound(keep):
+    # capacity 0 keeps one knot a period; capacity inf never cuts a run
+    return call([[12, 30, 8, 25, 40, 5, 18]] * 4,
+                [[300, -200, 150, 400, -100, 250, 0], [300, -200, 150, 400, -100, 250, 0],
+                 [-100, 500, 300, -400, 200, 100, 0], [-100, 500, 300, -400, 200, 100, 0]],
+                [0.0, np.inf, 0.0, np.inf], [0.0, 500.0, 0.0, 700.0],
+                [0.0, 200.0, 0.0, 0.0], keep, loss=1e-5)
+
+
+@pytest.mark.parametrize("keep", [1.0, 0.5], ids=("book", "physical"))
+@pytest.mark.parametrize("case", [surplus_fills_the_battery, capacity_cuts_the_run,
+                                  prices_tie, no_room_beside_no_bound],
+                         ids=lambda case: case.__name__)
+def test_edge_cases_of_the_run_match_the_row_major_form(case, keep):
+    assert_same_schedules(*case(keep))

@@ -38,6 +38,12 @@ def test_horizon_refuses_non_finite_values(fields, message):
         Horizon(**fields)
 
 
+@pytest.mark.parametrize("T", [2.5, 24.0])
+def test_horizon_refuses_a_period_count_that_is_not_an_integer(T):
+    with pytest.raises(ValueError, match=re.escape(f"whole number of periods, got T={T}")):
+        Horizon(T=T)
+
+
 def test_horizon_subhourly_periods():
     h = Horizon(T=96, period_hours=0.25)
     assert h.period_minutes == pytest.approx(15.0)
